@@ -212,6 +212,68 @@ func BenchmarkSchedulerRecoverableOps(b *testing.B) {
 	}
 }
 
+// BenchmarkAbortDeepObject prices an abort against the size of the
+// object's committed state: a one-operation transaction aborts on an
+// object already holding size elements, under both §4.4 recovery
+// strategies. The contract (DESIGN.md, "Recovery strategies") is that
+// the size=1k and size=64k rows read the same.
+func BenchmarkAbortDeepObject(b *testing.B) {
+	seq := func(n int) []int {
+		vals := make([]int, n)
+		for i := range vals {
+			vals[i] = i
+		}
+		return vals
+	}
+	objects := []struct {
+		name  string
+		typ   adt.Type
+		class compat.Classifier
+		seed  func(n int) adt.State
+		op    adt.Op
+	}{
+		{"stack", adt.Stack{}, compat.StackTable(),
+			func(n int) adt.State { return adt.NewStackState(seq(n)...) }, repro.Push(1)},
+		{"set", adt.Set{}, compat.SetTable(),
+			func(n int) adt.State { return adt.NewSetState(seq(n)...) }, repro.Delete(7)},
+		{"table", adt.KTable{}, compat.KTableTable(),
+			func(n int) adt.State { return adt.NewKTableState(seq(2 * n)...) }, repro.TableModify(8, 1)},
+	}
+	strategies := []struct {
+		name string
+		rec  core.Recovery
+	}{{"intentions", core.RecoveryIntentions}, {"undo", core.RecoveryUndo}}
+	for _, o := range objects {
+		for _, st := range strategies {
+			for _, size := range []int{1 << 10, 1 << 16} {
+				b.Run(fmt.Sprintf("%s/%s/size=%dk", o.name, st.name, size>>10), func(b *testing.B) {
+					s := core.NewScheduler(core.Options{Recovery: st.rec})
+					if err := s.RegisterSeeded(1, o.typ, o.class, o.seed(size)); err != nil {
+						b.Fatal(err)
+					}
+					var eff core.Effects
+					var id core.TxnID
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						id++
+						if err := s.Begin(id); err != nil {
+							b.Fatal(err)
+						}
+						if dec, err := s.RequestInto(&eff, id, 1, o.op); err != nil || dec.Outcome != core.Executed {
+							b.Fatalf("%v %v", dec, err)
+						}
+						if err := s.AbortInto(&eff, id); err != nil {
+							b.Fatal(err)
+						}
+						s.Forget(id)
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkCycleDetection measures HasCycleFrom on a dependency chain
 // of the worst-case length the simulator sees (mpl=200 transactions).
 func BenchmarkCycleDetection(b *testing.B) {

@@ -140,22 +140,32 @@ func (s OpSpec) Invoke(args ...int) Op {
 
 // State is an object state. Implementations are mutable; Clone produces
 // an independent deep copy (used by the derivation engine, the history
-// checker and intentions-list recovery).
+// checker and the intentions-list fallback below). A state whose
+// operations have a bounded footprint should also implement Restorer,
+// or every intentions-list abort pays a Clone of the committed state.
 type State interface {
 	Clone() State
 	Equal(State) bool
 	fmt.Stringer
 }
 
-// Copier is optionally implemented by states that can adopt another
-// state's value in place. Long-lived holders — the intentions-list
-// abort replay rebuilds the materialised state from the committed base
-// on every abort — use it to reuse one allocation instead of cloning
-// per rebuild. CopyFrom reports false (receiver unchanged) when src has
-// a different concrete type.
-type Copier interface {
+// Restorer is optionally implemented by states that can roll back to a
+// base state in time proportional to what a log of operations touched
+// rather than to the size of the state. It is what makes an
+// intentions-list abort (§4.4) cost the departing transaction's work,
+// not the object's committed contents.
+//
+// The caller guarantees the receiver Equals base ⊕ ops: base with every
+// operation of ops applied in order. RestoreFrom makes the receiver
+// Equal base again, reading and writing only the part of the state ops
+// can have touched (read-only operations touch nothing), without
+// allocating in steady state. It reports false, leaving the receiver
+// unchanged, when base has a different concrete type; a state that
+// cannot bound the footprint of its operations does not implement
+// Restorer at all, and its holders fall back to base.Clone().
+type Restorer interface {
 	State
-	CopyFrom(src State) bool
+	RestoreFrom(base State, ops []Op) bool
 }
 
 // Type is an atomic data type: a state space plus operations.

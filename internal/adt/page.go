@@ -65,13 +65,13 @@ func (t Page) Apply(s State, op Op) (Ret, error) {
 	return Ret{}, badOp(t, op)
 }
 
-// CopyFrom implements Copier.
-func (p *PageState) CopyFrom(src State) bool {
-	q, ok := src.(*PageState)
+// RestoreFrom implements Restorer: the whole state is one value.
+func (p *PageState) RestoreFrom(base State, _ []Op) bool {
+	q, ok := base.(*PageState)
 	if !ok {
 		return false
 	}
-	*p = *q
+	p.V = q.V
 	return true
 }
 

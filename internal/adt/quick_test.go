@@ -3,6 +3,7 @@ package adt
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,18 +17,22 @@ type opSeq struct {
 
 var quickTypes = []Enumerable{Page{}, Stack{}, Set{}, KTable{}}
 
-// Generate implements quick.Generator.
-func (opSeq) Generate(r *rand.Rand, size int) reflect.Value {
-	ti := r.Intn(len(quickTypes))
-	typ := quickTypes[ti]
-	specs := typ.Specs()
-	args := typ.EnumArgs()
-	n := r.Intn(size%12 + 1)
+// randOps draws n random invocations of typ's operations over its
+// sampled parameter values.
+func randOps(r *rand.Rand, typ Enumerable, n int) []Op {
+	specs, args := typ.Specs(), typ.EnumArgs()
 	ops := make([]Op, n)
 	for i := range ops {
 		sp := specs[r.Intn(len(specs))]
 		ops[i] = sp.Invoke(args[r.Intn(len(args))], args[r.Intn(len(args))])
 	}
+	return ops
+}
+
+// Generate implements quick.Generator.
+func (opSeq) Generate(r *rand.Rand, size int) reflect.Value {
+	ti := r.Intn(len(quickTypes))
+	ops := randOps(r, quickTypes[ti], r.Intn(size%12+1))
 	return reflect.ValueOf(opSeq{typIdx: ti, ops: ops})
 }
 
@@ -128,6 +133,76 @@ func TestQuickUndoLastIsInverse(t *testing.T) {
 		return s.Equal(before)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// abortCase is a generated intentions-list abort for one type: a program
+// that builds the committed base, an uncommitted log run on top of it,
+// and the subset of log entries that departs.
+type abortCase struct {
+	typIdx  int
+	base    []Op
+	log     []Op
+	departs []bool
+}
+
+// Generate implements quick.Generator. Lengths are drawn here rather
+// than from quick's fixed size, so bases are deep enough for pops to dig
+// into and logs long enough to revisit an element.
+func (abortCase) Generate(r *rand.Rand, _ int) reflect.Value {
+	c := abortCase{typIdx: r.Intn(len(quickTypes))}
+	typ := quickTypes[c.typIdx]
+	c.base = randOps(r, typ, r.Intn(16))
+	c.log = randOps(r, typ, r.Intn(10))
+	c.departs = make([]bool, len(c.log))
+	for i := range c.departs {
+		c.departs[i] = r.Intn(2) == 0
+	}
+	return reflect.ValueOf(c)
+}
+
+// TestQuickRestoreMatchesClone: the footprint-bounded rollback is
+// indistinguishable from the full copy it replaces. For every type, a
+// random base, a random log on top and a random departing subset:
+// RestoreFrom gives back the base, and replaying the survivors onto it
+// ends in the same state with the same returns as replaying them onto
+// base.Clone() — without disturbing the base.
+func TestQuickRestoreMatchesClone(t *testing.T) {
+	for _, typ := range quickTypes {
+		other := State(&PageState{})
+		if typ.Name() == "page" {
+			other = NewSetState()
+		}
+		cur := typ.EnumStates()[1]
+		before := cur.Clone()
+		if cur.(Restorer).RestoreFrom(other, nil) || !cur.Equal(before) {
+			t.Errorf("%s: RestoreFrom a %T base must report false and change nothing", typ.Name(), other)
+		}
+	}
+	f := func(c abortCase) bool {
+		typ := quickTypes[c.typIdx]
+		base := typ.New()
+		ApplySeq(typ, base, c.base)
+		committed := base.Clone()
+		cur := base.Clone()
+		ApplySeq(typ, cur, c.log)
+		var survivors []Op
+		for i, op := range c.log {
+			if !c.departs[i] {
+				survivors = append(survivors, op)
+			}
+		}
+		want := base.Clone()
+		wantRets, _ := ApplySeq(typ, want, survivors)
+
+		if !cur.(Restorer).RestoreFrom(base, c.log) || !cur.Equal(base) {
+			return false
+		}
+		gotRets, _ := ApplySeq(typ, cur, survivors)
+		return cur.Equal(want) && slices.Equal(gotRets, wantRets) && base.Equal(committed)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -124,19 +124,23 @@ func (t Set) Apply(s State, op Op) (Ret, error) {
 	return Ret{}, badOp(t, op)
 }
 
-// CopyFrom implements Copier.
-func (s *SetState) CopyFrom(src State) bool {
-	q, ok := src.(*SetState)
+// RestoreFrom implements Restorer: only the elements ops name can differ
+// from base, so only their membership is restored.
+func (s *SetState) RestoreFrom(base State, ops []Op) bool {
+	q, ok := base.(*SetState)
 	if !ok {
 		return false
 	}
-	if s.m == nil {
-		s.m = make(map[int]bool, len(q.m))
-	} else {
-		clear(s.m)
-	}
-	for v := range q.m {
-		s.m[v] = true
+	for i := range ops {
+		op := &ops[i]
+		if op.Name == SetMember {
+			continue
+		}
+		if q.m[op.Arg] {
+			s.m[op.Arg] = true
+		} else {
+			delete(s.m, op.Arg)
+		}
 	}
 	return true
 }

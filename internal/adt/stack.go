@@ -142,14 +142,23 @@ func (t Stack) Apply(s State, op Op) (Ret, error) {
 	return Ret{}, badOp(t, op)
 }
 
-// CopyFrom implements Copier.
-func (s *StackState) CopyFrom(src State) bool {
-	q, ok := src.(*StackState)
+// RestoreFrom implements Restorer. With k pops in ops the stack never
+// dipped more than k cells below base's height, so the bottom
+// len(base)-k cells still agree with base; only the cells above them are
+// rewritten. nextTok is not restored: undo tokens matter to undo-log
+// recovery only, which never restores from a base.
+func (s *StackState) RestoreFrom(base State, ops []Op) bool {
+	q, ok := base.(*StackState)
 	if !ok {
 		return false
 	}
-	s.cells = append(s.cells[:0], q.cells...)
-	s.nextTok = q.nextTok
+	keep := len(q.cells)
+	for i := range ops {
+		if ops[i].Name == StackPop && keep > 0 {
+			keep--
+		}
+	}
+	s.cells = append(s.cells[:keep], q.cells[keep:]...)
 	return true
 }
 
@@ -207,8 +216,10 @@ func (t Stack) Undo(s State, op Op, rec UndoRec, later []UndoEntry) error {
 	case StackTop:
 		return nil
 	case StackPush:
+		// The cell sits within the uncommitted suffix, so search from the
+		// top: undoing a push must not cost the committed depth.
 		tok := rec.(*stackPushRec).tok
-		for i := range ss.cells {
+		for i := len(ss.cells) - 1; i >= 0; i-- {
 			if ss.cells[i].tok == tok {
 				ss.cells = append(ss.cells[:i], ss.cells[i+1:]...)
 				return nil

@@ -160,19 +160,23 @@ func (t KTable) Apply(s State, op Op) (Ret, error) {
 	return Ret{}, badOp(t, op)
 }
 
-// CopyFrom implements Copier.
-func (s *KTableState) CopyFrom(src State) bool {
-	q, ok := src.(*KTableState)
+// RestoreFrom implements Restorer: only the keys ops name can differ
+// from base, so only their bindings are restored.
+func (s *KTableState) RestoreFrom(base State, ops []Op) bool {
+	q, ok := base.(*KTableState)
 	if !ok {
 		return false
 	}
-	if s.m == nil {
-		s.m = make(map[int]int, len(q.m))
-	} else {
-		clear(s.m)
-	}
-	for k, v := range q.m {
-		s.m[k] = v
+	for i := range ops {
+		op := &ops[i]
+		if op.Name == TableLookup || op.Name == TableSize {
+			continue
+		}
+		if item, bound := q.m[op.Arg]; bound {
+			s.m[op.Arg] = item
+		} else {
+			delete(s.m, op.Arg)
+		}
 	}
 	return true
 }

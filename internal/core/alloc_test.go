@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/adt"
 	"repro/internal/compat"
@@ -304,5 +306,123 @@ func TestDBBlockedPathBoundedAllocs(t *testing.T) {
 	const bound = 4.0
 	if avg := testing.AllocsPerRun(500, cycle); avg > bound {
 		t.Fatalf("DB blocked cycle allocates %.2f times, want <= %.0f (park channel must come from the pool)", avg, bound)
+	}
+}
+
+// TestAbortPathZeroAllocs asserts the steady-state abort of a
+// recoverable transaction under intentions lists allocates nothing: the
+// victim's push sits above a survivor's, so the abort takes the stack
+// back to its base in place and replays the surviving entry.
+func TestAbortPathZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s := NewScheduler(Options{})
+	if err := s.Register(1, adt.Stack{}, compat.StackTable()); err != nil {
+		t.Fatal(err)
+	}
+	push := func(v int) adt.Op { return adt.Op{Name: adt.StackPush, Arg: v, HasArg: true} }
+	var eff Effects
+	var id TxnID
+	pair := func() {
+		ta, tb := id+1, id+2
+		id += 2
+		if err := s.Begin(ta); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Begin(tb); err != nil {
+			t.Fatal(err)
+		}
+		if dec, err := s.RequestInto(&eff, ta, 1, push(1)); err != nil || dec.Outcome != Executed {
+			t.Fatalf("request: %v %v", dec, err)
+		}
+		if dec, err := s.RequestInto(&eff, tb, 1, push(2)); err != nil || dec.Outcome != Executed {
+			t.Fatalf("request: %v %v", dec, err)
+		}
+		if err := s.AbortInto(&eff, tb); err != nil {
+			t.Fatalf("abort b: %v", err)
+		}
+		if st, err := s.CommitInto(&eff, ta); err != nil || st != Committed {
+			t.Fatalf("commit a: %v %v", st, err)
+		}
+		s.Forget(ta)
+		s.Forget(tb)
+	}
+	for i := 0; i < 200; i++ {
+		pair()
+	}
+	if avg := testing.AllocsPerRun(500, pair); avg != 0 {
+		t.Fatalf("recoverable abort cycle allocates %.2f times, want 0", avg)
+	}
+}
+
+// TestAbortCostIndependentOfCommittedSize pins the complexity contract
+// of both §4.4 strategies: an abort costs what the transaction did, not
+// what the object holds. Aborting a one-operation transaction on a
+// large committed state must stay within 8x of the same abort on one
+// 2^6 to 2^8 times smaller (a rollback that copies or scans the
+// committed state is off by that whole factor).
+func TestAbortCostIndependentOfCommittedSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing pin; race instrumentation distorts it")
+	}
+	stackOf := func(n int) adt.State { return adt.NewStackState(make([]int, n)...) }
+	tableOf := func(n int) adt.State {
+		kv := make([]int, 0, 2*n)
+		for k := 0; k < n; k++ {
+			kv = append(kv, k, k)
+		}
+		return adt.NewKTableState(kv...)
+	}
+	cases := []struct {
+		name         string
+		typ          adt.Type
+		class        compat.Classifier
+		seed         func(n int) adt.State
+		small, large int
+		op           adt.Op
+	}{
+		{"stack", adt.Stack{}, compat.StackTable(), stackOf, 1 << 10, 1 << 18,
+			adt.Op{Name: adt.StackPush, Arg: 1, HasArg: true}},
+		{"table", adt.KTable{}, compat.KTableTable(), tableOf, 1 << 10, 1 << 16,
+			adt.Op{Name: adt.TableModify, Arg: 7, HasArg: true, Aux: 1, HasAux: true}},
+	}
+	for _, c := range cases {
+		for _, rec := range []Recovery{RecoveryIntentions, RecoveryUndo} {
+			t.Run(c.name+"/"+rec.String(), func(t *testing.T) {
+				abortCost := func(size int) time.Duration {
+					s := NewScheduler(Options{Recovery: rec})
+					if err := s.RegisterSeeded(1, c.typ, c.class, c.seed(size)); err != nil {
+						t.Fatal(err)
+					}
+					var eff Effects
+					var id TxnID
+					best := time.Duration(math.MaxInt64)
+					for batch := 0; batch < 5; batch++ {
+						start := time.Now()
+						for i := 0; i < 200; i++ {
+							id++
+							if err := s.Begin(id); err != nil {
+								t.Fatal(err)
+							}
+							if dec, err := s.RequestInto(&eff, id, 1, c.op); err != nil || dec.Outcome != Executed {
+								t.Fatalf("request: %v %v", dec, err)
+							}
+							if err := s.AbortInto(&eff, id); err != nil {
+								t.Fatal(err)
+							}
+							s.Forget(id)
+						}
+						best = min(best, time.Since(start))
+					}
+					return best
+				}
+				small, large := abortCost(c.small), abortCost(c.large)
+				if large > 8*small {
+					t.Fatalf("abort at %d elements took %v per 200, at %d elements %v: %.0fx, want < 8x",
+						c.large, large, c.small, small, float64(large)/float64(small))
+				}
+			})
+		}
 	}
 }

@@ -210,16 +210,24 @@ func (o *object) removeTxn(txn TxnID, commit bool, rec Recovery, debug bool, sc 
 func (o *object) removeTxnIntentions(txn TxnID, commit bool, debug bool, sc *schedScratch) error {
 	// Compact the log in place, collecting the transaction's entries
 	// into the reusable scratch buffer (the old version allocated a
-	// fresh kept slice plus a removed slice on every termination).
+	// fresh kept slice plus a removed slice on every termination). An
+	// abort also needs every operation of the pre-removal log, departing
+	// and surviving: together they bound what the materialised state can
+	// differ from the base in.
 	removed := sc.removed[:0]
+	logged := sc.loggedOps[:0]
 	kept := o.log[:0]
 	for i := range o.log {
+		if !commit {
+			logged = append(logged, o.log[i].op)
+		}
 		if o.log[i].txn == txn {
 			removed = append(removed, o.log[i])
 		} else {
 			kept = append(kept, o.log[i])
 		}
 	}
+	sc.loggedOps = logged
 	if len(removed) == 0 {
 		sc.removed = removed
 		return nil
@@ -232,51 +240,54 @@ func (o *object) removeTxnIntentions(txn TxnID, commit bool, debug bool, sc *sch
 	}
 	o.log = kept
 
-	err := o.foldOrReplay(removed, commit, debug)
+	var err error
+	if commit {
+		err = o.fold(removed, debug)
+	} else {
+		err = o.replay(logged, debug)
+	}
 	sc.removed = clearLogEntries(removed)
 	return err
 }
 
-// foldOrReplay finishes an intentions-list removal once the departing
-// entries have been extracted.
-func (o *object) foldOrReplay(removed []logEntry, commit, debug bool) error {
-	if commit {
-		// Fold the committing transaction's operations into the
-		// base. Every surviving earlier entry commutes with them
-		// (the committing transaction has out-degree zero), so
-		// applying them directly to the base is sound.
-		for i := range removed {
-			e := &removed[i]
-			ret, err := o.typ.Apply(o.base, e.op)
-			if err != nil {
-				return fmt.Errorf("core: intentions commit replay on object %d: %w", o.id, err)
-			}
-			if debug && ret != e.ret {
-				return fmt.Errorf("core: object %d: commit fold changed return of %v: logged %v, replayed %v",
-					o.id, e.op, e.ret, ret)
-			}
+// fold finishes an intentions-list commit: the departing transaction's
+// operations are applied to the base, O(|its operations|). Every
+// surviving earlier entry commutes with them (the committing
+// transaction has out-degree zero), so applying them directly to the
+// base is sound.
+func (o *object) fold(removed []logEntry, debug bool) error {
+	for i := range removed {
+		e := &removed[i]
+		ret, err := o.typ.Apply(o.base, e.op)
+		if err != nil {
+			return fmt.Errorf("core: intentions commit replay on object %d: %w", o.id, err)
 		}
-		if debug {
-			return o.checkReplayMatchesCur()
+		if debug && ret != e.ret {
+			return fmt.Errorf("core: object %d: commit fold changed return of %v: logged %v, replayed %v",
+				o.id, e.op, e.ret, ret)
 		}
-		return nil
 	}
+	if debug {
+		return o.checkReplayMatchesCur()
+	}
+	return nil
+}
 
-	// Abort: rebuild the materialised state by replaying the
-	// surviving log onto the base. Soundness (Theorem 1) guarantees
-	// every replayed return equals the logged one. States that support
-	// in-place copying are rebuilt into the existing materialised
-	// state, so the steady-state abort path allocates nothing; a
-	// replay error leaves the object unusable either way (the caller
-	// treats it as a broken internal invariant).
-	var curr adt.State
-	if c, ok := o.cur.(adt.Copier); ok && c.CopyFrom(o.base) {
-		curr = o.cur
-	} else {
-		curr = o.base.Clone()
+// replay finishes an intentions-list abort: the materialised state is
+// taken back to the base and the surviving log replayed onto it.
+// Soundness (Theorem 1) guarantees every replayed return equals the
+// logged one. logged is the pre-removal log's operations; a Restorer
+// state rolls back in place touching only what they touched, so an
+// abort costs O(|log| + their footprint) whatever the committed state
+// holds, and allocates nothing. Other states pay a Clone of the base. A
+// replay error leaves the object unusable either way (the caller treats
+// it as a broken internal invariant).
+func (o *object) replay(logged []adt.Op, debug bool) error {
+	if r, ok := o.cur.(adt.Restorer); !ok || !r.RestoreFrom(o.base, logged) {
+		o.cur = o.base.Clone()
 	}
 	for i := range o.log {
-		ret, err := o.typ.Apply(curr, o.log[i].op)
+		ret, err := o.typ.Apply(o.cur, o.log[i].op)
 		if err != nil {
 			return fmt.Errorf("core: intentions abort replay on object %d: %w", o.id, err)
 		}
@@ -286,7 +297,6 @@ func (o *object) foldOrReplay(removed []logEntry, commit, debug bool) error {
 		}
 		o.log[i].ret = ret
 	}
-	o.cur = curr
 	return nil
 }
 

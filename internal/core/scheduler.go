@@ -63,6 +63,7 @@ type schedScratch struct {
 	depth      int
 
 	removed   []logEntry      // removeTxnIntentions' extracted entries
+	loggedOps []adt.Op        // removeTxnIntentions' pre-removal log, for the abort restore
 	undoLater []adt.UndoEntry // removeTxnUndo's suffix buffer
 
 	retrySnap    []*request // retryObject's queue snapshot
@@ -84,9 +85,10 @@ type Scheduler struct {
 	stats   telemetry.CoreStats
 	sc      schedScratch
 
-	// pendingRetry holds objects whose blocked queues must be
-	// rescanned before the current call returns.
-	pendingRetry map[ObjectID]bool
+	// pendingRetry holds the objects whose blocked queues must be
+	// rescanned before the current call returns, ascending and without
+	// duplicates (see queueRetry).
+	pendingRetry []ObjectID
 
 	// reqFree pools retired blocked-path requests for reuse; reqGrave
 	// parks requests retired during the current call until its end, so
@@ -100,10 +102,9 @@ type Scheduler struct {
 // NewScheduler returns a scheduler with the given options.
 func NewScheduler(opts Options) *Scheduler {
 	s := &Scheduler{
-		opts:         opts,
-		store:        newObjectStore(opts.Recovery, opts.Predicate),
-		txns:         newTxnStore(),
-		pendingRetry: make(map[ObjectID]bool),
+		opts:  opts,
+		store: newObjectStore(opts.Recovery, opts.Predicate),
+		txns:  newTxnStore(),
 	}
 	s.gk = newGraphKeeper(&s.stats)
 	return s
@@ -598,7 +599,7 @@ func (s *Scheduler) withdrawLocked(eff *Effects, id TxnID) error {
 		o.dequeueBlocked(t.id)
 		// Followers fairness-gated behind the withdrawn request must be
 		// rescanned, exactly as when a blocked requester terminates.
-		s.pendingRetry[o.id] = true
+		s.queueRetry(o)
 	}
 	t.blocked = nil
 	s.retireRequest(r)
@@ -628,7 +629,7 @@ func (s *Scheduler) finalize(t *txn, commit bool, reason AbortReason, eff *Effec
 			// members that were fairness-gated behind it, even when
 			// the terminating transaction had no log entries on the
 			// object — without a rescan they would wait forever.
-			s.pendingRetry[o.id] = true
+			s.queueRetry(o)
 		}
 		s.retireRequest(t.blocked)
 		t.blocked = nil
@@ -647,7 +648,7 @@ func (s *Scheduler) finalize(t *txn, commit bool, reason AbortReason, eff *Effec
 		if err := o.removeTxn(t.id, commit, s.opts.Recovery, s.opts.Debug, &s.sc); err != nil {
 			return err
 		}
-		s.pendingRetry[oid] = true
+		s.queueRetry(o)
 	}
 
 	if commit {
@@ -692,6 +693,22 @@ func (s *Scheduler) finalize(t *txn, commit bool, reason AbortReason, eff *Effec
 	return nil
 }
 
+// queueRetry schedules a rescan of o's blocked queue for the current
+// call's settle. An object nobody is blocked on is not queued at all, so
+// a termination on an uncontended object costs settle nothing. That
+// cannot miss a request: a queue only gains a new member from the
+// call's initial request, before anything terminates, and a retry only
+// re-parks a request on the queue it came from — a queue found empty
+// here stays empty until the call returns.
+func (s *Scheduler) queueRetry(o *object) {
+	if len(o.blocked) == 0 {
+		return
+	}
+	if i, found := slices.BinarySearch(s.pendingRetry, o.id); !found {
+		s.pendingRetry = slices.Insert(s.pendingRetry, i, o.id)
+	}
+}
+
 // settle drains the pending-retry set: for each affected object it
 // rescans the blocked queue in FIFO order, granting requests that can
 // now run. A retry can itself abort a blocked transaction (new cycle),
@@ -700,8 +717,8 @@ func (s *Scheduler) finalize(t *txn, commit bool, reason AbortReason, eff *Effec
 // determinism.
 func (s *Scheduler) settle(eff *Effects) error {
 	for len(s.pendingRetry) > 0 {
-		oid := minObject(s.pendingRetry)
-		delete(s.pendingRetry, oid)
+		oid := s.pendingRetry[0]
+		s.pendingRetry = slices.Delete(s.pendingRetry, 0, 1)
 		o, _ := s.store.get(oid)
 		if err := s.retryObject(o, eff); err != nil {
 			return err
@@ -720,23 +737,15 @@ func mergeTxnLists(base, extra []TxnID) []TxnID {
 	return base
 }
 
-func minObject(m map[ObjectID]bool) ObjectID {
-	first := true
-	var min ObjectID
-	for k := range m {
-		if first || k < min {
-			min, first = k, false
-		}
-	}
-	return min
-}
-
 // retryObject rescans one object's blocked queue in order. Under fair
 // scheduling a request stays blocked if it does not commute with an
 // earlier request that is itself still blocked. If a retry aborts the
 // blocked transaction, the queue has changed under us: the object is
 // re-queued for another pass and the scan restarts via settle.
 func (s *Scheduler) retryObject(o *object, eff *Effects) error {
+	if len(o.blocked) == 0 {
+		return nil // drained since it was queued
+	}
 	queue := append(s.sc.retrySnap[:0], o.blocked...)
 	stillBlocked := s.sc.stillBlocked[:0]
 	defer func() {
@@ -792,7 +801,7 @@ scan:
 			// finalize (inside tryExecute) re-queued affected
 			// objects, possibly including this one; restart the
 			// scan from settle's loop.
-			s.pendingRetry[o.id] = true
+			s.queueRetry(o)
 			return nil
 		}
 	}
