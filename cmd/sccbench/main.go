@@ -119,7 +119,7 @@ func runShardScale(shardList, maxprocsList string, workers, txns, db int, cross,
 			if err != nil {
 				return err
 			}
-			res, err := dist.RunLoad(c, dist.LoadConfig{
+			res, err := workload.RunLoad(c, workload.LoadConfig{
 				Workload: workload.Sharded{
 					Inner: workload.ReadWrite{DBSize: db, WriteProb: 0.3},
 					Sites: n, CrossProb: cross, Skew: skew,
@@ -305,7 +305,7 @@ func runConvoy(sitesN, workers, txns, db int, cross float64, seed int64, holdOpe
 		if err != nil {
 			return err
 		}
-		res, err := dist.RunLoad(c, dist.LoadConfig{
+		res, err := workload.RunLoad(c, workload.LoadConfig{
 			Workload:        gen,
 			Workers:         workers,
 			TxnsPerWorker:   txns,
@@ -351,7 +351,7 @@ func runChaos(shardsN, workers, txns, db int, cross float64, seed int64, crashPe
 		Inner: workload.Pushes{DBSize: db},
 		Sites: shardsN, CrossProb: cross,
 	}
-	lc := dist.LoadConfig{
+	lc := workload.LoadConfig{
 		Workload:      gen,
 		Workers:       workers,
 		TxnsPerWorker: txns,
@@ -369,7 +369,7 @@ func runChaos(shardsN, workers, txns, db int, cross float64, seed int64, crashPe
 	if err != nil {
 		return err
 	}
-	plainRes, err := dist.RunLoad(plain, lc)
+	plainRes, err := workload.RunLoad(plain, lc)
 	if err != nil {
 		return err
 	}
@@ -381,7 +381,7 @@ func runChaos(shardsN, workers, txns, db int, cross float64, seed int64, crashPe
 	if err != nil {
 		return err
 	}
-	ftRes, err := dist.RunLoad(ft, lc)
+	ftRes, err := workload.RunLoad(ft, lc)
 	if err != nil {
 		return err
 	}

@@ -1,0 +1,455 @@
+package dist
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/depgraph"
+	"repro/internal/fault"
+)
+
+// The Coordinator suite drives the decision half of the conversation
+// with no sites and no goroutines: every test is a single-threaded
+// script of edge reports, decision rounds and termination notices. All
+// coordinators run with debug on, so the ack-table invariant
+// (open sets == logged + adopted - resolved) is checked at every
+// mutation.
+
+func testCoordinator(policy HoldPolicy) (*Coordinator, *fault.MemLog) {
+	flog := fault.NewMemLog()
+	return NewCoordinator(2, flog, policy, true), flog
+}
+
+// enlist registers a transaction that has visited the given sites.
+func enlist(co *Coordinator, id core.TxnID, sites ...SiteID) *Conv {
+	cv := NewConv(id, nil)
+	for _, s := range sites {
+		cv.Visit(s)
+	}
+	co.Enlist(cv)
+	return cv
+}
+
+// decide runs cv's decision round as a wave of one; deps are the
+// transactions it reports commit dependencies on, all at its first
+// visited site.
+func decide(co *Coordinator, cv *Conv, deps ...core.TxnID) *DecideReq {
+	req := &DecideReq{Conv: cv, Counts: make([]int, len(cv.Visited()))}
+	for _, to := range deps {
+		req.Batch = append(req.Batch, depgraph.Edge{From: cv.ID(), To: to, Kind: depgraph.CommitDep})
+	}
+	req.Counts[0] = len(deps)
+	co.DecideWave([]*DecideReq{req})
+	return req
+}
+
+func ids(cvs []*Conv) []core.TxnID {
+	out := make([]core.TxnID, len(cvs))
+	for i, cv := range cvs {
+		out[i] = cv.ID()
+	}
+	return out
+}
+
+// finish retires a transaction and drains what its termination freed.
+func finish(co *Coordinator, id core.TxnID) []core.TxnID {
+	co.Retire(id)
+	return ids(co.Drain([]core.TxnID{id}))
+}
+
+// TestCoordinatorDecide: one conversation with a dependency on a live
+// transaction, under each policy verdict — and the dependency-free
+// conversation that commits outright.
+func TestCoordinatorDecide(t *testing.T) {
+	cases := []struct {
+		name      string
+		policy    HoldPolicy
+		deps      bool
+		wantState int32
+		wantShed  bool
+		wantHeld  int
+		wantLog   int
+	}{
+		{"commit", nil, false, txReleasing, false, 0, 1},
+		{"hold/off", nil, true, txPseudo, false, 1, 0},
+		{"hold/depth", DepthBound{Max: 2}, true, txPseudo, false, 1, 0},
+		{"hold/eager", EagerRelease{}, true, txPseudo, false, 1, 0},
+		{"shed/admission", &Admission{High: 1, Low: 0}, true, txRevoking, true, 1, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			co, flog := testCoordinator(tc.policy)
+			enlist(co, 1, 0)
+			if tc.wantShed {
+				// Close the admission gate: one transaction already held.
+				if r := decide(co, enlist(co, 9, 0), 1); r.Gdeps != 1 || r.Shed {
+					t.Fatalf("priming hold: %+v", r)
+				}
+			}
+			cv := enlist(co, 2, 0, 1)
+			var r *DecideReq
+			if tc.deps {
+				r = decide(co, cv, 1)
+			} else {
+				r = decide(co, cv)
+			}
+			if got := cv.state.Load(); got != tc.wantState {
+				t.Errorf("state = %d, want %d", got, tc.wantState)
+			}
+			if r.Shed != tc.wantShed || r.Doomed {
+				t.Errorf("verdict = %+v", r)
+			}
+			if r.Held != tc.wantHeld || co.HeldCount() != tc.wantHeld {
+				t.Errorf("held = %d (coordinator %d), want %d", r.Held, co.HeldCount(), tc.wantHeld)
+			}
+			if flog.Len() != tc.wantLog {
+				t.Errorf("log holds %d decisions, want %d", flog.Len(), tc.wantLog)
+			}
+			if sites, _ := co.AcksPending(2); tc.wantLog == 1 && sites != 2 {
+				t.Errorf("committed decision opened %d site acks, want 2", sites)
+			}
+		})
+	}
+
+	t.Run("shed/tail", func(t *testing.T) {
+		co, _ := testCoordinator(DepthBound{Max: 2})
+		enlist(co, 1, 0)
+		decide(co, enlist(co, 2, 0), 1) // chain 2 -> 1: depth 2, admitted
+		r := decide(co, enlist(co, 3, 0), 2)
+		if !r.Shed || r.Depth != 3 || co.PolicyStats().TailAborts != 1 {
+			t.Errorf("depth-3 chain under Max 2: %+v, stats %+v", r, co.PolicyStats())
+		}
+	})
+
+	t.Run("doomed", func(t *testing.T) {
+		co, flog := testCoordinator(nil)
+		cv := enlist(co, 1, 0)
+		co.SiteCrashed(0, []*Conv{cv})
+		if r := decide(co, cv); !r.Doomed || flog.Len() != 0 {
+			t.Errorf("doomed conversation decided: %+v, log %d", r, flog.Len())
+		}
+	})
+
+	t.Run("stale-edge", func(t *testing.T) {
+		// An export naming a transaction that already finished must not
+		// hold the conversation.
+		co, _ := testCoordinator(nil)
+		if r := decide(co, enlist(co, 2, 0), 1); r.Gdeps != 0 {
+			t.Errorf("edge to a finished transaction counted: %+v", r)
+		}
+	})
+}
+
+// TestCoordinatorObserve: the union graph closes a cycle no single
+// site's report contains.
+func TestCoordinatorObserve(t *testing.T) {
+	co, _ := testCoordinator(nil)
+	enlist(co, 1, 0, 1)
+	enlist(co, 2, 0, 1)
+	if co.Observe(0, 1, []depgraph.Edge{{From: 1, To: 2, Kind: depgraph.WaitFor}}) {
+		t.Fatal("one edge is not a cycle")
+	}
+	if !co.Observe(1, 2, []depgraph.Edge{{From: 2, To: 1, Kind: depgraph.WaitFor}}) {
+		t.Fatal("cross-site cycle 1 -> 2 -> 1 not detected")
+	}
+	if co.Observe(0, 3, []depgraph.Edge{{From: 3, To: 1, Kind: depgraph.WaitFor}}) || co.MirrorEdges() != 2 {
+		t.Fatal("a report from a transaction that is not live was mirrored")
+	}
+	// Re-reporting a pair replaces it: withdrawing 2's wait breaks the cycle.
+	if co.Observe(1, 2, nil) || co.MirrorEdges() != 1 {
+		t.Fatalf("withdrawn report left %d edges", co.MirrorEdges())
+	}
+}
+
+// TestCoordinatorDrain: round-based and eager closure over a chain and
+// a diamond. Round-based, each Drain returns one level; eager, one
+// Drain returns the whole subtree in topological order with one log
+// force.
+func TestCoordinatorDrain(t *testing.T) {
+	shapes := []struct {
+		name string
+		// deps[i] lists what transaction i+2 depends on; transaction 1
+		// is the root everything waits for.
+		deps [][]core.TxnID
+		// rounds[i] is what the i-th termination (in release order,
+		// starting with the root's) frees round-based; the last one
+		// frees nothing.
+		rounds [][]core.TxnID
+	}{
+		{"chain", [][]core.TxnID{{1}, {2}, {3}}, [][]core.TxnID{{2}, {3}, {4}, nil}},
+		{"diamond", [][]core.TxnID{{1}, {1}, {2, 3}}, [][]core.TxnID{{2, 3}, nil, {4}, nil}},
+	}
+	for _, sh := range shapes {
+		build := func(policy HoldPolicy) (*Coordinator, *fault.MemLog) {
+			co, flog := testCoordinator(policy)
+			enlist(co, 1, 0)
+			for i, deps := range sh.deps {
+				if r := decide(co, enlist(co, core.TxnID(i+2), 0), deps...); r.Gdeps != len(deps) {
+					t.Fatalf("%s: T%d gdeps = %d, want %d", sh.name, i+2, r.Gdeps, len(deps))
+				}
+			}
+			return co, flog
+		}
+
+		t.Run(sh.name+"/rounds", func(t *testing.T) {
+			co, flog := build(nil)
+			queue := []core.TxnID{1}
+			for round := 0; len(queue) > 0; round++ {
+				id := queue[0]
+				queue = queue[1:]
+				got := finish(co, id)
+				if round >= len(sh.rounds) || !slices.Equal(got, sh.rounds[round]) {
+					t.Fatalf("termination %d (T%d) released %v, want the sequence %v", round, id, got, sh.rounds)
+				}
+				queue = append(queue, got...)
+			}
+			if co.HeldCount() != 0 || flog.Len() != len(sh.deps) {
+				t.Errorf("held %d, logged %d after the drain", co.HeldCount(), flog.Len())
+			}
+			if st := co.PolicyStats(); st.EagerRounds != 0 || st.HeldPeak != len(sh.deps) {
+				t.Errorf("policy stats = %+v", st)
+			}
+		})
+
+		t.Run(sh.name+"/eager", func(t *testing.T) {
+			co, flog := build(EagerRelease{})
+			got := finish(co, 1)
+			if len(got) != len(sh.deps) {
+				t.Fatalf("eager drain released %v, want all %d", got, len(sh.deps))
+			}
+			// Topological: every transaction comes after what it waited for.
+			pos := map[core.TxnID]int{1: -1}
+			for i, id := range got {
+				pos[id] = i
+			}
+			for i, deps := range sh.deps {
+				for _, d := range deps {
+					if pos[d] >= pos[core.TxnID(i+2)] {
+						t.Errorf("T%d released before its dependency T%d: %v", i+2, d, got)
+					}
+				}
+			}
+			if flog.Len() != len(sh.deps) || co.HeldCount() != 0 {
+				t.Errorf("held %d, logged %d after the eager drain", co.HeldCount(), flog.Len())
+			}
+			if st := co.PolicyStats(); st.EagerRounds != 1 || st.EagerReleased != len(sh.deps) {
+				t.Errorf("policy stats = %+v", st)
+			}
+			// Draining the released ids afterwards finds nothing more.
+			for _, id := range got {
+				if more := finish(co, id); len(more) != 0 {
+					t.Errorf("follow-up drain of T%d released %v", id, more)
+				}
+			}
+		})
+	}
+}
+
+// TestCoordinatorAckTable: open -> ack -> truncate, with and without
+// the client gate, for conversation and direct commits.
+func TestCoordinatorAckTable(t *testing.T) {
+	for _, gated := range []bool{false, true} {
+		name := "ungated"
+		if gated {
+			name = "gated"
+		}
+		t.Run(name, func(t *testing.T) {
+			co, flog := testCoordinator(nil)
+			cv := enlist(co, 1, 0, 1)
+			if gated {
+				co.GateDecision(1)
+			}
+			decide(co, cv)
+			if sites, client := co.AcksPending(1); sites != 2 || client != gated {
+				t.Fatalf("opened %d site acks, client %v", sites, client)
+			}
+			if co.Ack(1, 0) || co.Ack(1, 0) {
+				t.Fatal("first site's ack (or its repeat) resolved the decision")
+			}
+			if got := co.Ack(1, 1); got == gated {
+				t.Fatalf("last site ack resolved = %v with gate %v", got, gated)
+			}
+			if gated {
+				if flog.Len() != 1 {
+					t.Fatal("gated decision truncated before the client ack")
+				}
+				if !co.AckDecision(1) {
+					t.Fatal("client ack did not resolve the decision")
+				}
+			}
+			if flog.Len() != 0 || co.Telemetry().LiveDecisions.Load() != 0 {
+				t.Errorf("log %d, live %d after the last ack", flog.Len(), co.Telemetry().LiveDecisions.Load())
+			}
+			if co.Ack(1, 1) || co.AckDecision(1) {
+				t.Error("ack of a truncated decision resolved something")
+			}
+
+			// The direct path logs only behind a gate.
+			d := enlist(co, 2, 1)
+			if gated {
+				co.GateDecision(2)
+			}
+			if got := co.LogDirect(d); got != gated || flog.Len() != b2i(gated) {
+				t.Fatalf("LogDirect = %v, log %d, gate %v", got, flog.Len(), gated)
+			}
+			if gated && (co.Ack(2, 1) || !co.AckDecision(2) || flog.Len() != 0) {
+				t.Error("direct decision did not resolve on site ack + client ack")
+			}
+		})
+	}
+
+	t.Run("plain", func(t *testing.T) {
+		// No log: nothing is recorded and every ack-table call no-ops.
+		co := NewCoordinator(2, nil, nil, true)
+		cv := enlist(co, 1, 0)
+		co.GateDecision(1)
+		if r := decide(co, cv); r.Gdeps != 0 || co.LogDirect(cv) || co.Ack(1, 0) || co.AckDecision(1) || co.ClaimRedo(1) {
+			t.Errorf("plain coordinator touched an ack table: %+v", r)
+		}
+		if co.Adopt() != nil {
+			t.Error("plain coordinator adopted decisions")
+		}
+	})
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestCoordinatorRedoArbitration: restart reconciliation claiming a
+// logged direct commit wins against the live conversation's
+// withdrawal, and loses when the withdrawal came first.
+func TestCoordinatorRedoArbitration(t *testing.T) {
+	t.Run("claim-first", func(t *testing.T) {
+		co, flog := testCoordinator(nil)
+		cv := enlist(co, 1, 0)
+		co.GateDecision(1)
+		co.LogDirect(cv)
+		if !co.ClaimRedo(1) {
+			t.Fatal("logged commit not claimable")
+		}
+		if co.UndoDirect(1) || flog.Len() != 1 {
+			t.Fatal("withdrawal beat the redo claim")
+		}
+		// The redo landed: site ack + client ack resolve it, erasing the claim.
+		co.Ack(1, 0)
+		if !co.AckDecision(1) || flog.Len() != 0 || co.ClaimRedo(1) {
+			t.Error("claimed decision did not resolve cleanly")
+		}
+	})
+	t.Run("undo-first", func(t *testing.T) {
+		co, flog := testCoordinator(nil)
+		cv := enlist(co, 1, 0)
+		co.GateDecision(1)
+		co.LogDirect(cv)
+		if !co.UndoDirect(1) || flog.Len() != 0 {
+			t.Fatal("unclaimed decision not withdrawn")
+		}
+		if co.ClaimRedo(1) {
+			t.Error("withdrawn decision still claimable")
+		}
+		if co.Telemetry().DecisionsResolved.Load() != 1 {
+			t.Error("withdrawal not counted as a resolution")
+		}
+	})
+	t.Run("unlogged", func(t *testing.T) {
+		co, _ := testCoordinator(nil)
+		if co.ClaimRedo(7) {
+			t.Error("claimed a decision the log never held")
+		}
+	})
+}
+
+// TestCoordinatorAdopt: a new coordinator on the old log re-arms every
+// logged commit for all sites plus the client, and site recoveries ack
+// them.
+func TestCoordinatorAdopt(t *testing.T) {
+	old, flog := testCoordinator(nil)
+	old.GateDecision(1)
+	decide(old, enlist(old, 1, 0)) // logged, never released: the crash hits here
+	decide(old, enlist(old, 2, 1))
+	old.Ack(2, 1) // ungated and fully acked: already truncated
+	if flog.Len() != 1 {
+		t.Fatalf("predecessor left %d decisions", flog.Len())
+	}
+
+	co := NewCoordinator(2, flog, nil, true)
+	if got := co.Adopt(); !slices.Equal(got, []core.TxnID{1}) {
+		t.Fatalf("adopted %v, want [1]", got)
+	}
+	if sites, client := co.AcksPending(1); sites != 2 || !client {
+		t.Fatalf("adopted decision pends on %d sites, client %v", sites, client)
+	}
+	if tel := co.Telemetry(); tel.DecisionsAdopted.Load() != 1 || tel.DecisionsLogged.Load() != 0 {
+		t.Errorf("adoption accounting: adopted %d logged %d", tel.DecisionsAdopted.Load(), tel.DecisionsLogged.Load())
+	}
+	if !co.ClaimRedo(1) {
+		t.Error("adopted decision not claimable for redo")
+	}
+	if got := co.SiteRecovered(0, []core.TxnID{1}); len(got) != 0 {
+		t.Errorf("first site's recovery resolved %v", got)
+	}
+	if got := co.SiteRecovered(1, nil); len(got) != 0 { // never visited: still acks
+		t.Errorf("second site's recovery resolved %v with the client gate open", got)
+	}
+	if !co.AckDecision(1) || flog.Len() != 0 {
+		t.Error("client ack did not truncate the adopted decision")
+	}
+
+	// The adoption table itself.
+	for _, tc := range []struct {
+		held, logged bool
+		want         AdoptAction
+	}{
+		{false, true, AdoptRedo},
+		{false, false, AdoptAbort},
+		{true, true, AdoptRelease},
+		{true, false, AdoptRevoke},
+	} {
+		if got := AdoptVerdict(tc.held, tc.logged); got != tc.want {
+			t.Errorf("AdoptVerdict(held=%v, logged=%v) = %d, want %d", tc.held, tc.logged, got, tc.want)
+		}
+	}
+}
+
+// TestCoordinatorCrashClassification: held and unlogged is revoked;
+// releasing proceeds; active is doomed; the dead site's edges leave
+// the union graph.
+func TestCoordinatorCrashClassification(t *testing.T) {
+	co, flog := testCoordinator(nil)
+	root := enlist(co, 1, 1) // untouched by the crash
+	active := enlist(co, 2, 0)
+	held := enlist(co, 3, 0, 1)
+	releasing := enlist(co, 4, 0)
+	decide(co, held, 1)
+	decide(co, releasing)
+
+	revoke := co.SiteCrashed(0, []*Conv{active, held, releasing})
+	if !slices.Equal(ids(revoke), []core.TxnID{3}) {
+		t.Fatalf("revoked %v, want [3]", ids(revoke))
+	}
+	for _, tc := range []struct {
+		cv    *Conv
+		state int32
+		doom  bool
+	}{{root, txActive, false}, {active, txActive, true}, {held, txRevoking, true}, {releasing, txReleasing, true}} {
+		if tc.cv.state.Load() != tc.state || tc.cv.doomed.Load() != tc.doom {
+			t.Errorf("T%d: state %d doomed %v, want %d %v", tc.cv.ID(), tc.cv.state.Load(), tc.cv.doomed.Load(), tc.state, tc.doom)
+		}
+	}
+	if co.HeldCount() != 0 || co.MirrorEdges() != 0 {
+		t.Errorf("held %d, mirror edges %d after the crash", co.HeldCount(), co.MirrorEdges())
+	}
+	// The revoked hold is out of Drain's reach; the logged decision
+	// stands until its site's recovery redoes it.
+	if got := finish(co, 1); len(got) != 0 {
+		t.Errorf("drain selected a revoking transaction: %v", got)
+	}
+	if got := co.SiteRecovered(0, []core.TxnID{4}); !slices.Equal(got, []core.TxnID{4}) || flog.Len() != 0 {
+		t.Errorf("recovery resolved %v, log %d", got, flog.Len())
+	}
+}

@@ -179,99 +179,44 @@ type Cluster struct {
 	hook  StepHook
 	sites []*site
 
+	// Coordinator is the decision half of the commit conversation —
+	// registry, union graph, decision rounds, release drains, the
+	// decision-log ack table. The Cluster is its wall-clock driver:
+	// everything below is IO (site mutexes, fan-outs, goroutine
+	// hand-offs, hooks, spans). Lock order: site.mu -> Coordinator's
+	// domains, and closeMu, eagerMu alone. pipe.mu is never held across
+	// another lock.
+	Coordinator
+
 	// faulty marks a fault-tolerant cluster (crash-stop sites wrapped
-	// in fault.Crashable, commit decisions forced to flog before any
-	// release). flog is nil on a plain cluster.
+	// in fault.Crashable, commit decisions forced to the decision log
+	// before any release).
 	faulty bool
-	flog   fault.Log
 
 	nextID atomic.Uint64
 
 	// closed gates Begin and Register; atomic so neither takes a lock.
 	closed atomic.Bool
 
-	// The coordinator state is split into independently locked domains
-	// so the paths that need one never serialise on the others:
-	//
-	//   reg     — the sharded live-transaction registry (per-shard
-	//             locks). Begin and the edge-free finalisation fast
-	//             path touch only this.
-	//   mu      — the union-graph domain: the mirror and its batching
-	//             counter. Taken only by transactions that actually
-	//             have dependency edges (and by crash/restart).
-	//   pipe    — the conversation pipeline combining concurrent
-	//             decision rounds into decideWave calls.
-	//   logMu   — the decision-log ack domain (relAcks).
-	//   closeMu — the draining-close domain (drain).
-	//
-	// Lock order: site.mu -> mu -> {registry shard, logMu}, and
-	// closeMu, eagerMu alone. pipe.mu is never held across another
-	// lock.
-	reg registry
-
-	mu     sync.Mutex
-	mirror *depgraph.Mirror
-	// holdBatches counts commit conversations that mirrored their hold
-	// exports in one coordinator critical section (the batching the
-	// counting-observer test pins, together with mirror.Observes).
-	holdBatches uint64
-	// policy, when non-nil, is the bounded-hold release policy (a Fresh
-	// clone of Config.Policy). Consulted in decideWave, under mu.
-	policy HoldPolicy
-	// heldCount tracks the live held set and pstats the policy's
-	// decision counters; both under mu (every held-set transition — the
-	// decideWave hold branch, cascade's ready selection, Crash's revoke
-	// CAS — already runs there).
-	heldCount int
-	pstats    PolicyStats
 	// eagerMu guards eagerQueue/eagerBusy, the hand-off that keeps at
-	// most one eager-subtree cascade running at a time (see
-	// cascadeEager). Held only around the queue state, never across
-	// another lock or a release.
+	// most one eager-subtree cascade running at a time (see cascade).
+	// Held only around the queue state, never across another lock or a
+	// release.
 	eagerMu    sync.Mutex
 	eagerQueue []core.TxnID
 	eagerBusy  bool
 
+	// pipe combines concurrent decision rounds into DecideWave calls.
 	pipe pipeline
-	// waveSeq numbers decide waves; sampled decide spans carry the wave
-	// id so a trace shows which conversations shared a combining round.
-	waveSeq atomic.Uint64
-
-	// logMu guards relAcks: per logged commit decision, the
-	// participants whose release (or restart-time redo) has not yet
-	// been confirmed. Opened at the commit point; once the set drains
-	// the decision is truncated from the log — presumed abort never
-	// needs it again. Nil map on a plain cluster.
-	logMu   sync.Mutex
-	relAcks map[core.TxnID]map[SiteID]struct{}
-	// clientGate lists transactions whose commit decision must outlive
-	// the participant acks until an external client confirms it learned
-	// the outcome (GateDecision/AckDecision). A network front end uses
-	// this for exactly-once commits: if the client's connection dies
-	// before the commit reply, the decision is still in the log when the
-	// client reconnects and asks. Guarded by logMu; nil until first use.
-	clientGate map[core.TxnID]struct{}
-	// redoClaims arbitrates the race between restart reconciliation
-	// redoing a logged direct commit at a participant and the live
-	// commit conversation withdrawing that decision after its own push
-	// failed. Reconciliation claims the decision (ClaimRedo) under
-	// logMu before redoing; undoDirectCommit finds the claim and keeps
-	// the decision — the commit landed via the redo, so the
-	// conversation reports Committed instead of retrying (a retry
-	// would push twice). Guarded by logMu; nil until first use.
-	redoClaims map[core.TxnID]struct{}
 
 	// closeMu guards drain: when non-nil, closed once the registry
 	// empties after Close — the CloseCtx waiters' signal.
 	closeMu sync.Mutex
 	drain   chan struct{}
 
-	// tel is the coordinator's always-on instrument block (counters and
-	// histograms are lock-free; phase timings are recorded only on the
-	// conversation path, so the edge-free fast path stays untimed).
-	// tracer is the opt-in conversation event ring (nil unless
-	// Config.Trace > 0; every Record call is nil-safe).
-	tel    telemetry.DistMetrics
+	// tracer is the opt-in conversation event ring — the flight
+	// recorder's when one is configured, else Config.Trace events (nil
+	// when neither; every Record call is nil-safe).
 	tracer *telemetry.Tracer
 
 	// Span plane (nil unless Config.Spans > 0; every Record is
@@ -297,7 +242,8 @@ var (
 type Config struct {
 	// Sites is the number of participant sites (required, positive).
 	Sites int
-	// Opts configures every site's scheduler.
+	// Opts configures every site's scheduler; Opts.Debug also arms the
+	// coordinator's ack-table invariant.
 	Opts core.Options
 	// Route decides object placement (nil means RouteByModulo(Sites)).
 	Route Router
@@ -329,7 +275,8 @@ type Config struct {
 	// Trace, when positive, enables the commit-conversation event
 	// tracer with a ring of that many events (drained via Tracer();
 	// /tracez on a daemon). Zero disables tracing entirely — the
-	// default, and the zero-overhead path.
+	// default, and the zero-overhead path. With Flight set the
+	// recorder's ring is the event ring and Trace is unused.
 	Trace int
 	// Spans, when positive, enables causal tracing: every transaction
 	// is minted a deterministic trace context at Begin, and sampled
@@ -352,9 +299,10 @@ type Config struct {
 	// Zero defaults to 1 (sample everything) when Spans > 0.
 	SampleRate float64
 	// Flight, when non-nil, is the process's flight recorder: the
-	// cluster records conversation events into it and attaches the
-	// span buffer and tracer, so a dump (SIGQUIT, panic, invariant
-	// violation) carries the full black box.
+	// cluster records its conversation events into the recorder's ring
+	// (which Tracer() then returns) and attaches the span buffer, so a
+	// dump (SIGQUIT, panic, invariant violation) carries the full black
+	// box.
 	Flight *telemetry.FlightRecorder
 }
 
@@ -382,10 +330,8 @@ func NewWithConfig(cfg Config) (*Cluster, error) {
 		obs:    cfg.Obs,
 		hook:   cfg.StepHook,
 		faulty: cfg.FaultTolerant,
-		mirror: depgraph.NewMirror(),
-		tracer: telemetry.NewTracer(cfg.Trace),
+		flight: cfg.Flight,
 	}
-	c.mirror.SetMetrics(&c.tel.Mirror)
 	if cfg.Spans > 0 {
 		rate := cfg.SampleRate
 		if rate <= 0 {
@@ -395,22 +341,19 @@ func NewWithConfig(cfg Config) (*Cluster, error) {
 		c.sampler = telemetry.NewSampler(cfg.SampleSeed, rate)
 		c.sampleSeed, c.sampleRate = cfg.SampleSeed, rate
 	}
-	c.flight = cfg.Flight
 	if c.flight != nil {
 		c.flight.AttachSpans(c.spans)
-		c.flight.AttachTracer(c.tracer)
+		c.tracer = c.flight.Events()
+	} else {
+		c.tracer = telemetry.NewTracer(cfg.Trace)
 	}
-	if cfg.Policy != nil {
-		c.policy = cfg.Policy.Fresh()
-	}
-	c.reg.init()
+	var flog fault.Log
 	if cfg.FaultTolerant {
-		c.flog = cfg.Log
-		if c.flog == nil {
-			c.flog = fault.NewMemLog()
+		if flog = cfg.Log; flog == nil {
+			flog = fault.NewMemLog()
 		}
-		c.relAcks = make(map[core.TxnID]map[SiteID]struct{})
 	}
+	c.Coordinator.init(cfg.Sites, flog, cfg.Policy, cfg.Opts.Debug)
 	if cfg.Backends != nil && len(cfg.Backends) != cfg.Sites {
 		return nil, fmt.Errorf("dist: %d backends for %d sites", len(cfg.Backends), cfg.Sites)
 	}
@@ -463,8 +406,8 @@ func (c *Cluster) TraceContextOf(id core.TxnID) telemetry.TraceContext {
 	if c.sampler == nil {
 		return telemetry.TraceContext{}
 	}
-	if t := c.reg.get(id); t != nil {
-		return t.Trace()
+	if cv := c.Live(id); cv != nil {
+		return cv.Owner.(*Txn).Trace()
 	}
 	return c.sampler.Context(uint64(id))
 }
@@ -479,12 +422,9 @@ func (c *Cluster) Flight() *telemetry.FlightRecorder { return c.flight }
 // when the span plane is off.
 func (c *Cluster) SampleConfig() (seed int64, rate float64) { return c.sampleSeed, c.sampleRate }
 
-// trace records a conversation event into both the event tracer and
-// the flight recorder (each nil-safe), so the black box replays the
-// same timeline /tracez shows.
+// trace records a conversation event into the event ring (nil-safe).
 func (c *Cluster) trace(kind telemetry.EventKind, txn uint64, site int32, arg int64) {
 	c.tracer.Record(kind, txn, site, arg)
-	c.flight.Record(kind, txn, site, arg)
 }
 
 // completeTrace finishes a sampled transaction's trace: end-to-end
@@ -500,10 +440,6 @@ func (c *Cluster) completeTrace(t *Txn) {
 	}
 	c.spans.Complete(tc, uint64(t.id), int64(time.Since(t.begin)))
 }
-
-// DecisionLog returns the coordinator's decision log (nil on a plain
-// cluster).
-func (c *Cluster) DecisionLog() fault.Log { return c.flog }
 
 // NumSites returns the number of participant sites.
 func (c *Cluster) NumSites() int { return len(c.sites) }
@@ -545,22 +481,22 @@ func (c *Cluster) Begin() core.Txn {
 		return core.ClosedTxn(core.ErrClosed)
 	}
 	t := &Txn{
+		Conv: Conv{id: core.TxnID(c.nextID.Add(1))},
 		c:    c,
-		id:   core.TxnID(c.nextID.Add(1)),
 		done: make(chan struct{}),
 	}
-	t.state.Store(txActive)
+	t.Owner = t
 	if c.sampler != nil {
 		tc := c.sampler.Context(uint64(t.id))
 		t.tc.Store(&tc)
 		t.begin = time.Now()
 		c.spans.Record(tc, telemetry.SpanBegin, uint64(t.id), -1, 0, 0, 0)
 	}
-	c.reg.add(t)
+	c.Enlist(&t.Conv)
 	if c.closed.Load() {
 		// Close raced the registration: withdraw so the draining close
 		// does not wait on a transaction that never ran.
-		c.reg.unregister(t.id)
+		c.Retire(t.id)
 		c.maybeDrained()
 		return core.ClosedTxn(core.ErrClosed)
 	}
@@ -647,185 +583,58 @@ func (c *Cluster) SiteStats(id SiteID) core.Stats {
 	return c.sites[id].p.StatsSnapshot()
 }
 
-// ackRelease confirms that one participant has made the logged commit
-// durable in its base state (released it, or redone it during restart
-// recovery). When the last participant acks, the decision leaves the
-// log: every prepared record for the transaction is resolved, so
-// presumed abort can never need it again. Truncation is best-effort —
-// a failed prune costs log space, not correctness. Acks live in their
-// own lock domain (logMu): release cascades never serialise on the
-// union graph for bookkeeping.
+// ackRelease is Coordinator.Ack plus the black-box check on decision
+// conservation.
 func (c *Cluster) ackRelease(id core.TxnID, sid SiteID) {
-	if c.flog == nil {
+	if c.Ack(id, sid) {
+		c.checkConservation(id, sid)
+	}
+}
+
+// checkConservation runs after an ack resolved a decision: every
+// resolved decision was first logged by this coordinator or adopted
+// from the log. More resolutions than that budget means release
+// accounting double-counted — dump the flight recorder while the
+// evidence (recent events, spans) is still in the rings. Resolved is
+// loaded first, so a concurrent log-then-resolve cannot read as an
+// excess.
+func (c *Cluster) checkConservation(id core.TxnID, sid SiteID) {
+	if c.flight == nil {
 		return
 	}
-	c.logMu.Lock()
-	pending := c.relAcks[id]
-	if pending != nil {
-		delete(pending, sid)
-	}
-	done := pending != nil && len(pending) == 0
-	var violation uint64
-	if done {
-		delete(c.relAcks, id)
-		delete(c.redoClaims, id)
-		c.tel.DecisionsResolved.Inc()
-		c.tel.LiveDecisions.Set(int64(len(c.relAcks)))
-		// Decision conservation: every resolved decision was first
-		// logged by this coordinator or adopted from the log. More
-		// resolutions than that budget means release accounting
-		// double-counted — dump the black box while the evidence
-		// (recent events, spans) is still in the rings.
-		if r, b := c.tel.DecisionsResolved.Load(), c.tel.DecisionsLogged.Load()+c.tel.DecisionsAdopted.Load(); r > b {
-			violation = r - b
-		}
-	}
-	c.logMu.Unlock()
-	if violation > 0 && c.flight != nil {
-		c.flight.Record(telemetry.EvCrash, uint64(id), int32(sid), int64(violation))
+	if r, b := c.tel.DecisionsResolved.Load(), c.tel.DecisionsLogged.Load()+c.tel.DecisionsAdopted.Load(); r > b {
+		c.flight.Record(telemetry.EvCrash, uint64(id), int32(sid), int64(r-b))
 		_, _ = c.flight.DumpOnce("conservation-violation")
 	}
-	if done {
-		_ = c.flog.Truncate(id)
-	}
-}
-
-// clientAck is the virtual release-ack member standing for "the client
-// has learned this commit outcome" (see Cluster.GateDecision).
-const clientAck SiteID = -2
-
-// GateDecision marks the transaction's eventual commit decision as
-// client-acknowledged: if the commit point is reached, the decision
-// stays in the log — even after every participant released — until
-// AckDecision confirms the client learned the outcome. Call before
-// starting the commit conversation. On a plain (non-fault-tolerant)
-// cluster it is a no-op.
-func (c *Cluster) GateDecision(id core.TxnID) {
-	if c.flog == nil {
-		return
-	}
-	c.logMu.Lock()
-	if c.clientGate == nil {
-		c.clientGate = make(map[core.TxnID]struct{})
-	}
-	c.clientGate[id] = struct{}{}
-	c.logMu.Unlock()
-}
-
-// AckDecision confirms the gated client learned the transaction's
-// outcome, releasing the decision for truncation once every participant
-// has acked too. Safe (and a no-op) for transactions that were never
-// gated or never reached the commit point.
-func (c *Cluster) AckDecision(id core.TxnID) {
-	if c.flog == nil {
-		return
-	}
-	c.logMu.Lock()
-	delete(c.clientGate, id)
-	c.logMu.Unlock()
-	c.ackRelease(id, clientAck)
-}
-
-// AdoptDecision re-arms release accounting for a commit decision found
-// in the log by a restarting coordinator: the decision stays durable
-// until every site has confirmed it no longer holds the transaction
-// (AckDecisionSite, or a Restart recovery report's redo) and the
-// owning client has learned the outcome (AckDecision). Call before the
-// adoption-time site restarts, so their redo acks land in the pending
-// set instead of a void.
-func (c *Cluster) AdoptDecision(id core.TxnID) {
-	if c.flog == nil {
-		return
-	}
-	c.logMu.Lock()
-	if c.clientGate == nil {
-		c.clientGate = make(map[core.TxnID]struct{})
-	}
-	c.clientGate[id] = struct{}{}
-	if c.relAcks[id] == nil {
-		pending := make(map[SiteID]struct{}, len(c.sites)+1)
-		pending[clientAck] = struct{}{}
-		for _, s := range c.sites {
-			pending[s.id] = struct{}{}
-		}
-		c.relAcks[id] = pending
-		c.tel.DecisionsAdopted.Inc()
-		c.tel.LiveDecisions.Set(int64(len(c.relAcks)))
-	}
-	c.logMu.Unlock()
-}
-
-// AckDecisionSite records that the site holds nothing for the adopted
-// decision — either its reconciliation released the hold, or it never
-// had one. The adopting coordinator calls it for every adopted id
-// after a site restart succeeds; idempotent, and a no-op for decisions
-// already truncated.
-func (c *Cluster) AckDecisionSite(id core.TxnID, sid SiteID) {
-	c.ackRelease(id, sid)
-}
-
-// filterLive drops edges to transactions the coordinator has already
-// finalised: their mirror nodes are gone, and re-adding a stale edge
-// would hold the source's dependency set open forever. Each kept
-// target is simultaneously marked as mirrored (registry.markMirror's
-// shard critical section), which is what lets its finalisation decide
-// — without the union-graph lock — whether mirror cleanup is needed.
-// Filters in place (the site's reusable export buffer is ours until
-// the site mutex is released, and the mirror copies what it keeps).
-// Caller holds c.mu.
-func (c *Cluster) filterLive(edges []depgraph.Edge) []depgraph.Edge {
-	live := edges[:0]
-	for _, e := range edges {
-		if c.reg.markMirror(e.To) != nil {
-			live = append(live, e)
-		}
-	}
-	return live
 }
 
 // observe mirrors t's current out-edges at site sid into the union
 // graph and reports whether that closed a global cycle through t.
 //
-// Mirror writes for a (site, transaction) pair must be serialised
-// against the edge export they carry, or a slow writer could clobber
-// a fresher observe with stale edges (losing, say, a commit
-// dependency — the transaction would then never be released). The
-// site mutex is that serialisation: every export-plus-Observe pair
-// runs under s.mu, here and in refreshParked, giving the lock order
-// site.mu -> Cluster.mu (never the reverse).
+// Every export-plus-Observe pair runs under s.mu, here and in
+// refreshParked — the per-(site, transaction) report order
+// Coordinator.Observe requires — giving the lock order site.mu ->
+// Coordinator.mu (never the reverse).
 func (c *Cluster) observe(t *Txn, sid SiteID) bool {
 	s := c.sites[sid]
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	edges := s.edges(t.id)
 	if len(edges) == 0 && !t.anyEdges.Load() {
-		s.mu.Unlock()
 		return false // fast path: no coordinator involvement
 	}
-	if len(edges) > 0 {
-		t.anyEdges.Store(true)
-	}
-	c.mu.Lock()
-	c.mirror.Observe(int(sid), t.id, c.filterLive(edges))
-	cyc := c.mirror.HasCycleFrom(t.id)
-	c.mu.Unlock()
-	s.mu.Unlock()
-	return cyc
+	return c.Observe(sid, t.id, edges)
 }
 
 // unobserve re-mirrors t's remaining out-edges at site sid after a
 // withdrawal shed its wait-for edges, so the union graph cannot hold a
-// stale wait-for edge that would close a phantom cycle. No cycle check:
-// removing edges cannot create one.
+// stale wait-for edge that would close a phantom cycle (removing edges
+// cannot create one, so the verdict is ignored).
 func (c *Cluster) unobserve(t *Txn, sid SiteID) {
 	s := c.sites[sid]
 	s.mu.Lock()
 	if t.anyEdges.Load() {
-		edges := s.edges(t.id)
-		c.mu.Lock()
-		if c.reg.get(t.id) != nil {
-			c.mirror.Observe(int(sid), t.id, c.filterLive(edges))
-		}
-		c.mu.Unlock()
+		c.Observe(sid, t.id, s.edges(t.id))
 	}
 	s.mu.Unlock()
 }
@@ -867,18 +676,7 @@ func (c *Cluster) refreshParked(s *site) {
 				s.mu.Unlock()
 				continue // granted or aborted meanwhile; its owner observes
 			}
-			edges := s.edges(id)
-			cycle := false
-			c.mu.Lock()
-			if t := c.reg.get(id); t != nil {
-				if len(edges) > 0 {
-					t.anyEdges.Store(true)
-				}
-				c.mirror.Observe(int(s.id), id, c.filterLive(edges))
-				cycle = c.mirror.HasCycleFrom(id)
-			}
-			c.mu.Unlock()
-			if cycle {
+			if c.Observe(s.id, id, s.edges(id)) {
 				// Local abort + wake the owner; it runs the global
 				// abort when it receives the message.
 				eff := s.hub.Effects()
@@ -896,28 +694,41 @@ func (c *Cluster) refreshParked(s *site) {
 	}
 }
 
-// abortEverywhere aborts t at every visited site (skipping skipSite,
-// where the local scheduler already finalised it), delivers the
-// resulting grants to parked calls, and finalises the transaction at
-// the coordinator. reason is recorded on the transaction (Err);
-// detail is the human-readable form for the observer.
-//
-// The abort is failure-tolerant: a down site is skipped (its volatile
-// state — the only state an unlogged transaction has there — died with
-// it), and a site where the transaction is already held mid-commit is
-// revoked instead (the hold's promise is void once the conversation
-// cannot complete).
+// abortEverywhere aborts an active transaction at every visited site;
+// see unwind.
 func (c *Cluster) abortEverywhere(t *Txn, skipSite SiteID, reason core.AbortReason, detail string) {
-	sids := t.visitedSorted()
-	for _, sid := range sids {
+	c.unwind(t, skipSite, reason, detail, false)
+}
+
+// unwind ends t aborted: it is undone at every visited site (skipping
+// skipSite — where the local scheduler already finalised it, or which
+// crashed), the resulting grants are delivered to parked calls, and the
+// transaction is finalised at the coordinator — possibly cascading
+// releases of transactions that depended on it; recoverability means
+// the abort itself does not cascade into them. reason is recorded on
+// the transaction (Err); detail is the human-readable form for the
+// observer.
+//
+// An active transaction is aborted. held marks a pseudo-committed one
+// whose hold is revoked instead — the crash handler's presumed abort or
+// the hold policy's shed; the coordinator has then already moved it out
+// of txPseudo under its mutex, so Drain cannot select it concurrently.
+//
+// The unwinding is failure-tolerant: a down site is skipped (its
+// volatile state — the only state an unlogged transaction has there —
+// died with it, and a prepared record will be presumed aborted at
+// restart).
+func (c *Cluster) unwind(t *Txn, skipSite SiteID, reason core.AbortReason, detail string, held bool) {
+	for _, sid := range t.visited {
 		s := c.sites[sid]
 		s.mu.Lock()
 		s.hub.Withdraw(t.id)
 		if sid != skipSite {
 			eff := s.hub.Effects()
-			if err := s.p.AbortInto(eff, t.id); err == nil {
-				s.hub.Deliver(eff)
-			} else if !errors.Is(err, fault.ErrSiteDown) {
+			var err error
+			if held {
+				err = s.p.RevokeInto(eff, t.id, reason)
+			} else if err = s.p.AbortInto(eff, t.id); err != nil && !errors.Is(err, fault.ErrSiteDown) {
 				// ErrTxnTerminated here usually means a site-local
 				// retry abort beat us to it and the local state is
 				// already clean — but it is also what a held
@@ -927,9 +738,10 @@ func (c *Cluster) abortEverywhere(t *Txn, skipSite SiteID, reason core.AbortReas
 				// forever. RevokeInto refuses anything not held, so
 				// trying it after a refused abort is safe.
 				eff = s.hub.Effects()
-				if err := s.p.RevokeInto(eff, t.id, reason); err == nil {
-					s.hub.Deliver(eff)
-				}
+				err = s.p.RevokeInto(eff, t.id, reason)
+			}
+			if err == nil {
+				s.hub.Deliver(eff)
 			}
 		}
 		s.forget(t.id)
@@ -955,7 +767,7 @@ func (c *Cluster) abortEverywhere(t *Txn, skipSite SiteID, reason core.AbortReas
 // arrives when its restart redoes the commit.
 func (c *Cluster) releaseAt(t *Txn) {
 	ttc := t.Trace()
-	for _, sid := range t.visitedSorted() {
+	for _, sid := range t.visited {
 		c.step(DuringReleaseCascade, t.id, sid)
 		c.trace(telemetry.EvRelease, uint64(t.id), int32(sid), 0)
 		c.spans.Record(ttc, telemetry.SpanRelease, uint64(t.id), int32(sid), 0, 0, 0)
@@ -984,206 +796,87 @@ func (c *Cluster) releaseAt(t *Txn) {
 	}
 }
 
+// landed marks t's real commit as landed at every visited site: the
+// terminal state, its Done signal and the observer callback.
+func (c *Cluster) landed(t *Txn) {
+	t.state.Store(txCommitted)
+	c.completeTrace(t)
+	close(t.done)
+	if c.obs != nil {
+		c.obs.Released(t.id)
+	}
+}
+
 // finalizeTxn finalises one globally terminated transaction: it leaves
-// the registry (its shard only), and — only if it ever grew union-graph
-// state — its mirror node is removed with the release cascade run. A
-// transaction that never had a dependency edge in either direction
-// (the sharded fast path) skips the union-graph domain entirely: after
-// Begin it never takes the coordinator mutex at all.
-//
-// The unregister-then-remove order is load-bearing: unregister reads
-// the mirrored mark inside the registry shard's critical section, and
-// any concurrent filterLive that saw the transaction alive set that
-// mark under the same shard lock while holding c.mu — so either the
-// mark is visible here (and cascade's RemoveTxn, serialised after the
-// observer by c.mu, cleans the edge) or the observer saw the
-// unregister and dropped the edge. No stale edge survives either way.
+// the registry, and — only if it ever grew union-graph state — its
+// mirror node is removed with the release cascade run. A transaction
+// that never had a dependency edge in either direction (the sharded
+// fast path) never takes the coordinator mutex after Begin.
 func (c *Cluster) finalizeTxn(t *Txn) {
-	_, mirrored := c.reg.unregister(t.id)
+	mirrored := c.Retire(t.id)
 	c.maybeDrained()
 	if mirrored {
 		c.cascade([]core.TxnID{t.id})
 	}
 }
 
-// cascade removes globally terminated transactions from the mirror
-// and cascades: any held transaction whose global dependency set
-// drains is released at its sites, which may in turn drain others.
-// Site-level finalisation always precedes mirror removal, so by the
-// time a dependant is selected here its local out-degrees are already
-// zero and Release cannot fail. Each round's commit decisions are
-// forced as one group before any of its releases start. Under an
-// eager-subtree policy the whole drained subtree is computed in one
-// critical section instead of one round per chain level.
+// cascade is the release loop over Coordinator.Drain: terminated
+// transactions leave the mirror, every held transaction whose global
+// dependency set drained is released at its sites in the order Drain
+// decided them, and the released ids are drained in turn.
+//
+// Under an eager-subtree policy at most one cascade runs at a time.
+// The round-based Drain removes a transaction from the mirror only
+// after its release landed, so concurrent cascades compose; the eager
+// one removes at decide time, and two interleaved cascades could then
+// release a dependant at a shared site ahead of its predecessor's
+// release (the local scheduler would still hold the edge and Release
+// would fail). A single owner keeps decide order equal to
+// release-landing order per site, which is what the simulator's FIFO
+// channels provide by construction. Exclusion is a queue hand-off
+// rather than a lock held across the releases: a cascade arriving
+// while one runs — from another goroutine, or re-entrantly from this
+// one (a step hook crashing a site mid-release ends in Crash ->
+// finalizeTxn -> cascade) — appends its batch and returns, and the
+// owner picks it up when its own chain is exhausted.
 func (c *Cluster) cascade(ids []core.TxnID) {
-	if c.policy != nil && c.policy.EagerSubtree() {
-		c.cascadeEager(ids)
-		return
-	}
-	for len(ids) > 0 {
-		var ready []*Txn
-		c.mu.Lock()
-		for _, id := range ids {
-			for _, d := range c.mirror.RemoveTxn(id) {
-				dt := c.reg.get(d)
-				if dt != nil && dt.state.Load() == txPseudo && c.mirror.OutDegree(d) == 0 {
-					// The commit point: the grouped force below must
-					// land before any participant is released, so a
-					// crash mid-release can always be redone from the
-					// prepared records.
-					dt.state.Store(txReleasing)
-					c.heldCount--
-					ready = append(ready, dt)
-				}
-			}
-		}
-		c.logCommitBatch(ready)
-		if len(ready) > 0 {
-			c.tel.Held.Set(int64(c.heldCount))
-			c.tel.ReleaseWidth.Observe(uint64(len(ready)))
-		}
-		c.mu.Unlock()
-
-		ids = ids[:0]
-		for _, dt := range ready {
-			c.step(AfterDecisionBeforeRelease, dt.id, noSite)
-			c.releaseAt(dt)
-			dt.state.Store(txCommitted)
-			c.completeTrace(dt)
-			close(dt.done)
-			if c.obs != nil {
-				c.obs.Released(dt.id)
-			}
-			c.reg.unregister(dt.id)
-			ids = append(ids, dt.id)
-		}
-		c.maybeDrained()
-	}
-}
-
-// cascadeEager is the eager-subtree variant of cascade: the transitive
-// closure of drained held transactions is computed in ONE coordinator
-// critical section with ONE grouped decision-log force, by treating
-// each newly decided transaction as terminated for the rest of the
-// walk. A chain of depth k that the hop-at-a-time cascade would drain
-// over k lock rounds and k log forces is decided here in one round.
-//
-// The ready list comes out in topological order (a dependant is
-// selected only after every subtree transaction it depends on was
-// removed), and releases run in that order, so each transaction's local
-// out-degrees at its sites have drained by the time its own release
-// lands — the same invariant the round-based cascade maintains across
-// rounds. Edges mirrored onto a ready transaction while its releases
-// land are cleaned by the follow-up loop iteration (each released id is
-// re-queued), which also drains any dependants those late edges held.
-//
-// At most one eager cascade runs at a time. Unlike the round-based
-// variant — which removes a transaction from the mirror only after its
-// release landed, so concurrent cascades compose — the eager variant
-// removes at decide time; two interleaved cascades could then release a
-// dependant at a shared site ahead of its predecessor's release (the
-// local scheduler would still hold the edge and Release would fail).
-// A single owner keeps decide order equal to release-landing order per
-// site, which is what the simulator's FIFO channels provide by
-// construction. Exclusion is a queue hand-off rather than a lock held
-// across the releases: a cascade arriving while one runs — from another
-// goroutine, or re-entrantly from this one (a step hook crashing a site
-// mid-release ends in Crash -> finalizeTxn -> cascade) — appends its
-// batch and returns, and the owner's drain loop picks it up.
-func (c *Cluster) cascadeEager(ids []core.TxnID) {
-	c.eagerMu.Lock()
-	c.eagerQueue = append(c.eagerQueue, ids...)
-	if c.eagerBusy {
-		c.eagerMu.Unlock()
-		return
-	}
-	c.eagerBusy = true
-	for len(c.eagerQueue) > 0 {
-		batch := c.eagerQueue
-		c.eagerQueue = nil
-		c.eagerMu.Unlock()
-		c.eagerBatch(batch)
+	if c.eager {
 		c.eagerMu.Lock()
+		c.eagerQueue = append(c.eagerQueue, ids...)
+		if c.eagerBusy {
+			c.eagerMu.Unlock()
+			return
+		}
+		c.eagerBusy = true
+		ids, c.eagerQueue = c.eagerQueue, nil
+		c.eagerMu.Unlock()
 	}
-	c.eagerBusy = false
-	c.eagerMu.Unlock()
-}
-
-// eagerBatch decides and releases the transitive drained subtree of one
-// batch of terminated transactions (see cascadeEager for the exclusion
-// protocol that serialises calls).
-func (c *Cluster) eagerBatch(ids []core.TxnID) {
-	queue := append([]core.TxnID(nil), ids...)
-	for len(queue) > 0 {
-		var ready []*Txn
-		c.mu.Lock()
-		for qi := 0; qi < len(queue); qi++ {
-			for _, d := range c.mirror.RemoveTxn(queue[qi]) {
-				dt := c.reg.get(d)
-				if dt != nil && dt.state.Load() == txPseudo && c.mirror.OutDegree(d) == 0 {
-					dt.state.Store(txReleasing)
-					c.heldCount--
-					ready = append(ready, dt)
-					queue = append(queue, d)
-				}
+	for {
+		for len(ids) > 0 {
+			ready := c.Drain(ids)
+			ids = ids[:0]
+			for _, cv := range ready {
+				dt := cv.Owner.(*Txn)
+				c.step(AfterDecisionBeforeRelease, dt.id, noSite)
+				c.releaseAt(dt)
+				c.landed(dt)
+				c.Retire(dt.id)
+				ids = append(ids, dt.id)
 			}
+			c.maybeDrained()
 		}
-		c.logCommitBatch(ready)
-		if len(ready) > 0 {
-			c.pstats.EagerRounds++
-			c.pstats.EagerReleased += len(ready)
-			c.tel.Held.Set(int64(c.heldCount))
-			c.tel.ReleaseWidth.Observe(uint64(len(ready)))
+		if !c.eager {
+			return
 		}
-		c.mu.Unlock()
-
-		queue = queue[:0]
-		for _, dt := range ready {
-			c.step(AfterDecisionBeforeRelease, dt.id, noSite)
-			c.releaseAt(dt)
-			dt.state.Store(txCommitted)
-			c.completeTrace(dt)
-			close(dt.done)
-			if c.obs != nil {
-				c.obs.Released(dt.id)
-			}
-			c.reg.unregister(dt.id)
-			queue = append(queue, dt.id)
+		c.eagerMu.Lock()
+		ids, c.eagerQueue = c.eagerQueue, nil
+		if len(ids) == 0 {
+			c.eagerBusy = false
+			c.eagerMu.Unlock()
+			return
 		}
-		c.maybeDrained()
+		c.eagerMu.Unlock()
 	}
-}
-
-// PolicyStats snapshots the hold policy's decision counters and the
-// held set's high-water mark (HeldPeak is maintained policy or not;
-// the other counters stay zero without one).
-func (c *Cluster) PolicyStats() PolicyStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pstats
-}
-
-// PolicyName returns the active hold policy's parseable name, or
-// "off" when the cluster holds unboundedly (no policy configured).
-func (c *Cluster) PolicyName() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.policy == nil {
-		return "off"
-	}
-	return c.policy.Name()
-}
-
-// Telemetry exposes the coordinator's live instrument block for
-// lock-free reads (/metrics scrapes, sccbench snapshots).
-func (c *Cluster) Telemetry() *telemetry.DistMetrics { return &c.tel }
-
-// MirrorEdges reports the dependency mirror's current edge count,
-// taken under the coordinator mutex.
-func (c *Cluster) MirrorEdges() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mirror.EdgeCount()
 }
 
 // Tracer returns the conversation event ring, or nil when tracing is
@@ -1221,9 +914,9 @@ func (c *Cluster) Crash(id SiteID) error {
 		s.mu.Unlock()
 		return err
 	}
-	touched := make([]*Txn, 0, len(s.txns))
+	touched := make([]*Conv, 0, len(s.txns))
 	for _, t := range s.txns {
-		touched = append(touched, t)
+		touched = append(touched, &t.Conv)
 	}
 	clear(s.txns)
 	// Wake everyone parked at the dead site with the failure verdict;
@@ -1231,65 +924,11 @@ func (c *Cluster) Crash(id SiteID) error {
 	s.hub.FailAll(core.ReasonSiteFailed)
 	s.mu.Unlock()
 
-	c.tel.Crashes.Inc()
 	c.trace(telemetry.EvCrash, 0, int32(id), 0)
-	c.mu.Lock()
-	c.mirror.DropSite(int(id))
-	var revoke []*Txn
-	for _, t := range touched {
-		t.doomed.Store(true)
-		// Only an unlogged held transaction can still be revoked; a
-		// txReleasing one passed its commit point (decision logged) and
-		// must land everywhere, crash or not.
-		if t.state.CompareAndSwap(txPseudo, txRevoking) {
-			c.heldCount--
-			revoke = append(revoke, t)
-		}
-	}
-	c.tel.Held.Set(int64(c.heldCount))
-	c.mu.Unlock()
-	for _, t := range revoke {
-		c.revokeEverywhere(t, id, core.ReasonSiteFailed)
+	for _, cv := range c.SiteCrashed(id, touched) {
+		c.unwind(cv.Owner.(*Txn), id, core.ReasonSiteFailed, core.ReasonSiteFailed.String(), true)
 	}
 	return nil
-}
-
-// revokeEverywhere unwinds a held pseudo-committed transaction: the
-// hold is revoked at every surviving visited site, the transaction ends
-// aborted with reason, and its mirror node is removed (possibly
-// cascading releases of transactions that depended on it —
-// recoverability means this abort does not cascade into them). Two
-// callers: the crash handler (skip the crashed site, ReasonSiteFailed)
-// and the hold policy's shed path (no site to skip, ReasonShed). The
-// caller has already moved the transaction out of txPseudo under the
-// coordinator lock, so the release cascade cannot select it
-// concurrently.
-func (c *Cluster) revokeEverywhere(t *Txn, crashed SiteID, reason core.AbortReason) {
-	for _, sid := range t.visitedSorted() {
-		s := c.sites[sid]
-		s.mu.Lock()
-		if sid != crashed {
-			eff := s.hub.Effects()
-			if err := s.p.RevokeInto(eff, t.id, reason); err == nil {
-				s.hub.Deliver(eff)
-			}
-			// fault.ErrSiteDown: another site crashed too; its volatile
-			// hold died with it and its prepared record will be
-			// presumed aborted at restart.
-		}
-		s.forget(t.id)
-		s.mu.Unlock()
-		c.refreshParked(s)
-	}
-	t.reason.Store(int32(reason))
-	t.state.Store(txAborted)
-	c.spans.Record(t.Trace(), telemetry.SpanAbort, uint64(t.id), int32(crashed), 0, 0, 0)
-	c.completeTrace(t)
-	close(t.done)
-	if c.obs != nil {
-		c.obs.Aborted(t.id, reason.String())
-	}
-	c.finalizeTxn(t)
 }
 
 // Restart brings a crashed site back: a fresh scheduler is seeded from
@@ -1316,27 +955,17 @@ func (c *Cluster) Restart(id SiteID) (fault.RecoveryReport, error) {
 	// Rebuild the mirror's view of this site from the recovered
 	// participant's own exports.
 	for txid := range s.txns {
-		edges := s.edges(txid)
-		c.mu.Lock()
-		if t := c.reg.get(txid); t != nil {
-			if len(edges) > 0 {
-				t.anyEdges.Store(true)
-			}
-			c.mirror.Observe(int(id), txid, c.filterLive(edges))
-		}
-		c.mu.Unlock()
+		c.Observe(id, txid, s.edges(txid))
 	}
 	s.mu.Unlock()
-	c.tel.Restarts.Inc()
 	c.trace(telemetry.EvRestart, 0, int32(id), int64(len(rep.Redone)))
-	// A redo is this site's release ack: the logged commit is now in
-	// its durable base, so the decision can be truncated once every
-	// other participant has confirmed too. The redo span re-derives its
-	// context from the sampler — the transaction itself may have been
-	// unregistered before the crash.
+	// The redo span re-derives its context from the sampler — the
+	// transaction itself may have been unregistered before the crash.
 	for _, txid := range rep.Redone {
 		c.spans.Record(c.TraceContextOf(txid), telemetry.SpanRedo, uint64(txid), int32(id), 0, 0, 0)
-		c.ackRelease(txid, id)
+	}
+	if resolved := c.SiteRecovered(id, rep.Redone); len(resolved) > 0 {
+		c.checkConservation(resolved[len(resolved)-1], id)
 	}
 	return rep, nil
 }

@@ -566,7 +566,7 @@ func TestRunLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLoad(c, LoadConfig{
+	res, err := workload.RunLoad(c, workload.LoadConfig{
 		Workload: workload.Sharded{
 			Inner: workload.ReadWrite{DBSize: 400, WriteProb: 0.3},
 			Sites: 4, CrossProb: 0.25,
@@ -591,7 +591,7 @@ func TestRunLoad(t *testing.T) {
 	if stats.Commits == 0 || stats.Executes < res.Ops {
 		t.Fatalf("cluster stats inconsistent with load result: %+v vs %+v", stats, res)
 	}
-	if _, err := RunLoad(c, LoadConfig{}); err == nil {
+	if _, err := workload.RunLoad(c, workload.LoadConfig{}); err == nil {
 		t.Fatal("RunLoad without workload accepted")
 	}
 }
@@ -600,7 +600,7 @@ func TestRunLoad(t *testing.T) {
 // single-scheduler core.DB: one Store code path, either backend.
 func TestRunLoadOverDB(t *testing.T) {
 	db := core.NewDB(core.Options{})
-	res, err := RunLoad(db, LoadConfig{
+	res, err := workload.RunLoad(db, workload.LoadConfig{
 		Workload:      workload.ReadWrite{DBSize: 400, WriteProb: 0.3},
 		Workers:       8,
 		TxnsPerWorker: 40,

@@ -18,7 +18,7 @@ import (
 // 1..objects.
 func newFaultCluster(t *testing.T, n, objects int) *Cluster {
 	t.Helper()
-	c, err := NewWithConfig(Config{Sites: n, FaultTolerant: true})
+	c, err := NewWithConfig(Config{Sites: n, FaultTolerant: true, Opts: core.Options{Debug: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,19 @@ func TestClusterCloseCtx(t *testing.T) {
 // the push count of transactions whose commit promise was honoured.
 func TestChaosClusterConservation(t *testing.T) {
 	const sites = 4
-	c, err := NewWithConfig(Config{Sites: sites, FaultTolerant: true})
+	// Debug arms the coordinator's ack-table invariant; the sites are
+	// built here, without it, because the scheduler's own debug
+	// assertions replay every object per operation.
+	flog := fault.NewMemLog()
+	backends := make([]SiteBackend, sites)
+	for i := range backends {
+		cr, err := fault.New(core.Options{}, flog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[i] = cr
+	}
+	c, err := NewWithConfig(Config{Sites: sites, FaultTolerant: true, Log: flog, Backends: backends, Opts: core.Options{Debug: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

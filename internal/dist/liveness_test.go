@@ -28,7 +28,7 @@ func TestClusterHighContentionLiveness(t *testing.T) {
 	var done atomic.Bool
 	go func() {
 		defer done.Store(true)
-		_, err := RunLoad(c, LoadConfig{
+		_, err := workload.RunLoad(c, workload.LoadConfig{
 			Workload: workload.Sharded{
 				Inner: workload.ReadWrite{DBSize: 32, WriteProb: 0.3},
 				Sites: sites, CrossProb: 0.6,
@@ -51,8 +51,8 @@ func TestClusterHighContentionLiveness(t *testing.T) {
 
 	// Stalled: dump the coordinator and per-site view of every live
 	// transaction before failing, so the deadlock shape is visible.
-	var live []*Txn
-	c.reg.forEach(func(tx *Txn) { live = append(live, tx) })
+	var live []*Conv
+	c.reg.forEach(func(cv *Conv) { live = append(live, cv) })
 	fmt.Printf("=== stalled: %d live txns ===\n", len(live))
 	for _, tx := range live {
 		id := tx.id

@@ -1,283 +1,53 @@
 package dist
 
-import (
-	"fmt"
-	"sync"
-
-	"repro/internal/core"
-	"repro/internal/depgraph"
-	"repro/internal/fault"
-)
-
-// decideReq is one commit conversation's decision round: the hold
-// phase's per-site edge exports, and — filled in by the wave that
-// processes it — the decision (global dependency count, or a doomed
-// verdict from a mid-conversation site crash).
-type decideReq struct {
-	t      *Txn
-	sids   []SiteID
-	batch  []depgraph.Edge // per-site exports, concatenated
-	counts []int           // batch[off:off+counts[i]] belongs to sids[i]
-
-	gdeps  int
-	wave   uint64 // id of the decide wave that processed this request
-	doomed bool
-	// shed: the hold policy refused to hold the conversation; the
-	// owner revokes it everywhere and returns a retryable ReasonShed
-	// abort. The wave already moved the transaction to txRevoking.
-	shed bool
-
-	done chan struct{} // closed once the wave has decided this request
-}
+import "sync"
 
 // pipeline coalesces concurrent commit conversations' decision rounds
 // (flat combining): whichever owner goroutine finds the pipeline idle
 // becomes the combiner and decides everything queued behind it in one
-// coordinator critical section with one grouped decision-log force,
-// instead of each conversation taking the coordinator mutex and
-// fsyncing its own decision. Under convoy load the mutex is acquired
-// once per wave and the log forced once per wave; at low concurrency a
-// wave is a single request and the path degenerates to the old one
-// (same lock round, same force) with no added latency.
+// Coordinator.DecideWave — one coordinator critical section with one
+// grouped decision-log force — instead of each conversation taking the
+// coordinator mutex and fsyncing its own decision. Under convoy load
+// the mutex is acquired once per wave and the log forced once per
+// wave; at low concurrency a wave is a single request and the path
+// degenerates to the old one (same lock round, same force) with no
+// added latency.
 type pipeline struct {
 	mu      sync.Mutex
-	pending []*decideReq
+	pending []*DecideReq
 	// combining marks an active combiner; submitters that see it just
 	// enqueue and wait, their request is part of someone's wave.
 	combining bool
 }
 
-// decide runs t's decision round through the pipeline and returns the
-// global dependency count, or doomed if a site crash voided the
-// conversation. The caller's hold phase is complete: batch/counts are
-// the per-site exports copied out under the site mutexes.
-func (c *Cluster) decide(t *Txn, sids []SiteID, batch []depgraph.Edge, counts []int) (gdeps int, wave uint64, doomed, shed bool) {
-	req := &decideReq{t: t, sids: sids, batch: batch, counts: counts, done: make(chan struct{})}
+// decide runs one conversation's decision round through the pipeline;
+// on return req carries its verdict. The caller's hold phase is
+// complete: Batch/Counts are the per-site exports copied out under the
+// site mutexes.
+func (c *Cluster) decide(req *DecideReq) {
+	req.done = make(chan struct{})
 	p := &c.pipe
 	p.mu.Lock()
 	p.pending = append(p.pending, req)
 	if p.combining {
 		p.mu.Unlock()
 		<-req.done
-		return req.gdeps, req.wave, req.doomed, req.shed
+		return
 	}
 	p.combining = true
 	for {
 		wave := p.pending
 		p.pending = nil
 		p.mu.Unlock()
-		c.decideWave(wave)
+		c.DecideWave(wave)
+		for _, r := range wave {
+			close(r.done)
+		}
 		p.mu.Lock()
 		if len(p.pending) == 0 {
 			p.combining = false
 			p.mu.Unlock()
-			return req.gdeps, req.wave, req.doomed, req.shed
+			return
 		}
 	}
-}
-
-// decideWave decides a wave of conversations in one coordinator
-// critical section: every request's exports are mirrored (one mirror
-// update per touched site — the per-conversation batching the counting
-// tests pin — and one holdBatches round per conversation), each global
-// dependency set is summed, and every conversation that reached its
-// commit point is forced to the decision log as one group before
-// anyone is released. The doomed re-check runs under the same mutex
-// the crash handler dooms under, so a crash during the hold phase
-// cannot slip past the commit point.
-func (c *Cluster) decideWave(wave []*decideReq) {
-	c.tel.WaveSize.Observe(uint64(len(wave)))
-	wid := c.waveSeq.Add(1)
-	var releasing []*Txn
-	c.mu.Lock()
-	for _, r := range wave {
-		t := r.t
-		r.wave = wid
-		if t.doomed.Load() {
-			r.doomed = true
-			continue
-		}
-		off := 0
-		for i, sid := range r.sids {
-			edges := r.batch[off : off+r.counts[i]]
-			off += r.counts[i]
-			if len(edges) > 0 {
-				t.anyEdges.Store(true)
-			}
-			c.mirror.Observe(int(sid), t.id, c.filterLive(edges))
-		}
-		c.holdBatches++
-		r.gdeps = c.mirror.OutDegree(t.id)
-		if r.gdeps > 0 {
-			if c.policy != nil {
-				depth := c.mirror.LongestChainFrom(t.id)
-				switch c.policy.AdmitHold(r.gdeps, depth, c.heldCount) {
-				case ShedTail:
-					c.pstats.TailAborts++
-					r.shed = true
-				case ShedAdmission:
-					c.pstats.AdmissionRejects++
-					r.shed = true
-				}
-				if r.shed {
-					// txRevoking bars the crash handler and the release
-					// cascade; the owner runs the revocation (outside
-					// this critical section — it takes site mutexes).
-					t.state.Store(txRevoking)
-					c.tel.Sheds.Inc()
-					continue
-				}
-			}
-			t.state.Store(txPseudo)
-			c.heldCount++
-			if c.heldCount > c.pstats.HeldPeak {
-				c.pstats.HeldPeak = c.heldCount
-			}
-			c.tel.Held.Set(int64(c.heldCount))
-		} else {
-			// The commit point: the decision must be durable before any
-			// participant is released (txReleasing also bars the crash
-			// handler from revoking). The force itself is grouped below.
-			t.state.Store(txReleasing)
-			releasing = append(releasing, t)
-		}
-	}
-	c.logCommitBatch(releasing)
-	c.mu.Unlock()
-	for _, r := range wave {
-		close(r.done)
-	}
-}
-
-// logCommitBatch forces the commit decisions of a wave to the decision
-// log (a no-op on a plain cluster) — one grouped force when the log
-// supports it, per-id records otherwise — and opens each transaction's
-// release-ack set. The write must succeed before any participant is
-// released; a failed force would break the recovery promise, so it is
-// surfaced loudly. Caller holds c.mu; the ack table lives in its own
-// lock domain (lock order c.mu -> logMu).
-func (c *Cluster) logCommitBatch(txns []*Txn) {
-	if c.flog == nil || len(txns) == 0 {
-		return
-	}
-	if br, ok := c.flog.(fault.BatchRecorder); ok {
-		ids := make([]core.TxnID, len(txns))
-		for i, t := range txns {
-			ids[i] = t.id
-		}
-		if err := br.RecordBatch(ids, fault.OutcomeCommit); err != nil {
-			panic(fmt.Sprintf("dist: decision log commit batch %v: %v", ids, err))
-		}
-	} else {
-		for _, t := range txns {
-			if err := c.flog.Record(t.id, fault.OutcomeCommit); err != nil {
-				panic(fmt.Sprintf("dist: decision log commit of T%d: %v", t.id, err))
-			}
-		}
-	}
-	c.tel.DecisionsLogged.Add(uint64(len(txns)))
-	c.logMu.Lock()
-	for _, t := range txns {
-		pending := make(map[SiteID]struct{}, len(t.visited)+1)
-		for _, sid := range t.visited {
-			pending[sid] = struct{}{}
-		}
-		if _, gated := c.clientGate[t.id]; gated {
-			pending[clientAck] = struct{}{}
-		}
-		c.relAcks[t.id] = pending
-	}
-	c.tel.LiveDecisions.Set(int64(len(c.relAcks)))
-	c.logMu.Unlock()
-}
-
-// logDirectCommit forces a decision record for an edge-free direct
-// commit whose outcome a remote client will resolve from the log
-// (GateDecision was called). Without it a coordinator crash between
-// the site commit and the client reply would presume the transaction
-// aborted and the client would re-run committed work. The record is
-// written BEFORE the site commit — the same decision-before-effect
-// order as the hold path — and the ack set opens with every visited
-// site plus the client gate. Ungated transactions (in-process callers
-// that never resolve from the log) skip it: for them presumed abort is
-// harmless, the caller saw the outcome directly. Reports whether a
-// record was written.
-func (c *Cluster) logDirectCommit(id core.TxnID, sids []SiteID) bool {
-	if c.flog == nil {
-		return false
-	}
-	c.logMu.Lock()
-	_, gated := c.clientGate[id]
-	c.logMu.Unlock()
-	if !gated {
-		return false
-	}
-	if err := c.flog.Record(id, fault.OutcomeCommit); err != nil {
-		panic(fmt.Sprintf("dist: decision log direct commit of T%d: %v", id, err))
-	}
-	c.tel.DecisionsLogged.Inc()
-	c.logMu.Lock()
-	pending := make(map[SiteID]struct{}, len(sids)+1)
-	for _, sid := range sids {
-		pending[sid] = struct{}{}
-	}
-	pending[clientAck] = struct{}{}
-	c.relAcks[id] = pending
-	c.tel.LiveDecisions.Set(int64(len(c.relAcks)))
-	c.logMu.Unlock()
-	return true
-}
-
-// ClaimRedo is the restart-reconciliation side of the direct-commit
-// arbitration: called (via the decided callback) before redoing a
-// logged commit at a recovering participant, it marks the decision as
-// redo-claimed and reports whether the log still holds a commit record
-// for the transaction. A live commit conversation whose own push
-// failed consults the claim in undoDirectCommit: if reconciliation got
-// there first, the decision stands and the conversation must report
-// Committed rather than retry. Claims are erased when the decision
-// truncates (ackRelease), bounding the map by the set of in-flight
-// logged commits.
-func (c *Cluster) ClaimRedo(id core.TxnID) bool {
-	if c.flog == nil {
-		return false
-	}
-	c.logMu.Lock()
-	defer c.logMu.Unlock()
-	o, ok := c.flog.Lookup(id)
-	if !ok || o != fault.OutcomeCommit {
-		return false
-	}
-	if c.redoClaims == nil {
-		c.redoClaims = make(map[core.TxnID]struct{})
-	}
-	c.redoClaims[id] = struct{}{}
-	return true
-}
-
-// undoDirectCommit withdraws a logDirectCommit record after the site
-// commit failed: the transaction is aborting, and a lingering commit
-// record would make a restarting coordinator redo it. If restart
-// reconciliation already claimed the decision for redo (ClaimRedo),
-// the withdrawal loses the race: the commit has landed (or is landing)
-// at the recovered participant, so the record stays and the caller
-// must treat the transaction as committed. Reports whether the record
-// was withdrawn. Only a crash in the narrow window between Record and
-// Truncate can leave a stale record behind — a double failure the
-// smoke workloads cannot hit and recovery resolves toward commit (the
-// at-least-once side of the trade, documented in DESIGN.md).
-func (c *Cluster) undoDirectCommit(id core.TxnID) bool {
-	c.logMu.Lock()
-	if _, claimed := c.redoClaims[id]; claimed {
-		c.logMu.Unlock()
-		return false
-	}
-	if _, open := c.relAcks[id]; open {
-		delete(c.relAcks, id)
-		c.tel.DecisionsResolved.Inc()
-		c.tel.LiveDecisions.Set(int64(len(c.relAcks)))
-	}
-	c.logMu.Unlock()
-	_ = c.flog.Truncate(id)
-	return true
 }

@@ -450,7 +450,7 @@ func TestPolicyClusterConservation(t *testing.T) {
 // TestEagerCascadePolicyStress is the regression shape for the eager
 // cascade's decide-before-release ordering: finished transactions and
 // cross-site cycle aborts finalize from many goroutines at once, so
-// eager cascades overlap. Before cascadeEager's single-owner queue,
+// eager cascades overlap. Before cascade's eager single-owner queue,
 // one cascade could release a dependant at a shared site before
 // another cascade's release of its predecessor landed there — the
 // local scheduler still held the edge and releaseAt panicked with
@@ -466,7 +466,7 @@ func TestEagerCascadePolicyStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		gen := workload.Sharded{Inner: workload.Pushes{DBSize: 200}, Sites: sites, CrossProb: 0.1}
-		res, err := RunLoad(c, LoadConfig{
+		res, err := workload.RunLoad(c, workload.LoadConfig{
 			Workload:      gen,
 			Workers:       workers,
 			TxnsPerWorker: txns,

@@ -16,7 +16,7 @@ const regShards = 32
 // regShard is one independently locked slice of the registry.
 type regShard struct {
 	mu   sync.Mutex
-	txns map[core.TxnID]*Txn
+	txns map[core.TxnID]*Conv
 	// pad spaces shards to their own cache lines so uncontended
 	// registrations on neighbouring shards do not false-share.
 	_ [48]byte
@@ -48,7 +48,7 @@ type registry struct {
 
 func (r *registry) init() {
 	for i := range r.shards {
-		r.shards[i].txns = make(map[core.TxnID]*Txn)
+		r.shards[i].txns = make(map[core.TxnID]*Conv)
 	}
 }
 
@@ -57,7 +57,7 @@ func (r *registry) shard(id core.TxnID) *regShard {
 }
 
 // add registers a live transaction.
-func (r *registry) add(t *Txn) {
+func (r *registry) add(t *Conv) {
 	sh := r.shard(t.id)
 	sh.mu.Lock()
 	sh.txns[t.id] = t
@@ -67,7 +67,7 @@ func (r *registry) add(t *Txn) {
 
 // get returns the live transaction, or nil. Safe to call with the
 // coordinator mutex held (lock order coordinator -> shard).
-func (r *registry) get(id core.TxnID) *Txn {
+func (r *registry) get(id core.TxnID) *Conv {
 	sh := r.shard(id)
 	sh.mu.Lock()
 	t := sh.txns[id]
@@ -81,7 +81,7 @@ func (r *registry) get(id core.TxnID) *Txn {
 // the mirror when it finalises. Callers hold the coordinator mutex, so
 // the mark is published before the edge is observable and strictly
 // before the target's RemoveTxn can run.
-func (r *registry) markMirror(id core.TxnID) *Txn {
+func (r *registry) markMirror(id core.TxnID) *Conv {
 	sh := r.shard(id)
 	sh.mu.Lock()
 	t := sh.txns[id]
@@ -96,7 +96,7 @@ func (r *registry) markMirror(id core.TxnID) *Txn {
 // union-graph state to clean up (it observed edges of its own, or
 // filterLive marked an incoming edge). The mark is read inside the
 // shard critical section — see registry's doc comment for why.
-func (r *registry) unregister(id core.TxnID) (t *Txn, mirrored bool) {
+func (r *registry) unregister(id core.TxnID) (t *Conv, mirrored bool) {
 	sh := r.shard(id)
 	sh.mu.Lock()
 	t = sh.txns[id]
@@ -116,7 +116,7 @@ func (r *registry) count() int64 { return r.live.Load() }
 
 // forEach visits every live transaction (shard by shard; the set may
 // change between shards). For introspection and test dumps only.
-func (r *registry) forEach(fn func(t *Txn)) {
+func (r *registry) forEach(fn func(t *Conv)) {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()

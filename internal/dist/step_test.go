@@ -18,7 +18,7 @@ func newStepCluster(t *testing.T, step Step, victim SiteID) (*Cluster, *int) {
 	t.Helper()
 	fired := 0
 	var c *Cluster
-	cfg := Config{Sites: 2, FaultTolerant: true}
+	cfg := Config{Sites: 2, FaultTolerant: true, Opts: core.Options{Debug: true}}
 	cfg.StepHook = func(s Step, _ core.TxnID, _ SiteID) {
 		if s == step {
 			fired++
@@ -181,7 +181,7 @@ func TestCrashExactlyAtAfterPrepareForce(t *testing.T) {
 // and touches a second site, pseudo-commits-and-holds, then T1's
 // commit cascades T2's release; both decisions must then be pruned.
 func TestLogBoundedUnderLoad(t *testing.T) {
-	c, err := NewWithConfig(Config{Sites: 4, FaultTolerant: true})
+	c, err := NewWithConfig(Config{Sites: 4, FaultTolerant: true, Opts: core.Options{Debug: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

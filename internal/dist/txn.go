@@ -15,55 +15,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Distributed transaction states. Writes happen under the cluster's
-// coordinator lock; reads are lock-free.
-const (
-	txActive int32 = iota
-	txPseudo
-	txReleasing
-	txCommitted
-	txAborted
-	// txRevoking: a held pseudo-commit being unwound after a site
-	// crash (Cluster.Crash moved it out of txPseudo under the
-	// coordinator lock, so finalizeGlobal cannot select it for
-	// release concurrently).
-	txRevoking
-)
-
 // Txn is a distributed transaction handle, implementing core.Txn. Like
 // core.Handle it must be driven by one goroutine at a time; separate
 // transactions are fully concurrent. Operations route to the owning
 // site's participant; the coordinator only gets involved when a
 // dependency edge appears.
 type Txn struct {
-	c  *Cluster
-	id core.TxnID
+	// Conv is the coordinator's record of the transaction: id, state,
+	// visited sites, the edge marks and the doomed flag.
+	Conv
+	c *Cluster
 
-	state  atomic.Int32
 	reason atomic.Int32 // core.AbortReason, stored before state becomes txAborted
-
-	// visited lists the sites where Begin has run, in ascending order
-	// (conversations iterate it directly, so multi-site rounds stay
-	// deterministic). Owner-goroutine-only until the transaction
-	// pseudo-commits, after which the owner mutates nothing.
-	visited []SiteID
-	// anyEdges is set once the transaction has ever had a dependency
-	// edge at any site; while false, commits take the edge-free fast
-	// path and never touch the coordinator. Set by the owner's own
-	// observes and by refreshParked (a foreign goroutine), hence
-	// atomic.
-	anyEdges atomic.Bool
-	// inMirror is set by filterLive — under the transaction's registry
-	// shard lock — when an edge to this transaction enters the union
-	// graph. Together with anyEdges it tells finalisation whether the
-	// mirror holds state to clean up; false on both is what lets the
-	// edge-free fast path finalise without the coordinator mutex.
-	inMirror atomic.Bool
-	// doomed is set by the crash handler when a site holding this
-	// transaction's operations fails before the commit point: the
-	// owner aborts with ReasonSiteFailed at its next step. Set by a
-	// foreign goroutine (Cluster.Crash), hence atomic.
-	doomed atomic.Bool
 
 	// tc is the transaction's causal trace context, minted by the
 	// coordinator's sampler at Begin (nil pointer when the span plane is
@@ -110,10 +73,6 @@ func (t *Txn) sampled() bool {
 	return t.c.spans != nil && t.Trace().Sampled()
 }
 
-// ID returns the coordinator-assigned transaction id (unique across
-// the cluster).
-func (t *Txn) ID() core.TxnID { return t.id }
-
 // Done returns a channel closed when the transaction reaches its
 // terminal state: the real commit has landed at every site (for held
 // pseudo-commits, once the global dependency set drained) or the
@@ -128,30 +87,6 @@ func (t *Txn) Err() error {
 		return &core.ErrAborted{Txn: t.id, Reason: core.AbortReason(t.reason.Load())}
 	}
 	return nil
-}
-
-// visitedSorted returns the visited sites in ascending order, for
-// deterministic multi-site conversations. The slice is the
-// transaction's own (kept sorted by visit); callers must not mutate.
-func (t *Txn) visitedSorted() []SiteID { return t.visited }
-
-// visitedHas reports whether Begin has run at sid. Linear scan: a
-// transaction touches a handful of sites.
-func (t *Txn) visitedHas(sid SiteID) bool {
-	for _, s := range t.visited {
-		if s == sid {
-			return true
-		}
-	}
-	return false
-}
-
-// visit records sid as visited, keeping the slice sorted.
-func (t *Txn) visit(sid SiteID) {
-	t.visited = append(t.visited, sid)
-	for i := len(t.visited) - 1; i > 0 && t.visited[i-1] > t.visited[i]; i-- {
-		t.visited[i-1], t.visited[i] = t.visited[i], t.visited[i-1]
-	}
 }
 
 // errState converts a non-active state into the caller-facing error.
@@ -235,7 +170,7 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 	sid := t.c.route(obj)
 	s := t.c.sites[sid]
 
-	if !t.visitedHas(sid) {
+	if !t.VisitedHas(sid) {
 		s.mu.Lock()
 		err := s.p.Begin(t.id)
 		if err == nil {
@@ -248,7 +183,7 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 			}
 			return adt.Ret{}, err
 		}
-		t.visit(sid)
+		t.Visit(sid)
 		t.c.trace(telemetry.EvBegin, uint64(t.id), int32(sid), 0)
 		t.span(telemetry.SpanBegin, int32(sid), 0, 0, 0)
 	}
@@ -405,7 +340,7 @@ func (t *Txn) Commit() (core.CommitStatus, error) {
 		return 0, err
 	}
 
-	sids := t.visitedSorted()
+	sids := t.visited
 	c := t.c
 
 	// Fast path: a transaction that never grew a dependency edge has a
@@ -423,7 +358,7 @@ func (t *Txn) Commit() (core.CommitStatus, error) {
 	// hold conversation even when edge-free.
 	if !t.anyEdges.Load() && (!c.faulty || len(sids) <= 1) {
 		c.tel.FastCommits.Inc()
-		logged := c.logDirectCommit(t.id, sids)
+		logged := c.LogDirect(&t.Conv)
 		for _, sid := range sids {
 			s := c.sites[sid]
 			s.mu.Lock()
@@ -435,7 +370,7 @@ func (t *Txn) Commit() (core.CommitStatus, error) {
 			}
 			s.mu.Unlock()
 			if err != nil {
-				if logged && !c.undoDirectCommit(t.id) {
+				if logged && !c.UndoDirect(t.id) {
 					// Restart reconciliation claimed the logged decision
 					// and redid the commit at the recovered site before
 					// we could withdraw it: the push landed, just not
@@ -463,13 +398,8 @@ func (t *Txn) Commit() (core.CommitStatus, error) {
 			t.span(telemetry.SpanRelease, int32(sid), 0, 0, 0)
 			c.refreshParked(s)
 		}
-		t.state.Store(txCommitted)
-		c.completeTrace(t)
-		close(t.done)
-		if c.obs != nil {
-			c.obs.Released(t.id)
-		}
 		// Others may have mirrored commit dependencies on us; drain them.
+		c.landed(t)
 		c.finalizeTxn(t)
 		return core.Committed, nil
 	}
@@ -532,25 +462,27 @@ func (t *Txn) Commit() (core.CommitStatus, error) {
 	// so a crash during the hold phase cannot slip past the commit
 	// point.
 	decideStart := time.Now()
-	gdeps, wave, doomed, shed := c.decide(t, sids, batch, counts)
+	req := &DecideReq{Conv: &t.Conv, Batch: batch, Counts: counts}
+	c.decide(req)
+	gdeps := req.Gdeps
 	c.tel.DecideNanos.Observe(uint64(time.Since(decideStart)))
 	c.trace(telemetry.EvDecide, uint64(t.id), int32(noSite), int64(gdeps))
 	if sampled {
-		t.span(telemetry.SpanDecide, int32(noSite), int64(gdeps), int64(wave), int64(time.Since(decideStart)))
+		t.span(telemetry.SpanDecide, int32(noSite), int64(gdeps), int64(req.Wave), int64(time.Since(decideStart)))
 	}
-	if doomed {
+	if req.Doomed {
 		_, err := t.failSite(noSite)
 		return 0, err
 	}
-	if shed {
+	if req.Shed {
 		c.trace(telemetry.EvShed, uint64(t.id), int32(noSite), int64(gdeps))
-		t.span(telemetry.SpanShed, int32(noSite), int64(gdeps), int64(wave), 0)
+		t.span(telemetry.SpanShed, int32(noSite), int64(gdeps), int64(req.Wave), 0)
 		// The hold policy refused to grow the convoy: revoke the hold
 		// at every participant (recoverability makes this abort
 		// non-cascading) and surface a retryable abort — Store.Run and
 		// the workload harness restart the transaction under a fresh
 		// id, by which time the convoy may have drained.
-		c.revokeEverywhere(t, noSite, core.ReasonShed)
+		c.unwind(t, noSite, core.ReasonShed, core.ReasonShed.String(), true)
 		return 0, fmt.Errorf("hold shed: %w", &core.ErrAborted{Txn: t.id, Reason: core.ReasonShed})
 	}
 
@@ -566,12 +498,7 @@ func (t *Txn) Commit() (core.CommitStatus, error) {
 	releaseStart := time.Now()
 	c.releaseAt(t)
 	c.tel.ReleaseNanos.Observe(uint64(time.Since(releaseStart)))
-	t.state.Store(txCommitted)
-	c.completeTrace(t)
-	close(t.done)
-	if c.obs != nil {
-		c.obs.Released(t.id)
-	}
+	c.landed(t)
 	c.finalizeTxn(t)
 	return core.Committed, nil
 }

@@ -1,10 +1,11 @@
 // Package distsim is a seeded, deterministic discrete-event simulation
 // of the §6 distributed cluster: every participant site runs the real
 // concurrency-control machinery (a fault.Crashable wrapping a
-// core.Scheduler), the coordinator runs the real commit-conversation
-// logic over the real union graph (depgraph.Mirror) and the real
-// decision log (fault.Log), and everything advances on a virtual clock
-// (internal/sim's Timeline) — no goroutines, no wall time, no races.
+// core.Scheduler), the coordinator is the shipped dist.Coordinator —
+// the decision half of the commit conversation, the same value
+// dist.Cluster embeds — over the real decision log (fault.Log), and
+// everything advances on a virtual clock (internal/sim's Timeline) —
+// no goroutines, no wall time, no races.
 //
 // What the wall-clock cluster (internal/dist) resolves with mutexes,
 // parked goroutines and timers, the simulator models as messages with
@@ -23,11 +24,13 @@
 // propagation to surviving sites is immediate (the wall-clock cluster
 // runs it synchronously too); terminals are co-located with the
 // coordinator. The coordinator itself can be crashed on a protocol
-// step (CoordCrashPoint): its volatile state — the union-graph mirror
-// and the release-ack table — dies, the durable decision log survives,
-// and the restarted coordinator adopts logged commits and reconciles
-// every site against the log, exactly the sequence the wall-clock
-// wire.StartCoordinator runs. See DESIGN.md, "Simulation model".
+// step (CoordCrashPoint): the Coordinator value — union-graph mirror,
+// registry, release-ack table — is dropped, the durable decision log
+// survives, and a new Coordinator on that log Adopts the logged commits
+// and reconciles every site against the log, exactly what the
+// wall-clock wire.StartCoordinator does. What the engine itself models
+// is time, message order and the hold/release fan-out sequencing. See
+// DESIGN.md, "Simulation model".
 package distsim
 
 import (

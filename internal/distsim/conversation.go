@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -8,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/telemetry"
 )
 
@@ -22,34 +22,30 @@ func (e *Engine) startCommit(p *sproc) {
 	if !e.draining {
 		e.phExec.Add(e.tl.Now() - p.attemptStart)
 	}
-	if !p.anyEdges && len(p.visited) == 1 {
-		p.state = spHolding
+	if e.coordGate {
+		// The coordinator-failure model gates every decision on the
+		// terminal learning the outcome (the wire client plane's
+		// exactly-once rule; the gate is acked in realCommit).
+		e.co.GateDecision(p.txn)
+	}
+	visited := p.cv.Visited()
+	p.state = spHolding
+	if !p.anyEdges && len(visited) == 1 {
 		p.direct = true
 		p.decideTime = p.commitStart
-		sid := p.visited[0]
-		if e.coordGate {
-			// The coordinator-failure model logs direct commits before
-			// sending them (the wire client plane's gated exactly-once
-			// rule): the record is the only durable trace the commit
-			// happened, and it stays until the terminal learns the
-			// outcome (clientAckSim, acked in realCommit).
-			if err := e.flog.Record(p.txn, fault.OutcomeCommit); err != nil {
-				panic(fmt.Sprintf("distsim: decision log direct commit of T%d: %v", p.txn, err))
-			}
-			if n := e.flog.Len(); !e.draining && n > e.logHighWater {
-				e.logHighWater = n
-			}
-			e.relAcks[p.txn] = map[int]struct{}{sid: {}, clientAckSim: {}}
-		}
+		sid := int(visited[0])
+		// A gated direct commit is logged before it is sent: the record
+		// is the only durable trace the commit happened.
+		e.co.LogDirect(p.cv)
+		e.noteLog()
 		e.tracef("commit T%d site=%d (direct)", p.txn, sid)
 		at := e.sendToSite(sid, e.lat())
 		e.tl.Schedule(at, ev{kind: evCommitArrive, p: p, txn: p.txn, site: sid})
 		return
 	}
-	p.state = spHolding
 	p.holdK = 0
-	p.holdEdges = p.holdEdges[:0]
-	e.tracef("hold-start T%d sites=%v", p.txn, p.visited)
+	p.req = dist.DecideReq{Conv: p.cv}
+	e.tracef("hold-start T%d sites=%v", p.txn, visited)
 	e.sendHold(p)
 }
 
@@ -57,14 +53,14 @@ func (e *Engine) startCommit(p *sproc) {
 // participant and sends the prepare. A step-scheduled crash can unwind
 // the attempt synchronously; the txn-id recheck catches that.
 func (e *Engine) sendHold(p *sproc) {
-	sid := p.visited[p.holdK]
+	sid := int(p.cv.Visited()[p.holdK])
 	id := p.txn
 	e.stepFired(dist.BeforeCommitHold, p, sid)
 	if p.txn != id {
 		return // the crash at this boundary doomed the conversation
 	}
 	at := e.sendToSite(sid, e.lat())
-	e.tl.Schedule(at, ev{kind: evHoldArrive, p: p, txn: p.txn, site: sid, k: p.holdK})
+	e.tl.Schedule(at, ev{kind: evHoldArrive, p: p, txn: p.txn, site: sid})
 }
 
 // commitArrive lands the direct single-site commit.
@@ -132,11 +128,13 @@ func (e *Engine) holdArrive(p *sproc, sid int) {
 // holdReply collects one participant's prepare ack at the coordinator:
 // either the conversation moves to the next site, or — all sites
 // holding — the BeforeDecisionForce boundary fires and the coordinator
-// decides.
+// decides (a wave of one: the simulator's coordinator handles one
+// message at a time).
 func (e *Engine) holdReply(p *sproc, edges []depgraph.Edge) {
-	p.holdEdges = append(p.holdEdges, edges)
+	p.req.Batch = append(p.req.Batch, edges...)
+	p.req.Counts = append(p.req.Counts, len(edges))
 	p.holdK++
-	if p.holdK < len(p.visited) {
+	if p.holdK < len(p.cv.Visited()) {
 		e.sendHold(p)
 		return
 	}
@@ -145,105 +143,71 @@ func (e *Engine) holdReply(p *sproc, edges []depgraph.Edge) {
 	if p.txn != id {
 		return // pre-decision crash: prepared records will be presumed aborted
 	}
-	// The decision critical section: mirror every site's export, read
-	// the global dependency set, decide.
-	gdeps := 0
-	for i, sid := range p.visited {
-		live := e.filterLive(p.holdEdges[i])
-		if len(live) > 0 {
-			p.anyEdges = true
-		}
-		e.mirror.Observe(sid, p.txn, live)
-	}
-	gdeps = e.mirror.OutDegree(p.txn)
-	if gdeps > 0 {
-		if e.policy != nil {
-			depth := e.mirror.LongestChainFrom(p.txn)
-			verdict := e.policy.AdmitHold(gdeps, depth, e.heldSet)
-			if verdict != dist.Hold {
-				if verdict == dist.ShedTail {
-					e.tailAborts++
-				} else {
-					e.admitRejects++
-				}
-				e.shedHold(p, depth)
-				return
-			}
-		}
-		p.state = spHeld
-		p.heldAt = e.tl.Now()
-		e.held++
-		e.heldSet++
-		if !e.draining {
-			e.convoy.Add(e.heldSet)
-			e.phHold.Add(e.tl.Now() - p.commitStart)
-		}
-		e.tracef("held T%d gdeps=%d depth=%d", p.txn, gdeps, e.heldSet)
-		e.freeTerminal(p)
+	req := &p.req
+	e.co.DecideWave([]*dist.DecideReq{req})
+	e.noteLog()
+	if req.Shed {
+		e.shedHold(p, req)
 		return
 	}
 	if !e.draining {
 		e.phHold.Add(e.tl.Now() - p.commitStart)
 	}
-	e.decideCommit(p)
+	if req.Gdeps == 0 {
+		e.startRelease(p)
+		return
+	}
+	p.state = spHeld
+	p.heldAt = e.tl.Now()
+	e.held++
+	if !e.draining {
+		e.convoy.Add(req.Held)
+	}
+	e.tracef("held T%d gdeps=%d depth=%d", p.txn, req.Gdeps, req.Held)
+	e.freeTerminal(p)
 }
 
-// shedHold unwinds a conversation the hold policy refused: the holds
-// already placed at every participant are revoked — recoverability
-// makes the revocation non-cascading, which is what makes shedding
-// cheap — and the logical transaction retries after a backoff, its
-// terminal still occupied (the shed IS the back-pressure the unbounded
-// protocol lacks: the terminal does not move on until the transaction
-// lands for real or is held for good).
-func (e *Engine) shedHold(p *sproc, depth int) {
-	id := p.txn
-	for _, sid := range p.visited {
+// revokeAt revokes the attempt's hold at every live visited site but
+// skip (-1: none) — recoverability makes the revocation non-cascading.
+func (e *Engine) revokeAt(p *sproc, skip int, reason core.AbortReason) {
+	for _, sid := range p.cv.Visited() {
 		s := e.sites[sid]
-		if s.down() {
+		if int(sid) == skip || s.down() {
 			continue
 		}
 		var eff core.Effects
-		if err := s.cr.RevokeInto(&eff, id, core.ReasonShed); err == nil {
-			delete(s.prepTime, id)
-			s.cr.Forget(id)
+		if err := s.cr.RevokeInto(&eff, p.txn, reason); err == nil {
+			delete(s.prepTime, p.txn)
+			s.cr.Forget(p.txn)
 			e.processEffects(s, &eff)
 		}
 	}
-	e.aborts++
-	e.tracef("shed T%d (%s depth=%d held=%d)", id, e.policy.Name(), depth, e.heldSet)
-	if e.spans != nil {
-		e.span(telemetry.SpanShed, id, -1, int64(depth), int64(e.heldSet), 0)
-		e.completeSpan(id, e.tl.Now()-p.attemptStart)
-	}
-	delete(e.procs, id)
-	p.txn = 0
-	p.state = spWaitRetry
-	p.attempts++
-	e.finalize(id)
-	e.tl.Schedule(e.tl.Now()+e.backoff(p.attempts), ev{kind: evResubmit, p: p})
 }
 
-// decideCommit is the commit point: the decision is forced to the log
-// (and the release-ack set opened) before any participant is released,
-// the AfterDecisionBeforeRelease boundary fires, and the release
-// fan-out starts.
-func (e *Engine) decideCommit(p *sproc) {
-	if err := e.flog.Record(p.txn, fault.OutcomeCommit); err != nil {
-		panic(fmt.Sprintf("distsim: decision log commit of T%d: %v", p.txn, err))
+// shedHold unwinds a conversation the hold policy refused: the holds
+// already placed at every participant are revoked — which is what
+// makes shedding cheap — and the logical transaction retries after a
+// backoff, its terminal still occupied (the shed IS the back-pressure
+// the unbounded protocol lacks: the terminal does not move on until the
+// transaction lands for real or is held for good).
+func (e *Engine) shedHold(p *sproc, req *dist.DecideReq) {
+	id := p.txn
+	e.revokeAt(p, -1, core.ReasonShed)
+	e.aborts++
+	e.tracef("shed T%d (%s depth=%d held=%d)", id, e.co.PolicyName(), req.Depth, req.Held)
+	if e.spans != nil {
+		e.span(telemetry.SpanShed, id, -1, int64(req.Depth), int64(req.Held), 0)
+		e.completeSpan(id, e.tl.Now()-p.attemptStart)
 	}
-	if n := e.flog.Len(); !e.draining && n > e.logHighWater {
-		e.logHighWater = n
-	}
-	pending := make(map[int]struct{}, len(p.visited)+1)
-	for _, sid := range p.visited {
-		pending[sid] = struct{}{}
-	}
-	if e.coordGate {
-		pending[clientAckSim] = struct{}{}
-	}
-	e.relAcks[p.txn] = pending
+	e.retry(p)
+}
+
+// startRelease carries out a commit decision the coordinator made
+// (DecideWave or Drain forced it to the log and opened its ack set
+// before returning): the AfterDecisionBeforeRelease boundary fires and
+// the release fan-out starts.
+func (e *Engine) startRelease(p *sproc) {
 	if p.state == spHeld {
-		e.heldSet--
 		wait := e.tl.Now() - p.heldAt
 		e.heldWaits = append(e.heldWaits, wait)
 		if !e.draining {
@@ -264,34 +228,31 @@ func (e *Engine) decideCommit(p *sproc) {
 		return
 	}
 	p.relK = 0
-	if e.policy != nil && e.policy.EagerSubtree() {
+	n := 1
+	if e.eager {
 		// The batched release round: all participants at once (one
 		// round-trip, relReply counts acks) instead of one site per
 		// round-trip. The FIFO coordinator→site channels carry the
 		// subtree's topological decide order to every shared site.
-		for k, sid := range p.visited {
-			e.stepFired(dist.DuringReleaseCascade, p, sid)
-			if e.coordDown {
-				return
-			}
-			at := e.sendToSite(sid, e.lat())
-			e.tl.Schedule(at, ev{kind: evRelArrive, p: p, txn: p.txn, site: sid, k: k})
-		}
-		return
+		n = len(p.cv.Visited())
 	}
-	e.sendRelease(p)
+	for k := 0; k < n && e.sendRelease(p, k); k++ {
+	}
 }
 
-// sendRelease fires the DuringReleaseCascade boundary for the next
-// participant and sends the release (the real commit).
-func (e *Engine) sendRelease(p *sproc) {
-	sid := p.visited[p.relK]
+// sendRelease fires the DuringReleaseCascade boundary for participant k
+// and sends it the release (the real commit). It reports false when a
+// coordinator crash at the boundary stopped the fan-out: reconcile
+// finishes it from the logged decision.
+func (e *Engine) sendRelease(p *sproc, k int) bool {
+	sid := int(p.cv.Visited()[k])
 	e.stepFired(dist.DuringReleaseCascade, p, sid)
 	if e.coordDown {
-		return // reconcile finishes the fan-out from the logged decision
+		return false
 	}
 	at := e.sendToSite(sid, e.lat())
-	e.tl.Schedule(at, ev{kind: evRelArrive, p: p, txn: p.txn, site: sid, k: p.relK})
+	e.tl.Schedule(at, ev{kind: evRelArrive, p: p, txn: p.txn, site: sid})
+	return true
 }
 
 // relArrive lands the real commit at participant k, or skips a down
@@ -332,9 +293,9 @@ func (e *Engine) relArrive(p *sproc, sid int) {
 // counts acks.
 func (e *Engine) relReply(p *sproc) {
 	p.relK++
-	if p.relK < len(p.visited) {
-		if e.policy == nil || !e.policy.EagerSubtree() {
-			e.sendRelease(p)
+	if p.relK < len(p.cv.Visited()) {
+		if !e.eager {
+			e.sendRelease(p, p.relK)
 		}
 		return
 	}
@@ -356,15 +317,14 @@ func (e *Engine) realCommit(p *sproc) {
 	}
 	e.tracef("committed T%d", id)
 	e.completeSpan(id, e.tl.Now()-p.submitted)
-	if e.coordGate {
-		// The terminal has the outcome: release the client gate (the
-		// last ack truncates the decision).
-		e.ack(id, clientAckSim)
+	// The terminal has the outcome: release the client gate, if the
+	// model armed one (the last ack truncates the decision).
+	if e.co.AckDecision(id) {
+		e.tracef("truncate T%d", id)
 	}
 	if !p.freed {
 		e.freeTerminal(p)
 	}
-	delete(e.procs, id)
 	p.txn = 0
 	e.finalize(id)
 	if !e.inWindow && e.realCommits >= e.cfg.Warmup {
@@ -389,16 +349,8 @@ func (e *Engine) freeTerminal(p *sproc) {
 // ack confirms one participant's durable copy of a logged commit; the
 // last ack truncates the decision.
 func (e *Engine) ack(id core.TxnID, sid int) {
-	pending := e.relAcks[id]
-	if pending == nil {
-		return
-	}
-	delete(pending, sid)
-	if len(pending) == 0 {
-		delete(e.relAcks, id)
-		if err := e.flog.Truncate(id); err == nil {
-			e.tracef("truncate T%d", id)
-		}
+	if e.co.Ack(id, dist.SiteID(sid)) {
+		e.tracef("truncate T%d", id)
 	}
 }
 
@@ -423,7 +375,7 @@ func (e *Engine) stepFired(step dist.Step, p *sproc, site int) {
 		if victim < 0 {
 			victim = site
 			if victim < 0 {
-				victim = p.visited[0]
+				victim = int(p.cv.Visited()[0])
 			}
 		}
 		e.crash(victim, cp.RestartAfter)
@@ -439,12 +391,12 @@ func (e *Engine) stepFired(step dist.Step, p *sproc, site int) {
 }
 
 // crash fails a site at the current virtual instant: volatile state is
-// dropped (the real fault.Crashable.Crash), its union-graph
-// contribution is purged, and every live transaction that touched it
-// is unwound — active, blocked and mid-conversation attempts abort
-// (and retry); unlogged holds are revoked at the surviving sites and
-// their logical transactions re-run detached; releasing transactions
-// are past their commit point and proceed, skipping the dead site.
+// dropped (the real fault.Crashable.Crash) and the coordinator
+// classifies every live transaction that touched it — unlogged holds
+// are revoked at the surviving sites and their logical transactions
+// re-run detached; releasing transactions are past their commit point
+// and proceed, skipping the dead site; active, blocked and
+// mid-conversation attempts abort (and retry).
 func (e *Engine) crash(sid int, restartAfter float64) {
 	s := e.sites[sid]
 	if s.down() {
@@ -455,27 +407,25 @@ func (e *Engine) crash(sid int, restartAfter float64) {
 	}
 	e.crashes++
 	e.tracef("crash site=%d", sid)
-	e.mirror.DropSite(sid)
 	clear(s.parked)
-	ids := make([]core.TxnID, 0, len(e.procs))
-	for id, p := range e.procs {
-		if p.visitedHas(sid) {
-			ids = append(ids, id)
+	var touched []*dist.Conv
+	for _, p := range e.procs {
+		if p.cv.VisitedHas(dist.SiteID(sid)) {
+			touched = append(touched, p.cv)
 		}
 	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		p := e.procs[id]
-		if p == nil || p.txn != id {
-			continue // an earlier iteration's cascade already handled it
-		}
-		p.doomed = true
-		switch p.state {
-		case spReleasing:
+	slices.SortFunc(touched, func(a, b *dist.Conv) int { return cmp.Compare(a.ID(), b.ID()) })
+	revoke := e.co.SiteCrashed(dist.SiteID(sid), touched)
+	for _, cv := range touched {
+		p := cv.Owner.(*sproc)
+		switch {
+		case p.txn != cv.ID():
+			// An earlier iteration's unwinding already handled it.
+		case slices.Contains(revoke, cv):
+			e.revokeHeld(p, sid)
+		case p.state == spReleasing:
 			// Past the commit point: the logged decision lands
 			// everywhere, crash or not.
-		case spHeld:
-			e.revokeHeld(p, sid)
 		default: // spActive, spBlocked, spHolding
 			e.abortAttempt(p, core.ReasonSiteFailed, -1)
 		}
@@ -490,86 +440,66 @@ func (e *Engine) crash(sid int, restartAfter float64) {
 // coordinator half), and the logical transaction re-runs detached —
 // its terminal already moved on at pseudo-commit time.
 func (e *Engine) revokeHeld(p *sproc, crashed int) {
-	id := p.txn
-	e.heldSet--
 	e.heldAborts++
-	for _, sid := range p.visited {
-		if sid == crashed {
-			continue
+	e.revokeAt(p, crashed, core.ReasonSiteFailed)
+	e.tracef("revoke T%d (site %d failed)", p.txn, crashed)
+	e.retry(p)
+}
+
+// closeInDoubt ends a prepared record's in-doubt window at the site.
+func (e *Engine) closeInDoubt(s *simSite, id core.TxnID) {
+	if t0, ok := s.prepTime[id]; ok {
+		if !e.draining {
+			e.inDoubt.Add(e.tl.Now() - t0)
 		}
-		s := e.sites[sid]
-		if s.down() {
-			continue
-		}
-		var eff core.Effects
-		if err := s.cr.RevokeInto(&eff, id, core.ReasonSiteFailed); err == nil {
-			delete(s.prepTime, id)
-			s.cr.Forget(id)
-			e.processEffects(s, &eff)
-		}
+		delete(s.prepTime, id)
 	}
-	e.tracef("revoke T%d (site %d failed)", id, crashed)
-	delete(e.procs, id)
-	p.txn = 0
-	p.state = spWaitRetry
-	p.attempts++
-	e.finalize(id)
-	e.tl.Schedule(e.tl.Now()+e.backoff(p.attempts), ev{kind: evResubmit, p: p})
 }
 
 // restartSite recovers a crashed site: the real presumed-abort
-// recovery runs (redo logged commits, discard the rest), redone
-// transactions ack their release, and in-doubt windows close.
+// recovery runs (redo logged commits, discard the rest), the
+// coordinator takes the redos as release acks, and in-doubt windows
+// close.
 func (e *Engine) restartSite(s *simSite) {
 	rep, err := s.cr.Restart()
 	if err != nil {
 		panic(fmt.Sprintf("distsim: restart site %d: %v", s.idx, err))
 	}
 	e.restarts++
-	now := e.tl.Now()
 	for _, id := range rep.Redone {
-		if t0, ok := s.prepTime[id]; ok {
-			if !e.draining {
-				e.inDoubt.Add(now - t0)
-			}
-			delete(s.prepTime, id)
-		}
+		e.closeInDoubt(s, id)
 		e.span(telemetry.SpanRedo, id, s.idx, 0, 0, 0)
-		e.ack(id, s.idx)
 	}
 	for _, id := range rep.PresumedAborted {
-		if t0, ok := s.prepTime[id]; ok {
-			if !e.draining {
-				e.inDoubt.Add(now - t0)
-			}
-			delete(s.prepTime, id)
-		}
+		e.closeInDoubt(s, id)
+	}
+	for _, id := range e.co.SiteRecovered(dist.SiteID(s.idx), rep.Redone) {
+		e.tracef("truncate T%d", id)
 	}
 	e.redone += len(rep.Redone)
 	e.presumed += len(rep.PresumedAborted)
 	e.tracef("restart site=%d redone=%v presumed=%v", s.idx, rep.Redone, rep.PresumedAborted)
-	if e.coordGate {
-		// A coordinator-adopted conversation pending only on this site
-		// (its release was redone from the prepared record just now)
-		// completes here: the site ack above may have left just the
-		// client gate open.
-		for _, id := range rep.Redone {
-			if p := e.procs[id]; p != nil && p.txn == id && p.state == spReleasing {
-				e.maybeCompleteAdopted(p)
-			}
+	// A coordinator-adopted conversation pending only on this site (its
+	// release was redone from the prepared record just now) completes
+	// here: the site ack above may have left just the client gate open.
+	for _, id := range rep.Redone {
+		if p := e.procs[id]; p != nil && p.state == spReleasing {
+			e.maybeCompleteAdopted(p)
 		}
 	}
 }
 
-// coordCrash kills the coordinator at the current virtual instant. Its
-// volatile state — the union-graph mirror and the release-ack table —
-// is gone; the decision log survives. Every conversation that reached
-// its commit point (spReleasing, or a logged direct commit in flight)
-// is adopted by the replacement coordinator at restart; every unlogged
-// hold is presumed aborted; everything earlier is orphaned — the
-// terminal (co-located with the coordinator) lost its session and
-// retries, and the attempt's site-side state waits for the
-// reconcile to be aborted away.
+// coordCrash kills the coordinator at the current virtual instant: the
+// Coordinator — union graph, registry, ack table — is dropped and a
+// fresh one built on the decision log, which survives. The replacement
+// sits empty until its restart event (nothing reaches it meanwhile:
+// dispatch drops site→coordinator messages), then adopts. Every
+// conversation that reached its commit point (spReleasing, or a logged
+// direct commit in flight) stays in the session table for the
+// replacement to finish; every unlogged hold is presumed aborted;
+// everything earlier is orphaned — the terminal (co-located with the
+// coordinator) lost its session and retries, and the attempt's
+// site-side state waits for the reconcile to abort it away.
 func (e *Engine) coordCrash(restartAfter float64) {
 	if e.coordDown {
 		return
@@ -578,8 +508,8 @@ func (e *Engine) coordCrash(restartAfter float64) {
 	e.coordCrashes++
 	e.coordRestartAt = e.tl.Now() + restartAfter
 	e.tracef("coordcrash")
-	e.mirror = depgraph.NewMirror()
-	clear(e.relAcks)
+	e.deadStats = e.policyStats()
+	e.co = dist.NewCoordinator(e.cfg.Sites, e.flog, e.cfg.Policy, false)
 	e.tl.Schedule(e.coordRestartAt, ev{kind: evCoordRestart})
 	ids := make([]core.TxnID, 0, len(e.procs))
 	for id := range e.procs {
@@ -588,178 +518,127 @@ func (e *Engine) coordCrash(restartAfter float64) {
 	slices.Sort(ids)
 	for _, id := range ids {
 		p := e.procs[id]
-		if p == nil || p.txn != id {
-			continue
-		}
 		switch {
 		case p.state == spReleasing || (p.state == spHolding && p.direct):
 			// Decision logged (the direct path logs before sending):
 			// survives the crash; the replacement adopts it.
 			p.adopted = true
+			continue
 		case p.state == spHeld:
 			// Unlogged hold: presumed abort. The revocation itself must
 			// wait for the replacement coordinator (nothing can reach
 			// the sites until then); the logical transaction re-runs
 			// detached, exactly as after a crash-revoked hold.
-			e.heldSet--
 			e.heldAborts++
 			e.coordRevoked++
-			e.orphans = append(e.orphans, orphanRec{id: id, visited: slices.Clone(p.visited)})
 			e.tracef("coordcrash-revoke T%d", id)
-			delete(e.procs, id)
-			p.txn = 0
-			p.state = spWaitRetry
-			p.attempts++
-			e.tl.Schedule(e.tl.Now()+e.backoff(p.attempts), ev{kind: evResubmit, p: p})
 		default: // spActive, spBlocked, spHolding (hold phase)
 			if p.state == spBlocked {
 				delete(e.sites[p.blockedSite].parked, id)
 			}
-			e.orphans = append(e.orphans, orphanRec{id: id, visited: slices.Clone(p.visited)})
 			e.aborts++
 			e.coordOrphans++
 			e.tracef("orphan T%d (coordinator failed)", id)
-			delete(e.procs, id)
-			p.txn = 0
-			p.state = spWaitRetry
-			p.attempts++
-			e.tl.Schedule(e.tl.Now()+e.backoff(p.attempts), ev{kind: evResubmit, p: p})
 		}
+		e.orphans = append(e.orphans, p.cv)
+		e.retry(p)
 	}
 }
 
-// coordRestart is the replacement coordinator's startup: adopt every
-// logged commit decision, finish its releases (or redo a direct
-// commit the crash beat to its site), then reconcile the orphans away
-// — abort stranded actives, revoke unlogged holds. The sequence is
-// wire.StartCoordinator's, pinned on the virtual clock.
+// coordRestart is the replacement coordinator's startup — the
+// wire.StartCoordinator sequence on the virtual clock: Adopt re-arms
+// every logged commit decision, each one's surviving holds (or
+// undelivered direct commit) are finished at the live sites, which then
+// ack it; then the orphans are reconciled away. Down sites catch up
+// when they restart (restartSite).
 func (e *Engine) coordRestart() {
 	e.coordDown = false
 	e.coordRestarts++
-	var adopted []core.TxnID
-	if ol, ok := e.flog.(interface {
-		OutcomeIDs(fault.Outcome) []core.TxnID
-	}); ok {
-		adopted = ol.OutcomeIDs(fault.OutcomeCommit)
-	}
+	adopted := e.co.Adopt()
 	e.coordAdopted += len(adopted)
 	e.tracef("coordrestart adopted=%d", len(adopted))
-	now := e.tl.Now()
 	for _, id := range adopted {
 		p := e.procs[id]
-		if p == nil || p.txn != id || !p.adopted {
+		if p == nil {
+			// The terminal learned this outcome before the crash; only a
+			// down site's redo kept the decision in the log.
 			e.tracef("adopt T%d: no live conversation", id)
-			continue
+			e.co.AckDecision(id)
 		}
-		pending := make(map[int]struct{}, len(p.visited)+1)
-		for _, sid := range p.visited {
-			pending[sid] = struct{}{}
-		}
-		pending[clientAckSim] = struct{}{}
-		e.relAcks[id] = pending
-		for _, sid := range p.visited {
-			s := e.sites[sid]
+		for _, s := range e.sites {
 			if s.down() {
-				continue // its restart redoes from the prepared record and acks
+				continue
 			}
-			if p.direct {
-				e.adoptDirect(p, s)
-			} else {
-				e.adoptRelease(p, s, now)
+			if p != nil && p.cv.VisitedHas(dist.SiteID(s.idx)) {
+				e.reconcile(id, s)
 			}
+			e.ack(id, s.idx)
 		}
-		p.adopted = false
-		e.maybeCompleteAdopted(p)
+		if p != nil {
+			p.adopted = false
+			e.maybeCompleteAdopted(p)
+		}
 	}
 	orphans := e.orphans
 	e.orphans = nil
-	for _, o := range orphans {
-		for _, sid := range o.visited {
-			s := e.sites[sid]
-			if s.down() {
-				// Volatile state died with the site; its restart
+	for _, cv := range orphans {
+		for _, sid := range cv.Visited() {
+			if s := e.sites[sid]; !s.down() {
+				// A down site's volatile state died with it; its restart
 				// presumed-aborts any prepared record (no log entry).
-				continue
-			}
-			var eff core.Effects
-			if err := s.cr.AbortInto(&eff, o.id); err == nil {
-				s.cr.Forget(o.id)
-				e.tracef("adopt-abort T%d site=%d", o.id, sid)
-				e.processEffects(s, &eff)
-				continue
-			}
-			// A prepared hold answers ErrTxnTerminated; revoke it.
-			var eff2 core.Effects
-			if err := s.cr.RevokeInto(&eff2, o.id, core.ReasonSiteFailed); err == nil {
-				if t0, ok := s.prepTime[o.id]; ok {
-					if !e.draining {
-						e.inDoubt.Add(now - t0)
-					}
-					delete(s.prepTime, o.id)
-				}
-				s.cr.Forget(o.id)
-				e.tracef("adopt-revoke T%d site=%d", o.id, sid)
-				e.processEffects(s, &eff2)
+				e.reconcile(cv.ID(), s)
 			}
 		}
 	}
 }
 
-// adoptDirect resolves one adopted direct commit at its (single) site:
-// if the logged commit never landed there (the crash beat the message),
-// redo it; otherwise the site already committed and forgot it.
-func (e *Engine) adoptDirect(p *sproc, s *simSite) {
-	switch s.cr.TxnState(p.txn) {
+// adoptVerb names each restart-adoption action in the trace.
+var adoptVerb = [...]string{
+	dist.AdoptAbort:   "adopt-abort",
+	dist.AdoptRedo:    "adopt-commit",
+	dist.AdoptRevoke:  "adopt-revoke",
+	dist.AdoptRelease: "adopt-release",
+}
+
+// reconcile resolves one transaction a live site may still carry from
+// before the coordinator crash, by the shipped adoption table: its
+// local state and the decision log pick abort, redo, revoke or release.
+func (e *Engine) reconcile(id core.TxnID, s *simSite) {
+	held := false
+	switch s.cr.TxnState(id) {
 	case "active", "blocked":
-		var eff core.Effects
-		st, err := s.cr.CommitInto(&eff, p.txn)
-		if err != nil {
-			panic(fmt.Sprintf("distsim: adopt-commit T%d at site %d: %v", p.txn, s.idx, err))
-		}
-		if st != core.Committed {
-			panic(fmt.Sprintf("distsim: adopt-commit T%d pseudo-committed at site %d", p.txn, s.idx))
-		}
-		s.cr.Forget(p.txn)
-		e.tracef("adopt-commit T%d site=%d (direct redo)", p.txn, s.idx)
-		e.processEffects(s, &eff)
+	case "pseudo-committed":
+		held = true
 	default:
-		e.tracef("adopt-commit T%d site=%d (already landed)", p.txn, s.idx)
+		return // resolved here before (or during) the outage
 	}
-	e.ack(p.txn, s.idx)
-}
-
-// adoptRelease finishes one adopted release at a live site: released
-// now, or confirmed already released before (or during) the outage.
-func (e *Engine) adoptRelease(p *sproc, s *simSite, now float64) {
+	act := dist.AdoptVerdict(held, e.co.ClaimRedo(id))
 	var eff core.Effects
-	if err := s.cr.ReleaseInto(&eff, p.txn); err != nil {
-		if !errors.Is(err, core.ErrUnknownTxn) {
-			panic(fmt.Sprintf("distsim: adopt-release T%d at site %d: %v", p.txn, s.idx, err))
-		}
-		e.tracef("adopt-release T%d site=%d (already released)", p.txn, s.idx)
-	} else {
-		if t0, ok := s.prepTime[p.txn]; ok {
-			if !e.draining {
-				e.inDoubt.Add(now - t0)
-			}
-			delete(s.prepTime, p.txn)
-		}
-		s.cr.Forget(p.txn)
-		e.tracef("adopt-release T%d site=%d", p.txn, s.idx)
-		e.processEffects(s, &eff)
+	var err error
+	switch act {
+	case dist.AdoptAbort:
+		err = s.cr.AbortInto(&eff, id)
+	case dist.AdoptRedo:
+		_, err = s.cr.CommitInto(&eff, id)
+	case dist.AdoptRevoke:
+		err = s.cr.RevokeInto(&eff, id, core.ReasonSiteFailed)
+	case dist.AdoptRelease:
+		err = s.cr.ReleaseInto(&eff, id)
 	}
-	e.ack(p.txn, s.idx)
+	if err != nil {
+		panic(fmt.Sprintf("distsim: %s T%d at site %d: %v", adoptVerb[act], id, s.idx, err))
+	}
+	e.closeInDoubt(s, id)
+	s.cr.Forget(id)
+	e.tracef("%s T%d site=%d", adoptVerb[act], id, s.idx)
+	e.processEffects(s, &eff)
 }
 
 // maybeCompleteAdopted finishes an adopted conversation whose every
 // site has acked — only the client gate remains — by counting its real
 // commit (which acks the gate and truncates the decision).
 func (e *Engine) maybeCompleteAdopted(p *sproc) {
-	rem := e.relAcks[p.txn]
-	if len(rem) != 1 {
-		return
-	}
-	if _, only := rem[clientAckSim]; only {
+	if sites, client := e.co.AcksPending(p.txn); sites == 0 && client {
 		e.realCommit(p)
 	}
 }

@@ -3,7 +3,6 @@ package distsim
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -36,9 +35,13 @@ type sproc struct {
 	terminal int
 	steps    []workload.Step
 	idx      int
-	visited  []int // ascending site ids where Begin has run
+	// cv is the current attempt's record at the coordinator (its id,
+	// visited sites and decision state live there).
+	cv *dist.Conv
+	// anyEdges is the site-side "this attempt has ever exported an edge"
+	// flag that rides the operation replies: while false the sites send
+	// no edge reports and a single-site commit goes direct.
 	anyEdges bool
-	doomed   bool
 	freed    bool // terminal released (pseudo completion counted)
 	state    sprocState
 
@@ -57,26 +60,11 @@ type sproc struct {
 	decideTime   float64 // decision time (or startCommit for the direct path)
 	heldAt       float64
 
-	holdK     int
-	relK      int
-	holdEdges [][]depgraph.Edge // per visited site, captured at hold time
-}
-
-// orphanRec remembers a transaction the crashed coordinator stranded:
-// its site-side state (locks, queue entries, holds) survives until the
-// replacement coordinator reconciles it away at restart.
-type orphanRec struct {
-	id      core.TxnID
-	visited []int
-}
-
-func (p *sproc) visitedHas(sid int) bool {
-	for _, v := range p.visited {
-		if v == sid {
-			return true
-		}
-	}
-	return false
+	holdK int
+	relK  int
+	// req accumulates the hold replies' edge exports into the decision
+	// round the coordinator runs once every participant holds.
+	req dist.DecideReq
 }
 
 // simSite is one participant: the real crash-stop scheduler plus the
@@ -118,14 +106,6 @@ const (
 	evCoordRestart               // the replacement coordinator starts and reconciles
 )
 
-// clientAckSim is the virtual release-ack member standing for "the
-// terminal has learned this commit outcome" — the simulator's copy of
-// dist's clientAck gate. Only armed when the coordinator-failure model
-// is on (Config.CoordCrashes non-empty): it keeps a logged decision in
-// the log until realCommit, so a coordinator crash between the last
-// site ack and the terminal's reply still resolves toward commit.
-const clientAckSim = -2
-
 // ev is one scheduled event. txn stamps the attempt the event belongs
 // to: if the proc has moved on (aborted and resubmitted) the event is
 // stale and dropped — the message died with the attempt.
@@ -134,7 +114,6 @@ type ev struct {
 	p        *sproc
 	txn      core.TxnID
 	site     int
-	k        int
 	terminal int
 	edges    []depgraph.Edge // evObserve payload, captured at send time
 }
@@ -147,10 +126,23 @@ type Engine struct {
 	tl    sim.Timeline[ev]
 	sites []*simSite
 
-	mirror  *depgraph.Mirror
-	flog    fault.Log
-	relAcks map[core.TxnID]map[int]struct{}
+	// co is the shipped coordinator (dist.Coordinator): registry, union
+	// graph, decision rounds, release drains, ack table, crash
+	// classification and restart adoption all run there. The engine
+	// models only what surrounds it — time, message order, and the
+	// hold/release fan-out sequencing. A coordinator crash replaces co
+	// with a fresh one on the same flog; deadStats keeps the policy
+	// counters of the incarnations that died.
+	co        *dist.Coordinator
+	deadStats dist.PolicyStats
+	flog      fault.Log
+	// eager: the policy drains in subtree rounds, so releases fan out
+	// to all participants at once instead of one site per round-trip.
+	eager bool
 
+	// procs maps each live attempt's id to its logical transaction —
+	// the terminal side's session table (adopted conversations stay in
+	// it across a coordinator crash).
 	procs   map[core.TxnID]*sproc
 	nextTxn core.TxnID
 
@@ -160,27 +152,28 @@ type Engine struct {
 	// Coordinator-failure model (armed by a non-empty CoordCrashes
 	// schedule; coordGate=false keeps the classic coordinator-never-
 	// fails behavior bit-identical, baseline trace hashes included).
+	// With the gate on, commit decisions are client-gated like the wire
+	// client plane gates them (direct commits are logged, and a logged
+	// decision stays in the log until realCommit), so a coordinator
+	// crash between the last site ack and the terminal's reply still
+	// resolves toward commit. orphans are the attempts a crash
+	// stranded: their site-side state (locks, queue entries, holds)
+	// survives until the replacement reconciles it away.
 	coordGate       bool
 	coordDown       bool
 	coordRestartAt  float64
 	coordCrashFired []bool
-	orphans         []orphanRec
+	orphans         []*dist.Conv
 
 	coordCrashes, coordRestarts int
 	coordAdopted                int
 	coordOrphans, coordRevoked  int
 
-	// policy is the engine's Fresh clone of cfg.Policy (nil = off).
-	policy dist.HoldPolicy
-
 	// Counters (whole run; the window is a delta).
 	realCommits, pseudoCompl, aborts, heldAborts int
 	held, crashes, restarts                      int
 	redone, presumed                             int
-	heldSet                                      int
 	logHighWater                                 int
-	tailAborts, admitRejects                     int
-	eagerRounds, eagerReleased                   int
 
 	inWindow                                       bool
 	windowStart                                    float64
@@ -237,9 +230,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:             cfg,
 		src:             workload.Source{Gen: cfg.Workload, MinLen: cfg.MinLength, MaxLen: cfg.MaxLength},
 		rng:             rand.New(rand.NewSource(cfg.Seed)),
-		mirror:          depgraph.NewMirror(),
 		flog:            flog,
-		relAcks:         make(map[core.TxnID]map[int]struct{}),
+		eager:           cfg.Policy != nil && cfg.Policy.EagerSubtree(),
 		procs:           make(map[core.TxnID]*sproc),
 		crashFired:      make([]bool, len(cfg.Crashes)),
 		coordGate:       len(cfg.CoordCrashes) > 0,
@@ -247,9 +239,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		committedSteps:  make(map[core.ObjectID]uint64),
 		traceHash:       fnvOffset,
 	}
-	if cfg.Policy != nil {
-		e.policy = cfg.Policy.Fresh()
-	}
+	e.co = dist.NewCoordinator(cfg.Sites, flog, cfg.Policy, false)
 	if cfg.Spans > 0 {
 		e.spans = telemetry.NewSpanBuffer(cfg.Spans, cfg.SpanExemplars)
 		e.spans.SetClock(func() int64 { return int64(e.tl.Now() * 1e9) })
@@ -389,13 +379,13 @@ func (e *Engine) drainHeld(guard int) error {
 	e.snapHeld = e.held
 	start := e.tl.Now()
 	e.draining = true
-	for steps := 0; e.heldSet > 0; steps++ {
+	for steps := 0; e.co.HeldCount() > 0; steps++ {
 		if steps >= guard {
-			return fmt.Errorf("distsim: drain guard tripped with %d still held — stall", e.heldSet)
+			return fmt.Errorf("distsim: drain guard tripped with %d still held — stall", e.co.HeldCount())
 		}
 		event, ok := e.tl.Next()
 		if !ok {
-			return fmt.Errorf("distsim: event queue drained with %d still held — stall", e.heldSet)
+			return fmt.Errorf("distsim: event queue drained with %d still held — stall", e.co.HeldCount())
 		}
 		e.dispatch(event)
 	}
@@ -422,6 +412,7 @@ func (e *Engine) result() Result {
 	for _, s := range e.sites {
 		st.Add(s.cr.StatsSnapshot())
 	}
+	ps := e.policyStats()
 	r := Result{
 		Sites:             e.cfg.Sites,
 		SimTime:           e.snapTime,
@@ -448,10 +439,10 @@ func (e *Engine) result() Result {
 		TraceLen:          e.traceLen,
 		Trace:             e.trace,
 		Stats:             st,
-		TailAborts:        e.tailAborts,
-		AdmissionRejects:  e.admitRejects,
-		EagerRounds:       e.eagerRounds,
-		EagerReleased:     e.eagerReleased,
+		TailAborts:        ps.TailAborts,
+		AdmissionRejects:  ps.AdmissionRejects,
+		EagerRounds:       ps.EagerRounds,
+		EagerReleased:     ps.EagerReleased,
 		CoordCrashes:      e.coordCrashes,
 		CoordRestarts:     e.coordRestarts,
 		CoordAdopted:      e.coordAdopted,
@@ -459,13 +450,24 @@ func (e *Engine) result() Result {
 		CoordRevoked:      e.coordRevoked,
 		HeldWaitP99:       metrics.Quantile(e.heldWaits, 0.99),
 		TimeToDrain:       e.timeToDrain,
-		Policy:            policyName(e.policy),
+		Policy:            policyName(e.cfg.Policy),
 	}
 	if e.spans != nil {
 		r.Spans = e.spans.Snapshot()
 		r.SpanExemplars = e.spans.Exemplars()
 	}
 	return r
+}
+
+// policyStats sums the policy counters over every coordinator
+// incarnation of the run.
+func (e *Engine) policyStats() dist.PolicyStats {
+	ps, live := e.deadStats, e.co.PolicyStats()
+	ps.TailAborts += live.TailAborts
+	ps.AdmissionRejects += live.AdmissionRejects
+	ps.EagerRounds += live.EagerRounds
+	ps.EagerReleased += live.EagerReleased
+	return ps
 }
 
 // policyName renders the policy for Result ("" = off).
@@ -580,16 +582,15 @@ func (e *Engine) submit(terminal int) {
 func (e *Engine) startAttempt(p *sproc) {
 	e.nextTxn++
 	p.txn = e.nextTxn
+	p.cv = dist.NewConv(p.txn, p)
 	p.idx = 0
-	p.visited = p.visited[:0]
 	p.anyEdges = false
-	p.doomed = false
 	p.direct, p.adopted = false, false
 	p.state = spActive
 	p.holdK, p.relK = 0, 0
-	p.holdEdges = p.holdEdges[:0]
 	p.attemptStart = e.tl.Now()
 	e.procs[p.txn] = p
+	e.co.Enlist(p.cv)
 	e.tracef("submit T%d term=%d len=%d attempt=%d", p.txn, p.terminal, len(p.steps), p.attempts)
 	e.span(telemetry.SpanBegin, p.txn, -1, int64(len(p.steps)), 0, 0)
 	e.issue(p)
@@ -616,12 +617,11 @@ func (e *Engine) reqArrive(p *sproc, sid int) {
 		return
 	}
 	step := p.steps[p.idx]
-	if !p.visitedHas(sid) {
+	if !p.cv.VisitedHas(dist.SiteID(sid)) {
 		if err := s.cr.Begin(p.txn); err != nil {
 			panic(fmt.Sprintf("distsim: Begin T%d at site %d: %v", p.txn, sid, err))
 		}
-		p.visited = append(p.visited, sid)
-		slices.Sort(p.visited)
+		p.cv.Visit(dist.SiteID(sid))
 	}
 	var eff core.Effects
 	dec, err := s.cr.RequestInto(&eff, p.txn, step.Object, step.Op)
@@ -689,8 +689,7 @@ func (e *Engine) observeArrive(event ev) {
 		// re-exports every site's edges itself.
 		return
 	}
-	e.mirror.Observe(event.site, event.txn, e.filterLive(event.edges))
-	if e.mirror.HasCycleFrom(event.txn) {
+	if e.co.Observe(dist.SiteID(event.site), event.txn, event.edges) {
 		reason := core.ReasonCommitCycle
 		if p.state == spBlocked {
 			reason = core.ReasonDeadlock
@@ -698,18 +697,6 @@ func (e *Engine) observeArrive(event ev) {
 		e.tracef("cycle T%d (%s)", p.txn, reason)
 		e.abortAttempt(p, reason, -1)
 	}
-}
-
-// filterLive drops edges to transactions the coordinator has already
-// finalised, exactly as the wall-clock coordinator does.
-func (e *Engine) filterLive(edges []depgraph.Edge) []depgraph.Edge {
-	live := edges[:0]
-	for _, ed := range edges {
-		if _, ok := e.procs[ed.To]; ok {
-			live = append(live, ed)
-		}
-	}
-	return live
 }
 
 // processEffects folds one scheduler call's downstream effects into
@@ -791,8 +778,8 @@ func (e *Engine) abortAttempt(p *sproc, reason core.AbortReason, skipSite int) {
 	if p.state == spBlocked {
 		delete(e.sites[p.blockedSite].parked, id)
 	}
-	for _, sid := range p.visited {
-		if sid == skipSite {
+	for _, sid := range p.cv.Visited() {
+		if int(sid) == skipSite {
 			continue
 		}
 		s := e.sites[sid]
@@ -816,12 +803,10 @@ func (e *Engine) abortAttempt(p *sproc, reason core.AbortReason, skipSite int) {
 	}
 	if e.coordGate && p.direct {
 		// The gated model logged this direct commit before sending it;
-		// the abort withdraws the record (dist.undoDirectCommit's
-		// mirror) so a later coordinator restart cannot redo it.
-		delete(e.relAcks, id)
-		_ = e.flog.Truncate(id)
+		// the abort withdraws the record so a later coordinator restart
+		// cannot redo it.
+		e.co.UndoDirect(id)
 	}
-	delete(e.procs, id)
 	e.aborts++
 	e.tracef("abort T%d (%s)", id, reason)
 	if e.spans != nil {
@@ -829,65 +814,43 @@ func (e *Engine) abortAttempt(p *sproc, reason core.AbortReason, skipSite int) {
 		e.span(telemetry.SpanAbort, id, skipSite, 0, 0, 0)
 		e.completeSpan(id, e.tl.Now()-p.attemptStart)
 	}
+	e.retry(p)
+}
+
+// retry ends the current attempt — aborted, shed, revoked or orphaned —
+// and schedules the logical transaction's resubmission under a fresh id
+// after a backoff.
+func (e *Engine) retry(p *sproc) {
+	id := p.txn
 	p.txn = 0
 	p.state = spWaitRetry
 	p.attempts++
+	e.co.AckDecision(id) // the terminal knows the attempt died: drop its gate
 	e.finalize(id)
 	e.tl.Schedule(e.tl.Now()+e.backoff(p.attempts), ev{kind: evResubmit, p: p})
 }
 
-// finalize removes a globally terminated transaction from the mirror
-// and cascades: held transactions whose global dependency set drained
-// reach their commit decision and start releasing. Under an
-// eager-subtree policy the whole drained subtree is decided in one
-// coordinator round.
+// finalize tells the coordinator a transaction terminated globally: it
+// leaves the registry and the union graph, and the held transactions
+// whose global dependency set drained as a result — already decided and
+// logged by Drain, in release order — start releasing. Each of them
+// finalizes in turn when its real commit lands.
 func (e *Engine) finalize(id core.TxnID) {
-	if e.policy != nil && e.policy.EagerSubtree() {
-		e.finalizeEager(id)
-		return
+	delete(e.procs, id)
+	e.co.Retire(id)
+	ready := e.co.Drain([]core.TxnID{id})
+	e.noteLog()
+	if e.eager && len(ready) > 0 {
+		e.tracef("eager-release %d held", len(ready))
 	}
-	for _, d := range e.mirror.RemoveTxn(id) {
-		q := e.procs[d]
-		if q != nil && q.state == spHeld && e.mirror.OutDegree(d) == 0 {
-			e.decideCommit(q)
-		}
+	for _, cv := range ready {
+		e.startRelease(cv.Owner.(*sproc))
 	}
 }
 
-// finalizeEager computes the transitive closure of drained held
-// transactions in one coordinator instant: each ready transaction is
-// treated as terminated for the rest of the walk, so a chain of depth k
-// that the hop-at-a-time cascade would release over k per-level message
-// round-trips starts releasing all at once. The ready list comes out in
-// topological order and decideCommit fans each release out to every
-// participant in that order on the FIFO coordinator→site channels, so
-// at any shared site a dependant's release always arrives after its
-// dependency's — the local out-degree has drained by the time the
-// release lands, exactly the invariant the round-based cascade keeps.
-func (e *Engine) finalizeEager(id core.TxnID) {
-	queue := []core.TxnID{id}
-	var ready []*sproc
-	for qi := 0; qi < len(queue); qi++ {
-		for _, d := range e.mirror.RemoveTxn(queue[qi]) {
-			q := e.procs[d]
-			if q != nil && q.state == spHeld && e.mirror.OutDegree(d) == 0 {
-				queue = append(queue, d)
-				ready = append(ready, q)
-			}
-		}
-	}
-	if len(ready) == 0 {
-		return
-	}
-	e.eagerRounds++
-	e.eagerReleased += len(ready)
-	e.tracef("eager-release %d held", len(ready))
-	for _, q := range ready {
-		// A crash fired from an earlier decideCommit's step boundary
-		// can have revoked a later subtree member; skip anything no
-		// longer held.
-		if q.txn != 0 && q.state == spHeld {
-			e.decideCommit(q)
-		}
+// noteLog samples the decision log's live size after a force.
+func (e *Engine) noteLog() {
+	if n := e.flog.Len(); !e.draining && n > e.logHighWater {
+		e.logHighWater = n
 	}
 }

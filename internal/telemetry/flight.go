@@ -12,52 +12,35 @@ import (
 
 // Flight recorder: a bounded structured-event black box per process.
 //
-// The recorder accumulates the same conversation events the Tracer
-// does — but it exists to be *dumped*, not scraped: on SIGQUIT, on a
-// daemon panic, or when a decision-log conservation invariant trips,
-// the recorder writes a self-contained JSON post-mortem (its own event
-// ring, plus snapshots of any attached span buffer and tracer) to
-// disk. The recording path keeps the package's contract: Record is
-// allocation-free and nil-safe; only Dump allocates.
-
-// FlightEvent is one black-box entry: wall and monotonic stamps plus
-// the same (kind, txn, site, arg) shape the Tracer records.
-type FlightEvent struct {
-	Seq   uint64    `json:"seq"`
-	Wall  int64     `json:"wall"`
-	Nanos int64     `json:"nanos"`
-	Kind  EventKind `json:"-"`
-	KindS string    `json:"kind"`
-	Txn   uint64    `json:"txn"`
-	Site  int32     `json:"site"`
-	Arg   int64     `json:"arg"`
-}
+// The recorder is a dump view over an event ring (a Tracer) — it exists
+// to be *dumped*, not scraped: on SIGQUIT, on a daemon panic, or when a
+// decision-log conservation invariant trips, it writes a self-contained
+// JSON post-mortem (the ring, plus a snapshot of any attached span
+// buffer) to disk. A cluster handed a recorder records its conversation
+// events straight into the recorder's ring, so /tracez and the dump
+// show one timeline, recorded once. The recording path keeps the
+// package's contract: Record is allocation-free and nil-safe; only Dump
+// allocates.
 
 // FlightDump is the JSON document a dump writes.
 type FlightDump struct {
 	Process   string          `json:"process"`
 	Reason    string          `json:"reason"`
 	Wall      string          `json:"wall"`
-	Events    []FlightEvent   `json:"events"`
+	Events    []Event         `json:"events"`
 	Spans     []Span          `json:"spans,omitempty"`
 	Exemplars []TraceExemplar `json:"exemplars,omitempty"`
-	Trace     []Event         `json:"trace,omitempty"`
 }
 
 // FlightRecorder is the per-process black box. A nil recorder no-ops
 // everywhere, so call sites never guard.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	ring    []FlightEvent
-	next    uint64
-	epoch   time.Time
-	wall0   int64
+	events  *Tracer
 	process string
 	dir     string
 
-	spans  *SpanBuffer
-	tracer *Tracer
-
+	mu       sync.Mutex
+	spans    *SpanBuffer
 	lastPath string
 	dumps    int
 	once     map[string]bool // reasons already dumped via DumpOnce
@@ -74,15 +57,20 @@ func NewFlightRecorder(size int, process, dir string) *FlightRecorder {
 	if dir == "" {
 		dir = "."
 	}
-	now := time.Now()
 	return &FlightRecorder{
-		ring:    make([]FlightEvent, size),
-		epoch:   now,
-		wall0:   now.UnixNano(),
+		events:  NewTracer(size),
 		process: process,
 		dir:     dir,
 		once:    make(map[string]bool),
 	}
+}
+
+// Events returns the recorder's event ring (nil for a nil recorder).
+func (f *FlightRecorder) Events() *Tracer {
+	if f == nil {
+		return nil
+	}
+	return f.events
 }
 
 // AttachSpans includes the span buffer's snapshot in future dumps.
@@ -95,56 +83,16 @@ func (f *FlightRecorder) AttachSpans(b *SpanBuffer) {
 	f.mu.Unlock()
 }
 
-// AttachTracer includes the tracer's snapshot in future dumps.
-func (f *FlightRecorder) AttachTracer(tr *Tracer) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.tracer = tr
-	f.mu.Unlock()
-}
-
 // Record appends one event. Nil-safe, allocation-free.
 func (f *FlightRecorder) Record(kind EventKind, txn uint64, site int32, arg int64) {
-	if f == nil {
-		return
-	}
-	now := int64(time.Since(f.epoch))
-	f.mu.Lock()
-	e := &f.ring[f.next%uint64(len(f.ring))]
-	e.Seq = f.next
-	e.Wall = f.wall0 + now
-	e.Nanos = now
-	e.Kind = kind
-	e.KindS = ""
-	e.Txn = txn
-	e.Site = site
-	e.Arg = arg
-	f.next++
-	f.mu.Unlock()
+	f.Events().Record(kind, txn, site, arg)
 }
 
 // Len reports how many events are currently retained.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.next < uint64(len(f.ring)) {
-		return int(f.next)
-	}
-	return len(f.ring)
-}
+func (f *FlightRecorder) Len() int { return f.Events().Len() }
 
 // Cap reports the ring capacity (0 for nil).
-func (f *FlightRecorder) Cap() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.ring)
-}
+func (f *FlightRecorder) Cap() int { return f.Events().Cap() }
 
 // LastDump reports the path of the most recent on-disk dump ("" if
 // none yet).
@@ -170,33 +118,17 @@ func (f *FlightRecorder) Dumps() int {
 // snapshot assembles the dump document. Caller must NOT hold f.mu.
 func (f *FlightRecorder) snapshot(reason string) FlightDump {
 	f.mu.Lock()
-	n := uint64(len(f.ring))
-	start, count := uint64(0), f.next
-	if f.next > n {
-		start, count = f.next-n, n
-	}
-	events := make([]FlightEvent, 0, count)
-	for i := uint64(0); i < count; i++ {
-		e := f.ring[(start+i)%n]
-		e.KindS = e.Kind.String()
-		events = append(events, e)
-	}
-	spans, tracer := f.spans, f.tracer
-	process := f.process
+	spans := f.spans
 	f.mu.Unlock()
-
 	d := FlightDump{
-		Process: process,
+		Process: f.process,
 		Reason:  reason,
 		Wall:    time.Now().UTC().Format(time.RFC3339Nano),
-		Events:  events,
+		Events:  f.events.Snapshot(),
 	}
 	if spans != nil {
 		d.Spans = spans.Snapshot()
 		d.Exemplars = spans.Exemplars()
-	}
-	if tracer != nil {
-		d.Trace = tracer.Snapshot()
 	}
 	return d
 }

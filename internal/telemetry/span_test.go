@@ -214,22 +214,20 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderDump checks the black box end to end: record,
-// attach spans/tracer, dump to a buffer and to disk, DumpOnce
+// TestFlightRecorderDump checks the black box end to end: record (via
+// the recorder and via its ring), attach spans, dump to a buffer and to
+// disk, DumpOnce
 // once-per-reason semantics, and nil safety.
 func TestFlightRecorderDump(t *testing.T) {
 	dir := t.TempDir()
 	f := NewFlightRecorder(8, "site-a", dir)
 	spans := NewSpanBuffer(8, 1)
-	tr := NewTracer(8)
 	f.AttachSpans(spans)
-	f.AttachTracer(tr)
 
 	tc := TraceContext{Trace: 11, Span: 11, Flags: TraceSampled}
 	spans.Record(tc, SpanHold, 7, 2, 0, 0, 0)
-	tr.Record(EvHold, 7, 2, 1)
 	f.Record(EvHold, 7, 2, 1)
-	f.Record(EvCrash, 0, 2, 0)
+	f.Events().Record(EvCrash, 0, 2, 0)
 
 	var buf bytes.Buffer
 	if err := f.DumpTo(&buf, "test"); err != nil {
@@ -242,14 +240,11 @@ func TestFlightRecorderDump(t *testing.T) {
 	if d.Process != "site-a" || d.Reason != "test" {
 		t.Errorf("dump header = %q/%q", d.Process, d.Reason)
 	}
-	if len(d.Events) != 2 || d.Events[1].KindS != "crash" {
+	if len(d.Events) != 2 || d.Events[1].KindS != "crash" || d.Events[1].Wall == 0 {
 		t.Errorf("dump events = %+v", d.Events)
 	}
 	if len(d.Spans) != 1 || d.Spans[0].Trace != 11 {
 		t.Errorf("dump spans = %+v", d.Spans)
-	}
-	if len(d.Trace) != 1 {
-		t.Errorf("dump tracer events = %+v", d.Trace)
 	}
 
 	path, err := f.Dump("sigquit")

@@ -43,11 +43,13 @@ func (k EventKind) String() string {
 	return "?"
 }
 
-// Event is one recorded step: a monotonic timestamp (nanoseconds
-// since the tracer's epoch), the transaction and site involved, and a
-// kind-specific argument (dependency count, redo count, ...).
+// Event is one recorded step: wall and monotonic stamps (Unix
+// nanoseconds; nanoseconds since the tracer's epoch), the transaction
+// and site involved, and a kind-specific argument (dependency count,
+// redo count, ...).
 type Event struct {
 	Seq   uint64    `json:"seq"`
+	Wall  int64     `json:"wall"`
 	Nanos int64     `json:"nanos"`
 	Kind  EventKind `json:"-"`
 	KindS string    `json:"kind"`
@@ -61,12 +63,15 @@ type Event struct {
 // logged eagerly. Record is allocation-free and nil-safe; the ring is
 // pre-allocated at construction. A mutex (not atomics) guards the
 // ring: Record's critical section is a few stores, and tracing is
-// opt-in, so contention is not on the default path at all.
+// opt-in, so contention is not on the default path at all. It is the
+// package's one event ring: /tracez scrapes it, and a FlightRecorder
+// dumps one.
 type Tracer struct {
 	mu    sync.Mutex
 	ring  []Event
 	next  uint64 // total events ever recorded; ring index is next % len
 	epoch time.Time
+	wall0 int64 // epoch as Unix nanoseconds
 }
 
 // NewTracer builds a tracer with capacity size (<= 0 disables: the
@@ -75,7 +80,8 @@ func NewTracer(size int) *Tracer {
 	if size <= 0 {
 		return nil
 	}
-	return &Tracer{ring: make([]Event, size), epoch: time.Now()}
+	now := time.Now()
+	return &Tracer{ring: make([]Event, size), epoch: now, wall0: now.UnixNano()}
 }
 
 // Record appends one event. Nil-safe, allocation-free.
@@ -87,6 +93,7 @@ func (tr *Tracer) Record(kind EventKind, txn uint64, site int32, arg int64) {
 	tr.mu.Lock()
 	e := &tr.ring[tr.next%uint64(len(tr.ring))]
 	e.Seq = tr.next
+	e.Wall = tr.wall0 + now
 	e.Nanos = now
 	e.Kind = kind
 	e.Txn = txn
@@ -105,6 +112,14 @@ func (tr *Tracer) Len() int {
 	defer tr.mu.Unlock()
 	if tr.next < uint64(len(tr.ring)) {
 		return int(tr.next)
+	}
+	return len(tr.ring)
+}
+
+// Cap reports the ring capacity (0 for nil).
+func (tr *Tracer) Cap() int {
+	if tr == nil {
+		return 0
 	}
 	return len(tr.ring)
 }

@@ -44,7 +44,8 @@ type ClusterFile struct {
 	// (/metrics, /statusz, /tracez, pprof); empty disables it.
 	Debug string `json:"debug,omitempty"`
 	// Trace sizes the coordinator's conversation-event ring for
-	// /tracez; 0 disables tracing.
+	// /tracez; 0 disables tracing. Unused when Flight is set: the
+	// flight recorder's ring is then the event ring.
 	Trace int `json:"trace,omitempty"`
 	// Spans sizes every process's causal span ring (coordinator and
 	// site daemons alike); 0 disables the span plane cluster-wide.

@@ -82,12 +82,6 @@ type DaemonSpec struct {
 	Debug  string   `json:"debug,omitempty"`
 }
 
-// outcomeLister is the optional log extension adoption needs: both
-// fault.MemLog and fault.FileLog enumerate their recorded decisions.
-type outcomeLister interface {
-	OutcomeIDs(o fault.Outcome) []core.TxnID
-}
-
 // StartCoordinator builds the coordinator over the configured site
 // daemons and starts serving clients. If the decision log is non-empty
 // — this coordinator is a restart of a crashed one — every logged
@@ -212,13 +206,9 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	// Adopt the previous incarnation's logged commits before any site
 	// reconciles or any client connects: the gate keeps each decision in
 	// the log until (a) every site has confirmed it needs no redo for it
-	// and (b) the owning client has resolved the outcome.
-	if lister, ok := flog.(outcomeLister); ok {
-		co.Adopted = lister.OutcomeIDs(fault.OutcomeCommit)
-	}
-	for _, id := range co.Adopted {
-		c.AdoptDecision(id)
-	}
+	// (each successful Restart acks them) and (b) the owning client has
+	// resolved the outcome.
+	co.Adopted = c.Adopt()
 
 	// Reconcile every site. Connection loss from here on is the peers'
 	// problem: the binding crashes the site on disconnect and re-runs
@@ -236,9 +226,6 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			continue
 		}
 		co.Reports[dist.SiteID(sid)] = rep
-		for _, id := range co.Adopted {
-			c.AckDecisionSite(id, dist.SiteID(sid))
-		}
 	}
 
 	srv, err := ServeCoord(CoordConfig{

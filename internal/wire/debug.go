@@ -259,8 +259,10 @@ func writeWireMetrics(pw *telemetry.PromWriter, m *telemetry.WireMetrics) {
 	})
 }
 
-// Statusz is the /statusz JSON document; fields are omitted when the
-// role does not populate them.
+// Statusz is the /statusz JSON document; counters are omitted when the
+// role does not populate them. The gauges (held, live_decisions,
+// mirror_edges) are always written: zero is a reading, and a decoder
+// reusing one struct across polls must see it overwrite the last one.
 type Statusz struct {
 	Role   string `json:"role"`
 	Policy string `json:"policy,omitempty"`
@@ -273,17 +275,17 @@ type Statusz struct {
 	FastCommits   uint64 `json:"fast_commits,omitempty"`
 	Conversations uint64 `json:"conversations,omitempty"`
 	Sheds         uint64 `json:"sheds,omitempty"`
-	Held          int64  `json:"held,omitempty"`
+	Held          int64  `json:"held"`
 	HeldHigh      int64  `json:"held_high,omitempty"`
 
 	DecisionsLogged   uint64 `json:"decisions_logged,omitempty"`
 	DecisionsAdopted  uint64 `json:"decisions_adopted,omitempty"`
 	DecisionsResolved uint64 `json:"decisions_resolved,omitempty"`
-	LiveDecisions     int64  `json:"live_decisions,omitempty"`
+	LiveDecisions     int64  `json:"live_decisions"`
 
 	Crashes     uint64 `json:"crashes,omitempty"`
 	Restarts    uint64 `json:"restarts,omitempty"`
-	MirrorEdges int    `json:"mirror_edges,omitempty"`
+	MirrorEdges int    `json:"mirror_edges"`
 	TraceLen    int    `json:"trace_len,omitempty"`
 
 	Tracing *TracingStatusz `json:"tracing,omitempty"`

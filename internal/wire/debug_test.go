@@ -113,6 +113,9 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 	var st Statusz
 	deadline := time.Now().Add(5 * time.Second)
 	for {
+		// A fresh document per poll: decoding into the previous one
+		// would keep any field the new poll omits.
+		st = Statusz{}
 		if err := json.Unmarshal(httpGet(t, dbg.Addr(), "/statusz"), &st); err != nil {
 			t.Fatal(err)
 		}

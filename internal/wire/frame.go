@@ -30,47 +30,32 @@ const kindTrace uint8 = 0x80
 const traceBlockKnown = 8 + 8 + 1
 
 // writeFrame appends one frame to w: length prefix, correlation id,
-// kind, payload. The caller is responsible for flushing (the peer and
+// kind, payload. A valid trace context sets the kindTrace bit and
+// travels between the header and the payload, so the receiving process
+// stitches its spans into the sender's trace; an invalid (zero) one
+// writes a plain frame — the wire carries no tracing overhead when
+// tracing is off. The caller is responsible for flushing (the peer and
 // the servers flush once per batch of queued frames, which is what
 // amortises the syscall under pipelining).
-func writeFrame(w *bufio.Writer, corr uint64, kind uint8, payload []byte) error {
-	n := 8 + 1 + len(payload)
+func writeFrame(w *bufio.Writer, corr uint64, kind uint8, tc telemetry.TraceContext, payload []byte) error {
+	var buf [13 + 1 + traceBlockKnown]byte
+	hdr := buf[:13]
+	if tc.Valid() {
+		hdr = buf[:]
+		kind |= kindTrace
+		hdr[13] = traceBlockKnown
+		binary.LittleEndian.PutUint64(hdr[14:22], tc.Trace)
+		binary.LittleEndian.PutUint64(hdr[22:30], tc.Span)
+		hdr[30] = tc.Flags
+	}
+	n := len(hdr) - 4 + len(payload)
 	if n > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	var hdr [13]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
 	binary.LittleEndian.PutUint64(hdr[4:12], corr)
 	hdr[12] = kind
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// writeFrameT is writeFrame with a trace block: a valid context sets
-// the kindTrace bit and travels between the header and the payload, so
-// the receiving process stitches its spans into the sender's trace. An
-// invalid (zero) context degrades to a plain frame — the wire carries
-// no tracing overhead when tracing is off.
-func writeFrameT(w *bufio.Writer, corr uint64, kind uint8, tc telemetry.TraceContext, payload []byte) error {
-	if !tc.Valid() {
-		return writeFrame(w, corr, kind, payload)
-	}
-	n := 8 + 1 + 1 + traceBlockKnown + len(payload)
-	if n > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	var hdr [13 + 1 + traceBlockKnown]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
-	binary.LittleEndian.PutUint64(hdr[4:12], corr)
-	hdr[12] = kind | kindTrace
-	hdr[13] = traceBlockKnown
-	binary.LittleEndian.PutUint64(hdr[14:22], tc.Trace)
-	binary.LittleEndian.PutUint64(hdr[22:30], tc.Span)
-	hdr[30] = tc.Flags
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)

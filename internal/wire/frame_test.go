@@ -19,7 +19,7 @@ func TestTraceBlockRoundTrip(t *testing.T) {
 
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	if err := writeFrameT(bw, 7, kCommitHold, tc, payload); err != nil {
+	if err := writeFrame(bw, 7, kCommitHold, tc, payload); err != nil {
 		t.Fatal(err)
 	}
 	bw.Flush()
@@ -52,7 +52,7 @@ func TestTraceBlockRoundTrip(t *testing.T) {
 	// Invalid context: plain frame, no trace bit, splitTrace passthrough.
 	buf.Reset()
 	bw = bufio.NewWriter(&buf)
-	if err := writeFrameT(bw, 8, kCommit, telemetry.TraceContext{}, payload); err != nil {
+	if err := writeFrame(bw, 8, kCommit, telemetry.TraceContext{}, payload); err != nil {
 		t.Fatal(err)
 	}
 	bw.Flush()

@@ -255,7 +255,7 @@ func (p *Peer) roundTripT(kind uint8, tc telemetry.TraceContext, payload []byte)
 		m.BytesOut.Add(uint64(frameOverhead + len(payload)))
 		m.Pipeline.Set(int64(len(p.pending)))
 	}
-	err := writeFrameT(p.bw, corr, kind, tc, payload)
+	err := writeFrame(p.bw, corr, kind, tc, payload)
 	if err == nil {
 		err = p.bw.Flush()
 	}
@@ -311,7 +311,7 @@ func (p *Peer) oneway(kind uint8, payload []byte) {
 		m.FramesOut.Inc()
 		m.BytesOut.Add(uint64(frameOverhead + len(payload)))
 	}
-	if err := writeFrame(p.bw, 0, kind, payload); err == nil {
+	if err := writeFrame(p.bw, 0, kind, telemetry.TraceContext{}, payload); err == nil {
 		_ = p.bw.Flush()
 	}
 }

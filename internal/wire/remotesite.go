@@ -9,6 +9,7 @@ import (
 	"repro/internal/compat"
 	"repro/internal/core"
 	"repro/internal/depgraph"
+	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/telemetry"
 )
@@ -401,6 +402,14 @@ func (rs *RemoteSite) Down() bool {
 	return rs.down
 }
 
+// adoptVerb is the wire verb carrying out each restart-adoption action.
+var adoptVerb = [...]uint8{
+	dist.AdoptAbort:   kAbort,
+	dist.AdoptRedo:    kCommit,
+	dist.AdoptRevoke:  kRevoke,
+	dist.AdoptRelease: kRelease,
+}
+
 // Restart reconciles a re-reachable daemon with the coordinator's
 // decision log and brings the site back into rotation. The daemon
 // reports its live transactions; orphaned actives are aborted, and
@@ -441,72 +450,38 @@ func (rs *RemoteSite) Restart() (fault.RecoveryReport, error) {
 	rs.applyReport(sets)
 	var eff core.Effects
 	for _, e := range entries {
-		switch e.kind {
-		case adoptActive:
-			// A still-active transaction with a logged decision is a
-			// direct commit the crashed coordinator logged but never
-			// delivered: redo the commit. Unlogged actives are orphans
-			// whose client will retry — abort them.
-			if rs.decided != nil && rs.decided(e.txn) {
-				b := appendU64(rs.req(8), uint64(e.txn))
-				rr, err := rs.peer.call(kCommit, b)
-				switch {
-				case err == nil:
-					if rr.err == nil {
-						_ = rr.u8() // commit status
-						eff.Reset()
-						rr.effects(&eff)
-						rs.applyReport(rr.edgeSets())
-					}
-				case errors.Is(err, core.ErrUnknownTxn), errors.Is(err, core.ErrTxnTerminated):
-					// The live conversation landed this commit (and may
-					// have forgotten the transaction) between the adopt
-					// snapshot and this redo: with the decision logged,
-					// terminated can only mean committed.
-				default:
-					return rep, rs.mapErr(err)
+		logged := rs.decided != nil && rs.decided(e.txn)
+		act := dist.AdoptVerdict(e.kind == adoptHeld, logged)
+		b := appendU64(rs.req(9), uint64(e.txn))
+		if act == dist.AdoptRevoke {
+			b = appendU8(b, uint8(core.ReasonSiteFailed))
+		}
+		rr, err := rs.peer.call(adoptVerb[act], b)
+		switch {
+		case err == nil:
+			if rr.err == nil {
+				if act == dist.AdoptRedo {
+					_ = rr.u8() // commit status
 				}
-				rep.Redone = append(rep.Redone, e.txn)
-				continue
-			}
-			b := appendU64(rs.req(8), uint64(e.txn))
-			if r, err := rs.peer.call(kAbort, b); err != nil {
-				if !errors.Is(err, core.ErrUnknownTxn) {
-					return rep, rs.mapErr(err)
-				}
-				// Aborted and forgotten concurrently — already resolved.
-			} else if r.err == nil {
-				eff.Reset()
-				r.effects(&eff)
-				rs.applyReport(r.edgeSets())
-			}
-			rep.Aborted = append(rep.Aborted, e.txn)
-		case adoptHeld:
-			logged := rs.decided != nil && rs.decided(e.txn)
-			kind := kRevoke
-			b := appendU64(rs.req(9), uint64(e.txn))
-			if logged {
-				kind = kRelease
-			} else {
-				b = appendU8(b, uint8(core.ReasonSiteFailed))
-			}
-			rr, err := rs.peer.call(kind, b)
-			if err != nil {
-				if !errors.Is(err, core.ErrUnknownTxn) {
-					return rep, rs.mapErr(err)
-				}
-				// Resolved and forgotten by the live conversation between
-				// the adopt snapshot and this verb — nothing left to do.
-			} else if rr.err == nil {
 				eff.Reset()
 				rr.effects(&eff)
 				rs.applyReport(rr.edgeSets())
 			}
-			if logged {
-				rep.Redone = append(rep.Redone, e.txn)
-			} else {
-				rep.PresumedAborted = append(rep.PresumedAborted, e.txn)
-			}
+		case errors.Is(err, core.ErrUnknownTxn),
+			act == dist.AdoptRedo && errors.Is(err, core.ErrTxnTerminated):
+			// Resolved (and maybe forgotten) by the live conversation
+			// between the adopt snapshot and this verb; with the decision
+			// logged, terminated can only mean committed.
+		default:
+			return rep, rs.mapErr(err)
+		}
+		switch act {
+		case dist.AdoptRedo, dist.AdoptRelease:
+			rep.Redone = append(rep.Redone, e.txn)
+		case dist.AdoptAbort:
+			rep.Aborted = append(rep.Aborted, e.txn)
+		case dist.AdoptRevoke:
+			rep.PresumedAborted = append(rep.PresumedAborted, e.txn)
 		}
 	}
 	rs.mu.Lock()

@@ -79,7 +79,7 @@ func (c *serverConn) send(corr uint64, kind uint8, payload []byte) {
 		return // one-way request
 	}
 	c.wmu.Lock()
-	if err := writeFrame(c.bw, corr, kind, payload); err == nil {
+	if err := writeFrame(c.bw, corr, kind, telemetry.TraceContext{}, payload); err == nil {
 		_ = c.bw.Flush()
 	}
 	c.wmu.Unlock()
