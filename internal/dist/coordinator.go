@@ -59,6 +59,15 @@ type Conv struct {
 	// operations fails before the commit point: the owner aborts with
 	// ReasonSiteFailed at its next step.
 	doomed atomic.Bool
+
+	// The conversation cursor, touched only by Coordinator.Step: req
+	// collects the hold replies' edge exports and carries the verdict
+	// back; direct marks an edge-free direct commit, logged one whose
+	// decision LogDirect recorded; k counts the replies of the running
+	// fan-out (holds, direct commits, then releases).
+	req            DecideReq
+	direct, logged bool
+	k              int
 }
 
 // NewConv returns the record of a transaction about to be Enlisted.
@@ -82,6 +91,10 @@ func (cv *Conv) VisitedHas(sid SiteID) bool {
 	}
 	return false
 }
+
+// Decision returns the conversation's decision round: what ActDecide
+// runs through DecideWave, and where the verdict is read afterwards.
+func (cv *Conv) Decision() *DecideReq { return &cv.req }
 
 // Visit records sid as visited, keeping the slice sorted.
 func (cv *Conv) Visit(sid SiteID) {
@@ -122,20 +135,21 @@ type DecideReq struct {
 }
 
 // AdoptAction is what a restarting coordinator does with one
-// transaction a site reports as surviving its predecessor.
-type AdoptAction uint8
+// transaction a site reports as surviving its predecessor: the site
+// verb (Action.At) that resolves it there.
+type AdoptAction = ActKind
 
 const (
 	// AdoptAbort: an orphan whose client will retry.
-	AdoptAbort AdoptAction = iota
+	AdoptAbort = ActAbort
 	// AdoptRedo: a direct commit the predecessor logged but never
 	// delivered; commit it now.
-	AdoptRedo
+	AdoptRedo = ActCommitDirect
 	// AdoptRevoke: an in-doubt hold with no logged decision — presumed
 	// abort.
-	AdoptRevoke
+	AdoptRevoke = ActRevoke
 	// AdoptRelease: an in-doubt hold whose commit is logged; land it.
-	AdoptRelease
+	AdoptRelease = ActRelease
 )
 
 // adoptTable is the restart-adoption rule, keyed {held, logged}. A
@@ -155,17 +169,19 @@ func AdoptVerdict(held, logged bool) AdoptAction {
 	return adoptTable[[2]bool{held, logged}]
 }
 
-// Coordinator is the decision half of the §6 commit conversation: it
-// mirrors the sites' dependency edges into the union graph, holds a
-// conversation until its global dependency set drains, forces the
-// commit decision, and accounts for the releases the decision owes. It
-// starts no goroutines, reads no clock and calls no site or socket —
-// its inputs are edge reports, decision rounds and termination
-// notices, its outputs verdicts, forced log records and lists of
-// transactions to release — so the wall-clock Cluster (direct calls,
-// goroutines, site mutexes) and the deterministic simulator (events on
-// a virtual clock) run the same protocol code, and a restarted
-// coordinator process is a new Coordinator on the old log plus Adopt.
+// Coordinator is the §6 commit conversation without its IO: it mirrors
+// the sites' dependency edges into the union graph, sequences each
+// conversation's hold → decide → release fan-out (Step, script.go),
+// holds it until its global dependency set drains, forces the commit
+// decision, and accounts for the releases the decision owes. It starts
+// no goroutines, reads no clock and calls no site or socket — its
+// inputs are edge reports, conversation events, decision rounds and
+// termination notices, its outputs actions, verdicts, forced log
+// records and lists of transactions to release — so the wall-clock
+// Cluster (direct calls, goroutines, site mutexes) and the
+// deterministic simulator (events on a virtual clock) run the same
+// protocol code, and a restarted coordinator process is a new
+// Coordinator on the old log plus Adopt.
 //
 // It is safe for concurrent use. Its state is split into independently
 // locked domains so the paths that need one never serialise on the

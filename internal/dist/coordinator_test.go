@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -452,4 +454,334 @@ func TestCoordinatorCrashClassification(t *testing.T) {
 	if got := co.SiteRecovered(0, []core.TxnID{4}); !slices.Equal(got, []core.TxnID{4}) || flog.Len() != 0 {
 		t.Errorf("recovery resolved %v, log %d", got, flog.Len())
 	}
+}
+
+// ---- The conversation script, with no sites ----
+
+// scriptRun drives Coordinator.Step the way a driver does, with a fake
+// executor in place of the sites: actions execute in order, every site
+// verb "succeeds" (unless the test says otherwise) and replies at once,
+// ActDecide runs a wave of one, ActRetire retires and drains. The
+// transcript has one line per Step call: the input, then the actions it
+// answered with, boundaries included.
+type scriptRun struct {
+	t  *testing.T
+	co *Coordinator
+	// edges are each site's hold exports, keyed {txn, site}; fail marks
+	// the {txn, site} pairs whose hold or direct commit is refused.
+	edges map[[2]int][]depgraph.Edge
+	fail  map[[2]int]bool
+	// before, when set, runs ahead of every action (to inject a crash or
+	// a redo claim at an exact point); returning false drops the action
+	// and everything pending, as a driver does for a voided conversation.
+	before func(cv *Conv, a Action) bool
+	log    []string
+}
+
+var inputNames = map[InputKind]string{
+	InCommit: "commit", InHoldReply: "hold-reply", InDirectReply: "direct-reply", InVerdict: "verdict",
+	InReleaseAck: "release-ack", InSiteCrashed: "site-crashed", InReady: "ready",
+}
+
+func (a Action) String() string {
+	s := a.Kind.String()
+	if a.Site != noSite {
+		s += fmt.Sprintf("@%d", a.Site)
+	}
+	switch {
+	case a.Kind == ActFinished && a.Reason != core.ReasonNone:
+		s += "(" + a.Reason.String() + ")"
+	case a.Kind == ActFinished && a.Status == core.PseudoCommitted:
+		s += "(held)"
+	case a.Kind == ActFinished:
+		s += "(committed)"
+	}
+	if a.Before != NoStep {
+		s = a.Before.String() + ">" + s
+	}
+	if a.After != NoStep {
+		s += ">" + a.After.String()
+	}
+	return s
+}
+
+// feed steps cv with one input, logs the exchange and executes the answer.
+func (r *scriptRun) feed(cv *Conv, in Input) {
+	name := inputNames[in.Kind]
+	if in.Failed {
+		name += "-failed"
+	}
+	if in.Kind == InHoldReply || in.Kind == InDirectReply || in.Kind == InReleaseAck || in.Kind == InSiteCrashed {
+		name += fmt.Sprintf("@%d", in.Site)
+	}
+	acts := r.co.Step(cv, in, nil)
+	line := fmt.Sprintf("T%d %s:", cv.ID(), name)
+	for _, a := range acts {
+		line += " " + a.String()
+	}
+	r.log = append(r.log, line)
+	for _, a := range acts {
+		if r.before != nil && !r.before(cv, a) {
+			return
+		}
+		key := [2]int{int(cv.ID()), int(a.Site)}
+		switch a.Kind {
+		case ActHold:
+			r.feed(cv, Input{Kind: InHoldReply, Site: a.Site, Failed: r.fail[key], Edges: r.edges[key]})
+		case ActCommitDirect:
+			if !r.fail[key] {
+				r.co.Ack(cv.ID(), a.Site)
+			}
+			r.feed(cv, Input{Kind: InDirectReply, Site: a.Site, Failed: r.fail[key]})
+		case ActRelease:
+			r.co.Ack(cv.ID(), a.Site)
+			r.feed(cv, Input{Kind: InReleaseAck, Site: a.Site})
+		case ActDecide:
+			r.co.DecideWave([]*DecideReq{cv.Decision()})
+			r.feed(cv, Input{Kind: InVerdict})
+		case ActRetire:
+			if r.co.Retire(cv.ID()) {
+				for _, ready := range r.co.Drain([]core.TxnID{cv.ID()}) {
+					r.feed(ready, Input{Kind: InReady})
+				}
+			}
+		}
+	}
+}
+
+// dep enlists a transaction at the given sites with a commit dependency
+// on `on`, reported at its first site (so it cannot go direct) and
+// exported again by that site's hold.
+func (r *scriptRun) dep(id, on core.TxnID, sites ...SiteID) *Conv {
+	cv := enlist(r.co, id, sites...)
+	e := []depgraph.Edge{{From: id, To: on, Kind: depgraph.CommitDep}}
+	r.co.Observe(sites[0], id, slices.Clone(e))
+	r.edges[[2]int{int(id), int(sites[0])}] = e
+	return cv
+}
+
+func (r *scriptRun) want(lines ...string) {
+	r.t.Helper()
+	if !slices.Equal(r.log, lines) {
+		r.t.Errorf("script transcript:\n  %s\nwant:\n  %s", strings.Join(r.log, "\n  "), strings.Join(lines, "\n  "))
+	}
+	r.log = nil
+}
+
+func newScript(t *testing.T, co *Coordinator) *scriptRun {
+	return &scriptRun{t: t, co: co, edges: map[[2]int][]depgraph.Edge{}, fail: map[[2]int]bool{}}
+}
+
+// The fan-out's fixed phrases.
+const (
+	hold0    = "BeforeCommitHold>hold@0>AfterPrepareForce"
+	hold1    = "BeforeCommitHold>hold@1>AfterPrepareForce"
+	decideA  = "BeforeDecisionForce>decide"
+	decidedA = "decided>AfterDecisionBeforeRelease"
+	release0 = "DuringReleaseCascade>release@0"
+	release1 = "DuringReleaseCascade>release@1"
+	landed   = "finished(committed) retire"
+)
+
+var siteFailed = core.ReasonSiteFailed.String()
+
+// TestCoordinatorScript pins the exact action sequence, boundaries
+// included, the step function answers each conversation shape with.
+func TestCoordinatorScript(t *testing.T) {
+	t.Run("direct/one-site", func(t *testing.T) {
+		co, flog := testCoordinator(nil)
+		r := newScript(t, co)
+		r.feed(enlist(co, 1, 0), Input{Kind: InCommit})
+		r.want("T1 commit: commit@0", "T1 direct-reply@0: "+landed)
+		if flog.Len() != 0 || co.Telemetry().FastCommits.Load() != 1 {
+			t.Errorf("ungated direct commit: log %d, fast commits %d", flog.Len(), co.Telemetry().FastCommits.Load())
+		}
+	})
+
+	t.Run("direct/two-sites-unlogged", func(t *testing.T) {
+		// No decision log, no atomicity promise across crashes: edge-free
+		// goes direct at every site, ascending.
+		co := NewCoordinator(2, nil, nil, true)
+		r := newScript(t, co)
+		r.feed(enlist(co, 1, 1, 0), Input{Kind: InCommit})
+		r.want("T1 commit: commit@0", "T1 direct-reply@0: commit@1", "T1 direct-reply@1: "+landed)
+	})
+
+	t.Run("edge-free/two-sites-take-holds", func(t *testing.T) {
+		co, flog := testCoordinator(nil)
+		r := newScript(t, co)
+		r.feed(enlist(co, 1, 0, 1), Input{Kind: InCommit})
+		r.want(
+			"T1 commit: "+hold0,
+			"T1 hold-reply@0: "+hold1,
+			"T1 hold-reply@1: "+decideA,
+			"T1 verdict: "+decidedA+" "+release0,
+			"T1 release-ack@0: "+release1,
+			"T1 release-ack@1: "+landed,
+		)
+		if flog.Len() != 0 || co.Telemetry().DecisionsLogged.Load() != 1 {
+			t.Errorf("decision not logged then truncated: log %d, logged %d", flog.Len(), co.Telemetry().DecisionsLogged.Load())
+		}
+	})
+
+	t.Run("held-then-drained", func(t *testing.T) {
+		co, _ := testCoordinator(nil)
+		r := newScript(t, co)
+		t1 := enlist(co, 1, 0)
+		r.feed(r.dep(2, 1, 0, 1), Input{Kind: InCommit})
+		r.want(
+			"T2 commit: "+hold0,
+			"T2 hold-reply@0: "+hold1,
+			"T2 hold-reply@1: "+decideA,
+			"T2 verdict: finished(held)",
+		)
+		if co.HeldCount() != 1 {
+			t.Fatalf("held = %d", co.HeldCount())
+		}
+		// The dependency terminates: its retire drains T2, which releases.
+		r.feed(t1, Input{Kind: InCommit})
+		r.want(
+			"T1 commit: commit@0",
+			"T1 direct-reply@0: "+landed,
+			"T2 ready: "+decidedA+" "+release0,
+			"T2 release-ack@0: "+release1,
+			"T2 release-ack@1: "+landed,
+		)
+		if co.HeldCount() != 0 || co.MirrorEdges() != 0 {
+			t.Errorf("after the drain: held %d, mirror edges %d", co.HeldCount(), co.MirrorEdges())
+		}
+	})
+
+	t.Run("shed", func(t *testing.T) {
+		co, flog := testCoordinator(&Admission{High: 1, Low: 0})
+		r := newScript(t, co)
+		enlist(co, 1, 0)
+		r.feed(r.dep(2, 1, 0), Input{Kind: InCommit}) // closes the admission gate
+		r.log = nil
+		r.feed(r.dep(3, 1, 0, 1), Input{Kind: InCommit})
+		r.want(
+			"T3 commit: "+hold0,
+			"T3 hold-reply@0: "+hold1,
+			"T3 hold-reply@1: "+decideA,
+			"T3 verdict: revoke@0 revoke@1 finished("+core.ReasonShed.String()+") retire",
+		)
+		if co.HeldCount() != 1 || flog.Len() != 0 || co.Live(3) != nil {
+			t.Errorf("after the shed: held %d, log %d, T3 live %v", co.HeldCount(), flog.Len(), co.Live(3) != nil)
+		}
+	})
+
+	t.Run("doomed-mid-hold", func(t *testing.T) {
+		// Site 1 crashes between hold 1 and hold 2: the hold that landed is
+		// revoked, the site that never replied is aborted.
+		co, _ := testCoordinator(nil)
+		r := newScript(t, co)
+		enlist(co, 1, 0)
+		cv := r.dep(2, 1, 0, 1)
+		r.before = func(cv *Conv, a Action) bool {
+			if a.Kind != ActHold || a.Site != 1 {
+				return true
+			}
+			r.before = nil
+			co.SiteCrashed(1, []*Conv{cv})
+			r.feed(cv, Input{Kind: InSiteCrashed, Site: 1})
+			return false
+		}
+		r.feed(cv, Input{Kind: InCommit})
+		r.want(
+			"T2 commit: "+hold0,
+			"T2 hold-reply@0: "+hold1,
+			"T2 site-crashed@1: revoke@0 abort@1 finished@1("+siteFailed+") retire",
+		)
+		// The same crash found by the hold itself, or by the decision round.
+		cv = r.dep(3, 1, 0, 1)
+		r.fail[[2]int{3, 1}] = true
+		r.feed(cv, Input{Kind: InCommit})
+		r.want(
+			"T3 commit: "+hold0,
+			"T3 hold-reply@0: "+hold1,
+			"T3 hold-reply-failed@1: revoke@0 abort@1 finished@1("+siteFailed+") retire",
+		)
+		cv = r.dep(4, 1, 0, 1)
+		r.before = func(cv *Conv, a Action) bool {
+			if a.Kind == ActDecide {
+				co.SiteCrashed(1, []*Conv{cv})
+			}
+			return true
+		}
+		r.feed(cv, Input{Kind: InCommit})
+		r.want(
+			"T4 commit: "+hold0,
+			"T4 hold-reply@0: "+hold1,
+			"T4 hold-reply@1: "+decideA,
+			"T4 verdict: revoke@0 revoke@1 finished("+siteFailed+") retire",
+		)
+	})
+
+	t.Run("gated-direct-reply-fails", func(t *testing.T) {
+		co, flog := testCoordinator(nil)
+		r := newScript(t, co)
+		// Unclaimed: the record is withdrawn and the attempt aborts.
+		co.GateDecision(1)
+		r.fail[[2]int{1, 0}] = true
+		r.feed(enlist(co, 1, 0), Input{Kind: InCommit})
+		r.want("T1 commit: commit@0", "T1 direct-reply-failed@0: abort@0 finished@0("+siteFailed+") retire")
+		if flog.Len() != 0 {
+			t.Errorf("withdrawn direct decision still logged")
+		}
+		co.AckDecision(1)
+		// Claimed by restart reconciliation first: the redo landed the
+		// commit, so the conversation must report Committed.
+		co.GateDecision(2)
+		r.fail[[2]int{2, 0}] = true
+		r.before = func(cv *Conv, a Action) bool {
+			if a.Kind == ActCommitDirect && !co.ClaimRedo(2) {
+				t.Error("logged direct commit not claimable")
+			}
+			return true
+		}
+		r.feed(enlist(co, 2, 0), Input{Kind: InCommit})
+		r.want("T2 commit: commit@0", "T2 direct-reply-failed@0: "+landed)
+		if sites, client := co.AcksPending(2); sites != 0 || !client || flog.Len() != 1 {
+			t.Errorf("claimed decision: %d site acks pending, client %v, log %d", sites, client, flog.Len())
+		}
+		if !co.AckDecision(2) || flog.Len() != 0 {
+			t.Error("client ack did not truncate the redone decision")
+		}
+	})
+
+	t.Run("release-shape", func(t *testing.T) {
+		// A chain of three, T3 -> T2 -> T1, T2 and T3 at both sites.
+		chain := func(policy HoldPolicy) *scriptRun {
+			co, _ := testCoordinator(policy)
+			r := newScript(t, co)
+			t1 := enlist(co, 1, 0)
+			r.feed(r.dep(2, 1, 0, 1), Input{Kind: InCommit})
+			r.feed(r.dep(3, 2, 0, 1), Input{Kind: InCommit})
+			r.log = nil
+			r.feed(t1, Input{Kind: InCommit})
+			return r
+		}
+		// Round-based: one participant per ack, one transaction per drain.
+		chain(nil).want(
+			"T1 commit: commit@0",
+			"T1 direct-reply@0: "+landed,
+			"T2 ready: "+decidedA+" "+release0,
+			"T2 release-ack@0: "+release1,
+			"T2 release-ack@1: "+landed,
+			"T3 ready: "+decidedA+" "+release0,
+			"T3 release-ack@0: "+release1,
+			"T3 release-ack@1: "+landed,
+		)
+		// Eager: the whole subtree in one drain, every participant at once.
+		chain(EagerRelease{}).want(
+			"T1 commit: commit@0",
+			"T1 direct-reply@0: "+landed,
+			"T2 ready: "+decidedA+" "+release0+" "+release1,
+			"T2 release-ack@0:",
+			"T2 release-ack@1: "+landed,
+			"T3 ready: "+decidedA+" "+release0+" "+release1,
+			"T3 release-ack@0:",
+			"T3 release-ack@1: "+landed,
+		)
+	})
 }

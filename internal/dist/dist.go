@@ -145,7 +145,7 @@ type site struct {
 	// txns registers every live transaction that has begun at this
 	// site, guarded by mu. The crash handler uses it to find the
 	// transactions a site failure dooms; entries leave when the
-	// transaction is forgotten at the site.
+	// transaction's conversation is done with the site.
 	txns map[core.TxnID]*Txn
 	// edgeBuf is the reusable OutEdgesAppend scratch for this site's
 	// mirror exports. Guarded by mu, like every export-and-observe
@@ -153,18 +153,11 @@ type site struct {
 	edgeBuf []depgraph.Edge
 }
 
-// forget drops the transaction's bookkeeping at the site: the
-// participant's record and the site registry entry. Caller holds s.mu.
-func (s *site) forget(id core.TxnID) {
-	s.p.Forget(id)
-	delete(s.txns, id)
-}
-
 // edges exports id's current out-edges into the site's reusable
 // buffer. Caller holds s.mu; the result is valid until the next edges
-// call on this site, which every consumer (observe, refreshParked, the
-// commit-hold loop) satisfies by finishing with the slice before
-// releasing the mutex.
+// call on this site, which every consumer (observe, refreshParked, a
+// hold's reply) satisfies by finishing with the slice before releasing
+// the mutex.
 func (s *site) edges(id core.TxnID) []depgraph.Edge {
 	s.edgeBuf = s.p.OutEdgesAppend(id, s.edgeBuf)
 	return s.edgeBuf
@@ -187,11 +180,6 @@ type Cluster struct {
 	// domains, and closeMu, eagerMu alone. pipe.mu is never held across
 	// another lock.
 	Coordinator
-
-	// faulty marks a fault-tolerant cluster (crash-stop sites wrapped
-	// in fault.Crashable, commit decisions forced to the decision log
-	// before any release).
-	faulty bool
 
 	nextID atomic.Uint64
 
@@ -329,7 +317,6 @@ func NewWithConfig(cfg Config) (*Cluster, error) {
 		route:  route,
 		obs:    cfg.Obs,
 		hook:   cfg.StepHook,
-		faulty: cfg.FaultTolerant,
 		flight: cfg.Flight,
 	}
 	if cfg.Spans > 0 {
@@ -694,136 +681,179 @@ func (c *Cluster) refreshParked(s *site) {
 	}
 }
 
-// abortEverywhere aborts an active transaction at every visited site;
-// see unwind.
-func (c *Cluster) abortEverywhere(t *Txn, skipSite SiteID, reason core.AbortReason, detail string) {
-	c.unwind(t, skipSite, reason, detail, false)
+// run feeds one input to t's conversation and carries out what the
+// script (Coordinator.Step) answers — t's own actions, then the release
+// cascade its termination sets off. It returns t's outcome (the
+// ActFinished it reached) and any participant refusal no crash explains.
+func (c *Cluster) run(t *Txn, in Input) (Action, error) {
+	var drain []core.TxnID
+	fin, bug := c.exec(t, in, &drain)
+	c.cascade(drain)
+	return fin, bug
 }
 
-// unwind ends t aborted: it is undone at every visited site (skipping
-// skipSite — where the local scheduler already finalised it, or which
-// crashed), the resulting grants are delivered to parked calls, and the
-// transaction is finalised at the coordinator — possibly cascading
-// releases of transactions that depended on it; recoverability means
-// the abort itself does not cascade into them. reason is recorded on
-// the transaction (Err); detail is the human-readable form for the
-// observer.
-//
-// An active transaction is aborted. held marks a pseudo-committed one
-// whose hold is revoked instead — the crash handler's presumed abort or
-// the hold policy's shed; the coordinator has then already moved it out
-// of txPseudo under its mutex, so Drain cannot select it concurrently.
-//
-// The unwinding is failure-tolerant: a down site is skipped (its
-// volatile state — the only state an unlogged transaction has there —
-// died with it, and a prepared record will be presumed aborted at
-// restart).
-func (c *Cluster) unwind(t *Txn, skipSite SiteID, reason core.AbortReason, detail string, held bool) {
-	for _, sid := range t.visited {
-		s := c.sites[sid]
-		s.mu.Lock()
-		s.hub.Withdraw(t.id)
-		if sid != skipSite {
-			eff := s.hub.Effects()
-			var err error
-			if held {
-				err = s.p.RevokeInto(eff, t.id, reason)
-			} else if err = s.p.AbortInto(eff, t.id); err != nil && !errors.Is(err, fault.ErrSiteDown) {
-				// ErrTxnTerminated here usually means a site-local
-				// retry abort beat us to it and the local state is
-				// already clean — but it is also what a held
-				// pseudo-commit answers (a partial commit conversation
-				// being unwound after a site failure); those must be
-				// revoked, or their operations would gate the site
-				// forever. RevokeInto refuses anything not held, so
-				// trying it after a refused abort is safe.
-				eff = s.hub.Effects()
-				err = s.p.RevokeInto(eff, t.id, reason)
-			}
-			if err == nil {
-				s.hub.Deliver(eff)
-			}
+// exec is the action executor, the one loop every commit conversation
+// runs through: fire the action's before-boundary, carry it out (a site
+// call under site.mu, the decide pipeline, or local bookkeeping), fire
+// its after-boundary. Replies go straight back into Step, which appends
+// what follows to the same stack buffer. A transaction retired with
+// union-graph state is appended to drain for the caller's cascade.
+func (c *Cluster) exec(t *Txn, in Input, drain *[]core.TxnID) (fin Action, bug error) {
+	var (
+		buf   [8]Action
+		phase time.Time // start of the hold phase, then of the release phase it led to
+	)
+	acts := c.Step(&t.Conv, in, buf[:0])
+	for i := 0; i < len(acts); i++ {
+		act := acts[i]
+		if i == len(acts)-1 {
+			acts, i = acts[:0], -1 // nothing else pending: reuse the buffer
 		}
-		s.forget(t.id)
+		c.step(act.Before, t.id, act.Site)
+		switch act.Kind {
+		case ActHold, ActCommitDirect, ActRelease, ActRevoke, ActAbort:
+			if act.Kind == ActHold && phase.IsZero() {
+				phase = time.Now()
+			}
+			acts = c.atSite(t, act, acts, &bug)
+		case ActDecide:
+			// One coordinator critical section decides this conversation
+			// and every concurrent one queued in the same wave, their
+			// commit decisions forced to the log as one group.
+			start := time.Now()
+			c.tel.HoldNanos.Observe(uint64(start.Sub(phase)))
+			c.decide(&t.req)
+			dur := time.Since(start)
+			c.tel.DecideNanos.Observe(uint64(dur))
+			c.trace(telemetry.EvDecide, uint64(t.id), int32(noSite), int64(t.req.Gdeps))
+			t.span(telemetry.SpanDecide, int32(noSite), int64(t.req.Gdeps), int64(t.req.Wave), int64(dur))
+			acts = c.Step(&t.Conv, Input{Kind: InVerdict}, acts)
+		case ActDecided:
+			if !phase.IsZero() {
+				phase = time.Now()
+			}
+		case ActFinished:
+			switch fin = act; {
+			case act.Reason != core.ReasonNone:
+				if act.Reason == core.ReasonShed {
+					c.trace(telemetry.EvShed, uint64(t.id), int32(noSite), int64(t.req.Gdeps))
+					t.span(telemetry.SpanShed, int32(noSite), int64(t.req.Gdeps), int64(t.req.Wave), 0)
+				}
+				c.finish(t, act.Site, act.Reason)
+			case act.Status == core.PseudoCommitted:
+				if c.obs != nil {
+					c.obs.Held(t.id, t.req.Gdeps)
+				}
+			default:
+				if !phase.IsZero() {
+					c.tel.ReleaseNanos.Observe(uint64(time.Since(phase)))
+				}
+				c.finish(t, noSite, core.ReasonNone)
+			}
+		case ActRetire:
+			if c.Retire(t.id) {
+				*drain = append(*drain, t.id)
+			}
+			c.maybeDrained()
+		}
+		c.step(act.After, t.id, act.Site)
+	}
+	return fin, bug
+}
+
+// atSite carries out a site verb (Action.At) in one critical section of
+// the participant's mutex, delivers the grants it unblocked to parked
+// calls, and — the synchronous call being message and reply in one —
+// consumes the reply inside it, where a hold's export can be read
+// straight out of the site's reusable edge buffer. A refused release is
+// skipped (the restart that redoes the logged commit acks and traces
+// it); a refused hold or direct commit is a failed reply — a crash on a
+// fault-tolerant cluster, anywhere else a bug, stored for the caller.
+func (c *Cluster) atSite(t *Txn, act Action, acts []Action, bug *error) []Action {
+	s := c.sites[act.Site]
+	var holdStart time.Time
+	if act.Kind == ActHold && t.sampled() {
+		holdStart = time.Now()
+	}
+	s.mu.Lock()
+	if act.Kind == ActRevoke || act.Kind == ActAbort {
+		s.hub.Withdraw(t.id) // the request t may be parked on goes with it
+	}
+	if act.Kind != ActHold {
+		delete(s.txns, t.id)
+	}
+	eff := s.hub.Effects()
+	in, err := act.At(s.p, eff, t.id)
+	switch {
+	case err == nil:
+		s.hub.Deliver(eff)
+		if act.Kind == ActHold {
+			in.Edges = s.edges(t.id)
+		}
+	case act.Kind == ActRelease && !c.siteFailure(err):
+		// Neither a crash (ErrSiteDown) nor one already recovered from
+		// (ErrUnknownTxn): the coordinator's dependency accounting is
+		// wrong — surface loudly.
 		s.mu.Unlock()
+		panic(fmt.Sprintf("dist: release of T%d at site %d: %v", t.id, act.Site, err))
+	}
+	if in.Kind != InNone {
+		acts = c.Step(&t.Conv, in, acts)
+	}
+	s.mu.Unlock()
+
+	switch {
+	case err != nil:
+		if in.Failed && !t.siteFailure(err) {
+			*bug = fmt.Errorf("dist: %v of T%d at site %d: %w", act.Kind, t.id, act.Site, err)
+		}
+	case act.Kind == ActHold:
+		c.trace(telemetry.EvHold, uint64(t.id), int32(act.Site), 0)
+		if !holdStart.IsZero() {
+			t.span(telemetry.SpanHold, int32(act.Site), 0, 0, int64(time.Since(holdStart)))
+		}
+	case act.Kind == ActRelease:
+		c.ackRelease(t.id, act.Site)
+		c.trace(telemetry.EvRelease, uint64(t.id), int32(act.Site), 0)
+		t.span(telemetry.SpanRelease, int32(act.Site), 0, 0, 0)
+	case act.Kind == ActCommitDirect:
+		if t.logged {
+			c.ackRelease(t.id, act.Site)
+		}
+		t.span(telemetry.SpanRelease, int32(act.Site), 0, 0, 0)
+	}
+	if act.Kind != ActHold {
 		c.refreshParked(s)
 	}
-	t.reason.Store(int32(reason))
-	t.state.Store(txAborted)
-	c.spans.Record(t.Trace(), telemetry.SpanAbort, uint64(t.id), int32(skipSite), 0, 0, 0)
-	c.completeTrace(t)
-	close(t.done)
-	if c.obs != nil {
-		c.obs.Aborted(t.id, detail)
-	}
-	c.finalizeTxn(t)
+	return acts
 }
 
-// releaseAt lands the real commit at every site t visited and
-// delivers the unblocked grants. A down site is skipped: the commit
-// decision is in the log and the site's prepared record survives the
-// crash, so recovery redoes the transaction there (presumed abort's
-// counterpart — logged outcomes are re-released); its release ack
-// arrives when its restart redoes the commit.
-func (c *Cluster) releaseAt(t *Txn) {
-	ttc := t.Trace()
-	for _, sid := range t.visited {
-		c.step(DuringReleaseCascade, t.id, sid)
-		c.trace(telemetry.EvRelease, uint64(t.id), int32(sid), 0)
-		c.spans.Record(ttc, telemetry.SpanRelease, uint64(t.id), int32(sid), 0, 0, 0)
-		s := c.sites[sid]
-		s.mu.Lock()
-		eff := s.hub.Effects()
-		err := s.p.ReleaseInto(eff, t.id)
-		if err == nil {
-			s.hub.Deliver(eff)
-		} else if !c.siteFailure(err) {
-			// On a fault-tolerant cluster, ErrSiteDown means the site
-			// crashed mid-release and ErrUnknownTxn that it crashed and
-			// already recovered — either way the logged commit is (or
-			// was) redone from the prepared record. Anywhere else a
-			// release failure means the coordinator's dependency
-			// accounting is wrong — surface loudly.
-			s.mu.Unlock()
-			panic(fmt.Sprintf("dist: release of T%d at site %d: %v", t.id, sid, err))
-		}
-		s.forget(t.id)
-		s.mu.Unlock()
-		if err == nil {
-			c.ackRelease(t.id, sid)
-		}
-		c.refreshParked(s)
+// finish brings t to its terminal state — its real commit landed at
+// every visited site, or (reason set) it aborted: the state and reason
+// behind Err, the Done signal, and the observer callback.
+func (c *Cluster) finish(t *Txn, site SiteID, reason core.AbortReason) {
+	if reason == core.ReasonNone {
+		t.state.Store(txCommitted)
+	} else {
+		t.reason.Store(int32(reason))
+		t.state.Store(txAborted)
+		t.span(telemetry.SpanAbort, int32(site), 0, 0, 0)
 	}
-}
-
-// landed marks t's real commit as landed at every visited site: the
-// terminal state, its Done signal and the observer callback.
-func (c *Cluster) landed(t *Txn) {
-	t.state.Store(txCommitted)
 	c.completeTrace(t)
 	close(t.done)
-	if c.obs != nil {
+	switch {
+	case c.obs == nil:
+	case reason == core.ReasonNone:
 		c.obs.Released(t.id)
+	default:
+		c.obs.Aborted(t.id, reason.String())
 	}
 }
 
-// finalizeTxn finalises one globally terminated transaction: it leaves
-// the registry, and — only if it ever grew union-graph state — its
-// mirror node is removed with the release cascade run. A transaction
-// that never had a dependency edge in either direction (the sharded
-// fast path) never takes the coordinator mutex after Begin.
-func (c *Cluster) finalizeTxn(t *Txn) {
-	mirrored := c.Retire(t.id)
-	c.maybeDrained()
-	if mirrored {
-		c.cascade([]core.TxnID{t.id})
-	}
-}
-
-// cascade is the release loop over Coordinator.Drain: terminated
-// transactions leave the mirror, every held transaction whose global
-// dependency set drained is released at its sites in the order Drain
-// decided them, and the released ids are drained in turn.
+// cascade is ActRetire's drain: the terminated transactions leave the
+// mirror, every held transaction whose global dependency set drained as
+// a result runs its release (InReady) in the order Drain decided them,
+// and the ids those retire are drained in turn.
 //
 // Under an eager-subtree policy at most one cascade runs at a time.
 // The round-based Drain removes a transaction from the mirror only
@@ -836,10 +866,13 @@ func (c *Cluster) finalizeTxn(t *Txn) {
 // channels provide by construction. Exclusion is a queue hand-off
 // rather than a lock held across the releases: a cascade arriving
 // while one runs — from another goroutine, or re-entrantly from this
-// one (a step hook crashing a site mid-release ends in Crash ->
-// finalizeTxn -> cascade) — appends its batch and returns, and the
-// owner picks it up when its own chain is exhausted.
+// one (a step hook crashing a site mid-release ends in Crash -> run ->
+// cascade) — appends its batch and returns, and the owner picks it up
+// when its own chain is exhausted.
 func (c *Cluster) cascade(ids []core.TxnID) {
+	if len(ids) == 0 {
+		return
+	}
 	if c.eager {
 		c.eagerMu.Lock()
 		c.eagerQueue = append(c.eagerQueue, ids...)
@@ -856,14 +889,8 @@ func (c *Cluster) cascade(ids []core.TxnID) {
 			ready := c.Drain(ids)
 			ids = ids[:0]
 			for _, cv := range ready {
-				dt := cv.Owner.(*Txn)
-				c.step(AfterDecisionBeforeRelease, dt.id, noSite)
-				c.releaseAt(dt)
-				c.landed(dt)
-				c.Retire(dt.id)
-				ids = append(ids, dt.id)
+				c.exec(cv.Owner.(*Txn), Input{Kind: InReady}, &ids)
 			}
-			c.maybeDrained()
 		}
 		if !c.eager {
 			return
@@ -926,7 +953,7 @@ func (c *Cluster) Crash(id SiteID) error {
 
 	c.trace(telemetry.EvCrash, 0, int32(id), 0)
 	for _, cv := range c.SiteCrashed(id, touched) {
-		c.unwind(cv.Owner.(*Txn), id, core.ReasonSiteFailed, core.ReasonSiteFailed.String(), true)
+		c.run(cv.Owner.(*Txn), Input{Kind: InSiteCrashed, Site: id})
 	}
 	return nil
 }

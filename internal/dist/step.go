@@ -14,11 +14,13 @@ type Step uint8
 
 // The commit conversation's step boundaries, in protocol order.
 const (
+	// NoStep, the zero Step, is an Action's "no boundary on this side".
+	NoStep Step = iota
 	// BeforeCommitHold: the coordinator is about to send the
 	// pseudo-commit-and-hold (prepare) to a participant. A crash of
 	// that site here fails the conversation before any promise exists
 	// there.
-	BeforeCommitHold Step = iota
+	BeforeCommitHold
 	// AfterPrepareForce: the participant forced its prepare record and
 	// replied. A crash of that site here leaves a durable in-doubt
 	// record whose fate the decision log decides.
@@ -60,13 +62,13 @@ func (s Step) String() string {
 	return "unknown-step"
 }
 
-// NumSteps is the number of named protocol steps (for occurrence
-// counters indexed by Step).
+// NumSteps bounds the Step values (for occurrence counters indexed by
+// Step).
 const NumSteps = int(numSteps)
 
 // ParseStep resolves a step name as printed by String.
 func ParseStep(name string) (Step, bool) {
-	for s := Step(0); s < numSteps; s++ {
+	for s := BeforeCommitHold; s < numSteps; s++ {
 		if s.String() == name {
 			return s, true
 		}
@@ -90,10 +92,11 @@ func ParseStep(name string) (Step, bool) {
 // and the allocation regressions.
 type StepHook func(step Step, t core.TxnID, site SiteID)
 
-// step fires the hook if one is installed. Callers must not hold any
-// cluster or site lock.
+// step fires the hook, if one is installed, at an action's boundary
+// (NoStep: there is none). Callers must not hold any cluster or site
+// lock.
 func (c *Cluster) step(s Step, id core.TxnID, sid SiteID) {
-	if c.hook != nil {
+	if c.hook != nil && s != NoStep {
 		c.hook(s, id, sid)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/adt"
 	"repro/internal/core"
 	"repro/internal/delivery"
-	"repro/internal/depgraph"
 	"repro/internal/fault"
 	"repro/internal/telemetry"
 )
@@ -120,19 +119,33 @@ func (t *Txn) DoCtx(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret,
 	return t.do(ctx, obj, op)
 }
 
-// failSite aborts the transaction everywhere after a participant
-// failure and returns the typed error. sid names the site the failure
-// surfaced at (a down site, or one that restarted and no longer knows
-// the transaction); pass noSite when the failed participant is not
-// identifiable from this call — a doomed transaction learns only that
-// some site it touched crashed.
-func (t *Txn) failSite(sid SiteID) (adt.Ret, error) {
-	t.c.abortEverywhere(t, noSite, core.ReasonSiteFailed, core.ReasonSiteFailed.String())
-	err := &core.ErrAborted{Txn: t.id, Reason: core.ReasonSiteFailed}
-	if sid == noSite {
-		return adt.Ret{}, fmt.Errorf("participant crash: %w", err)
+// abort unwinds the active transaction everywhere (the script's
+// InAbort: skip names a site whose own scheduler already aborted it
+// there) — which may release transactions that depended on it, though
+// recoverability means the abort itself does not cascade into them —
+// and returns the caller-facing error, see abortedErr for at.
+func (t *Txn) abort(skip, at SiteID, reason core.AbortReason) (adt.Ret, error) {
+	t.c.run(t, Input{Kind: InAbort, Site: skip, Reason: reason})
+	return adt.Ret{}, t.abortedErr(at, reason)
+}
+
+// abortedErr is the caller-facing error of an abort the cluster
+// initiated. at names the site it surfaced at — the one that aborted
+// the transaction locally, is down, or restarted without it — and is
+// noSite when there is none to name: the union graph closed a cycle,
+// or a doomed transaction learns only that some site it touched
+// crashed.
+func (t *Txn) abortedErr(at SiteID, reason core.AbortReason) error {
+	err := &core.ErrAborted{Txn: t.id, Reason: reason}
+	switch {
+	case reason == core.ReasonShed:
+		return fmt.Errorf("hold shed: %w", err)
+	case at != noSite:
+		return fmt.Errorf("site %d: %w", at, err)
+	case reason == core.ReasonSiteFailed:
+		return fmt.Errorf("participant crash: %w", err)
 	}
-	return adt.Ret{}, fmt.Errorf("site %d: %w", sid, err)
+	return fmt.Errorf("cross-site: %w", err)
 }
 
 // siteFailure classifies an error from a participant call as a
@@ -141,7 +154,7 @@ func (t *Txn) failSite(sid SiteID) (adt.Ret, error) {
 // ErrUnknownTxn). Only fault-tolerant clusters map these to aborts;
 // on a plain cluster they would be bugs and must surface.
 func (c *Cluster) siteFailure(err error) bool {
-	return c.faulty && (errors.Is(err, fault.ErrSiteDown) || errors.Is(err, core.ErrUnknownTxn))
+	return c.flog != nil && (errors.Is(err, fault.ErrSiteDown) || errors.Is(err, core.ErrUnknownTxn))
 }
 
 // siteFailure is the per-transaction classification: a doomed
@@ -153,7 +166,7 @@ func (c *Cluster) siteFailure(err error) bool {
 // ErrUnknownTxn — both must map to the same retryable site-failed
 // abort.
 func (t *Txn) siteFailure(err error) bool {
-	return t.c.siteFailure(err) || (t.c.faulty && t.doomed.Load())
+	return t.c.siteFailure(err) || (t.c.flog != nil && t.doomed.Load())
 }
 
 // do runs the request; a nil ctx means no cancellation.
@@ -165,7 +178,7 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 		// A site holding our operations crashed; finish the abort the
 		// crash handler started. The current op's home site is not the
 		// one that failed, so no site is named.
-		return t.failSite(noSite)
+		return t.abort(noSite, noSite, core.ReasonSiteFailed)
 	}
 	sid := t.c.route(obj)
 	s := t.c.sites[sid]
@@ -179,7 +192,7 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 		s.mu.Unlock()
 		if err != nil {
 			if t.siteFailure(err) {
-				return t.failSite(sid)
+				return t.abort(noSite, sid, core.ReasonSiteFailed)
 			}
 			return adt.Ret{}, err
 		}
@@ -194,7 +207,7 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 	if err != nil {
 		s.mu.Unlock()
 		if t.siteFailure(err) {
-			return t.failSite(sid)
+			return t.abort(noSite, sid, core.ReasonSiteFailed)
 		}
 		return adt.Ret{}, err
 	}
@@ -206,14 +219,13 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 	s.mu.Unlock()
 	// No refreshParked here: a clean Executed/Blocked request runs no
 	// settle, so no parked transaction's edges moved; the Aborted
-	// branch refreshes every visited site via abortEverywhere.
+	// branch refreshes every visited site as it unwinds.
 
 	switch dec.Outcome {
 	case core.Aborted:
 		// The site already finalised us locally; propagate the abort
 		// to every other visited site and the coordinator.
-		t.c.abortEverywhere(t, sid, dec.Reason, dec.Reason.String())
-		return adt.Ret{}, fmt.Errorf("site %d: %w", sid, &core.ErrAborted{Txn: t.id, Reason: dec.Reason})
+		return t.abort(sid, sid, dec.Reason)
 
 	case core.Blocked:
 		t.c.trace(telemetry.EvBlocked, uint64(t.id), int32(sid), 0)
@@ -233,8 +245,7 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 			s.hub.Withdraw(t.id)
 			s.hub.Recycle(ch)
 			s.mu.Unlock()
-			t.c.abortEverywhere(t, noSite, core.ReasonDeadlock, "cross-site deadlock")
-			return adt.Ret{}, fmt.Errorf("cross-site: %w", &core.ErrAborted{Txn: t.id, Reason: core.ReasonDeadlock})
+			return t.abort(noSite, noSite, core.ReasonDeadlock)
 		}
 		var msg delivery.Msg
 		if ctx == nil {
@@ -253,8 +264,7 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 		}
 		t.recycle(s, ch)
 		if msg.Aborted {
-			t.c.abortEverywhere(t, sid, msg.Reason, msg.Reason.String())
-			return adt.Ret{}, fmt.Errorf("site %d: %w", sid, &core.ErrAborted{Txn: t.id, Reason: msg.Reason})
+			return t.abort(sid, sid, msg.Reason)
 		}
 		// Granted: the wait-for edges are gone and commit dependencies
 		// may have taken their place — re-mirror and re-check.
@@ -262,16 +272,14 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 			t.span(telemetry.SpanGrant, int32(sid), int64(obj), 0, int64(time.Since(blockStart)))
 		}
 		if t.c.observe(t, sid) {
-			t.c.abortEverywhere(t, noSite, core.ReasonCommitCycle, "cross-site dependency cycle")
-			return adt.Ret{}, fmt.Errorf("cross-site: %w", &core.ErrAborted{Txn: t.id, Reason: core.ReasonCommitCycle})
+			return t.abort(noSite, noSite, core.ReasonCommitCycle)
 		}
 		return msg.Ret, nil
 
 	default: // Executed
 		t.span(telemetry.SpanRequest, int32(sid), int64(obj), 0, 0)
 		if t.c.observe(t, sid) {
-			t.c.abortEverywhere(t, noSite, core.ReasonCommitCycle, "cross-site dependency cycle")
-			return adt.Ret{}, fmt.Errorf("cross-site: %w", &core.ErrAborted{Txn: t.id, Reason: core.ReasonCommitCycle})
+			return t.abort(noSite, noSite, core.ReasonCommitCycle)
 		}
 		return dec.Ret, nil
 	}
@@ -311,8 +319,8 @@ func (t *Txn) withdraw(s *site, ch chan delivery.Msg) bool {
 	return true
 }
 
-// noSite is the abortEverywhere sentinel for "no site has finalised
-// the transaction yet".
+// noSite is the "no site" sentinel: a coordinator-level action or
+// boundary, an abort no site carried out first.
 const noSite SiteID = -1
 
 // Commit runs the paper's distributed commit conversation: the
@@ -320,187 +328,29 @@ const noSite SiteID = -1
 // its global dependency set (out-degree in the mirrored union graph)
 // is empty the coordinator releases the real commit everywhere and
 // returns Committed. Otherwise it returns PseudoCommitted — complete
-// from the caller's perspective — and the coordinator releases it
-// automatically once the transactions it depends on terminate; Done
-// observes that.
+// from the caller's perspective — and the coordinator releases it once
+// the transactions it depends on terminate; Done observes that. A
+// transaction that never grew a dependency edge commits at its sites
+// directly — the path partitioned traffic takes, and what lets sharded
+// throughput scale with cores. The sequencing is Coordinator.Step's;
+// this goroutine executes it (Cluster.exec).
 func (t *Txn) Commit() (core.CommitStatus, error) {
 	switch t.state.Load() {
 	case txActive:
+		fin, bug := t.c.run(t, Input{Kind: InCommit})
+		switch {
+		case bug != nil:
+			return 0, bug
+		case fin.Reason != core.ReasonNone:
+			return 0, t.abortedErr(fin.Site, fin.Reason)
+		}
+		return fin.Status, nil
 	case txPseudo, txReleasing:
 		return core.PseudoCommitted, nil
 	case txCommitted:
 		return core.Committed, nil
-	default:
-		return 0, t.errState()
 	}
-	if t.doomed.Load() {
-		// A site holding our operations crashed before the commit
-		// point; the promise cannot be kept.
-		_, err := t.failSite(noSite)
-		return 0, err
-	}
-
-	sids := t.visited
-	c := t.c
-
-	// Fast path: a transaction that never grew a dependency edge has a
-	// provably empty global dependency set (edges only arise from its
-	// own requests, and every request left zero), so each site can
-	// commit directly — no hold phase, no coordinator conversation,
-	// and (unless someone mirrored a commit dependency on us) no
-	// coordinator lock of any kind after Begin: finalisation leaves
-	// the sharded registry and stops. This is the path perfectly
-	// partitioned traffic takes, and it is what makes sharded
-	// throughput scale with cores. On a fault-tolerant cluster only
-	// single-site transactions qualify: a direct multi-site commit has
-	// no prepare records, so a crash between the per-site commits
-	// would break atomicity — multi-site transactions go through the
-	// hold conversation even when edge-free.
-	if !t.anyEdges.Load() && (!c.faulty || len(sids) <= 1) {
-		c.tel.FastCommits.Inc()
-		logged := c.LogDirect(&t.Conv)
-		for _, sid := range sids {
-			s := c.sites[sid]
-			s.mu.Lock()
-			eff := s.hub.Effects()
-			st, err := s.p.CommitInto(eff, t.id)
-			if err == nil {
-				s.hub.Deliver(eff)
-				s.forget(t.id)
-			}
-			s.mu.Unlock()
-			if err != nil {
-				if logged && !c.UndoDirect(t.id) {
-					// Restart reconciliation claimed the logged decision
-					// and redid the commit at the recovered site before
-					// we could withdraw it: the push landed, just not
-					// through this conversation. Retrying would push
-					// twice — report Committed instead.
-					c.ackRelease(t.id, sid)
-					s.mu.Lock()
-					s.forget(t.id)
-					s.mu.Unlock()
-					c.refreshParked(s)
-					continue
-				}
-				if t.siteFailure(err) {
-					_, ferr := t.failSite(sid)
-					return 0, ferr
-				}
-				return 0, fmt.Errorf("dist: commit of T%d at site %d: %w", t.id, sid, err)
-			}
-			if st != core.Committed {
-				panic(fmt.Sprintf("dist: edge-free T%d pseudo-committed at site %d", t.id, sid))
-			}
-			if logged {
-				c.ackRelease(t.id, sid)
-			}
-			t.span(telemetry.SpanRelease, int32(sid), 0, 0, 0)
-			c.refreshParked(s)
-		}
-		// Others may have mirrored commit dependencies on us; drain them.
-		c.landed(t)
-		c.finalizeTxn(t)
-		return core.Committed, nil
-	}
-
-	// Hold at every site, copying the dependency-edge export out of the
-	// same critical section (one site round per participant). The
-	// exports are then mirrored through the conversation pipeline —
-	// one mirror update per touched site, one coordinator lock round
-	// per conversation WAVE (concurrent conversations share a round) —
-	// instead of re-locking the coordinator once per site. Batching is
-	// safe because the committing owner is the only writer for its
-	// (site, txn) mirror pairs (it is not parked, so refreshParked
-	// never touches it), and staleness against concurrent global
-	// finalisations is handled by filterLive at observe time, exactly
-	// as on the per-site path.
-	c.tel.Conversations.Inc()
-	holdStart := time.Now()
-	sampled := t.sampled()
-	var batch []depgraph.Edge
-	var counts []int
-	for _, sid := range sids {
-		c.step(BeforeCommitHold, t.id, sid)
-		var siteStart time.Time
-		if sampled {
-			siteStart = time.Now()
-		}
-		s := c.sites[sid]
-		s.mu.Lock()
-		eff := s.hub.Effects()
-		_, err := s.p.CommitHoldInto(eff, t.id)
-		if err == nil {
-			s.hub.Deliver(eff)
-			edges := s.edges(t.id)
-			batch = append(batch, edges...)
-			counts = append(counts, len(edges))
-		}
-		s.mu.Unlock()
-		if err != nil {
-			if t.siteFailure(err) {
-				_, ferr := t.failSite(sid)
-				return 0, ferr
-			}
-			return 0, fmt.Errorf("dist: commit-hold of T%d at site %d: %w", t.id, sid, err)
-		}
-		c.trace(telemetry.EvHold, uint64(t.id), int32(sid), 0)
-		if sampled {
-			t.span(telemetry.SpanHold, int32(sid), 0, 0, int64(time.Since(siteStart)))
-		}
-		c.step(AfterPrepareForce, t.id, sid)
-	}
-	c.tel.HoldNanos.Observe(uint64(time.Since(holdStart)))
-	c.step(BeforeDecisionForce, t.id, noSite)
-
-	// The decision round runs through the conversation pipeline: one
-	// coordinator critical section mirrors every site's export, sums
-	// the global dependency set and decides — for this conversation
-	// and every concurrent one queued in the same wave, with their
-	// commit decisions forced to the log as one group. The doomed
-	// re-check runs under the same lock the crash handler dooms under,
-	// so a crash during the hold phase cannot slip past the commit
-	// point.
-	decideStart := time.Now()
-	req := &DecideReq{Conv: &t.Conv, Batch: batch, Counts: counts}
-	c.decide(req)
-	gdeps := req.Gdeps
-	c.tel.DecideNanos.Observe(uint64(time.Since(decideStart)))
-	c.trace(telemetry.EvDecide, uint64(t.id), int32(noSite), int64(gdeps))
-	if sampled {
-		t.span(telemetry.SpanDecide, int32(noSite), int64(gdeps), int64(req.Wave), int64(time.Since(decideStart)))
-	}
-	if req.Doomed {
-		_, err := t.failSite(noSite)
-		return 0, err
-	}
-	if req.Shed {
-		c.trace(telemetry.EvShed, uint64(t.id), int32(noSite), int64(gdeps))
-		t.span(telemetry.SpanShed, int32(noSite), int64(gdeps), int64(req.Wave), 0)
-		// The hold policy refused to grow the convoy: revoke the hold
-		// at every participant (recoverability makes this abort
-		// non-cascading) and surface a retryable abort — Store.Run and
-		// the workload harness restart the transaction under a fresh
-		// id, by which time the convoy may have drained.
-		c.unwind(t, noSite, core.ReasonShed, core.ReasonShed.String(), true)
-		return 0, fmt.Errorf("hold shed: %w", &core.ErrAborted{Txn: t.id, Reason: core.ReasonShed})
-	}
-
-	if gdeps > 0 {
-		if c.obs != nil {
-			c.obs.Held(t.id, gdeps)
-		}
-		return core.PseudoCommitted, nil
-	}
-
-	// Global dependency set empty: land the real commit everywhere.
-	c.step(AfterDecisionBeforeRelease, t.id, noSite)
-	releaseStart := time.Now()
-	c.releaseAt(t)
-	c.tel.ReleaseNanos.Observe(uint64(time.Since(releaseStart)))
-	c.landed(t)
-	c.finalizeTxn(t)
-	return core.Committed, nil
+	return 0, t.errState()
 }
 
 // CommitCtx is Commit guarded by ctx: if ctx is already done no commit
@@ -524,6 +374,6 @@ func (t *Txn) Abort() error {
 	default:
 		return fmt.Errorf("%w: pseudo-committed transactions cannot abort", ErrTxnDone)
 	}
-	t.c.abortEverywhere(t, noSite, core.ReasonUser, core.ReasonUser.String())
+	t.abort(noSite, noSite, core.ReasonUser)
 	return nil
 }

@@ -205,7 +205,7 @@ func (c Config) Validate() error {
 		if cp.Occurrence <= 0 {
 			return fmt.Errorf("distsim: crash %d: Occurrence must be >= 1", i)
 		}
-		if int(cp.Step) >= dist.NumSteps {
+		if cp.Step == dist.NoStep || int(cp.Step) >= dist.NumSteps {
 			return fmt.Errorf("distsim: crash %d: unknown step", i)
 		}
 		if cp.Site >= c.Sites {
@@ -216,7 +216,7 @@ func (c Config) Validate() error {
 		if cp.Occurrence <= 0 {
 			return fmt.Errorf("distsim: coord crash %d: Occurrence must be >= 1", i)
 		}
-		if int(cp.Step) >= dist.NumSteps {
+		if cp.Step == dist.NoStep || int(cp.Step) >= dist.NumSteps {
 			return fmt.Errorf("distsim: coord crash %d: unknown step", i)
 		}
 		if cp.RestartAfter <= 0 {

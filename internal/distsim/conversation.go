@@ -7,305 +7,215 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/depgraph"
 	"repro/internal/dist"
+	"repro/internal/fault"
 	"repro/internal/telemetry"
 )
 
-// startCommit begins the commit conversation: the edge-free
-// single-site fast path commits directly at its home site; everything
-// else runs the hold conversation over every visited site in ascending
-// order, exactly like the fault-tolerant wall-clock cluster (a direct
-// multi-site commit would not be atomic under crashes).
+// startCommit hands the attempt to the conversation script
+// (dist.Coordinator.Step): from here until it retires, what happens
+// next is the shipped coordinator's decision; the engine delivers the
+// messages.
 func (e *Engine) startCommit(p *sproc) {
 	p.commitStart = e.tl.Now()
+	p.decideTime = p.commitStart // stands for the direct path, which has no decision round
 	if !e.draining {
 		e.phExec.Add(e.tl.Now() - p.attemptStart)
 	}
 	if e.coordGate {
 		// The coordinator-failure model gates every decision on the
 		// terminal learning the outcome (the wire client plane's
-		// exactly-once rule; the gate is acked in realCommit).
+		// exactly-once rule; the gate is acked when the commit lands).
 		e.co.GateDecision(p.txn)
 	}
-	visited := p.cv.Visited()
 	p.state = spHolding
-	if !p.anyEdges && len(visited) == 1 {
-		p.direct = true
-		p.decideTime = p.commitStart
-		sid := int(visited[0])
-		// A gated direct commit is logged before it is sent: the record
-		// is the only durable trace the commit happened.
-		e.co.LogDirect(p.cv)
-		e.noteLog()
-		e.tracef("commit T%d site=%d (direct)", p.txn, sid)
-		at := e.sendToSite(sid, e.lat())
-		e.tl.Schedule(at, ev{kind: evCommitArrive, p: p, txn: p.txn, site: sid})
-		return
+	acts := e.co.Step(p.cv, dist.Input{Kind: dist.InCommit}, nil)
+	if acts[0].Kind == dist.ActHold {
+		e.tracef("hold-start T%d sites=%v", p.txn, p.cv.Visited())
 	}
-	p.holdK = 0
-	p.req = dist.DecideReq{Conv: p.cv}
-	e.tracef("hold-start T%d sites=%v", p.txn, visited)
-	e.sendHold(p)
+	e.exec(p, acts)
 }
 
-// sendHold fires the BeforeCommitHold boundary for the next
-// participant and sends the prepare. A step-scheduled crash can unwind
-// the attempt synchronously; the txn-id recheck catches that.
-func (e *Engine) sendHold(p *sproc) {
-	sid := int(p.cv.Visited()[p.holdK])
+// run feeds one input to the attempt's conversation and executes what
+// the script answers.
+func (e *Engine) run(p *sproc, in dist.Input) {
+	e.exec(p, e.co.Step(p.cv, in, nil))
+}
+
+// exec is the coordinator side of the action executor: fire the
+// action's before-boundary, then put a site verb on the wire (one
+// latency draw on the FIFO coordinator→site channel; it takes effect on
+// arrival, in perform), run the decision round (a wave of one: the
+// virtual coordinator handles one message at a time), or perform a
+// local action on the spot. A boundary whose crash unwound the attempt
+// or killed the coordinator ends the execution.
+func (e *Engine) exec(p *sproc, acts []dist.Action) {
 	id := p.txn
-	e.stepFired(dist.BeforeCommitHold, p, sid)
-	if p.txn != id {
-		return // the crash at this boundary doomed the conversation
-	}
-	at := e.sendToSite(sid, e.lat())
-	e.tl.Schedule(at, ev{kind: evHoldArrive, p: p, txn: p.txn, site: sid})
-}
-
-// commitArrive lands the direct single-site commit.
-func (e *Engine) commitArrive(p *sproc, sid int) {
-	s := e.sites[sid]
-	if s.down() {
-		e.abortAttempt(p, core.ReasonSiteFailed, -1)
-		return
-	}
-	var eff core.Effects
-	st, err := s.cr.CommitInto(&eff, p.txn)
-	if err != nil {
-		if errors.Is(err, core.ErrUnknownTxn) {
-			// The site crashed and recovered while the commit flew:
-			// the transaction's volatile state died with it.
-			e.abortAttempt(p, core.ReasonSiteFailed, -1)
+	for i := 0; i < len(acts); i++ {
+		act := acts[i]
+		if !e.stepFired(act.Before, p, int(act.Site)) {
 			return
 		}
-		panic(fmt.Sprintf("distsim: direct commit T%d at site %d: %v", p.txn, sid, err))
+		switch act.Kind {
+		case dist.ActCommitDirect:
+			// A gated direct commit was logged before it is sent: the
+			// record is the only durable trace the commit happened.
+			e.noteLog()
+			e.tracef("commit T%d site=%d (direct)", id, act.Site)
+			fallthrough
+		case dist.ActHold, dist.ActRelease:
+			at := e.sendToSite(int(act.Site), e.lat())
+			e.tl.Schedule(at, ev{kind: evArrive, p: p, txn: id, act: act})
+		case dist.ActDecide:
+			e.co.DecideWave([]*dist.DecideReq{p.cv.Decision()})
+			e.noteLog()
+			acts = e.co.Step(p.cv, dist.Input{Kind: dist.InVerdict}, acts)
+		default:
+			if !e.perform(p, act) {
+				return
+			}
+		}
 	}
-	if st != core.Committed {
-		panic(fmt.Sprintf("distsim: edge-free T%d pseudo-committed at site %d", p.txn, sid))
-	}
-	s.cr.Forget(p.txn)
-	e.ack(p.txn, sid) // gated model: the site's durable copy (no-op otherwise)
-	e.processEffects(s, &eff)
-	at := e.sendFromSite(s, e.cfg.SiteTime+e.lat())
-	e.tl.Schedule(at, ev{kind: evCommitReply, p: p, txn: p.txn})
 }
 
-// holdArrive processes the prepare at participant k: the real
-// CommitHoldInto forces the prepare record, the AfterPrepareForce
-// boundary fires, and the reply carries the site's dependency-edge
-// export back to the coordinator.
-func (e *Engine) holdArrive(p *sproc, sid int) {
-	s := e.sites[sid]
-	if s.down() {
-		// The message reached a dead site: no reply will come. The
-		// crash that took the site down has already unwound every
-		// transaction that visited it — reaching here means the crash
-		// happened after this attempt died and a new attempt reused
-		// the proc, which the staleness guard rejects; keep the
-		// defensive abort for safety.
-		e.abortAttempt(p, core.ReasonSiteFailed, -1)
-		return
-	}
-	var eff core.Effects
-	if _, err := s.cr.CommitHoldInto(&eff, p.txn); err != nil {
-		panic(fmt.Sprintf("distsim: commit-hold T%d at site %d: %v", p.txn, sid, err))
-	}
-	s.prepTime[p.txn] = e.tl.Now()
-	e.tracef("hold T%d site=%d (prepare forced)", p.txn, sid)
-	e.span(telemetry.SpanHold, p.txn, sid, 0, 0, 0)
-	e.processEffects(s, &eff)
-	id := p.txn
-	e.stepFired(dist.AfterPrepareForce, p, sid)
-	if p.txn != id {
-		return // crash at the boundary unwound the conversation
-	}
-	edges := s.cr.OutEdgesAppend(p.txn, nil)
-	at := e.sendFromSite(s, e.cfg.SiteTime+e.lat())
-	e.tl.Schedule(at, ev{kind: evHoldReply, p: p, txn: p.txn, site: sid, edges: edges})
-}
-
-// holdReply collects one participant's prepare ack at the coordinator:
-// either the conversation moves to the next site, or — all sites
-// holding — the BeforeDecisionForce boundary fires and the coordinator
-// decides (a wave of one: the simulator's coordinator handles one
-// message at a time).
-func (e *Engine) holdReply(p *sproc, edges []depgraph.Edge) {
-	p.req.Batch = append(p.req.Batch, edges...)
-	p.req.Counts = append(p.req.Counts, len(edges))
-	p.holdK++
-	if p.holdK < len(p.cv.Visited()) {
-		e.sendHold(p)
-		return
-	}
-	id := p.txn
-	e.stepFired(dist.BeforeDecisionForce, p, -1)
-	if p.txn != id {
-		return // pre-decision crash: prepared records will be presumed aborted
-	}
-	req := &p.req
-	e.co.DecideWave([]*dist.DecideReq{req})
-	e.noteLog()
-	if req.Shed {
-		e.shedHold(p, req)
-		return
-	}
-	if !e.draining {
-		e.phHold.Add(e.tl.Now() - p.commitStart)
-	}
-	if req.Gdeps == 0 {
-		e.startRelease(p)
-		return
-	}
-	p.state = spHeld
-	p.heldAt = e.tl.Now()
-	e.held++
-	if !e.draining {
-		e.convoy.Add(req.Held)
-	}
-	e.tracef("held T%d gdeps=%d depth=%d", p.txn, req.Gdeps, req.Held)
-	e.freeTerminal(p)
-}
-
-// revokeAt revokes the attempt's hold at every live visited site but
-// skip (-1: none) — recoverability makes the revocation non-cascading.
-func (e *Engine) revokeAt(p *sproc, skip int, reason core.AbortReason) {
-	for _, sid := range p.cv.Visited() {
+// perform carries an action out where it takes effect — at the
+// participant for a site verb (dist.Action.At, on message arrival), at
+// the coordinator for the rest — fires its after-boundary there, and
+// sends the participant's reply (service time plus one latency draw on
+// the FIFO site→coordinator channel). A hold or direct commit that
+// finds its site dead gets no reply: the conversation learns at once,
+// the terminal's timeout collapsed to zero. It reports false when the
+// execution ended here.
+func (e *Engine) perform(p *sproc, act dist.Action) bool {
+	id, sid := p.txn, int(act.Site)
+	wait := e.cfg.SiteTime
+	var reply dist.Input
+	switch act.Kind {
+	case dist.ActDecided:
+		// DecideWave or Drain forced the decision to the log and opened
+		// its ack set before the script said so.
+		if wait := e.tl.Now() - p.heldAt; p.state == spHeld {
+			e.heldWaits = append(e.heldWaits, wait)
+			if !e.draining {
+				e.phHeldWait.Add(wait)
+			}
+		} else if !e.draining {
+			e.phHold.Add(e.tl.Now() - p.commitStart)
+		}
+		p.state = spReleasing
+		p.decideTime = e.tl.Now()
+		e.tracef("decide T%d commit", id)
+		e.span(telemetry.SpanDecide, id, -1, 0, 0, int64((e.tl.Now()-p.commitStart)*1e9))
+	case dist.ActFinished:
+		e.finished(p, act)
+	case dist.ActRetire:
+		e.retire(p, act.Reason != core.ReasonNone)
+	default: // a site verb
 		s := e.sites[sid]
-		if int(sid) == skip || s.down() {
-			continue
-		}
 		var eff core.Effects
-		if err := s.cr.RevokeInto(&eff, p.txn, reason); err == nil {
-			delete(s.prepTime, p.txn)
-			s.cr.Forget(p.txn)
-			e.processEffects(s, &eff)
+		var err error
+		reply, err = act.At(s.cr, &eff, id)
+		down, gone := errors.Is(err, fault.ErrSiteDown), errors.Is(err, core.ErrUnknownTxn)
+		switch {
+		case reply.Kind == dist.InNone:
+			// Revoke, abort: a site that refuses — down, or restarted
+			// without the transaction — has nothing left to undo.
+			if err == nil {
+				delete(s.prepTime, id)
+			}
+		case err != nil && !down && !gone:
+			panic(fmt.Sprintf("distsim: %v T%d at site %d: %v", act.Kind, id, sid, err))
+		case reply.Failed:
+			// The transaction's volatile state died with the site (gone: it
+			// crashed and recovered while the message flew).
+			e.run(p, reply)
+			return false
+		case down:
+			// The decision is logged: recovery redoes the release from the
+			// prepared record.
+			e.tracef("release T%d site=%d skipped (down, redo at restart)", id, sid)
+			wait = 0
+		case gone:
+			e.tracef("release T%d site=%d already redone", id, sid)
+		case act.Kind == dist.ActHold:
+			s.prepTime[id] = e.tl.Now()
+			e.tracef("hold T%d site=%d (prepare forced)", id, sid)
+			e.span(telemetry.SpanHold, id, sid, 0, 0, 0)
+		default: // a direct commit or a release landed
+			e.ack(id, sid) // the site's durable copy (a no-op for an unlogged direct commit)
+			if act.Kind == dist.ActRelease {
+				delete(s.prepTime, id)
+				e.tracef("release T%d site=%d", id, sid)
+				e.span(telemetry.SpanRelease, id, sid, 0, 0, 0)
+			}
 		}
+		e.processEffects(s, &eff)
 	}
-}
-
-// shedHold unwinds a conversation the hold policy refused: the holds
-// already placed at every participant are revoked — which is what
-// makes shedding cheap — and the logical transaction retries after a
-// backoff, its terminal still occupied (the shed IS the back-pressure
-// the unbounded protocol lacks: the terminal does not move on until the
-// transaction lands for real or is held for good).
-func (e *Engine) shedHold(p *sproc, req *dist.DecideReq) {
-	id := p.txn
-	e.revokeAt(p, -1, core.ReasonShed)
-	e.aborts++
-	e.tracef("shed T%d (%s depth=%d held=%d)", id, e.co.PolicyName(), req.Depth, req.Held)
-	if e.spans != nil {
-		e.span(telemetry.SpanShed, id, -1, int64(req.Depth), int64(req.Held), 0)
-		e.completeSpan(id, e.tl.Now()-p.attemptStart)
-	}
-	e.retry(p)
-}
-
-// startRelease carries out a commit decision the coordinator made
-// (DecideWave or Drain forced it to the log and opened its ack set
-// before returning): the AfterDecisionBeforeRelease boundary fires and
-// the release fan-out starts.
-func (e *Engine) startRelease(p *sproc) {
-	if p.state == spHeld {
-		wait := e.tl.Now() - p.heldAt
-		e.heldWaits = append(e.heldWaits, wait)
-		if !e.draining {
-			e.phHeldWait.Add(wait)
-		}
-	}
-	p.state = spReleasing
-	p.decideTime = e.tl.Now()
-	e.tracef("decide T%d commit", p.txn)
-	e.span(telemetry.SpanDecide, p.txn, -1, 0, 0, int64((e.tl.Now()-p.commitStart)*1e9))
-	e.stepFired(dist.AfterDecisionBeforeRelease, p, -1)
-	// A crash at the boundary cannot unwind a releasing transaction —
-	// its decision is logged; releases skip the down site and recovery
-	// redoes them. A coordinator crash at the boundary stops the
-	// fan-out here: the replacement coordinator adopts the logged
-	// decision and finishes the releases at reconcile.
-	if e.coordDown {
-		return
-	}
-	p.relK = 0
-	n := 1
-	if e.eager {
-		// The batched release round: all participants at once (one
-		// round-trip, relReply counts acks) instead of one site per
-		// round-trip. The FIFO coordinator→site channels carry the
-		// subtree's topological decide order to every shared site.
-		n = len(p.cv.Visited())
-	}
-	for k := 0; k < n && e.sendRelease(p, k); k++ {
-	}
-}
-
-// sendRelease fires the DuringReleaseCascade boundary for participant k
-// and sends it the release (the real commit). It reports false when a
-// coordinator crash at the boundary stopped the fan-out: reconcile
-// finishes it from the logged decision.
-func (e *Engine) sendRelease(p *sproc, k int) bool {
-	sid := int(p.cv.Visited()[k])
-	e.stepFired(dist.DuringReleaseCascade, p, sid)
-	if e.coordDown {
+	// Past the commit point a site crash at the boundary unwinds nothing
+	// (releases skip the down site and recovery redoes them), and a
+	// coordinator crash just stops the fan-out: the replacement adopts
+	// the logged decision and finishes the releases at reconcile.
+	if !e.stepFired(act.After, p, sid) {
 		return false
 	}
-	at := e.sendToSite(sid, e.lat())
-	e.tl.Schedule(at, ev{kind: evRelArrive, p: p, txn: p.txn, site: sid})
+	if reply.Kind != dist.InNone {
+		s := e.sites[sid]
+		if act.Kind == dist.ActHold {
+			reply.Edges = s.cr.OutEdgesAppend(id, nil)
+		}
+		at := e.sendFromSite(s, wait+e.lat())
+		e.tl.Schedule(at, ev{kind: evReply, p: p, txn: id, in: reply})
+	}
 	return true
 }
 
-// relArrive lands the real commit at participant k, or skips a down
-// site (recovery will redo it from the prepared record — the decision
-// is logged).
-func (e *Engine) relArrive(p *sproc, sid int) {
-	s := e.sites[sid]
-	if s.down() {
-		e.tracef("release T%d site=%d skipped (down, redo at restart)", p.txn, sid)
-		at := e.sendFromSite(s, e.lat())
-		e.tl.Schedule(at, ev{kind: evRelReply, p: p, txn: p.txn, site: sid})
-		return
-	}
-	var eff core.Effects
-	if err := s.cr.ReleaseInto(&eff, p.txn); err != nil {
-		if errors.Is(err, core.ErrUnknownTxn) {
-			// Crashed and already recovered: the restart redid the
-			// commit from the prepared record and acked it.
-			e.tracef("release T%d site=%d already redone", p.txn, sid)
-		} else {
-			panic(fmt.Sprintf("distsim: release T%d at site %d: %v", p.txn, sid, err))
+// finished records the outcome the script reports to the owner.
+func (e *Engine) finished(p *sproc, act dist.Action) {
+	id, req := p.txn, p.cv.Decision()
+	switch {
+	case act.Reason == core.ReasonShed:
+		// The holds already placed were just revoked — which is what makes
+		// shedding cheap — and the logical transaction retries after a
+		// backoff, its terminal still occupied (the shed IS the
+		// back-pressure the unbounded protocol lacks).
+		e.aborts++
+		e.tracef("shed T%d (%s depth=%d held=%d)", id, e.co.PolicyName(), req.Depth, req.Held)
+		if e.spans != nil {
+			e.span(telemetry.SpanShed, id, -1, int64(req.Depth), int64(req.Held), 0)
+			e.completeSpan(id, e.tl.Now()-p.attemptStart)
 		}
-	} else {
-		delete(s.prepTime, p.txn)
-		s.cr.Forget(p.txn)
-		e.ack(p.txn, sid)
-		e.tracef("release T%d site=%d", p.txn, sid)
-		e.span(telemetry.SpanRelease, p.txn, sid, 0, 0, 0)
-		e.processEffects(s, &eff)
+	case act.Reason != core.ReasonNone && p.state == spHeld:
+		// An unlogged held pseudo-commit a crash voided (presumed abort's
+		// coordinator half): the logical transaction re-runs detached —
+		// its terminal already moved on at pseudo-commit time.
+		e.heldAborts++
+		e.tracef("revoke T%d (site %d failed)", id, act.Site)
+	case act.Reason != core.ReasonNone:
+		e.aborts++
+		e.tracef("abort T%d (%s)", id, act.Reason)
+		if e.spans != nil {
+			delete(e.blockedAt, id)
+			e.span(telemetry.SpanAbort, id, int(act.Site), 0, 0, 0)
+			e.completeSpan(id, e.tl.Now()-p.attemptStart)
+		}
+	case act.Status == core.PseudoCommitted:
+		if !e.draining {
+			e.phHold.Add(e.tl.Now() - p.commitStart)
+			e.convoy.Add(req.Held)
+		}
+		p.state = spHeld
+		p.heldAt = e.tl.Now()
+		e.held++
+		e.tracef("held T%d gdeps=%d depth=%d", id, req.Gdeps, req.Held)
+		e.freeTerminal(p)
+	default:
+		e.landed(p)
 	}
-	at := e.sendFromSite(s, e.cfg.SiteTime+e.lat())
-	e.tl.Schedule(at, ev{kind: evRelReply, p: p, txn: p.txn, site: sid})
 }
 
-// relReply advances the release fan-out; after the last ack the real
-// commit has landed everywhere that is up. Under the eager policy's
-// batched round every release is already in flight and relK just
-// counts acks.
-func (e *Engine) relReply(p *sproc) {
-	p.relK++
-	if p.relK < len(p.cv.Visited()) {
-		if !e.eager {
-			e.sendRelease(p, p.relK)
-		}
-		return
-	}
-	e.realCommit(p)
-}
-
-// realCommit finishes a logical transaction: its promise was honoured
-// at every (live) site, conservation counts its steps, and its mirror
-// node leaves the union graph — possibly releasing dependants.
-func (e *Engine) realCommit(p *sproc) {
+// landed counts a logical transaction's real commit: its promise was
+// honoured at every (live) site and conservation counts its steps.
+func (e *Engine) landed(p *sproc) {
 	id := p.txn
 	e.realCommits++
 	if !e.draining {
@@ -324,11 +234,6 @@ func (e *Engine) realCommit(p *sproc) {
 	}
 	if !p.freed {
 		e.freeTerminal(p)
-	}
-	p.txn = 0
-	e.finalize(id)
-	if !e.inWindow && e.realCommits >= e.cfg.Warmup {
-		e.openWindow()
 	}
 }
 
@@ -354,16 +259,23 @@ func (e *Engine) ack(id core.TxnID, sid int) {
 	}
 }
 
-// stepFired counts a protocol-step boundary and fires any crash the
-// schedule placed on it. site -1 (a coordinator-level step) defaults
-// the victim to the transaction's first participant.
-func (e *Engine) stepFired(step dist.Step, p *sproc, site int) {
+// stepFired fires one of an action's boundaries (dist.NoStep: there is
+// none): it counts the protocol step and fires any crash the schedule
+// placed on it. site -1 (a coordinator-level step) defaults the victim
+// to the transaction's first participant. It reports whether the
+// execution goes on: false when a crash at the boundary unwound the
+// attempt or killed the coordinator.
+func (e *Engine) stepFired(step dist.Step, p *sproc, site int) bool {
+	if step == dist.NoStep {
+		return true
+	}
+	id := p.txn
 	e.stepCount[step]++
-	e.tracef("step %s T%d site=%d n=%d", step, p.txn, site, e.stepCount[step])
+	e.tracef("step %s T%d site=%d n=%d", step, id, site, e.stepCount[step])
 	if e.draining {
 		// The crash schedule covers the measured run only; the drain
 		// phase is simulated time the unbounded run never had.
-		return
+		return true
 	}
 	for i := range e.cfg.Crashes {
 		cp := &e.cfg.Crashes[i]
@@ -388,15 +300,17 @@ func (e *Engine) stepFired(step dist.Step, p *sproc, site int) {
 		e.coordCrashFired[i] = true
 		e.coordCrash(cp.RestartAfter)
 	}
+	return p.txn == id && !e.coordDown
 }
 
 // crash fails a site at the current virtual instant: volatile state is
-// dropped (the real fault.Crashable.Crash) and the coordinator
-// classifies every live transaction that touched it — unlogged holds
-// are revoked at the surviving sites and their logical transactions
-// re-run detached; releasing transactions are past their commit point
-// and proceed, skipping the dead site; active, blocked and
-// mid-conversation attempts abort (and retry).
+// dropped (the real fault.Crashable.Crash), the coordinator classifies
+// every live transaction that touched it, and the script says what that
+// means for each — unlogged holds are revoked at the surviving sites
+// and their logical transactions re-run detached; releasing
+// transactions are past their commit point and proceed, skipping the
+// dead site; active, blocked and mid-conversation attempts abort (and
+// retry).
 func (e *Engine) crash(sid int, restartAfter float64) {
 	s := e.sites[sid]
 	if s.down() {
@@ -415,35 +329,17 @@ func (e *Engine) crash(sid int, restartAfter float64) {
 		}
 	}
 	slices.SortFunc(touched, func(a, b *dist.Conv) int { return cmp.Compare(a.ID(), b.ID()) })
-	revoke := e.co.SiteCrashed(dist.SiteID(sid), touched)
+	e.co.SiteCrashed(dist.SiteID(sid), touched)
 	for _, cv := range touched {
-		p := cv.Owner.(*sproc)
-		switch {
-		case p.txn != cv.ID():
-			// An earlier iteration's unwinding already handled it.
-		case slices.Contains(revoke, cv):
-			e.revokeHeld(p, sid)
-		case p.state == spReleasing:
-			// Past the commit point: the logged decision lands
-			// everywhere, crash or not.
-		default: // spActive, spBlocked, spHolding
-			e.abortAttempt(p, core.ReasonSiteFailed, -1)
+		// (An earlier iteration's unwinding may have ended the attempt.)
+		if p := cv.Owner.(*sproc); p.txn == cv.ID() {
+			e.unpark(p)
+			e.run(p, dist.Input{Kind: dist.InSiteCrashed, Site: dist.SiteID(sid)})
 		}
 	}
 	if restartAfter > 0 {
 		e.tl.Schedule(e.tl.Now()+restartAfter, ev{kind: evRestart, site: sid})
 	}
-}
-
-// revokeHeld unwinds an unlogged held pseudo-commit after a crash:
-// the hold is revoked at every surviving site (presumed abort's
-// coordinator half), and the logical transaction re-runs detached —
-// its terminal already moved on at pseudo-commit time.
-func (e *Engine) revokeHeld(p *sproc, crashed int) {
-	e.heldAborts++
-	e.revokeAt(p, crashed, core.ReasonSiteFailed)
-	e.tracef("revoke T%d (site %d failed)", p.txn, crashed)
-	e.retry(p)
 }
 
 // closeInDoubt ends a prepared record's in-doubt window at the site.
@@ -518,10 +414,12 @@ func (e *Engine) coordCrash(restartAfter float64) {
 	slices.Sort(ids)
 	for _, id := range ids {
 		p := e.procs[id]
+		_, logged := e.flog.Lookup(id)
 		switch {
-		case p.state == spReleasing || (p.state == spHolding && p.direct):
-			// Decision logged (the direct path logs before sending):
-			// survives the crash; the replacement adopts it.
+		case logged:
+			// Decision logged — releasing, or a direct commit in flight
+			// (the direct path logs before sending): it survives the
+			// crash; the replacement adopts it.
 			p.adopted = true
 			continue
 		case p.state == spHeld:
@@ -533,15 +431,13 @@ func (e *Engine) coordCrash(restartAfter float64) {
 			e.coordRevoked++
 			e.tracef("coordcrash-revoke T%d", id)
 		default: // spActive, spBlocked, spHolding (hold phase)
-			if p.state == spBlocked {
-				delete(e.sites[p.blockedSite].parked, id)
-			}
+			e.unpark(p)
 			e.aborts++
 			e.coordOrphans++
 			e.tracef("orphan T%d (coordinator failed)", id)
 		}
 		e.orphans = append(e.orphans, p.cv)
-		e.retry(p)
+		e.retire(p, true)
 	}
 }
 
@@ -612,25 +508,13 @@ func (e *Engine) reconcile(id core.TxnID, s *simSite) {
 	default:
 		return // resolved here before (or during) the outage
 	}
-	act := dist.AdoptVerdict(held, e.co.ClaimRedo(id))
+	act := dist.Action{Kind: dist.AdoptVerdict(held, e.co.ClaimRedo(id)), Reason: core.ReasonSiteFailed}
 	var eff core.Effects
-	var err error
-	switch act {
-	case dist.AdoptAbort:
-		err = s.cr.AbortInto(&eff, id)
-	case dist.AdoptRedo:
-		_, err = s.cr.CommitInto(&eff, id)
-	case dist.AdoptRevoke:
-		err = s.cr.RevokeInto(&eff, id, core.ReasonSiteFailed)
-	case dist.AdoptRelease:
-		err = s.cr.ReleaseInto(&eff, id)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("distsim: %s T%d at site %d: %v", adoptVerb[act], id, s.idx, err))
+	if _, err := act.At(s.cr, &eff, id); err != nil {
+		panic(fmt.Sprintf("distsim: %s T%d at site %d: %v", adoptVerb[act.Kind], id, s.idx, err))
 	}
 	e.closeInDoubt(s, id)
-	s.cr.Forget(id)
-	e.tracef("%s T%d site=%d", adoptVerb[act], id, s.idx)
+	e.tracef("%s T%d site=%d", adoptVerb[act.Kind], id, s.idx)
 	e.processEffects(s, &eff)
 }
 
@@ -639,6 +523,7 @@ func (e *Engine) reconcile(id core.TxnID, s *simSite) {
 // commit (which acks the gate and truncates the decision).
 func (e *Engine) maybeCompleteAdopted(p *sproc) {
 	if sites, client := e.co.AcksPending(p.txn); sites == 0 && client {
-		e.realCommit(p)
+		e.landed(p)
+		e.retire(p, false)
 	}
 }

@@ -45,11 +45,9 @@ type sproc struct {
 	freed    bool // terminal released (pseudo completion counted)
 	state    sprocState
 
-	// direct marks an attempt on the edge-free single-site commit fast
-	// path; adopted marks a conversation that outlived a coordinator
-	// crash (its completion is driven by the replacement coordinator's
-	// reconcile, not by reply counting).
-	direct  bool
+	// adopted marks a conversation that outlived a coordinator crash (its
+	// completion is driven by the replacement coordinator's reconcile,
+	// not by the script).
 	adopted bool
 
 	blockedSite  int
@@ -59,12 +57,6 @@ type sproc struct {
 	commitStart  float64
 	decideTime   float64 // decision time (or startCommit for the direct path)
 	heldAt       float64
-
-	holdK int
-	relK  int
-	// req accumulates the hold replies' edge exports into the decision
-	// round the coordinator runs once every participant holds.
-	req dist.DecideReq
 }
 
 // simSite is one participant: the real crash-stop scheduler plus the
@@ -96,12 +88,8 @@ const (
 	evReqArrive                  // an operation request reaches its home site
 	evOpDone                     // an executed operation's reply reached the terminal
 	evObserve                    // an edge report reaches the coordinator's mirror
-	evCommitArrive               // a direct (edge-free single-site) commit reaches the site
-	evCommitReply                // ... and its reply reaches the coordinator
-	evHoldArrive                 // a commit-hold (prepare) reaches participant k
-	evHoldReply                  // ... and its reply reaches the coordinator
-	evRelArrive                  // a release reaches participant k
-	evRelReply                   // ... and its ack reaches the coordinator
+	evArrive                     // a conversation action (hold, direct commit, release) reaches its participant
+	evReply                      // ... and the participant's reply reaches the coordinator
 	evRestart                    // a crashed site restarts and recovers
 	evCoordRestart               // the replacement coordinator starts and reconciles
 )
@@ -116,6 +104,8 @@ type ev struct {
 	site     int
 	terminal int
 	edges    []depgraph.Edge // evObserve payload, captured at send time
+	act      dist.Action     // evArrive payload
+	in       dist.Input      // evReply payload
 }
 
 // Engine runs one deterministic multi-site simulation.
@@ -128,17 +118,14 @@ type Engine struct {
 
 	// co is the shipped coordinator (dist.Coordinator): registry, union
 	// graph, decision rounds, release drains, ack table, crash
-	// classification and restart adoption all run there. The engine
-	// models only what surrounds it — time, message order, and the
-	// hold/release fan-out sequencing. A coordinator crash replaces co
-	// with a fresh one on the same flog; deadStats keeps the policy
-	// counters of the incarnations that died.
+	// classification, restart adoption and the conversation script all
+	// run there. The engine models only what surrounds it — time and
+	// message order. A coordinator crash replaces co with a fresh one on
+	// the same flog; deadStats keeps the policy counters of the
+	// incarnations that died.
 	co        *dist.Coordinator
 	deadStats dist.PolicyStats
 	flog      fault.Log
-	// eager: the policy drains in subtree rounds, so releases fan out
-	// to all participants at once instead of one site per round-trip.
-	eager bool
 
 	// procs maps each live attempt's id to its logical transaction —
 	// the terminal side's session table (adopted conversations stay in
@@ -231,7 +218,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		src:             workload.Source{Gen: cfg.Workload, MinLen: cfg.MinLength, MaxLen: cfg.MaxLength},
 		rng:             rand.New(rand.NewSource(cfg.Seed)),
 		flog:            flog,
-		eager:           cfg.Policy != nil && cfg.Policy.EagerSubtree(),
 		procs:           make(map[core.TxnID]*sproc),
 		crashFired:      make([]bool, len(cfg.Crashes)),
 		coordGate:       len(cfg.CoordCrashes) > 0,
@@ -491,7 +477,7 @@ func (e *Engine) dispatch(event ev) {
 		case evCoordRestart:
 			e.coordRestart()
 			return
-		case evOpDone, evObserve, evCommitReply, evHoldReply, evRelReply:
+		case evOpDone, evObserve, evReply:
 			// Site→coordinator messages die at the dead coordinator.
 			// (Most belong to attempts orphaned at crash time anyway;
 			// the commit and release replies of adopted conversations
@@ -533,29 +519,13 @@ func (e *Engine) dispatch(event ev) {
 		}
 	case evObserve:
 		e.observeArrive(event)
-	case evCommitArrive:
+	case evArrive:
 		if !stale(event) {
-			e.commitArrive(event.p, event.site)
+			e.perform(event.p, event.act)
 		}
-	case evCommitReply:
+	case evReply:
 		if !stale(event) && !event.p.adopted {
-			e.realCommit(event.p)
-		}
-	case evHoldArrive:
-		if !stale(event) {
-			e.holdArrive(event.p, event.site)
-		}
-	case evHoldReply:
-		if !stale(event) {
-			e.holdReply(event.p, event.edges)
-		}
-	case evRelArrive:
-		if !stale(event) {
-			e.relArrive(event.p, event.site)
-		}
-	case evRelReply:
-		if !stale(event) && !event.p.adopted {
-			e.relReply(event.p)
+			e.run(event.p, event.in)
 		}
 	case evRestart:
 		s := e.sites[event.site]
@@ -585,9 +555,8 @@ func (e *Engine) startAttempt(p *sproc) {
 	p.cv = dist.NewConv(p.txn, p)
 	p.idx = 0
 	p.anyEdges = false
-	p.direct, p.adopted = false, false
+	p.adopted = false
 	p.state = spActive
-	p.holdK, p.relK = 0, 0
 	p.attemptStart = e.tl.Now()
 	e.procs[p.txn] = p
 	e.co.Enlist(p.cv)
@@ -768,83 +737,54 @@ func (e *Engine) refreshParked(s *simSite) {
 	}
 }
 
-// abortAttempt unwinds the current attempt everywhere (skipping
-// skipSite, where the local scheduler already finalised it, and any
-// down site, whose volatile state died with it), removes the mirror
-// node — cascading releases of transactions that depended on it — and
-// schedules the logical transaction's resubmission after a backoff.
+// abortAttempt is the request path's abort — skipSite's own scheduler
+// already carried it out there, or no site has (-1): the script unwinds
+// the attempt everywhere, and its retire resubmits the logical
+// transaction after a backoff.
 func (e *Engine) abortAttempt(p *sproc, reason core.AbortReason, skipSite int) {
-	id := p.txn
-	if p.state == spBlocked {
-		delete(e.sites[p.blockedSite].parked, id)
-	}
-	for _, sid := range p.cv.Visited() {
-		if int(sid) == skipSite {
-			continue
-		}
-		s := e.sites[sid]
-		if s.down() {
-			continue
-		}
-		var eff core.Effects
-		if err := s.cr.AbortInto(&eff, id); err == nil {
-			s.cr.Forget(id)
-			e.processEffects(s, &eff)
-		} else {
-			// A held pseudo-commit (partial conversation being
-			// unwound) answers ErrTxnTerminated; revoke it instead.
-			var eff2 core.Effects
-			if err2 := s.cr.RevokeInto(&eff2, id, reason); err2 == nil {
-				delete(s.prepTime, id)
-				s.cr.Forget(id)
-				e.processEffects(s, &eff2)
-			}
-		}
-	}
-	if e.coordGate && p.direct {
-		// The gated model logged this direct commit before sending it;
-		// the abort withdraws the record so a later coordinator restart
-		// cannot redo it.
-		e.co.UndoDirect(id)
-	}
-	e.aborts++
-	e.tracef("abort T%d (%s)", id, reason)
-	if e.spans != nil {
-		delete(e.blockedAt, id)
-		e.span(telemetry.SpanAbort, id, skipSite, 0, 0, 0)
-		e.completeSpan(id, e.tl.Now()-p.attemptStart)
-	}
-	e.retry(p)
+	e.unpark(p)
+	e.run(p, dist.Input{Kind: dist.InAbort, Site: dist.SiteID(skipSite), Reason: reason})
 }
 
-// retry ends the current attempt — aborted, shed, revoked or orphaned —
-// and schedules the logical transaction's resubmission under a fresh id
-// after a backoff.
-func (e *Engine) retry(p *sproc) {
+// unpark takes a dying attempt out of the parked set of the site it is
+// blocked at, if any, so no site retry re-reports its edges.
+func (e *Engine) unpark(p *sproc) {
+	if p.state == spBlocked {
+		delete(e.sites[p.blockedSite].parked, p.txn)
+	}
+}
+
+// retire ends the current attempt — landed, or (failed) aborted, shed,
+// revoked or orphaned — and tells the coordinator it terminated
+// globally: it leaves the registry and, if it had union-graph state,
+// the mirror, and the held transactions whose dependency sets drained
+// as a result — decided and logged by Drain, in release order — start
+// releasing. A failed attempt's logical transaction then resubmits
+// under a fresh id after a backoff.
+func (e *Engine) retire(p *sproc, failed bool) {
 	id := p.txn
 	p.txn = 0
-	p.state = spWaitRetry
-	p.attempts++
-	e.co.AckDecision(id) // the terminal knows the attempt died: drop its gate
-	e.finalize(id)
-	e.tl.Schedule(e.tl.Now()+e.backoff(p.attempts), ev{kind: evResubmit, p: p})
-}
-
-// finalize tells the coordinator a transaction terminated globally: it
-// leaves the registry and the union graph, and the held transactions
-// whose global dependency set drained as a result — already decided and
-// logged by Drain, in release order — start releasing. Each of them
-// finalizes in turn when its real commit lands.
-func (e *Engine) finalize(id core.TxnID) {
-	delete(e.procs, id)
-	e.co.Retire(id)
-	ready := e.co.Drain([]core.TxnID{id})
-	e.noteLog()
-	if e.eager && len(ready) > 0 {
-		e.tracef("eager-release %d held", len(ready))
+	if failed {
+		p.state = spWaitRetry
+		p.attempts++
+		e.co.AckDecision(id) // the terminal knows the attempt died: drop its gate
 	}
-	for _, cv := range ready {
-		e.startRelease(cv.Owner.(*sproc))
+	delete(e.procs, id)
+	if e.co.Retire(id) {
+		ready := e.co.Drain([]core.TxnID{id})
+		e.noteLog()
+		if len(ready) > 0 && e.cfg.Policy != nil && e.cfg.Policy.EagerSubtree() {
+			e.tracef("eager-release %d held", len(ready))
+		}
+		for _, cv := range ready {
+			e.run(cv.Owner.(*sproc), dist.Input{Kind: dist.InReady})
+		}
+	}
+	switch {
+	case failed:
+		e.tl.Schedule(e.tl.Now()+e.backoff(p.attempts), ev{kind: evResubmit, p: p})
+	case !e.inWindow && e.realCommits >= e.cfg.Warmup:
+		e.openWindow()
 	}
 }
 

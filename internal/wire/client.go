@@ -31,7 +31,14 @@ type Client struct {
 	ResolveWindow time.Duration
 	numSites      int
 	sampler       *telemetry.Sampler
+	// met instruments the client hop: frames, bytes, reconnects and
+	// per-verb round-trip time of this client's connection.
+	met telemetry.WireMetrics
 }
+
+// WireMetrics exposes the client hop's live instrument block for
+// lock-free reads.
+func (c *Client) WireMetrics() *telemetry.WireMetrics { return &c.met }
 
 // SetSampler enables client-rooted tracing: each transaction mints a
 // deterministic trace context from the sampler at Begin, and every
@@ -42,12 +49,13 @@ func (c *Client) SetSampler(s *telemetry.Sampler) { c.sampler = s }
 
 // Dial connects to a coordinator's client plane, retrying for wait.
 func Dial(addr string, wait time.Duration) (*Client, error) {
-	peer := NewPeer(PeerConfig{Addr: addr, Redial: true, RedialDelay: 50 * time.Millisecond})
+	c := &Client{ResolveWindow: 60 * time.Second}
+	peer := NewPeer(PeerConfig{Addr: addr, Redial: true, RedialDelay: 50 * time.Millisecond, Metrics: &c.met})
 	if err := peer.Connect(wait); err != nil {
 		peer.Close()
 		return nil, err
 	}
-	c := &Client{peer: peer, ResolveWindow: 60 * time.Second}
+	c.peer = peer
 	if r, err := peer.call(kCliStatus, nil); err == nil {
 		c.numSites = int(r.u32())
 		if r.err != nil {

@@ -235,6 +235,13 @@ func TestNetLoadConservation(t *testing.T) {
 	}
 	// All decisions resolved and acked: the log has drained.
 	waitLogLen(t, nc.co.Log, 0)
+	// The client hop is measured, not inferred: every commit was a
+	// request/response pair on this client's connection.
+	if m := cl.WireMetrics(); m.RTT(kCliCommit).Count() < uint64(res.Commits) ||
+		m.FramesOut.Load() < m.RTT(kCliCommit).Count() || m.BytesIn.Load() == 0 {
+		t.Errorf("client hop: %d commit RTTs, %d frames out, %d bytes in for %d commits",
+			m.RTT(kCliCommit).Count(), m.FramesOut.Load(), m.BytesIn.Load(), res.Commits)
+	}
 }
 
 // TestNetCoordinatorRestartExactlyOnce is the tentpole's recovery
