@@ -359,6 +359,57 @@ func BenchmarkClassificationTable(b *testing.B) {
 	}
 }
 
+// benchSink keeps measured results alive.
+var benchSink int
+
+// BenchmarkGeneratorDraw prices one drawn transaction (4..12 steps) per
+// generator: the load generator's share of a client-observed
+// transaction, and the future source of a workload.draw_ns price line.
+// Each draw allocates its step slice and nothing else.
+func BenchmarkGeneratorDraw(b *testing.B) {
+	for _, g := range []struct {
+		name string
+		gen  workload.Generator
+	}{
+		{"mix", workload.Mix{DBSize: 64, ArgRange: 8}},
+		{"readwrite", workload.ReadWrite{DBSize: 4096, WriteProb: 0.3}},
+		{"pushes", workload.Pushes{DBSize: 256}},
+		{"abstract", workload.Abstract{DBSize: 256, Sigma: 4, Pc: 4, Pr: 4, TableSeed: 7}},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			src := workload.Source{Gen: g.gen, MinLen: 4, MaxLen: 12}
+			r := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += len(src.Draw(r))
+			}
+		})
+	}
+}
+
+// BenchmarkRegisterSharedTable prices registering a database of pages
+// on one shared table (what a generator's Factory hands out): the table
+// is compiled once, so the per-object cost is the object and its states.
+// The future source of a core.register_ns price line.
+func BenchmarkRegisterSharedTable(b *testing.B) {
+	for _, n := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				table := compat.PageTable()
+				s := core.NewScheduler(core.Options{})
+				for id := core.ObjectID(1); id <= core.ObjectID(n); id++ {
+					if err := s.Register(id, adt.Page{}, table); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/object")
+		})
+	}
+}
+
 // BenchmarkBlockingHandles measures the goroutine front end end-to-end:
 // one blocked pop handed over between two handles per iteration.
 func BenchmarkBlockingHandles(b *testing.B) {

@@ -15,8 +15,17 @@ type Abstract struct {
 	Sigma int
 }
 
+// abstractOpNames serves the names every experiment draws (σ = 4)
+// without building a string per step.
+var abstractOpNames = [...]string{"op0", "op1", "op2", "op3", "op4", "op5", "op6", "op7"}
+
 // AbstractOpName returns the name of abstract operation i.
-func AbstractOpName(i int) string { return "op" + strconv.Itoa(i) }
+func AbstractOpName(i int) string {
+	if uint(i) < uint(len(abstractOpNames)) {
+		return abstractOpNames[i]
+	}
+	return "op" + strconv.Itoa(i)
+}
 
 // abstractState is the (information-free) state of an Abstract object.
 type abstractState struct{}

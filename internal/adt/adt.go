@@ -230,6 +230,30 @@ func SpecByName(t Type, name string) (OpSpec, bool) {
 	return OpSpec{}, false
 }
 
+// builtinOpNames are the operation names of the package's own types.
+var builtinOpNames = func() (names []string) {
+	for _, t := range []Type{Page{}, Stack{}, Set{}, KTable{}, Abstract{Sigma: len(abstractOpNames)}} {
+		for _, sp := range t.Specs() {
+			names = append(names, sp.Name)
+		}
+	}
+	return names
+}()
+
+// CanonicalOpName returns b as an operation name: the package's own
+// constant when b spells a built-in operation (no allocation, and every
+// holder of the name shares one string), a copy of b otherwise. Decoders
+// use it so that logs retaining decoded operations do not retain one
+// string each. A new built-in Type lists itself in builtinOpNames.
+func CanonicalOpName(b []byte) string {
+	for _, n := range builtinOpNames {
+		if string(b) == n {
+			return n
+		}
+	}
+	return string(b)
+}
+
 // MustApply is Apply but panics on malformed invocations. It is a
 // convenience for tests and examples where the operation is statically
 // well-formed.

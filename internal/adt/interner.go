@@ -11,34 +11,32 @@ type OpID int32
 const NoOpID OpID = -1
 
 // Interner assigns dense OpIDs to operation names. It is built once
-// (per compatibility table / per object) and read-only afterwards, so it
-// is safe for concurrent readers.
+// (per compatibility table) and read-only afterwards, so it is safe for
+// concurrent readers. Lookup is a scan: every table has 2–5 operations,
+// and comparing against a handful of short strings (equal constants
+// share a pointer) costs less than one string hash and map probe.
 type Interner struct {
-	ids   map[string]OpID
 	names []string
 }
 
 // NewInterner interns the given names in order: names[i] gets OpID(i).
 // Duplicate names keep their first id.
 func NewInterner(names []string) *Interner {
-	in := &Interner{
-		ids:   make(map[string]OpID, len(names)),
-		names: make([]string, 0, len(names)),
-	}
+	in := &Interner{names: make([]string, 0, len(names))}
 	for _, n := range names {
-		if _, ok := in.ids[n]; ok {
-			continue
+		if in.ID(n) == NoOpID {
+			in.names = append(in.names, n)
 		}
-		in.ids[n] = OpID(len(in.names))
-		in.names = append(in.names, n)
 	}
 	return in
 }
 
 // ID returns the OpID for name, or NoOpID.
 func (in *Interner) ID(name string) OpID {
-	if id, ok := in.ids[name]; ok {
-		return id
+	for i, n := range in.names {
+		if n == name {
+			return OpID(i)
+		}
 	}
 	return NoOpID
 }

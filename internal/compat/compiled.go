@@ -137,9 +137,25 @@ func newCompiled(typeName string, names []string) *Compiled {
 // entries are evaluated per (requested, executed, sameArg) cell exactly
 // as Table.Classify would (commutativity first, then recoverability), so
 // the two agree on every concrete operation pair; the equivalence tests
-// prove it for all paper, derived and generated tables. The snapshot is
-// taken at call time — later Set* mutations are not reflected.
+// prove it for all paper, derived and generated tables. The result is
+// memoised on the table until the next SetComm/SetRec, so every caller
+// (and every object registered with the table) shares one read-only
+// Compiled; a returned snapshot never reflects later mutations.
 func (t *Table) Compile() *Compiled {
+	if c := t.compiled.Load(); c != nil {
+		return c
+	}
+	c := t.compile()
+	if !t.compiled.CompareAndSwap(nil, c) {
+		// A concurrent Compile published first: share its form.
+		if won := t.compiled.Load(); won != nil {
+			return won
+		}
+	}
+	return c
+}
+
+func (t *Table) compile() *Compiled {
 	c := newCompiled(t.TypeName, t.Ops)
 	for i, req := range t.Ops {
 		if t.Index(req) != i {

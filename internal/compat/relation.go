@@ -17,7 +17,11 @@
 //     enumeration — the test suite proves the two agree.
 package compat
 
-import "repro/internal/adt"
+import (
+	"sync/atomic"
+
+	"repro/internal/adt"
+)
 
 // Entry is one cell of a compatibility table.
 type Entry uint8
@@ -93,6 +97,15 @@ func (r Rel) String() string {
 // (requested, executed) operation-name pair, the commutativity entry and
 // the recoverability entry. Rows and columns are identified by operation
 // name, in the order of Ops.
+//
+// A table is compiled once (Compile) and the compiled form shared by
+// every object registered with it. SetComm and SetRec drop that form, so
+// the next Compile sees the new entries; objects registered before a
+// mutation keep the relation they were registered with. Fill the Comm
+// and Rec grids directly only before the first Compile (as derive.go
+// does): a direct write after it is not seen by later Compiles
+// (TestCompileMemoIgnoresDirectGridWrite). A Table holds that memo in an
+// atomic and must not be copied by value; pass *Table.
 type Table struct {
 	// TypeName names the data type the table describes.
 	TypeName string
@@ -109,6 +122,10 @@ type Table struct {
 	// (Ops is fixed from then on); nil for hand-rolled Table literals,
 	// which fall back to the linear scan.
 	index map[string]int
+
+	// compiled memoises Compile; nil until the first call and again
+	// after each SetComm/SetRec.
+	compiled atomic.Pointer[Compiled]
 }
 
 // NewTable returns an empty table over the given operations with every
@@ -161,10 +178,16 @@ func (t *Table) RecEntry(req, exec string) Entry { return t.Rec[t.Index(req)][t.
 // SetComm sets the commutativity entry (and, by Lemma 1 of the paper,
 // commutativity implies recoverability, so callers typically also set
 // the recoverability entry at least as permissive — paper.go does).
-func (t *Table) SetComm(req, exec string, e Entry) { t.Comm[t.Index(req)][t.Index(exec)] = e }
+func (t *Table) SetComm(req, exec string, e Entry) {
+	t.Comm[t.Index(req)][t.Index(exec)] = e
+	t.compiled.Store(nil)
+}
 
 // SetRec sets the recoverability entry.
-func (t *Table) SetRec(req, exec string, e Entry) { t.Rec[t.Index(req)][t.Index(exec)] = e }
+func (t *Table) SetRec(req, exec string, e Entry) {
+	t.Rec[t.Index(req)][t.Index(exec)] = e
+	t.compiled.Store(nil)
+}
 
 // Classifier decides the relation between a requested operation and an
 // executed, uncommitted operation. Object managers consult a Classifier

@@ -426,3 +426,32 @@ func TestAbortCostIndependentOfCommittedSize(t *testing.T) {
 		}
 	}
 }
+
+// TestRegisterSharedTableAllocs: objects registered with one table
+// share its compiled form — registering the 2nd..Nth compiles nothing
+// and allocates only the object and its states.
+func TestRegisterSharedTableAllocs(t *testing.T) {
+	table := compat.PageTable()
+	s := NewScheduler(Options{})
+	for id := ObjectID(1); id <= 64; id++ {
+		if err := s.Register(id, adt.Page{}, table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id, o := range s.store.objects {
+		if o.comp != table.Compile() {
+			t.Fatalf("object %d holds its own compiled table", id)
+		}
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	// The object, its materialised state and its committed state.
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := newObject(1, adt.Page{}, table, RecoveryIntentions, PredRecoverability); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 3 {
+		t.Fatalf("registering on an already-compiled table allocates %.0f times, want <= 3", avg)
+	}
+}

@@ -83,13 +83,17 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) i64() int64 { return int64(r.u64()) }
 
-func (r *reader) str() string {
+func (r *reader) str() string { return string(r.strBytes()) }
+
+// strBytes reads a string as a view into the payload, valid until the
+// frame buffer is reused.
+func (r *reader) strBytes() []byte {
 	n := r.u32()
 	if r.err != nil || uint64(len(r.b)) < uint64(n) {
 		r.fail("string")
-		return ""
+		return nil
 	}
-	s := string(r.b[:n])
+	s := r.b[:n]
 	r.b = r.b[n:]
 	return s
 }
@@ -131,7 +135,7 @@ func appendOp(b []byte, op adt.Op) []byte {
 
 func (r *reader) op() adt.Op {
 	var op adt.Op
-	op.Name = r.str()
+	op.Name = adt.CanonicalOpName(r.strBytes())
 	flags := r.u8()
 	if flags&1 != 0 {
 		op.HasArg = true

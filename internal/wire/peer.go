@@ -261,11 +261,10 @@ func (p *Peer) roundTripT(kind uint8, tc telemetry.TraceContext, payload []byte)
 	}
 	if err != nil {
 		delete(p.pending, corr)
-		conn, gen := p.conn, p.gen
+		conn := p.conn
 		p.mu.Unlock()
 		if conn != nil {
 			conn.Close() // the reader observes the close and runs connLost
-			_ = gen
 		}
 		return 0, nil, fmt.Errorf("%w (write: %v)", ErrPeerDown, err)
 	}

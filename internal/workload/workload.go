@@ -259,27 +259,25 @@ func (w Mix) Name() string { return "mix(stack/set/table)" }
 // Size implements Generator.
 func (w Mix) Size() int { return w.DBSize }
 
-// typeFor returns the type and table for an object id.
-func (w Mix) typeFor(id core.ObjectID) (adt.Type, *compat.Table) {
-	switch id % 3 {
-	case 0:
-		return adt.Stack{}, compat.StackTable()
-	case 1:
-		return adt.Set{}, compat.SetTable()
-	default:
-		return adt.KTable{}, compat.KTableTable()
-	}
-}
+// mixTypes are Mix's object kinds by id mod 3, and mixSpecs each kind's
+// operation repertoire, resolved once: NewTxn draws from these and
+// never asks a type (or builds a table) per step.
+var (
+	mixTypes = [3]adt.Type{adt.Stack{}, adt.Set{}, adt.KTable{}}
+	mixSpecs = [3][]adt.OpSpec{mixTypes[0].Specs(), mixTypes[1].Specs(), mixTypes[2].Specs()}
+)
 
-// Factory implements Generator.
+// Factory implements Generator. Objects of one kind share that kind's
+// table.
 func (w Mix) Factory() func(core.ObjectID) (adt.Type, compat.Classifier) {
+	tables := [3]*compat.Table{compat.StackTable(), compat.SetTable(), compat.KTableTable()}
 	return func(id core.ObjectID) (adt.Type, compat.Classifier) {
-		typ, tab := w.typeFor(id)
-		return typ, tab
+		return mixTypes[id%3], tables[id%3]
 	}
 }
 
-// NewTxn implements Generator.
+// NewTxn implements Generator. Each step consumes the RNG in the order
+// object, operation, arg, aux (TestDrawsArePinned).
 func (w Mix) NewTxn(r *rand.Rand, length int) []Step {
 	argRange := w.ArgRange
 	if argRange <= 0 {
@@ -288,8 +286,7 @@ func (w Mix) NewTxn(r *rand.Rand, length int) []Step {
 	steps := make([]Step, length)
 	for i := range steps {
 		obj := core.ObjectID(1 + r.Intn(w.DBSize))
-		typ, _ := w.typeFor(obj)
-		specs := typ.Specs()
+		specs := mixSpecs[obj%3]
 		sp := specs[r.Intn(len(specs))]
 		steps[i] = Step{Object: obj, Op: sp.Invoke(1+r.Intn(argRange), 1+r.Intn(argRange))}
 	}

@@ -122,6 +122,12 @@ func TestMixGenerator(t *testing.T) {
 		if class == nil {
 			t.Fatal("nil classifier")
 		}
+		if class.(*compat.Table).TypeName != typ.Name() {
+			t.Fatalf("object %d: %s paired with the %s table", id, typ.Name(), class.(*compat.Table).TypeName)
+		}
+		if _, again := f(id + 3); again != class {
+			t.Fatalf("objects %d and %d of one kind do not share a table", id, id+3)
+		}
 	}
 	for _, k := range []string{"stack", "set", "table"} {
 		if !kinds[k] {
