@@ -12,7 +12,7 @@
 //	sccbench -shardscale                   # 1-shard vs N-shard throughput
 //	sccbench -net                          # loopback-TCP wire vs in-process calls
 //	sccbench -chaos                        # crash-stop fault-tolerance cost + chaos run
-//	sccbench -convoy                       # hold-convoy overload: policy off vs bounded-hold
+//	sccbench -convoy                       # hold-convoy overload: off vs the default vs the named policies
 //	sccbench -convoy -policy eager         # one policy against the unbounded baseline
 //
 // Scale knobs: -completions, -warmup, -runs, -seed, -db, -terminals.
@@ -27,12 +27,12 @@
 // -cross, which default to the overload regime: all-push workload,
 // small database, 40% cross-site); the clock stops only after every
 // pseudo-commit promise is honoured, so txn/s is honest real-commit
-// throughput, drain included. -policy also installs a bounded-hold
-// policy on the -chaos and -net clusters.
+// throughput, drain included. -policy also names the hold policy of
+// the -chaos and -net clusters: empty is the cluster default
+// (dist.DefaultPolicy), off the paper's unbounded hold.
 // Net knobs: -net reuses the -shardscale sweep knobs (-shards,
 // -workers, -txns, -cross) to compare loopback TCP against in-process
-// calls; use -policy eager to keep the wire's longer overlap windows
-// from convoying.
+// calls.
 //
 // Telemetry: -telemetry prints each cluster's final instrument-block
 // snapshot (phase quantiles, wave shape, decision conservation) after
@@ -158,13 +158,12 @@ func runShardScale(shardList, maxprocsList string, workers, txns, db int, cross,
 // operation (client → coordinator → site). This is the number behind
 // BENCH_4.json.
 //
-// An all-push workload with no hold policy convoys badly over the
-// wire: round trips widen the overlap window, every overlap holds, and
-// the end-of-run drain can dwarf the load itself (minutes for a
-// seconds-long run, with huge run-to-run variance). -policy installs
-// the same bounded-hold policy on both sides; the canonical BENCH_4
-// numbers use -policy eager so the sweep measures the transport, not
-// the convoy.
+// An all-push workload held unboundedly (-policy off) convoys badly
+// over the wire: round trips widen the overlap window, every overlap
+// holds, and the end-of-run drain can dwarf the load itself (minutes
+// for a seconds-long run, with huge run-to-run variance). Both sides
+// run the same hold policy — the cluster default unless -policy names
+// one; the canonical BENCH_4 numbers used -policy eager.
 func runNet(shardList string, workers, txns, db int, cross float64, seed int64, pol dist.HoldPolicy) error {
 	counts, err := parseIntList("-shards", shardList)
 	if err != nil {
@@ -174,9 +173,7 @@ func runNet(shardList string, workers, txns, db int, cross float64, seed int64, 
 	fmt.Printf("net transport: loopback TCP vs in-process, %d workers x %d txns, push db=%d, cross-site prob %.2f\n",
 		workers, txns, db, cross)
 	fmt.Println("(both clusters crash-stop fault-tolerant; the wire side adds the client plane, one site daemon, and 2 hops/op)")
-	if pol != nil {
-		fmt.Printf("bounded-hold policy %s installed on both sides\n", pol.Name())
-	}
+	fmt.Printf("hold policy %s on both sides\n", installedName(pol))
 	fmt.Printf("%-8s %-14s %10s %10s %10s %12s\n", "shards", "transport", "txn/s", "ops", "aborts", "elapsed")
 	for _, n := range counts {
 		lc := workload.LoadConfig{
@@ -217,6 +214,15 @@ func runNet(shardList string, workers, txns, db int, cross float64, seed int64, 
 			netRes.Elapsed.Round(time.Millisecond), ratio)
 	}
 	return nil
+}
+
+// installedName names the hold policy a cluster configured with pol
+// runs.
+func installedName(pol dist.HoldPolicy) string {
+	if pol == nil {
+		return dist.DefaultPolicy().Name() + " (the default)"
+	}
+	return pol.Name()
 }
 
 // runNetOnce deploys the loopback cluster — daemon, coordinator,
@@ -280,15 +286,18 @@ func runNetOnce(n int, spec string, lc workload.LoadConfig, pol dist.HoldPolicy)
 // unbounded baseline pays its whole convoy drain inside the elapsed
 // time, which is exactly the cost the policies exist to remove.
 func runConvoy(sitesN, workers, txns, db int, cross float64, seed int64, holdOpen time.Duration, pol dist.HoldPolicy) error {
-	policies := []dist.HoldPolicy{nil}
-	if pol != nil {
-		policies = append(policies, pol)
-	} else {
+	policies := []dist.HoldPolicy{dist.Unbounded{}}
+	switch pol.(type) {
+	case nil:
 		policies = append(policies,
+			dist.DefaultPolicy(),
 			dist.DepthBound{Max: 16},
 			dist.EagerRelease{},
 			&dist.Admission{High: 32, Low: 16},
 		)
+	case dist.Unbounded: // the baseline alone
+	default:
+		policies = append(policies, pol)
 	}
 	gen := workload.Sharded{
 		Inner: workload.Pushes{DBSize: db},
@@ -300,7 +309,7 @@ func runConvoy(sitesN, workers, txns, db int, cross float64, seed int64, holdOpe
 	fmt.Printf("%-14s %10s %10s %10s %10s %12s %12s\n",
 		"policy", "txn/s", "held", "heldpeak", "aborts", "shed", "elapsed")
 	var baseline float64
-	for _, p := range policies {
+	for i, p := range policies {
 		c, err := dist.NewWithConfig(dist.Config{Sites: sitesN, Policy: p})
 		if err != nil {
 			return err
@@ -318,11 +327,8 @@ func runConvoy(sitesN, workers, txns, db int, cross float64, seed int64, holdOpe
 			return err
 		}
 		ps := c.PolicyStats()
-		name, note := "off", ""
-		if p != nil {
-			name = p.Name()
-		}
-		if p == nil {
+		name, note := c.PolicyName(), ""
+		if i == 0 {
 			baseline = res.TxnPerSec
 		} else if baseline > 0 {
 			note = fmt.Sprintf("  (%.2fx vs off)", res.TxnPerSec/baseline)
@@ -360,9 +366,7 @@ func runChaos(shardsN, workers, txns, db int, cross float64, seed int64, crashPe
 	}
 	fmt.Printf("chaos: %d sites, %d workers x %d txns, push db=%d, cross-site prob %.2f\n",
 		shardsN, workers, txns, db, cross)
-	if pol != nil {
-		fmt.Printf("bounded-hold policy %s installed on every cluster\n", pol.Name())
-	}
+	fmt.Printf("hold policy %s on every cluster\n", installedName(pol))
 	fmt.Printf("%-22s %12s %10s %10s %12s %10s\n", "configuration", "txn/s", "held", "aborts", "elapsed", "crashes")
 
 	plain, err := dist.NewWithConfig(dist.Config{Sites: shardsN, Policy: pol})
@@ -468,7 +472,7 @@ func main() {
 		convoy      = flag.Bool("convoy", false, "run the hold-convoy overload: bounded-hold policies vs the unbounded baseline")
 		convoySites = flag.Int("convoysites", 8, "participant sites for -convoy")
 		holdOpen    = flag.Duration("holdopen", 300*time.Microsecond, "per-transaction open window before commit for -convoy (the overlap that forms the convoy)")
-		policyStr   = flag.String("policy", "", "bounded-hold policy for -convoy/-chaos/-net: off, depth=N, eager, admit=N, admit=H/L (empty with -convoy compares off, depth=16, eager, admit=32/16)")
+		policyStr   = flag.String("policy", "", "hold policy for -convoy/-chaos/-net: off (unbounded), depth=N, eager, admit=N, admit=H/L; empty is the cluster default (with -convoy: compares off, the default, depth=16, eager, admit=32/16)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -221,7 +221,7 @@ func runCoord(cf *wire.ClusterFile, dialWait time.Duration, debugAddr string) {
 			fatal(err)
 		}
 		defer dbg.Close()
-		fmt.Printf("sccd: coordinator debug plane on http://%s (policy %s)\n", dbg.Addr(), co.Cluster.PolicyName())
+		fmt.Printf("sccd: coordinator debug plane on http://%s\n", dbg.Addr())
 	}
 	if n := len(co.Adopted); n > 0 {
 		fmt.Printf("sccd: coordinator adopted %d logged commit decision(s) from %s\n", n, cf.Log)
@@ -232,7 +232,8 @@ func runCoord(cf *wire.ClusterFile, dialWait time.Duration, debugAddr string) {
 			}
 		}
 	}
-	fmt.Printf("sccd: coordinator serving %d sites on %s (log %s)\n", cf.NumSites(), co.Addr(), cf.Log)
+	fmt.Printf("sccd: coordinator serving %d sites on %s (log %s, hold policy %s)\n",
+		cf.NumSites(), co.Addr(), cf.Log, co.Cluster.PolicyName())
 	quit := make(chan os.Signal, 1)
 	watchSignals(quit, flight)
 	co.Close()

@@ -16,8 +16,9 @@
 // Multi-site examples:
 //
 //	sccsim -sites 8 -terminals 32 -model pushes -cross 0.4    # convoy regime
-//	sccsim -scenario convoy                                   # the checked-in collapse baseline
-//	sccsim -scenario convoy -policy eager                     # bounded-hold policy vs the baseline
+//	sccsim -scenario convoy                                   # the convoy under the default hold policy
+//	sccsim -scenario convoy -policy off                       # the checked-in collapse baseline (unbounded)
+//	sccsim -scenario convoy -policy eager                     # another bounded-hold policy vs the baseline
 //	sccsim -scenario convoy -policy depth=16                  # shed the convoy tail past depth 16
 //	sccsim -sites 2 -model pushes -cross 0.5 -completions 40 -warmup 0 \
 //	    -crash-at AfterDecisionBeforeRelease -restart-after 0.5 -trace
@@ -71,7 +72,7 @@ func main() {
 		restartAfter = flag.Float64("restart-after", 0.5, "virtual downtime before the crashed site restarts (<= 0: stays down until the run ends)")
 		trace        = flag.Bool("trace", false, "print the full replayable event trace (multi-site)")
 		scenario     = flag.String("scenario", "", "run a checked-in scenario: convoy, redo, presume")
-		policy       = flag.String("policy", "", "bounded-hold policy: off, depth=N, eager, admit=N, admit=H/L (multi-site)")
+		policy       = flag.String("policy", "", "hold policy: off (unbounded), depth=N, eager, admit=N, admit=H/L; empty is the cluster default (multi-site)")
 		sweepLat     = flag.String("sweep-latency", "", "comma-separated latencies: sweep message latency x cross-site probability")
 		sweepCross   = flag.String("sweep-cross", "", "comma-separated cross probabilities for the sweep (default 0,0.2,0.4)")
 	)
@@ -130,6 +131,11 @@ func multiSite(model string, db, terminals int, writeProb float64, pc, pr int,
 	pol, err := dist.ParsePolicy(policy)
 	if err != nil {
 		fatalf("%v", err)
+	}
+	if pol == nil {
+		// The simulated coordinator takes what it is given; simulate
+		// what a cluster ships with unless told otherwise.
+		pol = dist.DefaultPolicy()
 	}
 
 	var cfg distsim.Config

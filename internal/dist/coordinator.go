@@ -212,7 +212,9 @@ type Coordinator struct {
 	holdBatches uint64
 	waveSeq     uint64
 	// policy, when non-nil, is the bounded-hold release policy (a Fresh
-	// clone of the configured one); eager caches its EagerSubtree.
+	// clone of the configured one; Unbounded is stored as nil, so the
+	// decide path neither consults it nor measures chain depth for it);
+	// eager caches its EagerSubtree.
 	policy HoldPolicy
 	eager  bool
 	// heldCount tracks the live held set and pstats the policy's
@@ -250,7 +252,9 @@ type Coordinator struct {
 // NewCoordinator builds a coordinator over sites participant sites.
 // flog is the decision log (nil: no fault tolerance, nothing is
 // logged); policy optionally bounds the hold convoy (a Fresh clone is
-// used); debug checks the ack-table invariant at every mutation.
+// used; nil and Unbounded{} both hold unboundedly — the default policy
+// is NewWithConfig's, not the mechanism's); debug checks the ack-table
+// invariant at every mutation.
 func NewCoordinator(sites int, flog fault.Log, policy HoldPolicy, debug bool) *Coordinator {
 	c := new(Coordinator)
 	c.init(sites, flog, policy, debug)
@@ -261,7 +265,7 @@ func (c *Coordinator) init(sites int, flog fault.Log, policy HoldPolicy, debug b
 	c.nsites, c.flog, c.debug = sites, flog, debug
 	c.mirror = depgraph.NewMirror()
 	c.mirror.SetMetrics(&c.tel.Mirror)
-	if policy != nil {
+	if _, off := policy.(Unbounded); policy != nil && !off {
 		c.policy = policy.Fresh()
 		c.eager = c.policy.EagerSubtree()
 	}
@@ -512,7 +516,7 @@ func (c *Coordinator) PolicyStats() PolicyStats {
 }
 
 // PolicyName returns the active hold policy's parseable name, or
-// "off" when the coordinator holds unboundedly (no policy configured).
+// "off" when the coordinator holds unboundedly (nil or Unbounded{}).
 func (c *Coordinator) PolicyName() string {
 	if c.policy == nil {
 		return "off"

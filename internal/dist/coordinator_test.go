@@ -75,6 +75,7 @@ func TestCoordinatorDecide(t *testing.T) {
 	}{
 		{"commit", nil, false, txReleasing, false, 0, 1},
 		{"hold/off", nil, true, txPseudo, false, 1, 0},
+		{"hold/unbounded", Unbounded{}, true, txPseudo, false, 1, 0},
 		{"hold/depth", DepthBound{Max: 2}, true, txPseudo, false, 1, 0},
 		{"hold/eager", EagerRelease{}, true, txPseudo, false, 1, 0},
 		{"shed/admission", &Admission{High: 1, Low: 0}, true, txRevoking, true, 1, 0},
@@ -101,6 +102,9 @@ func TestCoordinatorDecide(t *testing.T) {
 			}
 			if r.Shed != tc.wantShed || r.Doomed {
 				t.Errorf("verdict = %+v", r)
+			}
+			if _, off := tc.policy.(Unbounded); (tc.policy == nil || off) && (r.Depth != 0 || co.PolicyName() != "off") {
+				t.Errorf("unbounded coordinator (%q) measured chain depth %d", co.PolicyName(), r.Depth)
 			}
 			if r.Held != tc.wantHeld || co.HeldCount() != tc.wantHeld {
 				t.Errorf("held = %d (coordinator %d), want %d", r.Held, co.HeldCount(), tc.wantHeld)

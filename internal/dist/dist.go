@@ -249,9 +249,10 @@ type Config struct {
 	// boundary of commit conversations (see StepHook); nil is the
 	// zero-overhead passthrough.
 	StepHook StepHook
-	// Policy, when non-nil, bounds the hold convoy (see HoldPolicy).
-	// The cluster uses a Fresh clone, so one value can configure many
-	// clusters. Nil preserves the paper's unbounded hold behaviour.
+	// Policy bounds the hold convoy (see HoldPolicy). Nil installs
+	// DefaultPolicy(); Unbounded{} is the paper's unbounded hold
+	// behaviour. The cluster uses a Fresh clone, so one value can
+	// configure many clusters.
 	Policy HoldPolicy
 	// Backends, when non-nil, supplies the participant sites instead of
 	// the cluster constructing in-process schedulers (len must equal
@@ -340,7 +341,11 @@ func NewWithConfig(cfg Config) (*Cluster, error) {
 			flog = fault.NewMemLog()
 		}
 	}
-	c.Coordinator.init(cfg.Sites, flog, cfg.Policy, cfg.Opts.Debug)
+	policy := cfg.Policy
+	if policy == nil {
+		policy = DefaultPolicy()
+	}
+	c.Coordinator.init(cfg.Sites, flog, policy, cfg.Opts.Debug)
 	if cfg.Backends != nil && len(cfg.Backends) != cfg.Sites {
 		return nil, fmt.Errorf("dist: %d backends for %d sites", len(cfg.Backends), cfg.Sites)
 	}

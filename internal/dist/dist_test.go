@@ -520,7 +520,12 @@ func TestClusterStressConsistency(t *testing.T) {
 					continue
 				}
 				if _, err := tx.Commit(); err != nil {
-					t.Error(err)
+					// The default hold policy may shed a commit that
+					// would deepen a chain: an abort, not a promise.
+					if !errors.Is(err, core.ErrHoldShed) {
+						t.Error(err)
+					}
+					aborts.Add(1)
 					continue
 				}
 				// Commit (pseudo or real) is a promise: count it.

@@ -22,6 +22,23 @@ import (
 // (dist.Config.Policy) and the deterministic simulator
 // (distsim.Config.Policy), so a policy proven against the seeded convoy
 // baseline is the code that runs under the wall clock.
+//
+// A cluster bounds its convoy unless told otherwise: NewWithConfig
+// installs DefaultPolicy when Config.Policy is nil, and the paper's
+// unbounded protocol is the explicit value Unbounded{}. The sans-IO
+// Coordinator has no default (nil holds unboundedly): mechanism takes
+// what it is given, the cluster constructor decides what ships.
+
+// DefaultHoldDepth is the chain-depth bound of the default hold policy.
+// It is a constant, not a setting: the sweep behind it (docs/PERF.md,
+// "Hold-policy default") has depth 4 ahead of 8, 16 and off on both
+// throughput and tail latency, and depth 2 no faster but less steady.
+const DefaultHoldDepth = 4
+
+// DefaultPolicy returns the hold policy NewWithConfig installs when
+// Config.Policy is nil: shed any commit that would sit atop a
+// commit-dependency chain deeper than DefaultHoldDepth.
+func DefaultPolicy() HoldPolicy { return DepthBound{Max: DefaultHoldDepth} }
 
 // HoldVerdict is a policy's answer for one commit conversation that
 // would otherwise be held.
@@ -111,6 +128,26 @@ func (p DepthBound) AdmitHold(gdeps, depth, held int) HoldVerdict {
 // EagerSubtree implements HoldPolicy.
 func (DepthBound) EagerSubtree() bool { return false }
 
+// Unbounded is the paper's protocol as written (§4.3): every commit
+// with a non-empty dependency set is held, however long the convoy
+// grows. It exists so that "no bound" is something a caller says
+// (Config.Policy: Unbounded{}, "off" on the command line) rather than
+// what a cluster does when nothing was said; the coordinator does not
+// consult it (nor compute the chain depth it would ignore).
+type Unbounded struct{}
+
+// Name implements HoldPolicy.
+func (Unbounded) Name() string { return "off" }
+
+// Fresh implements HoldPolicy.
+func (Unbounded) Fresh() HoldPolicy { return Unbounded{} }
+
+// AdmitHold implements HoldPolicy.
+func (Unbounded) AdmitHold(gdeps, depth, held int) HoldVerdict { return Hold }
+
+// EagerSubtree implements HoldPolicy.
+func (Unbounded) EagerSubtree() bool { return false }
+
 // EagerRelease holds everything (no shedding) but drains convoys in
 // batched subtree rounds: when a termination drains a held
 // transaction's dependency set, the whole transitively drained subtree
@@ -172,16 +209,18 @@ func (*Admission) EagerSubtree() bool { return false }
 
 // ParsePolicy parses the CLI policy syntax:
 //
-//	""            no policy (nil)
-//	"off"         no policy (nil)
+//	""            nil: the constructor's default (DefaultPolicy on a cluster)
+//	"off"         Unbounded{}
 //	"depth=N"     DepthBound{Max: N}          (N >= 2)
 //	"eager"       EagerRelease{}
 //	"admit=N"     &Admission{High: N, Low: N/2}
 //	"admit=H/L"   &Admission{High: H, Low: L} (0 < L < H)
 func ParsePolicy(s string) (HoldPolicy, error) {
 	switch s {
-	case "", "off":
+	case "":
 		return nil, nil
+	case "off":
+		return Unbounded{}, nil
 	case "eager":
 		return EagerRelease{}, nil
 	}

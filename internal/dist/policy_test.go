@@ -21,7 +21,7 @@ func TestParsePolicy(t *testing.T) {
 		want string // Name() of the parsed policy; "" for nil
 	}{
 		{"", ""},
-		{"off", ""},
+		{"off", "off"},
 		{"eager", "eager"},
 		{"depth=2", "depth=2"},
 		{"depth=16", "depth=16"},
@@ -48,6 +48,15 @@ func TestParsePolicy(t *testing.T) {
 				t.Errorf("ParsePolicy(%q) does not round-trip: %v, %v", p.Name(), rt, err)
 			}
 		}
+	}
+	// "off" must be the Unbounded value itself (the coordinator matches
+	// on the type, not the name), and the default's own name parses
+	// back to the default.
+	if p, _ := ParsePolicy("off"); p != (Unbounded{}) {
+		t.Errorf(`ParsePolicy("off") = %#v, want Unbounded{}`, p)
+	}
+	if p, err := ParsePolicy(DefaultPolicy().Name()); err != nil || p != DefaultPolicy() {
+		t.Errorf("ParsePolicy(%q) = %v, %v; want DefaultPolicy()", DefaultPolicy().Name(), p, err)
 	}
 	invalid := []string{
 		"depth=", "depth=x", "depth=1", "depth=-4",
@@ -483,5 +492,94 @@ func TestEagerCascadePolicyStress(t *testing.T) {
 	}
 	if released == 0 {
 		t.Fatal("no eager release ever fired — the stress never exercised the cascade")
+	}
+}
+
+// runPushConvoy drives the fixed-work convoy that exposed the default
+// configuration's collapse (ROADMAP item 1): unyielding workers, every
+// operation a recoverable push on a small set of stacks, run to
+// completion. It checks push conservation and returns the cluster for
+// its counters.
+func runPushConvoy(t *testing.T, p HoldPolicy, workers, txns int) *Cluster {
+	t.Helper()
+	const sites, db = 2, 256
+	c, err := NewWithConfig(Config{Sites: sites, Policy: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pushed [db + 1]atomic.Int64
+	res, err := workload.RunLoad(c, workload.LoadConfig{
+		Workload:        workload.Sharded{Inner: workload.Pushes{DBSize: db}, Sites: sites, CrossProb: 0.1},
+		Workers:         workers,
+		TxnsPerWorker:   txns,
+		Seed:            1,
+		MaxRestarts:     100000,
+		RetryHeldAborts: true,
+		OnCommitted: func(steps []workload.Step) {
+			for _, s := range steps {
+				pushed[s.Object].Add(1)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Commits != uint64(workers*txns) {
+		t.Fatalf("%d commits, want %d", res.Commits, workers*txns)
+	}
+	for id := core.ObjectID(1); id <= db; id++ {
+		want := pushed[id].Load()
+		s, err := c.Site(c.SiteOf(id)).CommittedState(id)
+		if err != nil {
+			if want != 0 {
+				t.Fatalf("object %d: %d committed pushes but no committed state (%v)", id, want, err)
+			}
+			continue // never touched, never materialised
+		}
+		if got := int64(s.(*adt.StackState).Len()); got != want {
+			t.Fatalf("object %d: committed depth %d, committed pushes %d", id, got, want)
+		}
+	}
+	return c
+}
+
+// TestDefaultPolicyBoundsConvoy pins what a cluster does when no policy
+// is named: the convoy is bounded, so the fixed-work run that took the
+// unbounded default ≈45 s (throughput falling with run length, i.e.
+// with the held set) completes in well under a second with a held set
+// that stays small. The same load under the explicit Unbounded{} shows
+// the growth the default removes — which is what keeps the bound honest:
+// if this workload stopped convoying, the first half would pass
+// vacuously.
+func TestDefaultPolicyBoundsConvoy(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const workers, heldBound = 8, 64
+
+	start := time.Now()
+	c := runPushConvoy(t, nil, workers, 800)
+	elapsed := time.Since(start)
+	if got := c.PolicyName(); got != DefaultPolicy().Name() || got != "depth=4" {
+		t.Fatalf("nil Config.Policy installed %q, want %q", got, "depth=4")
+	}
+	ps := c.PolicyStats()
+	t.Logf("default: %v, stats %+v", elapsed.Round(time.Millisecond), ps)
+	if ps.HeldPeak > heldBound {
+		t.Errorf("default policy let the held set reach %d, want <= %d", ps.HeldPeak, heldBound)
+	}
+	if elapsed > 10*time.Second {
+		t.Errorf("default policy took %v on the fixed-work convoy, want < 10s", elapsed)
+	}
+
+	u := runPushConvoy(t, Unbounded{}, workers, 250)
+	if got := u.PolicyName(); got != "off" {
+		t.Fatalf("Unbounded{} installed %q, want %q", got, "off")
+	}
+	ups := u.PolicyStats()
+	t.Logf("unbounded: stats %+v", ups)
+	if ups.TailAborts+ups.AdmissionRejects != 0 {
+		t.Errorf("Unbounded{} shed: %+v", ups)
+	}
+	if ups.HeldPeak <= heldBound {
+		t.Errorf("Unbounded{} held peak %d: the workload no longer convoys, so the bound above proves nothing", ups.HeldPeak)
 	}
 }

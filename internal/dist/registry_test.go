@@ -21,7 +21,8 @@ import (
 // boundaries; the final drain proves no transaction is leaked or
 // double-finalised.
 func TestRegistryShardStress(t *testing.T) {
-	c, err := New(4, core.Options{}, nil, nil)
+	// Any abort is a failure here, a shed included: hold unboundedly.
+	c, err := NewWithConfig(Config{Sites: 4, Policy: Unbounded{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,6 +58,8 @@ func TestConvoyPolicy42(t *testing.T) {
 		shed   int // TailAborts + AdmissionRejects
 		eager  int // EagerReleased
 	}{
+		// What a cluster installs when no policy is named.
+		{dist.DefaultPolicy(), 0x1325da263ca16066, 13, 400, 394, 220, 0},
 		{dist.DepthBound{Max: 16}, 0x1194222b01bdcb30, 54, 400, 414, 169, 0},
 		{dist.EagerRelease{}, 0xcfc02d3960e9bf51, 12, 400, 397, 0, 244},
 		{&dist.Admission{High: 32, Low: 16}, 0x2b362cfb09f8476a, 32, 400, 406, 195, 0},

@@ -67,8 +67,15 @@ func Dial(addr string, wait time.Duration) (*Client, error) {
 
 // coordDown wraps transport loss as the retryable site-failure abort,
 // so core.RunStore and the workload harness retry through coordinator
-// downtime exactly like through a participant crash.
+// downtime exactly like through a participant crash. Only ErrPeerDown
+// is transport loss: any other error from a call is the coordinator's
+// own verdict (a typed abort, ErrTxnDone, ...) and passes through with
+// its type, or a cycle abort would read "unreachable" and a
+// non-retryable error would be retried.
 func coordDown(id core.TxnID, err error) error {
+	if !errors.Is(err, ErrPeerDown) {
+		return err
+	}
 	return fmt.Errorf("wire: coordinator unreachable (%v): %w", err,
 		&core.ErrAborted{Txn: id, Reason: core.ReasonSiteFailed})
 }
@@ -83,11 +90,11 @@ func (c *Client) NumSites() int { return c.numSites }
 // signature).
 func (c *Client) Register(id core.ObjectID, typ adt.Type, class compat.Classifier) error {
 	_, _ = typ, class
-	r, err := c.peer.call(kCliRegister, appendU64(nil, uint64(id)))
+	_, err := c.peer.call(kCliRegister, appendU64(nil, uint64(id)))
 	if err != nil {
 		return coordDown(0, err)
 	}
-	return r.err
+	return nil
 }
 
 // SetFactory is a no-op: the coordinator and the site daemons install
@@ -254,7 +261,8 @@ func (t *clientTxn) setDead(err error) {
 
 // Do implements core.Txn. A transport failure dooms the transaction:
 // the coordinator's connection cleanup rolls the orphan back, and the
-// caller sees the retryable site-failure abort.
+// caller sees the retryable site-failure abort. A remote verdict keeps
+// its type; only an abort dooms the session.
 func (t *clientTxn) Do(obj core.ObjectID, op adt.Op) (adt.Ret, error) {
 	if err := t.deadErr(); err != nil {
 		return adt.Ret{}, err
@@ -264,16 +272,12 @@ func (t *clientTxn) Do(obj core.ObjectID, op adt.Op) (adt.Ret, error) {
 	b = appendOp(b, op)
 	r, err := t.c.peer.callT(kCliDo, t.tc, b)
 	if err != nil {
-		derr := coordDown(t.id, err)
-		t.setDead(derr)
-		return adt.Ret{}, derr
-	}
-	if r.err != nil {
+		err = coordDown(t.id, err)
 		var ab *core.ErrAborted
-		if errors.As(r.err, &ab) {
-			t.setDead(r.err)
+		if errors.As(err, &ab) {
+			t.setDead(err)
 		}
-		return adt.Ret{}, r.err
+		return adt.Ret{}, err
 	}
 	ret := r.ret()
 	return ret, r.err
@@ -323,12 +327,6 @@ func (t *clientTxn) Commit() (core.CommitStatus, error) {
 	}
 	r, err := t.c.peer.callT(kCliCommit, t.tc, appendU64(nil, uint64(t.id)))
 	if err == nil {
-		if r.err != nil {
-			t.setDead(r.err)
-			t.ack() // the outcome (abort) is known; release the gate
-			t.finish(r.err)
-			return 0, r.err
-		}
 		st := core.CommitStatus(r.u8())
 		if r.err != nil {
 			return 0, r.err
@@ -342,6 +340,14 @@ func (t *clientTxn) Commit() (core.CommitStatus, error) {
 		return st, nil
 	}
 	if !errors.Is(err, ErrPeerDown) {
+		// The coordinator's verdict. An abort (cycle, shed, site
+		// failure) is the outcome: release the gate and the session.
+		var ab *core.ErrAborted
+		if errors.As(err, &ab) {
+			t.setDead(err)
+			t.ack()
+			t.finish(err)
+		}
 		return 0, err
 	}
 	committed, rerr := t.c.resolve(t.id)

@@ -452,3 +452,89 @@ func TestNetClientRetryableWhileCoordinatorDown(t *testing.T) {
 		t.Fatalf("object 1 depth after coordinator restart = %d, want 1", got)
 	}
 }
+
+// TestNetClientRemoteErrorsKeepTheirType pins what a client sees when
+// the coordinator answers with a verdict rather than going away: the
+// error keeps its type (only transport loss is the retryable
+// "coordinator unreachable"), and an aborted commit — where the default
+// hold policy's sheds land — is an outcome like any other: Done closes,
+// Err reports it, and the coordinator's session is released.
+func TestNetClientRemoteErrorsKeepTheirType(t *testing.T) {
+	nc := startNetCluster(t, 1, 2, "pushes:8") // no policy named: the default
+	cl := nc.dial()
+	pushOn := func(tx core.Txn, obj core.ObjectID) {
+		t.Helper()
+		if _, err := tx.Do(obj, adt.Op{Name: adt.StackPush, Arg: int(tx.ID()), HasArg: true}); err != nil {
+			t.Fatalf("T%d push on %d: %v", tx.ID(), obj, err)
+		}
+	}
+
+	// A chain of holds as deep as the default admits: the root stays
+	// open, link i depends on link i-1 through object i.
+	root := cl.Begin()
+	pushOn(root, 1)
+	var held []core.Txn
+	for i := 1; i < dist.DefaultHoldDepth; i++ {
+		tx := cl.Begin()
+		pushOn(tx, core.ObjectID(i))
+		pushOn(tx, core.ObjectID(i+1))
+		if st, err := tx.Commit(); err != nil || st != core.PseudoCommitted {
+			t.Fatalf("link %d commit = %v, %v; want pseudo-committed", i, st, err)
+		}
+		held = append(held, tx)
+	}
+
+	// An operation on a committed transaction is refused as done — not
+	// as an unreachable coordinator, and not retryably: re-running it
+	// would repeat committed work.
+	_, err := held[0].Do(8, adt.Op{Name: adt.StackPush, Arg: 1, HasArg: true})
+	if !errors.Is(err, core.ErrTxnDone) {
+		t.Fatalf("Do after commit = %v, want ErrTxnDone", err)
+	}
+	var ab *core.ErrAborted
+	if errors.As(err, &ab) {
+		t.Fatalf("Do after commit reads as an abort (retryable=%v): %v", ab.Retryable(), err)
+	}
+
+	// One link too many: shed at commit.
+	tail := cl.Begin()
+	pushOn(tail, core.ObjectID(dist.DefaultHoldDepth))
+	_, err = tail.Commit()
+	if !errors.As(err, &ab) || ab.Reason != core.ReasonShed || !ab.Retryable() {
+		t.Fatalf("commit past the default depth = %v, want a retryable ReasonShed abort", err)
+	}
+	select {
+	case <-tail.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("Done() of a shed commit never closed")
+	}
+	if !errors.Is(tail.Err(), core.ErrHoldShed) {
+		t.Fatalf("Err() of a shed commit = %v, want ErrHoldShed", tail.Err())
+	}
+
+	if st, err := root.Commit(); err != nil || st != core.Committed {
+		t.Fatalf("root commit = %v, %v", st, err)
+	}
+	for _, tx := range held {
+		<-tx.Done()
+		if err := tx.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every outcome is in the client's hands, so every session is
+	// acknowledged (one-way frames: poll).
+	srv := nc.co.Server
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		srv.mu.Lock()
+		n := len(srv.txns)
+		srv.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator still holds %d client sessions after every outcome was delivered", n)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}

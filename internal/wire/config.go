@@ -37,8 +37,9 @@ type ClusterFile struct {
 	// wire.
 	Workload string `json:"workload"`
 	// Policy optionally names the coordinator's hold policy
-	// (dist.ParsePolicy syntax: "depth=N", "eager", "admit=H/L"; empty
-	// or "off" holds unboundedly).
+	// (dist.ParsePolicy syntax: "depth=N", "eager", "admit=H/L", or
+	// "off" for the paper's unbounded holds); empty is the cluster
+	// default, dist.DefaultPolicy.
 	Policy string `json:"policy,omitempty"`
 	// Debug is the coordinator's debug-plane HTTP listen address
 	// (/metrics, /statusz, /tracez, pprof); empty disables it.

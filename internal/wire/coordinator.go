@@ -59,7 +59,8 @@ type CoordinatorConfig struct {
 	// (default 10s). Startup proceeds with a daemon down: its sites
 	// start crashed and adopt when the connection lands.
 	DialWait time.Duration
-	// Policy optionally bounds the hold convoy (see dist.HoldPolicy).
+	// Policy bounds the hold convoy (see dist.HoldPolicy): nil is the
+	// cluster default, dist.Unbounded{} the paper's unbounded hold.
 	Policy dist.HoldPolicy
 	// Trace sizes the cluster's conversation-event ring (0 disables).
 	Trace int

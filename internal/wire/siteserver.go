@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -302,7 +303,19 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 		if r.err != nil {
 			return fail(r.err)
 		}
-		if err := ss.backend.Begin(id); err != nil {
+		err := ss.backend.Begin(id)
+		if errors.Is(err, core.ErrDuplicateTxn) {
+			// A restarted coordinator mints ids from 1 again, and this
+			// daemon outlived it: an id whose previous holder already
+			// terminated here (committed, or aborted by the restart
+			// adoption, with the Forget lost in the crash) is free to
+			// reuse. A live holder is a genuine duplicate.
+			if st := ss.backend.TxnState(id); st == "committed" || st == "aborted" {
+				ss.backend.Forget(id)
+				err = ss.backend.Begin(id)
+			}
+		}
+		if err != nil {
 			return fail(err)
 		}
 		ss.txns[id] = struct{}{}

@@ -10,7 +10,7 @@
 # from each while the load is in flight, and after quiesce the
 # coordinator's /statusz must show the decision-log conservation
 # invariant (logged + adopted == resolved, live == 0) and live
-# PolicyStats for the configured hold policy.
+# PolicyStats for the hold policy (none is named: the default ships).
 #
 # Usage: scripts/cluster_smoke.sh   (from the repo root; needs go)
 set -u
@@ -56,7 +56,6 @@ cat > "$CFG" <<EOF
   "log":      "$DIR/decision.log",
   "sync":     false,
   "workload": "pushes:32",
-  "policy":   "depth=4",
   "debug":    "127.0.0.1:$P_DBG_CO",
   "trace":    4096,
   "spans":    32768,
@@ -212,7 +211,9 @@ done
 # load was mid-commit), but an empty gate at the kill instant is
 # legal, so this is informational rather than an assertion.
 [ "$adopted" -gt 0 ] || echo "note: no decisions were pending at the kill instant"
-echo "$STATUS" | grep -q '"policy": "depth=4"' || fail "/statusz missing hold policy"
+# The cluster file names no policy: the coordinator must report the
+# default it installed (dist.DefaultPolicy), not "off".
+echo "$STATUS" | grep -q '"policy": "depth=4"' || fail "/statusz does not report the default hold policy (depth=4)"
 echo "$STATUS" | grep -q '"policy_stats"' || fail "/statusz missing policy_stats"
 echo "conservation OK: logged=$logged adopted=$adopted resolved=$resolved live=$live"
 
