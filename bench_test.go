@@ -727,9 +727,9 @@ func BenchmarkCoordinatorHotKey(b *testing.B) {
 // second.
 // BenchmarkConvoySim runs the seed-42 hold-convoy scenario through the
 // multi-site simulator, policy off (the unbounded baseline) and under
-// each bounded-hold policy. Virtual work tracks real work here: the
-// baseline simulates the full 237-deep convoy and its drain, so the
-// policy variants' lower op times are the release-machinery savings
+// a depth bound. Virtual work tracks real work here: the baseline
+// simulates the full 237-deep convoy and its drain, so the bounded
+// variant's lower op time is the release-machinery savings
 // themselves, deterministically reproducible.
 func BenchmarkConvoySim(b *testing.B) {
 	for _, tc := range []struct {
@@ -738,8 +738,6 @@ func BenchmarkConvoySim(b *testing.B) {
 	}{
 		{"off", nil},
 		{"depth=16", dist.DepthBound{Max: 16}},
-		{"eager", dist.EagerRelease{}},
-		{"admit=32-16", &dist.Admission{High: 32, Low: 16}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -13,7 +13,7 @@
 //	sccbench -net                          # loopback-TCP wire vs in-process calls
 //	sccbench -chaos                        # crash-stop fault-tolerance cost + chaos run
 //	sccbench -convoy                       # hold-convoy overload: off vs the default vs the named policies
-//	sccbench -convoy -policy eager         # one policy against the unbounded baseline
+//	sccbench -convoy -policy depth=8       # one policy against the unbounded baseline
 //
 // Scale knobs: -completions, -warmup, -runs, -seed, -db, -terminals.
 // Shard-scaling knobs: -shards, -workers, -txns, -cross, -skew (zipfian
@@ -163,7 +163,7 @@ func runShardScale(shardList, maxprocsList string, workers, txns, db int, cross,
 // holds, and the end-of-run drain can dwarf the load itself (minutes
 // for a seconds-long run, with huge run-to-run variance). Both sides
 // run the same hold policy — the cluster default unless -policy names
-// one; the canonical BENCH_4 numbers used -policy eager.
+// one; the canonical BENCH_4 numbers predate the default policy.
 func runNet(shardList string, workers, txns, db int, cross float64, seed int64, pol dist.HoldPolicy) error {
 	counts, err := parseIntList("-shards", shardList)
 	if err != nil {
@@ -292,8 +292,6 @@ func runConvoy(sitesN, workers, txns, db int, cross float64, seed int64, holdOpe
 		policies = append(policies,
 			dist.DefaultPolicy(),
 			dist.DepthBound{Max: 16},
-			dist.EagerRelease{},
-			&dist.Admission{High: 32, Low: 16},
 		)
 	case dist.Unbounded: // the baseline alone
 	default:
@@ -333,12 +331,8 @@ func runConvoy(sitesN, workers, txns, db int, cross float64, seed int64, holdOpe
 		} else if baseline > 0 {
 			note = fmt.Sprintf("  (%.2fx vs off)", res.TxnPerSec/baseline)
 		}
-		shed := fmt.Sprintf("%d/%d", ps.TailAborts, ps.AdmissionRejects)
-		if ps.EagerReleased > 0 {
-			shed = fmt.Sprintf("eager %d/%d", ps.EagerRounds, ps.EagerReleased)
-		}
-		fmt.Printf("%-14s %10.0f %10d %10d %10d %12s %12s%s\n",
-			name, res.TxnPerSec, res.Pseudo, ps.HeldPeak, res.Aborts, shed,
+		fmt.Printf("%-14s %10.0f %10d %10d %10d %12d %12s%s\n",
+			name, res.TxnPerSec, res.Pseudo, ps.HeldPeak, res.Aborts, ps.TailAborts,
 			res.Elapsed.Round(time.Millisecond), note)
 		emitTelemetry("convoy/policy="+name, c)
 	}
@@ -472,7 +466,7 @@ func main() {
 		convoy      = flag.Bool("convoy", false, "run the hold-convoy overload: bounded-hold policies vs the unbounded baseline")
 		convoySites = flag.Int("convoysites", 8, "participant sites for -convoy")
 		holdOpen    = flag.Duration("holdopen", 300*time.Microsecond, "per-transaction open window before commit for -convoy (the overlap that forms the convoy)")
-		policyStr   = flag.String("policy", "", "hold policy for -convoy/-chaos/-net: off (unbounded), depth=N, eager, admit=N, admit=H/L; empty is the cluster default (with -convoy: compares off, the default, depth=16, eager, admit=32/16)")
+		policyStr   = flag.String("policy", "", "hold policy for -convoy/-chaos/-net: off (unbounded) or depth=N; empty is the cluster default (with -convoy: compares off, the default and depth=16)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -52,8 +52,7 @@ func cmdStats(cf *wire.ClusterFile) {
 	fmt.Printf("  faults: crashes=%d restarts=%d  mirror-edges=%d  trace-events=%d\n",
 		st.Crashes, st.Restarts, st.MirrorEdges, st.TraceLen)
 	if ps := st.PolicyStats; ps != nil {
-		fmt.Printf("  policy: tail-aborts=%d admission-rejects=%d eager-rounds=%d eager-released=%d held-peak=%d\n",
-			ps.TailAborts, ps.AdmissionRejects, ps.EagerRounds, ps.EagerReleased, ps.HeldPeak)
+		fmt.Printf("  policy: tail-aborts=%d held-peak=%d\n", ps.TailAborts, ps.HeldPeak)
 	}
 	if w := st.Wire; w != nil {
 		fmt.Printf("  wire: out=%d frames/%d B in=%d frames/%d B reconnects=%d pipeline=%d (peak %d)\n",

@@ -18,7 +18,6 @@
 //	sccsim -sites 8 -terminals 32 -model pushes -cross 0.4    # convoy regime
 //	sccsim -scenario convoy                                   # the convoy under the default hold policy
 //	sccsim -scenario convoy -policy off                       # the checked-in collapse baseline (unbounded)
-//	sccsim -scenario convoy -policy eager                     # another bounded-hold policy vs the baseline
 //	sccsim -scenario convoy -policy depth=16                  # shed the convoy tail past depth 16
 //	sccsim -sites 2 -model pushes -cross 0.5 -completions 40 -warmup 0 \
 //	    -crash-at AfterDecisionBeforeRelease -restart-after 0.5 -trace
@@ -72,7 +71,7 @@ func main() {
 		restartAfter = flag.Float64("restart-after", 0.5, "virtual downtime before the crashed site restarts (<= 0: stays down until the run ends)")
 		trace        = flag.Bool("trace", false, "print the full replayable event trace (multi-site)")
 		scenario     = flag.String("scenario", "", "run a checked-in scenario: convoy, redo, presume")
-		policy       = flag.String("policy", "", "hold policy: off (unbounded), depth=N, eager, admit=N, admit=H/L; empty is the cluster default (multi-site)")
+		policy       = flag.String("policy", "", "hold policy: off (unbounded) or depth=N; empty is the cluster default (multi-site)")
 		sweepLat     = flag.String("sweep-latency", "", "comma-separated latencies: sweep message latency x cross-site probability")
 		sweepCross   = flag.String("sweep-cross", "", "comma-separated cross probabilities for the sweep (default 0,0.2,0.4)")
 	)
@@ -221,8 +220,7 @@ func multiSite(model string, db, terminals int, writeProb float64, pc, pr int,
 	fmt.Printf("  held               %d conversations; convoy depth %s\n", res.Held, res.ConvoyDepth.String())
 	fmt.Printf("  held-wait p99      %.4f s; time-to-drain %.3f s\n", res.HeldWaitP99, res.TimeToDrain)
 	if res.Policy != "" {
-		fmt.Printf("  policy             %s: shed %d tail + %d admission; eager released %d in %d rounds\n",
-			res.Policy, res.TailAborts, res.AdmissionRejects, res.EagerReleased, res.EagerRounds)
+		fmt.Printf("  policy             %s: shed %d\n", res.Policy, res.TailAborts)
 	}
 	fmt.Printf("  phase latency      exec %s\n", res.PhaseExec.String())
 	fmt.Printf("                     hold %s\n", res.PhaseHold.String())

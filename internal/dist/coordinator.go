@@ -211,12 +211,10 @@ type Coordinator struct {
 	// pins, together with mirror.Observes); waveSeq numbers the waves.
 	holdBatches uint64
 	waveSeq     uint64
-	// policy, when non-nil, is the bounded-hold release policy (a Fresh
-	// clone of the configured one; Unbounded is stored as nil, so the
-	// decide path neither consults it nor measures chain depth for it);
-	// eager caches its EagerSubtree.
+	// policy, when non-nil, is the bounded-hold release policy
+	// (Unbounded is stored as nil, so the decide path neither consults
+	// it nor measures chain depth for it).
 	policy HoldPolicy
-	eager  bool
 	// heldCount tracks the live held set and pstats the policy's
 	// decision counters.
 	heldCount int
@@ -251,8 +249,8 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator over sites participant sites.
 // flog is the decision log (nil: no fault tolerance, nothing is
-// logged); policy optionally bounds the hold convoy (a Fresh clone is
-// used; nil and Unbounded{} both hold unboundedly — the default policy
+// logged); policy optionally bounds the hold convoy (nil and
+// Unbounded{} both hold unboundedly — the default policy
 // is NewWithConfig's, not the mechanism's); debug checks the ack-table
 // invariant at every mutation.
 func NewCoordinator(sites int, flog fault.Log, policy HoldPolicy, debug bool) *Coordinator {
@@ -266,8 +264,7 @@ func (c *Coordinator) init(sites int, flog fault.Log, policy HoldPolicy, debug b
 	c.mirror = depgraph.NewMirror()
 	c.mirror.SetMetrics(&c.tel.Mirror)
 	if _, off := policy.(Unbounded); policy != nil && !off {
-		c.policy = policy.Fresh()
-		c.eager = c.policy.EagerSubtree()
+		c.policy = policy
 	}
 	c.reg.init()
 	if flog != nil {
@@ -384,12 +381,8 @@ func (c *Coordinator) DecideWave(reqs []*DecideReq) {
 		r.Gdeps = c.mirror.OutDegree(cv.id)
 		if r.Gdeps > 0 && c.policy != nil {
 			r.Depth = c.mirror.LongestChainFrom(cv.id)
-			switch c.policy.AdmitHold(r.Gdeps, r.Depth, c.heldCount) {
-			case ShedTail:
+			if !c.policy.AdmitHold(r.Depth) {
 				c.pstats.TailAborts++
-				r.Shed = true
-			case ShedAdmission:
-				c.pstats.AdmissionRejects++
 				r.Shed = true
 			}
 		}
@@ -430,45 +423,23 @@ func (c *Coordinator) DecideWave(reqs []*DecideReq) {
 // dependant is selected its local out-degrees at its sites have
 // drained and its release cannot fail.
 //
-// Round-based (the default), only direct dependants of terminated are
-// examined, and a transaction leaves the mirror only after its release
-// landed — concurrent drains compose. Under an eager-subtree policy
-// each selected transaction is treated as terminated for the rest of
-// the walk, so a chain of depth k is decided in one critical section
-// and one log force instead of k; the result comes out in topological
-// order (a dependant is selected only after every subtree transaction
-// it depends on was removed), and the driver must land releases in that
-// order per site and run one eager drain at a time. Edges mirrored onto
-// a selected transaction while its releases land are cleaned when the
-// driver Drains its id after the release.
+// Only direct dependants of terminated are examined, and a transaction
+// leaves the mirror only after its release landed, so concurrent drains
+// compose.
 func (c *Coordinator) Drain(terminated []core.TxnID) (ready []*Conv) {
-	var closure []core.TxnID
 	c.mu.Lock()
-	remove := func(id core.TxnID) {
+	for _, id := range terminated {
 		for _, d := range c.mirror.RemoveTxn(id) {
 			cv := c.reg.get(d)
 			if cv != nil && cv.state.Load() == txPseudo && c.mirror.OutDegree(d) == 0 {
 				cv.state.Store(txReleasing)
 				c.heldCount--
 				ready = append(ready, cv)
-				if c.eager {
-					closure = append(closure, d)
-				}
 			}
 		}
 	}
-	for _, id := range terminated {
-		remove(id)
-	}
-	for i := 0; i < len(closure); i++ {
-		remove(closure[i])
-	}
 	if len(ready) > 0 {
 		c.logCommitBatch(ready)
-		if c.eager {
-			c.pstats.EagerRounds++
-			c.pstats.EagerReleased += len(ready)
-		}
 		c.tel.Held.Set(int64(c.heldCount))
 		c.tel.ReleaseWidth.Observe(uint64(len(ready)))
 	}
@@ -508,7 +479,7 @@ func (c *Coordinator) HeldCount() int {
 
 // PolicyStats snapshots the hold policy's decision counters and the
 // held set's high-water mark (HeldPeak is maintained policy or not;
-// the other counters stay zero without one).
+// TailAborts stays zero without one).
 func (c *Coordinator) PolicyStats() PolicyStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -62,7 +62,8 @@ func finish(co *Coordinator, id core.TxnID) []core.TxnID {
 
 // TestCoordinatorDecide: one conversation with a dependency on a live
 // transaction, under each policy verdict — and the dependency-free
-// conversation that commits outright.
+// conversation that commits outright. The shed row is refused admission
+// to the held set: it sits atop a chain of three under a bound of two.
 func TestCoordinatorDecide(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -77,23 +78,24 @@ func TestCoordinatorDecide(t *testing.T) {
 		{"hold/off", nil, true, txPseudo, false, 1, 0},
 		{"hold/unbounded", Unbounded{}, true, txPseudo, false, 1, 0},
 		{"hold/depth", DepthBound{Max: 2}, true, txPseudo, false, 1, 0},
-		{"hold/eager", EagerRelease{}, true, txPseudo, false, 1, 0},
-		{"shed/admission", &Admission{High: 1, Low: 0}, true, txRevoking, true, 1, 0},
+		{"shed/admission", DepthBound{Max: 2}, true, txRevoking, true, 1, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			co, flog := testCoordinator(tc.policy)
 			enlist(co, 1, 0)
+			dep := core.TxnID(1)
 			if tc.wantShed {
-				// Close the admission gate: one transaction already held.
+				// Chain 9 -> 1: depth 2, admitted; T2 joins it at depth 3.
 				if r := decide(co, enlist(co, 9, 0), 1); r.Gdeps != 1 || r.Shed {
 					t.Fatalf("priming hold: %+v", r)
 				}
+				dep = 9
 			}
 			cv := enlist(co, 2, 0, 1)
 			var r *DecideReq
 			if tc.deps {
-				r = decide(co, cv, 1)
+				r = decide(co, cv, dep)
 			} else {
 				r = decide(co, cv)
 			}
@@ -168,10 +170,8 @@ func TestCoordinatorObserve(t *testing.T) {
 	}
 }
 
-// TestCoordinatorDrain: round-based and eager closure over a chain and
-// a diamond. Round-based, each Drain returns one level; eager, one
-// Drain returns the whole subtree in topological order with one log
-// force.
+// TestCoordinatorDrain: a chain and a diamond drain one level per
+// Drain, each termination freeing only its direct dependants.
 func TestCoordinatorDrain(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -187,19 +187,14 @@ func TestCoordinatorDrain(t *testing.T) {
 		{"diamond", [][]core.TxnID{{1}, {1}, {2, 3}}, [][]core.TxnID{{2, 3}, nil, {4}, nil}},
 	}
 	for _, sh := range shapes {
-		build := func(policy HoldPolicy) (*Coordinator, *fault.MemLog) {
-			co, flog := testCoordinator(policy)
+		t.Run(sh.name+"/rounds", func(t *testing.T) {
+			co, flog := testCoordinator(nil)
 			enlist(co, 1, 0)
 			for i, deps := range sh.deps {
 				if r := decide(co, enlist(co, core.TxnID(i+2), 0), deps...); r.Gdeps != len(deps) {
 					t.Fatalf("%s: T%d gdeps = %d, want %d", sh.name, i+2, r.Gdeps, len(deps))
 				}
 			}
-			return co, flog
-		}
-
-		t.Run(sh.name+"/rounds", func(t *testing.T) {
-			co, flog := build(nil)
 			queue := []core.TxnID{1}
 			for round := 0; len(queue) > 0; round++ {
 				id := queue[0]
@@ -213,40 +208,8 @@ func TestCoordinatorDrain(t *testing.T) {
 			if co.HeldCount() != 0 || flog.Len() != len(sh.deps) {
 				t.Errorf("held %d, logged %d after the drain", co.HeldCount(), flog.Len())
 			}
-			if st := co.PolicyStats(); st.EagerRounds != 0 || st.HeldPeak != len(sh.deps) {
+			if st := co.PolicyStats(); st.TailAborts != 0 || st.HeldPeak != len(sh.deps) {
 				t.Errorf("policy stats = %+v", st)
-			}
-		})
-
-		t.Run(sh.name+"/eager", func(t *testing.T) {
-			co, flog := build(EagerRelease{})
-			got := finish(co, 1)
-			if len(got) != len(sh.deps) {
-				t.Fatalf("eager drain released %v, want all %d", got, len(sh.deps))
-			}
-			// Topological: every transaction comes after what it waited for.
-			pos := map[core.TxnID]int{1: -1}
-			for i, id := range got {
-				pos[id] = i
-			}
-			for i, deps := range sh.deps {
-				for _, d := range deps {
-					if pos[d] >= pos[core.TxnID(i+2)] {
-						t.Errorf("T%d released before its dependency T%d: %v", i+2, d, got)
-					}
-				}
-			}
-			if flog.Len() != len(sh.deps) || co.HeldCount() != 0 {
-				t.Errorf("held %d, logged %d after the eager drain", co.HeldCount(), flog.Len())
-			}
-			if st := co.PolicyStats(); st.EagerRounds != 1 || st.EagerReleased != len(sh.deps) {
-				t.Errorf("policy stats = %+v", st)
-			}
-			// Draining the released ids afterwards finds nothing more.
-			for _, id := range got {
-				if more := finish(co, id); len(more) != 0 {
-					t.Errorf("follow-up drain of T%d released %v", id, more)
-				}
 			}
 		})
 	}
@@ -657,12 +620,13 @@ func TestCoordinatorScript(t *testing.T) {
 	})
 
 	t.Run("shed", func(t *testing.T) {
-		co, flog := testCoordinator(&Admission{High: 1, Low: 0})
+		// A chain of three under a bound of two: T3 -> T2 -> T1 is shed.
+		co, flog := testCoordinator(DepthBound{Max: 2})
 		r := newScript(t, co)
 		enlist(co, 1, 0)
-		r.feed(r.dep(2, 1, 0), Input{Kind: InCommit}) // closes the admission gate
+		r.feed(r.dep(2, 1, 0), Input{Kind: InCommit}) // depth 2: held
 		r.log = nil
-		r.feed(r.dep(3, 1, 0, 1), Input{Kind: InCommit})
+		r.feed(r.dep(3, 2, 0, 1), Input{Kind: InCommit})
 		r.want(
 			"T3 commit: "+hold0,
 			"T3 hold-reply@0: "+hold1,
@@ -754,19 +718,16 @@ func TestCoordinatorScript(t *testing.T) {
 	})
 
 	t.Run("release-shape", func(t *testing.T) {
-		// A chain of three, T3 -> T2 -> T1, T2 and T3 at both sites.
-		chain := func(policy HoldPolicy) *scriptRun {
-			co, _ := testCoordinator(policy)
-			r := newScript(t, co)
-			t1 := enlist(co, 1, 0)
-			r.feed(r.dep(2, 1, 0, 1), Input{Kind: InCommit})
-			r.feed(r.dep(3, 2, 0, 1), Input{Kind: InCommit})
-			r.log = nil
-			r.feed(t1, Input{Kind: InCommit})
-			return r
-		}
-		// Round-based: one participant per ack, one transaction per drain.
-		chain(nil).want(
+		// A chain of three, T3 -> T2 -> T1, T2 and T3 at both sites: one
+		// participant per ack, one transaction per drain.
+		co, _ := testCoordinator(nil)
+		r := newScript(t, co)
+		t1 := enlist(co, 1, 0)
+		r.feed(r.dep(2, 1, 0, 1), Input{Kind: InCommit})
+		r.feed(r.dep(3, 2, 0, 1), Input{Kind: InCommit})
+		r.log = nil
+		r.feed(t1, Input{Kind: InCommit})
+		r.want(
 			"T1 commit: commit@0",
 			"T1 direct-reply@0: "+landed,
 			"T2 ready: "+decidedA+" "+release0,
@@ -774,17 +735,6 @@ func TestCoordinatorScript(t *testing.T) {
 			"T2 release-ack@1: "+landed,
 			"T3 ready: "+decidedA+" "+release0,
 			"T3 release-ack@0: "+release1,
-			"T3 release-ack@1: "+landed,
-		)
-		// Eager: the whole subtree in one drain, every participant at once.
-		chain(EagerRelease{}).want(
-			"T1 commit: commit@0",
-			"T1 direct-reply@0: "+landed,
-			"T2 ready: "+decidedA+" "+release0+" "+release1,
-			"T2 release-ack@0:",
-			"T2 release-ack@1: "+landed,
-			"T3 ready: "+decidedA+" "+release0+" "+release1,
-			"T3 release-ack@0:",
 			"T3 release-ack@1: "+landed,
 		)
 	})

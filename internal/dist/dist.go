@@ -177,7 +177,7 @@ type Cluster struct {
 	// decision-log ack table. The Cluster is its wall-clock driver:
 	// everything below is IO (site mutexes, fan-outs, goroutine
 	// hand-offs, hooks, spans). Lock order: site.mu -> Coordinator's
-	// domains, and closeMu, eagerMu alone. pipe.mu is never held across
+	// domains, and closeMu alone. pipe.mu is never held across
 	// another lock.
 	Coordinator
 
@@ -185,14 +185,6 @@ type Cluster struct {
 
 	// closed gates Begin and Register; atomic so neither takes a lock.
 	closed atomic.Bool
-
-	// eagerMu guards eagerQueue/eagerBusy, the hand-off that keeps at
-	// most one eager-subtree cascade running at a time (see cascade).
-	// Held only around the queue state, never across another lock or a
-	// release.
-	eagerMu    sync.Mutex
-	eagerQueue []core.TxnID
-	eagerBusy  bool
 
 	// pipe combines concurrent decision rounds into DecideWave calls.
 	pipe pipeline
@@ -251,8 +243,8 @@ type Config struct {
 	StepHook StepHook
 	// Policy bounds the hold convoy (see HoldPolicy). Nil installs
 	// DefaultPolicy(); Unbounded{} is the paper's unbounded hold
-	// behaviour. The cluster uses a Fresh clone, so one value can
-	// configure many clusters.
+	// behaviour. Policies are stateless, so one value can configure
+	// many clusters.
 	Policy HoldPolicy
 	// Backends, when non-nil, supplies the participant sites instead of
 	// the cluster constructing in-process schedulers (len must equal
@@ -858,56 +850,16 @@ func (c *Cluster) finish(t *Txn, site SiteID, reason core.AbortReason) {
 // cascade is ActRetire's drain: the terminated transactions leave the
 // mirror, every held transaction whose global dependency set drained as
 // a result runs its release (InReady) in the order Drain decided them,
-// and the ids those retire are drained in turn.
-//
-// Under an eager-subtree policy at most one cascade runs at a time.
-// The round-based Drain removes a transaction from the mirror only
-// after its release landed, so concurrent cascades compose; the eager
-// one removes at decide time, and two interleaved cascades could then
-// release a dependant at a shared site ahead of its predecessor's
-// release (the local scheduler would still hold the edge and Release
-// would fail). A single owner keeps decide order equal to
-// release-landing order per site, which is what the simulator's FIFO
-// channels provide by construction. Exclusion is a queue hand-off
-// rather than a lock held across the releases: a cascade arriving
-// while one runs — from another goroutine, or re-entrantly from this
-// one (a step hook crashing a site mid-release ends in Crash -> run ->
-// cascade) — appends its batch and returns, and the owner picks it up
-// when its own chain is exhausted.
+// and the ids those retire are drained in turn. Concurrent cascades
+// compose: Drain removes a transaction from the mirror only after its
+// release landed.
 func (c *Cluster) cascade(ids []core.TxnID) {
-	if len(ids) == 0 {
-		return
-	}
-	if c.eager {
-		c.eagerMu.Lock()
-		c.eagerQueue = append(c.eagerQueue, ids...)
-		if c.eagerBusy {
-			c.eagerMu.Unlock()
-			return
+	for len(ids) > 0 {
+		ready := c.Drain(ids)
+		ids = ids[:0]
+		for _, cv := range ready {
+			c.exec(cv.Owner.(*Txn), Input{Kind: InReady}, &ids)
 		}
-		c.eagerBusy = true
-		ids, c.eagerQueue = c.eagerQueue, nil
-		c.eagerMu.Unlock()
-	}
-	for {
-		for len(ids) > 0 {
-			ready := c.Drain(ids)
-			ids = ids[:0]
-			for _, cv := range ready {
-				c.exec(cv.Owner.(*Txn), Input{Kind: InReady}, &ids)
-			}
-		}
-		if !c.eager {
-			return
-		}
-		c.eagerMu.Lock()
-		ids, c.eagerQueue = c.eagerQueue, nil
-		if len(ids) == 0 {
-			c.eagerBusy = false
-			c.eagerMu.Unlock()
-			return
-		}
-		c.eagerMu.Unlock()
 	}
 }
 

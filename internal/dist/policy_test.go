@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,11 +23,8 @@ func TestParsePolicy(t *testing.T) {
 	}{
 		{"", ""},
 		{"off", "off"},
-		{"eager", "eager"},
 		{"depth=2", "depth=2"},
 		{"depth=16", "depth=16"},
-		{"admit=32", "admit=32/16"},
-		{"admit=40/10", "admit=40/10"},
 	}
 	for _, tc := range valid {
 		p, err := ParsePolicy(tc.in)
@@ -41,7 +39,7 @@ func TestParsePolicy(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("ParsePolicy(%q).Name() = %q, want %q", tc.in, got, tc.want)
 		}
-		// Names round-trip (except the admit=N sugar, covered above).
+		// Names round-trip.
 		if p != nil {
 			rt, err := ParsePolicy(p.Name())
 			if err != nil || rt.Name() != p.Name() {
@@ -60,64 +58,35 @@ func TestParsePolicy(t *testing.T) {
 	}
 	invalid := []string{
 		"depth=", "depth=x", "depth=1", "depth=-4",
-		"admit=", "admit=x", "admit=0", "admit=1", "admit=-8",
-		"admit=5/5", "admit=5/0", "admit=5/9", "admit=a/b",
 		"bogus", "eager=2",
+		// Retired policies: a stale config must fail, not run the default.
+		"eager", "admit=32/16", "admit=8",
 	}
 	for _, in := range invalid {
-		if p, err := ParsePolicy(in); err == nil {
+		p, err := ParsePolicy(in)
+		if err == nil {
 			t.Errorf("ParsePolicy(%q) accepted: %v", in, p)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(in, "depth=") && !strings.Contains(msg, "off or depth=N") {
+			t.Errorf("ParsePolicy(%q) error %q does not list the accepted forms", in, msg)
 		}
 	}
 }
 
 func TestDepthBoundVerdict(t *testing.T) {
 	p := DepthBound{Max: 4}
-	if v := p.AdmitHold(1, 2, 100); v != Hold {
-		t.Errorf("depth 2 under bound 4: %v, want Hold", v)
+	if !p.AdmitHold(2) {
+		t.Error("depth 2 under bound 4 shed")
 	}
-	if v := p.AdmitHold(1, 4, 100); v != Hold {
-		t.Errorf("depth 4 at bound 4: %v, want Hold", v)
+	if !p.AdmitHold(4) {
+		t.Error("depth 4 at bound 4 shed")
 	}
-	if v := p.AdmitHold(1, 5, 0); v != ShedTail {
-		t.Errorf("depth 5 over bound 4: %v, want ShedTail", v)
+	if p.AdmitHold(5) {
+		t.Error("depth 5 over bound 4 held")
 	}
-	if p.EagerSubtree() {
-		t.Error("DepthBound reports eager subtree release")
-	}
-}
-
-func TestAdmissionHysteresis(t *testing.T) {
-	p := &Admission{High: 4, Low: 2}
-	// Gate open below High.
-	for held := 0; held < 4; held++ {
-		if v := p.AdmitHold(1, 2, held); v != Hold {
-			t.Fatalf("held=%d with open gate: %v, want Hold", held, v)
-		}
-	}
-	// held >= High closes the gate.
-	if v := p.AdmitHold(1, 2, 4); v != ShedAdmission {
-		t.Fatalf("held=4 at High=4: %v, want ShedAdmission", v)
-	}
-	// Closed gate sheds anywhere above Low — including below High.
-	if v := p.AdmitHold(1, 2, 3); v != ShedAdmission {
-		t.Fatalf("held=3 with closed gate: %v, want ShedAdmission (hysteresis)", v)
-	}
-	// Draining to Low reopens it.
-	if v := p.AdmitHold(1, 2, 2); v != Hold {
-		t.Fatalf("held=2 at Low=2: %v, want Hold (gate reopens)", v)
-	}
-	// Fresh clears the gate but keeps the thresholds.
-	p.AdmitHold(1, 2, 9) // close it again
-	f := p.Fresh().(*Admission)
-	if f.High != 4 || f.Low != 2 {
-		t.Fatalf("Fresh lost thresholds: %+v", f)
-	}
-	if v := f.AdmitHold(1, 2, 3); v != Hold {
-		t.Fatalf("fresh gate should be open at held=3: %v", v)
-	}
-	if v := p.AdmitHold(1, 2, 3); v != ShedAdmission {
-		t.Fatalf("original gate should still be closed at held=3: %v", v)
+	if !(Unbounded{}).AdmitHold(1 << 20) {
+		t.Error("Unbounded shed a hold")
 	}
 }
 
@@ -189,120 +158,11 @@ func TestDepthBoundShedsTail(t *testing.T) {
 		}
 	}
 	ps := c.PolicyStats()
-	if ps.TailAborts != 1 || ps.AdmissionRejects != 0 {
+	if ps.TailAborts != 1 {
 		t.Fatalf("stats = %+v, want exactly 1 tail abort", ps)
 	}
 	if ps.HeldPeak != 1 {
 		t.Fatalf("held peak = %d, want 1 (only T2 was ever held)", ps.HeldPeak)
-	}
-}
-
-// TestAdmissionShedsOverCapacity: with High=2, the third would-be hold
-// is refused while the first two are admitted, and the refusal is the
-// retryable shed abort a client can simply resubmit after the convoy
-// drains.
-func TestAdmissionShedsOverCapacity(t *testing.T) {
-	c := newPolicyPageCluster(t, 3, 8, &Admission{High: 2, Low: 1})
-	t1 := c.Begin()
-	if _, err := t1.Do(1, write(10)); err != nil {
-		t.Fatal(err)
-	}
-	// Two admissible holds on T1.
-	held := []core.Txn{}
-	for i, obj := range []core.ObjectID{2, 3} {
-		tx := c.Begin()
-		if _, err := tx.Do(1, write(100+i)); err != nil { // dep -> T1
-			t.Fatal(err)
-		}
-		if _, err := tx.Do(obj, write(200+i)); err != nil {
-			t.Fatal(err)
-		}
-		if st, err := tx.Commit(); err != nil || st != core.PseudoCommitted {
-			t.Fatalf("hold %d commit = %v, %v", i, st, err)
-		}
-		held = append(held, tx)
-	}
-	// The gate is at capacity: the next hold is shed.
-	t4 := c.Begin()
-	if _, err := t4.Do(1, write(400)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := t4.Do(5, write(404)); err != nil { // site 2: keep T4 cross-site
-		t.Fatal(err)
-	}
-	if _, err := t4.Commit(); !errors.Is(err, core.ErrHoldShed) {
-		t.Fatalf("T4 commit over capacity = %v, want ErrHoldShed", err)
-	}
-	if st, err := t1.Commit(); err != nil || st != core.Committed {
-		t.Fatalf("T1 commit = %v, %v", st, err)
-	}
-	for _, tx := range held {
-		<-tx.Done()
-		if err := tx.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ps := c.PolicyStats()
-	if ps.AdmissionRejects != 1 || ps.TailAborts != 0 {
-		t.Fatalf("stats = %+v, want exactly 1 admission reject", ps)
-	}
-	if ps.HeldPeak != 2 {
-		t.Fatalf("held peak = %d, want 2", ps.HeldPeak)
-	}
-}
-
-// TestEagerReleaseBatchesSubtree: under the eager policy a two-deep
-// held chain drains in ONE coordinator round when its root commits,
-// instead of one cascade hop per level.
-func TestEagerReleaseBatchesSubtree(t *testing.T) {
-	c := newPolicyPageCluster(t, 3, 6, EagerRelease{})
-	t1, t2, t3 := c.Begin(), c.Begin(), c.Begin()
-	if _, err := t1.Do(1, write(10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := t2.Do(1, write(20)); err != nil { // T2 -> T1
-		t.Fatal(err)
-	}
-	if _, err := t2.Do(2, write(22)); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := t2.Commit(); err != nil || st != core.PseudoCommitted {
-		t.Fatalf("T2 commit = %v, %v", st, err)
-	}
-	if _, err := t3.Do(2, write(30)); err != nil { // T3 -> T2
-		t.Fatal(err)
-	}
-	if _, err := t3.Do(3, write(33)); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := t3.Commit(); err != nil || st != core.PseudoCommitted {
-		t.Fatalf("T3 commit = %v, %v (eager policy never sheds)", st, err)
-	}
-	if st, err := t1.Commit(); err != nil || st != core.Committed {
-		t.Fatalf("T1 commit = %v, %v", st, err)
-	}
-	<-t2.Done()
-	<-t3.Done()
-	if err := t2.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := t3.Err(); err != nil {
-		t.Fatal(err)
-	}
-	ps := c.PolicyStats()
-	if ps.EagerRounds != 1 || ps.EagerReleased != 2 {
-		t.Fatalf("stats = %+v, want the whole T2,T3 subtree released in 1 round", ps)
-	}
-	// Release order respected the chain: the committed states are the
-	// topmost writes.
-	for id, want := range map[core.ObjectID]string{1: "page{20}", 2: "page{30}", 3: "page{33}"} {
-		s, err := c.Site(c.SiteOf(id)).CommittedState(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprint(s); got != want {
-			t.Fatalf("object %d committed state = %s, want %s", id, got, want)
-		}
 	}
 }
 
@@ -337,8 +197,6 @@ func (o *orderObserver) Aborted(t core.TxnID, _ string) {
 func TestPolicyClusterConservation(t *testing.T) {
 	policies := []HoldPolicy{
 		DepthBound{Max: 3},
-		EagerRelease{},
-		&Admission{High: 6, Low: 3},
 	}
 	for _, p := range policies {
 		t.Run(p.Name(), func(t *testing.T) {
@@ -456,45 +314,6 @@ func TestPolicyClusterConservation(t *testing.T) {
 	}
 }
 
-// TestEagerCascadePolicyStress is the regression shape for the eager
-// cascade's decide-before-release ordering: finished transactions and
-// cross-site cycle aborts finalize from many goroutines at once, so
-// eager cascades overlap. Before cascade's eager single-owner queue,
-// one cascade could release a dependant at a shared site before
-// another cascade's release of its predecessor landed there — the
-// local scheduler still held the edge and releaseAt panicked with
-// outstanding dependencies. Needs real preemption to interleave,
-// hence the GOMAXPROCS bump; several seeds to make the window likely.
-func TestEagerCascadePolicyStress(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const sites, workers, txns = 4, 8, 60
-	var released int
-	for seed := int64(1); seed <= 6; seed++ {
-		c, err := NewWithConfig(Config{Sites: sites, Policy: EagerRelease{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := workload.Sharded{Inner: workload.Pushes{DBSize: 200}, Sites: sites, CrossProb: 0.1}
-		res, err := workload.RunLoad(c, workload.LoadConfig{
-			Workload:      gen,
-			Workers:       workers,
-			TxnsPerWorker: txns,
-			Seed:          seed,
-			MaxRestarts:   100000,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if res.Commits != workers*txns {
-			t.Fatalf("seed %d: %d commits, want %d", seed, res.Commits, workers*txns)
-		}
-		released += c.PolicyStats().EagerReleased
-	}
-	if released == 0 {
-		t.Fatal("no eager release ever fired — the stress never exercised the cascade")
-	}
-}
-
 // runPushConvoy drives the fixed-work convoy that exposed the default
 // configuration's collapse (ROADMAP item 1): unyielding workers, every
 // operation a recoverable push on a small set of stacks, run to
@@ -576,7 +395,7 @@ func TestDefaultPolicyBoundsConvoy(t *testing.T) {
 	}
 	ups := u.PolicyStats()
 	t.Logf("unbounded: stats %+v", ups)
-	if ups.TailAborts+ups.AdmissionRejects != 0 {
+	if ups.TailAborts != 0 {
 		t.Errorf("Unbounded{} shed: %+v", ups)
 	}
 	if ups.HeldPeak <= heldBound {

@@ -244,24 +244,15 @@ func (c *Coordinator) Step(cv *Conv, in Input, acts []Action) []Action {
 		}
 		fallthrough
 	case InReady:
-		// Under an eager-subtree policy every participant is released at
-		// once (Drain decided the whole subtree in one round; in-order
-		// delivery carries its order to every shared site); otherwise one
-		// participant per ack.
+		// One participant per ack, ascending.
 		cv.k = 0
-		acts = append(acts, act(ActDecided, noSite))
-		for i := 0; i < n && (i == 0 || c.eager); i++ {
-			acts = append(acts, act(ActRelease, cv.visited[i]))
-		}
-		return acts
+		return append(acts, act(ActDecided, noSite), act(ActRelease, cv.visited[0]))
 
 	case InAbort:
 		return c.unwind(cv, in.Site, in.Reason, acts)
 
 	case InReleaseAck:
-		if cv.k++; cv.k < n && c.eager {
-			return acts // the whole batch is already out
-		}
+		cv.k++
 		return c.next(cv, ActRelease, acts)
 	}
 	panic("dist: unknown conversation input")

@@ -139,9 +139,8 @@ type Config struct {
 	CoordCrashes []CoordCrashPoint
 	// Policy, when non-nil, is the bounded-hold release policy the
 	// simulated coordinator consults (the same dist.HoldPolicy values
-	// the wall-clock cluster takes). The engine uses a Fresh clone, so
-	// one value can configure many runs; same seed + same policy means
-	// a bit-identical run. Nil preserves the unbounded baseline.
+	// the wall-clock cluster takes); same seed + same policy means a
+	// bit-identical run. Nil preserves the unbounded baseline.
 	Policy dist.HoldPolicy
 	// RecordTrace keeps the full event-trace lines in the Result (the
 	// trace hash is always computed).

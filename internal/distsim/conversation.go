@@ -404,7 +404,7 @@ func (e *Engine) coordCrash(restartAfter float64) {
 	e.coordCrashes++
 	e.coordRestartAt = e.tl.Now() + restartAfter
 	e.tracef("coordcrash")
-	e.deadStats = e.policyStats()
+	e.deadShed = e.tailAborts()
 	e.co = dist.NewCoordinator(e.cfg.Sites, e.flog, e.cfg.Policy, false)
 	e.tl.Schedule(e.coordRestartAt, ev{kind: evCoordRestart})
 	ids := make([]core.TxnID, 0, len(e.procs))

@@ -143,33 +143,3 @@ func TestGoldenCoordCrashTrace(t *testing.T) {
 	}
 	t.Fatalf("trace length changed: got %d lines, want %d", len(gotLines), len(wantLines))
 }
-
-// TestEagerReleaseCrash: a site dies in the middle of an eager release
-// round — the decision is logged and part of the batch landed, so
-// restart recovery must redo the victim's skipped releases from their
-// prepared records while the rest of the batch proceeds normally.
-func TestEagerReleaseCrash(t *testing.T) {
-	cfg := EagerReleaseCrash(7)
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Crashes != 1 {
-		t.Fatalf("crashes = %d, want 1", res.Crashes)
-	}
-	if res.EagerRounds == 0 {
-		t.Fatal("eager policy ran no batched release round")
-	}
-	if res.Redone == 0 {
-		t.Fatalf("crash during the eager release round redid nothing (presumed=%d)", res.PresumedAborted)
-	}
-	checkConservation(t, eng, res, 32)
-	again := run(t, EagerReleaseCrash(7))
-	if again.TraceHash != res.TraceHash {
-		t.Fatalf("eager-crash scenario not deterministic: %016x vs %016x", res.TraceHash, again.TraceHash)
-	}
-}

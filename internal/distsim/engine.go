@@ -121,11 +121,11 @@ type Engine struct {
 	// classification, restart adoption and the conversation script all
 	// run there. The engine models only what surrounds it — time and
 	// message order. A coordinator crash replaces co with a fresh one on
-	// the same flog; deadStats keeps the policy counters of the
-	// incarnations that died.
-	co        *dist.Coordinator
-	deadStats dist.PolicyStats
-	flog      fault.Log
+	// the same flog; deadShed keeps the shed count of the incarnations
+	// that died.
+	co       *dist.Coordinator
+	deadShed int
+	flog     fault.Log
 
 	// procs maps each live attempt's id to its logical transaction —
 	// the terminal side's session table (adopted conversations stay in
@@ -398,7 +398,6 @@ func (e *Engine) result() Result {
 	for _, s := range e.sites {
 		st.Add(s.cr.StatsSnapshot())
 	}
-	ps := e.policyStats()
 	r := Result{
 		Sites:             e.cfg.Sites,
 		SimTime:           e.snapTime,
@@ -425,10 +424,7 @@ func (e *Engine) result() Result {
 		TraceLen:          e.traceLen,
 		Trace:             e.trace,
 		Stats:             st,
-		TailAborts:        ps.TailAborts,
-		AdmissionRejects:  ps.AdmissionRejects,
-		EagerRounds:       ps.EagerRounds,
-		EagerReleased:     ps.EagerReleased,
+		TailAborts:        e.tailAborts(),
 		CoordCrashes:      e.coordCrashes,
 		CoordRestarts:     e.coordRestarts,
 		CoordAdopted:      e.coordAdopted,
@@ -445,15 +441,10 @@ func (e *Engine) result() Result {
 	return r
 }
 
-// policyStats sums the policy counters over every coordinator
-// incarnation of the run.
-func (e *Engine) policyStats() dist.PolicyStats {
-	ps, live := e.deadStats, e.co.PolicyStats()
-	ps.TailAborts += live.TailAborts
-	ps.AdmissionRejects += live.AdmissionRejects
-	ps.EagerRounds += live.EagerRounds
-	ps.EagerReleased += live.EagerReleased
-	return ps
+// tailAborts sums the shed holds over every coordinator incarnation
+// of the run.
+func (e *Engine) tailAborts() int {
+	return e.deadShed + e.co.PolicyStats().TailAborts
 }
 
 // policyName renders the policy for Result ("" = off).
@@ -773,9 +764,6 @@ func (e *Engine) retire(p *sproc, failed bool) {
 	if e.co.Retire(id) {
 		ready := e.co.Drain([]core.TxnID{id})
 		e.noteLog()
-		if len(ready) > 0 && e.cfg.Policy != nil && e.cfg.Policy.EagerSubtree() {
-			e.tracef("eager-release %d held", len(ready))
-		}
 		for _, cv := range ready {
 			e.run(cv.Owner.(*sproc), dist.Input{Kind: dist.InReady})
 		}

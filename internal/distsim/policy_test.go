@@ -10,15 +10,12 @@ import (
 	"repro/internal/dist"
 )
 
-// canonicalPolicies returns the three checked-in bounded-hold policies
-// at the parameter points the perf study pins: a depth bound well under
-// the baseline's 237-deep convoy, the parameter-free eager subtree
-// release, and an admission gate with 2:1 hysteresis.
+// canonicalPolicies returns the depth bounds the perf study pins: the
+// cluster default and a bound well under the baseline's 237-deep convoy.
 func canonicalPolicies() []dist.HoldPolicy {
 	return []dist.HoldPolicy{
+		dist.DefaultPolicy(),
 		dist.DepthBound{Max: 16},
-		dist.EagerRelease{},
-		&dist.Admission{High: 32, Low: 16},
 	}
 }
 
@@ -33,7 +30,7 @@ func convoyShort(seed int64, p dist.HoldPolicy) Config {
 }
 
 // TestConvoyPolicy42 is TestConvoyBaseline42's sibling: the same
-// seed-42 convoy run with each bounded-hold policy installed, pinned
+// seed-42 convoy run with each depth bound installed, pinned
 // bit-for-bit. The acceptance bars come from the baseline constants in
 // TestConvoyBaseline42 — every policy must cut the max convoy depth to
 // ≤120 (baseline 237), close at least half the 12.32 txn/s pseudo/real
@@ -55,14 +52,11 @@ func TestConvoyPolicy42(t *testing.T) {
 		depth  int // max convoy depth
 		real   int
 		pseudo int
-		shed   int // TailAborts + AdmissionRejects
-		eager  int // EagerReleased
+		shed   int // TailAborts
 	}{
 		// What a cluster installs when no policy is named.
-		{dist.DefaultPolicy(), 0x1325da263ca16066, 13, 400, 394, 220, 0},
-		{dist.DepthBound{Max: 16}, 0x1194222b01bdcb30, 54, 400, 414, 169, 0},
-		{dist.EagerRelease{}, 0xcfc02d3960e9bf51, 12, 400, 397, 0, 244},
-		{&dist.Admission{High: 32, Low: 16}, 0x2b362cfb09f8476a, 32, 400, 406, 195, 0},
+		{dist.DefaultPolicy(), 0x1325da263ca16066, 13, 400, 394, 220},
+		{dist.DepthBound{Max: 16}, 0x1194222b01bdcb30, 54, 400, 414, 169},
 	}
 	for _, tc := range cases {
 		t.Run(tc.policy.Name(), func(t *testing.T) {
@@ -78,12 +72,8 @@ func TestConvoyPolicy42(t *testing.T) {
 				t.Errorf("commits = %d real / %d pseudo, want %d / %d",
 					res.RealCommits, res.PseudoCompletions, tc.real, tc.pseudo)
 			}
-			if shed := res.TailAborts + res.AdmissionRejects; shed != tc.shed {
-				t.Errorf("shed holds = %d (%d tail + %d admission), want %d",
-					shed, res.TailAborts, res.AdmissionRejects, tc.shed)
-			}
-			if res.EagerReleased != tc.eager {
-				t.Errorf("eager releases = %d, want %d", res.EagerReleased, tc.eager)
+			if res.TailAborts != tc.shed {
+				t.Errorf("shed holds = %d, want %d", res.TailAborts, tc.shed)
 			}
 			if res.Policy != tc.policy.Name() {
 				t.Errorf("result policy = %q, want %q", res.Policy, tc.policy.Name())
@@ -168,8 +158,8 @@ func TestPolicyConservation(t *testing.T) {
 			if crashed && res.Crashes == 0 {
 				t.Fatalf("%s: crash schedule never fired", p.Name())
 			}
-			if res.TailAborts+res.AdmissionRejects+res.EagerReleased == 0 {
-				t.Fatalf("%s crashed=%v: policy never fired — not exercising the shed/release path", p.Name(), crashed)
+			if res.TailAborts == 0 {
+				t.Fatalf("%s crashed=%v: policy never fired — not exercising the shed path", p.Name(), crashed)
 			}
 			for obj := core.ObjectID(1); obj <= 128; obj++ {
 				var depth uint64
@@ -237,7 +227,7 @@ func TestPolicyNeverAbortsCommitted(t *testing.T) {
 		if len(committed) == 0 {
 			t.Fatalf("%s: trace has no real commits", p.Name())
 		}
-		if _, isDepth := p.(dist.DepthBound); isDepth && sheds == 0 {
+		if sheds == 0 {
 			t.Fatalf("%s: depth bound shed nothing — scenario not adversarial enough", p.Name())
 		}
 	}

@@ -85,13 +85,9 @@ type Result struct {
 	// Policy names the hold policy the run used ("" = off, the
 	// unbounded baseline).
 	Policy string
-	// TailAborts counts holds shed by a depth bound and
-	// AdmissionRejects holds shed by a closed admission gate (whole
-	// run; each shed is also counted in Aborts and retried).
-	TailAborts, AdmissionRejects int
-	// EagerRounds counts non-empty eager-release rounds and
-	// EagerReleased the held transactions they released (whole run).
-	EagerRounds, EagerReleased int
+	// TailAborts counts holds shed by the depth bound (whole run; each
+	// shed is also counted in Aborts and retried).
+	TailAborts int
 	// HeldWaitP99 is the 99th-percentile held→decision wait in virtual
 	// seconds, over every hold of the run including those resolved in
 	// the post-target drain (unlike PhaseHeldWait, which samples only
@@ -150,9 +146,7 @@ func (r Result) String() string {
 		r.ConvoyDepth.String(), r.HeldWaitP99, r.TimeToDrain,
 		r.LogHighWater, r.TraceHash)
 	if r.Policy != "" {
-		s += fmt.Sprintf(" policy=%s shed=%d/%d eager=%d/%d",
-			r.Policy, r.TailAborts, r.AdmissionRejects,
-			r.EagerRounds, r.EagerReleased)
+		s += fmt.Sprintf(" policy=%s shed=%d", r.Policy, r.TailAborts)
 	}
 	if r.CoordCrashes > 0 {
 		s += fmt.Sprintf(" coordcrash=%d/%d adopted=%d orphans=%d revoked=%d",

@@ -122,30 +122,6 @@ func CoordCrashRelease(seed int64) Config {
 	return cfg
 }
 
-// EagerReleaseCrash crashes a site in the middle of an eager release
-// round (the batched all-participants fan-out the EagerRelease policy
-// runs): the decision is logged and some releases land before the
-// victim dies, so restart recovery must redo the skipped ones from
-// their prepared records while the rest of the batch proceeds.
-func EagerReleaseCrash(seed int64) Config {
-	cfg := Default(workload.Sharded{
-		Inner:     workload.Pushes{DBSize: 32},
-		Sites:     4,
-		CrossProb: 0.5,
-	}, 4, 8, seed)
-	cfg.ThinkTime = 0.02
-	cfg.Completions = 80
-	cfg.Warmup = 0
-	cfg.Policy = dist.EagerRelease{}
-	cfg.Crashes = []CrashPoint{{
-		Step:         dist.DuringReleaseCascade,
-		Occurrence:   6,
-		Site:         -1,
-		RestartAfter: 0.5,
-	}}
-	return cfg
-}
-
 // SweepPoint parameterises one cell of the message-latency ×
 // cross-site-probability sweep at the given scale. Sites can be
 // hundreds: every site is one real scheduler, so simulated scale costs

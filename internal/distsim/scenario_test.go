@@ -167,7 +167,6 @@ func TestSeedMatrix(t *testing.T) {
 		{"presume", CrashPresume},
 		{"coordcrash", CoordCrash},
 		{"coordrelease", CoordCrashRelease},
-		{"eagercrash", EagerReleaseCrash},
 	}
 	for _, sc := range scenarios {
 		seen := map[uint64]int64{}

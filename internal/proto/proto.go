@@ -43,7 +43,7 @@ const (
 	ReasonSiteFailed
 	// ReasonShed: the coordinator's hold policy declined to hold the
 	// pseudo-committed transaction (the commit-dependency chain was too
-	// deep, or the admission gate was closed) and revoked it instead —
+	// deep) and revoked it instead —
 	// overload control, retryable by construction: recoverability means
 	// the revocation cascades into nobody, and a later attempt under a
 	// shallower convoy can succeed.

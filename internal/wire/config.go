@@ -36,9 +36,8 @@ type ClusterFile struct {
 	// all processes agree on object types without code crossing the
 	// wire.
 	Workload string `json:"workload"`
-	// Policy optionally names the coordinator's hold policy
-	// (dist.ParsePolicy syntax: "depth=N", "eager", "admit=H/L", or
-	// "off" for the paper's unbounded holds); empty is the cluster
+	// Policy optionally names the coordinator's hold policy: "depth=N"
+	// or "off" for the paper's unbounded holds; empty is the cluster
 	// default, dist.DefaultPolicy.
 	Policy string `json:"policy,omitempty"`
 	// Debug is the coordinator's debug-plane HTTP listen address

@@ -230,9 +230,6 @@ func writeCoordMetrics(pw *telemetry.PromWriter, c *dist.Cluster) {
 	ps := c.PolicyStats()
 	policy := fmt.Sprintf(`policy=%q`, c.PolicyName())
 	pw.Counter("scc_policy_tail_aborts_total", "conversations shed by a depth bound", uint64(ps.TailAborts), policy)
-	pw.Counter("scc_policy_admission_rejects_total", "conversations shed by admission control", uint64(ps.AdmissionRejects), policy)
-	pw.Counter("scc_policy_eager_rounds_total", "eager-release subtree scans", uint64(ps.EagerRounds), policy)
-	pw.Counter("scc_policy_eager_released_total", "transactions released by eager scans", uint64(ps.EagerReleased), policy)
 	pw.Gauge("scc_policy_held_peak", "held-set peak since start", int64(ps.HeldPeak), policy)
 
 	for sid := 0; sid < c.NumSites(); sid++ {

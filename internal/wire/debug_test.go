@@ -59,7 +59,7 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 		Daemons:    []DaemonSpec{{Listen: srv.Addr(), Sites: []uint16{0, 1}}},
 		Workload:   spec,
 		DialWait:   2 * time.Second,
-		Policy:     dist.EagerRelease{},
+		Policy:     dist.DepthBound{Max: 8},
 		Trace:      1024,
 	})
 	if err != nil {
@@ -101,7 +101,7 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 		`scc_phase_nanos_bucket{phase="decide",le="+Inf"}`,
 		"scc_wave_size_count",
 		"scc_decisions_logged_total",
-		`scc_policy_eager_rounds_total{policy="eager"}`,
+		`scc_policy_tail_aborts_total{policy="depth=8"}`,
 		`scc_wire_rtt_nanos_count{verb="request"}`,
 		`scc_site_up{site="0"} 1`,
 	} {
@@ -130,7 +130,7 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if st.Role != "coord" || st.Policy != "eager" {
+	if st.Role != "coord" || st.Policy != "depth=8" {
 		t.Errorf("statusz role/policy = %q/%q", st.Role, st.Policy)
 	}
 	if st.Stats == nil || st.Stats.Commits == 0 {

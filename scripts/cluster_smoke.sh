@@ -24,6 +24,7 @@ PIDS=()
 cleanup() {
   for pid in "${PIDS[@]-}"; do
     kill "$pid" 2>/dev/null || true
+    kill -CONT "$pid" 2>/dev/null || true
   done
   wait 2>/dev/null || true
   rm -rf "$DIR"
@@ -103,12 +104,25 @@ echo "== init (readiness barrier)"
 echo "== load with mid-flight coordinator kill -9"
 "$BIN/sccctl" -config "$CFG" load -workers 6 -txns 300 -seed 42 -verify > "$LOG/load.log" 2>&1 &
 LOAD_PID=$!
+PIDS+=($LOAD_PID)
 
-# Let the load get going, then scrape every debug plane while the
-# cluster is under fire: the coordinator must be logging decisions and
-# running the conversation, the site daemons must be executing.
-sleep 1
-echo "== mid-load /metrics scrape (all three processes)"
+# Let the load get a third of the way in (the whole load logs about
+# 1,800 decisions), then scrape every debug plane while the cluster is
+# under fire: the coordinator must be logging decisions and running the
+# conversation, the site daemons must be executing. Polling the
+# coordinator rather than sleeping keeps the kill inside the load
+# however fast the machine runs it.
+KILL_AT=600
+logged=0
+for _ in $(seq 1 2000); do
+  kill -0 "$LOAD_PID" 2>/dev/null || fail "load exited before the coordinator kill (logged=$logged)"
+  logged=$(curl -sf "http://127.0.0.1:$P_DBG_CO/metrics" \
+    | awk '$1 == "scc_decisions_logged_total" { print $2 }')
+  [ "${logged:-0}" -ge "$KILL_AT" ] && break
+  sleep 0.01
+done
+[ "${logged:-0}" -ge "$KILL_AT" ] || fail "coordinator logged only ${logged:-0} decisions, want >= $KILL_AT before the kill"
+echo "== mid-load /metrics scrape (all three processes, $logged decisions logged)"
 scrape "127.0.0.1:$P_DBG_CO" \
   'scc_decisions_logged_total [1-9]' \
   'scc_wire_frames_out_total [1-9]' \
@@ -116,9 +130,34 @@ scrape "127.0.0.1:$P_DBG_CO" \
 scrape "127.0.0.1:$P_DBG_D0" 'scc_sched_executes_total{site="0"} [0-9]'
 scrape "127.0.0.1:$P_DBG_D1" 'scc_sched_executes_total{site="2"} [0-9]'
 
-# Now kill the coordinator the hard way.
+# Now kill the coordinator the hard way, with the load still running
+# and a logged decision still open. A decision resolves within
+# microseconds once its sites have acked it, so both site daemons are
+# frozen (SIGSTOP) until the decision log (one "C <id>" line per commit
+# decision, "T <id>" once it resolves) holds an open one: no site can
+# ack it while they are stopped, so the restarted coordinator must
+# adopt it. Its clients are still waiting on those sites for the
+# outcome, so they resolve it from the new coordinator. The
+# coordinator's own /metrics cannot be asked here: it sums the frozen
+# sites' counters.
+open_decisions() {
+  awk '$1 == "C" { open[$2] = 1 } $1 == "T" { delete open[$2] }
+       END { print length(open) }' "$DIR/decision.log" 2>/dev/null || echo 0
+}
+open=0
+for _ in $(seq 1 100); do
+  kill -0 "$LOAD_PID" 2>/dev/null || fail "load finished before the coordinator kill"
+  kill -STOP "$SITE0_PID" "$SITE1_PID"
+  sleep 0.05
+  open=$(open_decisions)
+  [ "$open" -ge 1 ] && break
+  kill -CONT "$SITE0_PID" "$SITE1_PID"
+  sleep 0.01
+done
+[ "$open" -ge 1 ] || fail "no logged decision was open at any of 100 frozen instants"
 kill -9 "$COORD_PID" 2>/dev/null || fail "coordinator already gone before kill"
-echo "== coordinator killed (kill -9); flight-dumping the site daemons (SIGQUIT)"
+kill -CONT "$SITE0_PID" "$SITE1_PID"
+echo "== coordinator killed (kill -9) with $open decision(s) open; flight-dumping the site daemons (SIGQUIT)"
 # While the coordinator is dead, every hold the sites placed for it is
 # in doubt. SIGQUIT makes each site daemon dump its flight recorder —
 # the crash black box — and keep running; the dumps must contain an
@@ -207,10 +246,9 @@ for _ in $(seq 1 100); do
 done
 [ -n "$conserved" ] \
   || fail "conservation violated at quiesce: logged=$logged adopted=$adopted resolved=$resolved live=$live"
-# Adoption count depends on where the kill landed: usually > 0 (the
-# load was mid-commit), but an empty gate at the kill instant is
-# legal, so this is informational rather than an assertion.
-[ "$adopted" -gt 0 ] || echo "note: no decisions were pending at the kill instant"
+# The kill landed mid-load, so the restarted coordinator must have
+# adopted decisions the dead one logged but never resolved.
+[ "$adopted" -gt 0 ] || fail "restarted coordinator adopted no decisions (adopted=0): the kill missed the load"
 # The cluster file names no policy: the coordinator must report the
 # default it installed (dist.DefaultPolicy), not "off".
 echo "$STATUS" | grep -q '"policy": "depth=4"' || fail "/statusz does not report the default hold policy (depth=4)"
@@ -232,15 +270,15 @@ echo "$STATUS" | grep -q '"flight"' || fail "/statusz missing flight block"
 echo "$STATUS" | grep -q '"sample_rate": *1' || fail "/statusz tracing block missing sample_rate"
 
 echo "== cross-process span stitching (sccctl trace -txn)"
-# Pick a recently committed transaction from site daemon 0's span feed
-# (a release span means its real commit landed there), then ask sccctl
-# to reconstruct its cluster-wide causal timeline: rows must come from
-# both the coordinator and the site daemon, and the chain must end in
-# a release.
-TXN=$(curl -sf "http://127.0.0.1:$P_DBG_D0/tracez?fmt=spans" | tr -d ' \n' \
+# Pick a transaction the restarted coordinator released (its span feed
+# holds only what it ran, so the coordinator side of the timeline is
+# there), then ask sccctl to reconstruct its cluster-wide causal
+# timeline: rows must come from both the coordinator and a site daemon,
+# and the chain must end in a release.
+TXN=$(curl -sf "http://127.0.0.1:$P_DBG_CO/tracez?fmt=spans" | tr -d ' \n' \
   | grep -o '"kind":"release","txn":[0-9]*' | tail -1 | grep -o '[0-9]*$') \
-  || fail "no release span retained at site daemon 0"
-[ -n "$TXN" ] || fail "could not pick a committed txn from site daemon 0's span feed"
+  || fail "no release span retained at the restarted coordinator"
+[ -n "$TXN" ] || fail "could not pick a released txn from the restarted coordinator's span feed"
 "$BIN/sccctl" -config "$CFG" trace -txn "$TXN" > "$LOG/timeline.log" 2>&1 || {
   cat "$LOG/timeline.log" >&2; fail "sccctl trace -txn $TXN"
 }
