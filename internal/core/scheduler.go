@@ -11,37 +11,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// graphKeeper owns dependency-graph maintenance: edge insertion and
-// cycle detection, with the protocol counters kept in lockstep. It is
-// the third separable scheduler component beside objectStore and
-// txnStore.
-type graphKeeper struct {
-	g     *depgraph.Graph
-	stats *telemetry.CoreStats
-}
-
-func newGraphKeeper(stats *telemetry.CoreStats) graphKeeper {
-	return graphKeeper{g: depgraph.New(), stats: stats}
-}
-
-// waitFor adds a wait-for edge from -> to.
-func (gk graphKeeper) waitFor(from, to TxnID) {
-	gk.g.AddEdge(from, to, depgraph.WaitFor)
-	gk.stats.WaitForEdges.Inc()
-}
-
-// commitDep adds a commit-dependency edge from -> to.
-func (gk graphKeeper) commitDep(from, to TxnID) {
-	gk.g.AddEdge(from, to, depgraph.CommitDep)
-	gk.stats.CommitDepEdges.Inc()
-}
-
-// cycleFrom runs counted cycle detection starting at t.
-func (gk graphKeeper) cycleFrom(t TxnID) bool {
-	gk.stats.CycleChecks.Inc()
-	return gk.g.HasCycleFrom(t)
-}
-
 // schedScratch holds the scheduler's reusable buffers. Every holder
 // list, affected-object list and queue snapshot the protocol's inner
 // loops need lives here, grown once and reused, so a steady-state
@@ -80,7 +49,7 @@ type Scheduler struct {
 	opts    Options
 	store   objectStore
 	txns    txnStore
-	gk      graphKeeper
+	g       *depgraph.Graph
 	nextSeq uint64
 	stats   telemetry.CoreStats
 	sc      schedScratch
@@ -101,13 +70,12 @@ type Scheduler struct {
 
 // NewScheduler returns a scheduler with the given options.
 func NewScheduler(opts Options) *Scheduler {
-	s := &Scheduler{
+	return &Scheduler{
 		opts:  opts,
 		store: newObjectStore(opts.Recovery, opts.Predicate),
 		txns:  newTxnStore(),
+		g:     depgraph.New(),
 	}
-	s.gk = newGraphKeeper(&s.stats)
-	return s
 }
 
 // SetFactory installs a lazy object constructor: the first request
@@ -161,11 +129,8 @@ func (s *Scheduler) CommittedState(id ObjectID) (adt.State, error) {
 func (s *Scheduler) Begin(id TxnID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.txns.begin(id); err != nil {
-		return err
-	}
-	s.gk.g.AddNode(id)
-	return nil
+	_, err := s.txns.begin(id)
+	return err
 }
 
 // Request asks to execute op on obj for transaction id, implementing
@@ -260,12 +225,14 @@ func (s *Scheduler) tryExecute(t *txn, o *object, op adt.Op, retry bool, eff *Ef
 		// to the blocked requesters ahead of us), then deadlock
 		// detection.
 		for _, h := range conflicts {
-			s.gk.waitFor(t.id, h)
+			s.g.AddEdge(t.id, h, depgraph.WaitFor)
 		}
 		for _, h := range fairWaits {
-			s.gk.waitFor(t.id, h)
+			s.g.AddEdge(t.id, h, depgraph.WaitFor)
 		}
-		if s.gk.cycleFrom(t.id) {
+		s.stats.WaitForEdges.Add(uint64(len(conflicts) + len(fairWaits)))
+		s.stats.CycleChecks.Inc()
+		if s.g.HasCycleFrom(t.id) {
 			s.stats.DeadlockAborts.Inc()
 			if err := s.finalize(t, false, ReasonDeadlock, eff); err != nil {
 				return Decision{}, err
@@ -293,9 +260,11 @@ func (s *Scheduler) tryExecute(t *txn, o *object, op adt.Op, retry bool, eff *Ef
 		// operation is recoverable (but not commuting) with, then
 		// cycle detection (serializability guard).
 		for _, h := range recovs {
-			s.gk.commitDep(t.id, h)
+			s.g.AddEdge(t.id, h, depgraph.CommitDep)
 		}
-		if s.gk.cycleFrom(t.id) {
+		s.stats.CommitDepEdges.Add(uint64(len(recovs)))
+		s.stats.CycleChecks.Inc()
+		if s.g.HasCycleFrom(t.id) {
 			s.stats.CycleAborts.Inc()
 			if err := s.finalize(t, false, ReasonCommitCycle, eff); err != nil {
 				return Decision{}, err
@@ -357,7 +326,7 @@ func (s *Scheduler) commitLocked(eff *Effects, id TxnID) (CommitStatus, error) {
 		return 0, ErrTxnTerminated
 	}
 
-	if s.gk.g.OutDegree(id) > 0 {
+	if s.g.OutDegree(id) > 0 {
 		t.state = stPseudo
 		s.stats.PseudoCommits.Inc()
 		if r := s.opts.Recorder; r != nil {
@@ -412,7 +381,7 @@ func (s *Scheduler) commitHoldLocked(id TxnID) (int, error) {
 	case stBlocked:
 		return 0, ErrTxnBlocked
 	case stPseudo:
-		return s.gk.g.OutDegree(id), nil
+		return s.g.OutDegree(id), nil
 	default:
 		return 0, ErrTxnTerminated
 	}
@@ -423,7 +392,7 @@ func (s *Scheduler) commitHoldLocked(id TxnID) (int, error) {
 		r.PseudoCommitted(id)
 	}
 	s.assertInvariants()
-	return s.gk.g.OutDegree(id), nil
+	return s.g.OutDegree(id), nil
 }
 
 // Release really commits a held, pseudo-committed transaction. The
@@ -458,7 +427,7 @@ func (s *Scheduler) releaseLocked(eff *Effects, id TxnID) error {
 	if t.state != stPseudo || !t.held {
 		return fmt.Errorf("core: Release: T%d is %s, not a held pseudo-committed transaction", id, t.state)
 	}
-	if d := s.gk.g.OutDegree(id); d != 0 {
+	if d := s.g.OutDegree(id); d != 0 {
 		return fmt.Errorf("core: Release: T%d still has %d outstanding dependencies", id, d)
 	}
 	if err := s.finalize(t, true, ReasonNone, eff); err != nil {
@@ -603,7 +572,7 @@ func (s *Scheduler) withdrawLocked(eff *Effects, id TxnID) error {
 	}
 	t.blocked = nil
 	s.retireRequest(r)
-	s.gk.g.RemoveWaitEdges(t.id)
+	s.g.RemoveWaitEdges(t.id)
 	t.state = stActive
 	s.stats.Withdrawals.Inc()
 	if err := s.settle(eff); err != nil {
@@ -671,7 +640,7 @@ func (s *Scheduler) finalize(t *txn, commit bool, reason AbortReason, eff *Effec
 	if depth == len(s.sc.dependants) {
 		s.sc.dependants = append(s.sc.dependants, nil)
 	}
-	dependants := s.gk.g.RemoveNodeInto(t.id, s.sc.dependants[depth][:0])
+	dependants := append(s.sc.dependants[depth][:0], s.g.RemoveTxn(t.id)...)
 	s.sc.dependants[depth] = dependants
 	s.sc.depth++
 	for _, d := range dependants {
@@ -679,7 +648,7 @@ func (s *Scheduler) finalize(t *txn, commit bool, reason AbortReason, eff *Effec
 		if !ok {
 			continue
 		}
-		if dt.state == stPseudo && !dt.held && s.gk.g.OutDegree(d) == 0 {
+		if dt.state == stPseudo && !dt.held && s.g.OutDegree(d) == 0 {
 			// Record before recursing so Effects.Committed lists
 			// cascaded commits in the order they happen.
 			eff.Committed = append(eff.Committed, d)
@@ -771,7 +740,7 @@ scan:
 		// A retry is a fresh request: shed the old wait-for edges,
 		// re-classify, and either execute, re-block (fresh edges,
 		// fresh deadlock check) or abort on a new cycle.
-		s.gk.g.RemoveWaitEdges(r.txn)
+		s.g.RemoveWaitEdges(r.txn)
 		t.state = stActive
 		t.blocked = nil
 		o.dequeueBlocked(r.txn)
@@ -855,7 +824,7 @@ func (s *Scheduler) assertInvariants() {
 	if !s.opts.Debug {
 		return
 	}
-	if !s.gk.g.Acyclic() {
+	if !s.g.Acyclic() {
 		panic("core: dependency graph became cyclic")
 	}
 	for _, o := range s.store.objects {
@@ -950,7 +919,7 @@ func (s *Scheduler) Forget(id TxnID) {
 func (s *Scheduler) OutDegree(id TxnID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gk.g.OutDegree(id)
+	return s.g.OutDegree(id)
 }
 
 // OutEdgesOf returns the transaction's current outgoing dependency
@@ -960,7 +929,7 @@ func (s *Scheduler) OutDegree(id TxnID) int {
 func (s *Scheduler) OutEdgesOf(id TxnID) []depgraph.Edge {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gk.g.OutEdges(id)
+	return s.g.OutEdgesAppend(id, nil)
 }
 
 // ObjectSnapshot is one object's committed state, as exported by
@@ -1009,5 +978,5 @@ func (s *Scheduler) RegisterSeeded(id ObjectID, typ adt.Type, class compat.Class
 func (s *Scheduler) OutEdgesAppend(id TxnID, buf []depgraph.Edge) []depgraph.Edge {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gk.g.OutEdgesAppend(id, buf)
+	return s.g.OutEdgesAppend(id, buf)
 }

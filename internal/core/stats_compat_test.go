@@ -66,4 +66,10 @@ func TestStatsSnapshotDerivesFromTelemetry(t *testing.T) {
 		st.Commits == 0 || st.PseudoCommits != 1 || st.CommitDepEdges == 0 || st.WaitForEdges == 0 {
 		t.Fatalf("expected every exercised counter non-zero: %+v", st)
 	}
+	// One deadlock check at the block, one serializability check at the
+	// recoverable push, one edge of each kind.
+	if st.CycleChecks != 2 || st.WaitForEdges != 1 || st.CommitDepEdges != 1 {
+		t.Fatalf("cycle checks %d, wait-for edges %d, commit-dep edges %d; want 2, 1, 1",
+			st.CycleChecks, st.WaitForEdges, st.CommitDepEdges)
+	}
 }

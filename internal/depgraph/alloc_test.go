@@ -14,7 +14,6 @@ func TestHasCycleFromZeroAllocs(t *testing.T) {
 	// A dense "every writer depends on every earlier writer" shape,
 	// like the cycle-detection benchmark.
 	for i := TxnID(1); i <= n; i++ {
-		g.AddNode(i)
 		for j := TxnID(1); j < i; j++ {
 			g.AddEdge(i, j, CommitDep)
 		}
@@ -31,24 +30,28 @@ func TestHasCycleFromZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMirrorChurnZeroAllocs pins the interned mirror's steady state:
+// TestMirrorChurnZeroAllocs pins the coordinator's steady state:
 // observe/cycle-check/remove churn over pooled nodes and the
-// epoch-stamped DFS never touches the heap (the map-of-maps mirror
-// allocated inner maps on every Observe).
+// epoch-stamped DFS never touches the heap — including the removal of
+// a transaction with two dependants, whose list is graph-owned scratch.
 func TestMirrorChurnZeroAllocs(t *testing.T) {
-	m := NewMirror()
+	m := New()
 	var next TxnID = 1
 	cycle := func() {
-		next += 2
-		from, to := next, next+1
-		m.Observe(0, from, []Edge{{From: from, To: to, Kind: CommitDep}})
-		if m.HasCycleFrom(from) {
+		next += 3
+		a, b, to := next, next+1, next+2
+		m.Observe(0, a, []Edge{{From: a, To: to, Kind: CommitDep}})
+		m.Observe(1, b, []Edge{{From: b, To: to, Kind: WaitFor}})
+		if m.HasCycleFrom(a) {
 			t.Fatal("phantom cycle")
 		}
-		// Remove the source first: the target then has no dependants,
-		// so neither removal allocates a dependant list.
-		m.RemoveTxn(from)
-		m.RemoveTxn(to)
+		// Removing the target frees both sources with their last edge.
+		if deps := m.RemoveTxn(to); len(deps) != 2 || deps[0] != a || deps[1] != b {
+			t.Fatalf("dependants of T%d = %v, want [%d %d]", to, deps, a, b)
+		}
+		if m.EdgeCount() != 0 {
+			t.Fatalf("%d edges survive the churn", m.EdgeCount())
+		}
 	}
 	for i := 0; i < 100; i++ {
 		cycle()
@@ -62,14 +65,11 @@ func TestMirrorChurnZeroAllocs(t *testing.T) {
 // add/remove cycle reuses pooled nodes and scratch.
 func TestNodeChurnZeroAllocs(t *testing.T) {
 	g := New()
-	g.AddNode(1)
 	var next TxnID = 1
-	var buf []TxnID
 	cycle := func() {
 		next++
-		g.AddNode(next)
 		g.AddEdge(next, next-1, WaitFor)
-		buf = g.RemoveNodeInto(next-1, buf)
+		g.RemoveTxn(next - 1)
 	}
 	for i := 0; i < 100; i++ {
 		cycle()

@@ -14,7 +14,7 @@ func BenchmarkMirrorDropSite(b *testing.B) {
 	const victimTxns = 8
 	for _, background := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("mirror=%d", background), func(b *testing.B) {
-			m := NewMirror()
+			m := New()
 			// Site 0 carries the background load: a long chain of
 			// held transactions, untouched by the drops below.
 			for i := 0; i < background; i++ {
@@ -41,7 +41,7 @@ func BenchmarkMirrorDropSite(b *testing.B) {
 // coordinator's hottest mirror write: re-observing a transaction's
 // edge set as the conversation progresses, over pooled nodes.
 func BenchmarkMirrorObserveChurn(b *testing.B) {
-	m := NewMirror()
+	m := New()
 	edges := []Edge{
 		{From: 1, To: 2, Kind: WaitFor},
 		{From: 1, To: 3, Kind: CommitDep},

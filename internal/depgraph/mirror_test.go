@@ -10,7 +10,7 @@ func edge(from, to TxnID, k EdgeKind) Edge { return Edge{From: from, To: to, Kin
 // TestMirrorCrossSiteCycle: the defining scenario — site 1 sees only
 // B->A, site 2 sees only A->B; neither is cyclic alone, the union is.
 func TestMirrorCrossSiteCycle(t *testing.T) {
-	m := NewMirror()
+	m := New()
 	m.Observe(1, 2, []Edge{edge(2, 1, CommitDep)}) // site 1: B(2) -> A(1)
 	if m.HasCycleFrom(2) {
 		t.Fatal("single-site edge must not be a cycle")
@@ -19,15 +19,12 @@ func TestMirrorCrossSiteCycle(t *testing.T) {
 	if !m.HasCycleFrom(1) {
 		t.Fatal("union cycle not detected")
 	}
-	if got := m.CycleChecks(); got != 2 {
-		t.Fatalf("cycle checks = %d, want 2", got)
-	}
 }
 
 // TestMirrorObserveReplaces: a fresh report for the same (site, txn)
 // replaces the old edges rather than accumulating them.
 func TestMirrorObserveReplaces(t *testing.T) {
-	m := NewMirror()
+	m := New()
 	m.Observe(0, 1, []Edge{edge(1, 2, WaitFor), edge(1, 3, CommitDep)})
 	if d := m.OutDegree(1); d != 2 {
 		t.Fatalf("out-degree = %d, want 2", d)
@@ -45,7 +42,7 @@ func TestMirrorObserveReplaces(t *testing.T) {
 // TestMirrorSiteScoped: clearing one site's contribution leaves
 // another site's copy of the same logical edge intact.
 func TestMirrorSiteScoped(t *testing.T) {
-	m := NewMirror()
+	m := New()
 	m.Observe(0, 1, []Edge{edge(1, 2, CommitDep)})
 	m.Observe(1, 1, []Edge{edge(1, 2, WaitFor)})
 	if d := m.OutDegree(1); d != 1 {
@@ -64,7 +61,7 @@ func TestMirrorSiteScoped(t *testing.T) {
 // TestMirrorRemoveTxn: removal strips edges in both directions and
 // returns the dependants whose out-degree may have drained.
 func TestMirrorRemoveTxn(t *testing.T) {
-	m := NewMirror()
+	m := New()
 	m.Observe(0, 2, []Edge{edge(2, 1, CommitDep)})
 	m.Observe(1, 3, []Edge{edge(3, 1, WaitFor)})
 	m.Observe(1, 1, []Edge{edge(1, 4, CommitDep)})
@@ -86,7 +83,7 @@ func TestMirrorRemoveTxn(t *testing.T) {
 // TestMirrorEdges: the union snapshot dedups per pair with CommitDep
 // dominating.
 func TestMirrorEdges(t *testing.T) {
-	m := NewMirror()
+	m := New()
 	m.Observe(0, 1, []Edge{edge(1, 2, WaitFor)})
 	m.Observe(1, 1, []Edge{edge(1, 2, CommitDep)})
 	m.Observe(0, 2, []Edge{edge(2, 3, WaitFor)})
@@ -100,7 +97,7 @@ func TestMirrorEdges(t *testing.T) {
 // TestMirrorIgnoresForeignAndSelfEdges: Observe drops edges whose
 // source is not the reported transaction, and self-edges.
 func TestMirrorIgnoresForeignAndSelfEdges(t *testing.T) {
-	m := NewMirror()
+	m := New()
 	m.Observe(0, 1, []Edge{edge(2, 3, CommitDep), edge(1, 1, CommitDep)})
 	if d := m.OutDegree(1) + m.OutDegree(2); d != 0 {
 		t.Fatalf("foreign/self edges ingested: %v", m.Edges())
@@ -111,7 +108,7 @@ func TestMirrorIgnoresForeignAndSelfEdges(t *testing.T) {
 // contribution — edges another site also reported survive, and the
 // structure stays consistent for removal and cycle detection.
 func TestMirrorDropSite(t *testing.T) {
-	m := NewMirror()
+	m := New()
 	m.Observe(0, 1, []Edge{edge(1, 2, WaitFor), edge(1, 3, CommitDep)})
 	m.Observe(1, 1, []Edge{edge(1, 2, CommitDep)}) // second site confirms 1->2
 	m.Observe(1, 4, []Edge{edge(4, 1, WaitFor)})
@@ -143,7 +140,7 @@ func TestMirrorDropSite(t *testing.T) {
 // the memo survives neither RemoveTxn nor a new Observe (each call
 // re-walks under a fresh epoch).
 func TestMirrorLongestChain(t *testing.T) {
-	m := NewMirror()
+	m := New()
 	if d := m.LongestChainFrom(9); d != 0 {
 		t.Fatalf("unknown txn depth = %d, want 0", d)
 	}

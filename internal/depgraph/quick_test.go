@@ -51,10 +51,10 @@ func runScript(s graphScript) *Graph {
 		case 0:
 			g.AddEdge(st.a, st.b, st.ek)
 			if g.HasCycleFrom(st.a) {
-				g.RemoveNode(st.a)
+				g.RemoveTxn(st.a)
 			}
 		case 1:
-			g.RemoveNode(st.a)
+			g.RemoveTxn(st.a)
 		case 2:
 			g.RemoveWaitEdges(st.a)
 		}
@@ -73,36 +73,41 @@ func TestQuickDisciplineKeepsAcyclic(t *testing.T) {
 	}
 }
 
-// TestQuickNoDanglingEdges: no surviving node points at a removed node,
-// and in/out bookkeeping agree (removal via either endpoint works).
+// TestQuickNoDanglingEdges: in/out bookkeeping agree (removal via
+// either endpoint works). Removing every transaction in ascending order
+// reports each edge whose source is still present at its target, and
+// leaves no edge behind.
 func TestQuickNoDanglingEdges(t *testing.T) {
 	f := func(s graphScript) bool {
 		g := runScript(s)
-		present := make(map[TxnID]bool)
-		for _, n := range g.Nodes() {
-			present[n] = true
-		}
-		for _, n := range g.Nodes() {
-			for _, e := range g.OutEdges(n) {
-				if !present[e.To] {
-					return false
+		want := map[[2]TxnID]bool{}
+		for n := TxnID(0); n < quickNodes; n++ {
+			for _, e := range g.OutEdgesAppend(n, nil) {
+				if e.From > e.To {
+					want[[2]TxnID{e.From, e.To}] = true
 				}
 			}
 		}
-		return true
+		got := map[[2]TxnID]bool{}
+		for m := TxnID(0); m < quickNodes; m++ {
+			for _, d := range g.RemoveTxn(m) {
+				got[[2]TxnID{d, m}] = true
+			}
+		}
+		return reflect.DeepEqual(got, want) && g.EdgeCount() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestQuickOutDegreeMatchesEdges: OutDegree equals len(OutEdges) for
+// TestQuickOutDegreeMatchesEdges: OutDegree equals len(OutEdgesAppend) for
 // every node after any script.
 func TestQuickOutDegreeMatchesEdges(t *testing.T) {
 	f := func(s graphScript) bool {
 		g := runScript(s)
-		for _, n := range g.Nodes() {
-			if g.OutDegree(n) != len(g.OutEdges(n)) {
+		for n := TxnID(0); n < quickNodes; n++ {
+			if g.OutDegree(n) != len(g.OutEdgesAppend(n, nil)) {
 				return false
 			}
 		}
@@ -120,13 +125,13 @@ func TestQuickRemoveWaitKeepsCommitDeps(t *testing.T) {
 		g := runScript(s)
 		v := TxnID(victim) % quickNodes
 		var deps []Edge
-		for _, e := range g.OutEdges(v) {
+		for _, e := range g.OutEdgesAppend(v, nil) {
 			if e.Kind == CommitDep {
 				deps = append(deps, e)
 			}
 		}
 		g.RemoveWaitEdges(v)
-		after := g.OutEdges(v)
+		after := g.OutEdgesAppend(v, nil)
 		if len(after) != len(deps) {
 			return false
 		}
@@ -142,24 +147,24 @@ func TestQuickRemoveWaitKeepsCommitDeps(t *testing.T) {
 	}
 }
 
-// TestQuickRemoveNodeReportsExactDependants: RemoveNode returns exactly
+// TestQuickRemoveNodeReportsExactDependants: RemoveTxn returns exactly
 // the nodes that had an edge into the removed node.
 func TestQuickRemoveNodeReportsExactDependants(t *testing.T) {
 	f := func(s graphScript, victim uint8) bool {
 		g := runScript(s)
 		v := TxnID(victim) % quickNodes
 		want := make(map[TxnID]bool)
-		for _, n := range g.Nodes() {
+		for n := TxnID(0); n < quickNodes; n++ {
 			if n == v {
 				continue
 			}
-			for _, e := range g.OutEdges(n) {
+			for _, e := range g.OutEdgesAppend(n, nil) {
 				if e.To == v {
 					want[n] = true
 				}
 			}
 		}
-		got := g.RemoveNode(v)
+		got := g.RemoveTxn(v)
 		if len(got) != len(want) {
 			return false
 		}

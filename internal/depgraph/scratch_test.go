@@ -5,52 +5,43 @@ import (
 	"testing"
 )
 
-// TestRemoveNodeIntoReusesBuffer checks the scratch variant returns the
-// same dependants as RemoveNode and appends into the provided buffer.
-func TestRemoveNodeIntoReusesBuffer(t *testing.T) {
-	build := func() *Graph {
-		g := New()
-		g.AddEdge(2, 1, WaitFor)
-		g.AddEdge(3, 1, CommitDep)
-		g.AddEdge(1, 4, WaitFor)
-		return g
-	}
+// TestRemoveTxnReusesScratch checks RemoveTxn's dependant list is
+// graph-owned scratch: sorted, and backed by the same array on the
+// next removal.
+func TestRemoveTxnReusesScratch(t *testing.T) {
+	g := New()
+	g.AddEdge(3, 1, CommitDep)
+	g.AddEdge(2, 1, WaitFor)
+	g.AddEdge(1, 4, WaitFor)
+	g.AddEdge(5, 4, WaitFor)
 
-	want := build().RemoveNode(1)
-	if !reflect.DeepEqual(want, []TxnID{2, 3}) {
-		t.Fatalf("RemoveNode dependants = %v, want [2 3]", want)
+	first := g.RemoveTxn(1)
+	if !reflect.DeepEqual(first, []TxnID{2, 3}) {
+		t.Fatalf("RemoveTxn dependants = %v, want [2 3]", first)
 	}
-
-	buf := make([]TxnID, 0, 8)
-	got := build().RemoveNodeInto(1, buf)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("RemoveNodeInto = %v, want %v", got, want)
+	second := g.RemoveTxn(4)
+	if !reflect.DeepEqual(second, []TxnID{5}) {
+		t.Fatalf("RemoveTxn dependants = %v, want [5]", second)
 	}
-	if &got[0] != &buf[:1][0] {
-		t.Fatal("RemoveNodeInto did not use the provided buffer")
+	if &first[0] != &second[0] {
+		t.Fatal("RemoveTxn did not reuse its scratch")
 	}
-
-	if got := build().RemoveNodeInto(99, buf); len(got) != 0 {
-		t.Fatalf("RemoveNodeInto(missing) = %v, want empty", got)
+	if got := g.RemoveTxn(99); len(got) != 0 {
+		t.Fatalf("RemoveTxn(missing) = %v, want empty", got)
 	}
 }
 
-// TestOutEdgesAppendReusesBuffer checks the scratch variant matches
-// OutEdges and appends into the provided buffer.
+// TestOutEdgesAppendReusesBuffer checks the export is sorted by target
+// and appends into the provided buffer.
 func TestOutEdgesAppendReusesBuffer(t *testing.T) {
 	g := New()
 	g.AddEdge(1, 3, WaitFor)
 	g.AddEdge(1, 2, CommitDep)
 
-	want := g.OutEdges(1)
-	if !reflect.DeepEqual(want, []Edge{{1, 2, CommitDep}, {1, 3, WaitFor}}) {
-		t.Fatalf("OutEdges = %v", want)
-	}
-
 	buf := make([]Edge, 0, 8)
 	got := g.OutEdgesAppend(1, buf)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("OutEdgesAppend = %v, want %v", got, want)
+	if !reflect.DeepEqual(got, []Edge{{1, 2, CommitDep}, {1, 3, WaitFor}}) {
+		t.Fatalf("OutEdgesAppend = %v", got)
 	}
 	if &got[0] != &buf[:1][0] {
 		t.Fatal("OutEdgesAppend did not use the provided buffer")
@@ -61,14 +52,14 @@ func TestOutEdgesAppendReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestNodePoolReuse checks a removed node's record is recycled intact:
+// TestNodePoolReuse checks a freed node's record is recycled intact:
 // edges added after reuse behave like a fresh node's.
 func TestNodePoolReuse(t *testing.T) {
 	g := New()
 	g.AddEdge(1, 2, WaitFor)
-	g.RemoveNode(1)
-	g.AddNode(3) // reuses node 1's record
-	g.AddEdge(3, 2, CommitDep)
+	g.AddEdge(4, 2, WaitFor)
+	g.RemoveTxn(1)             // frees node 1's record
+	g.AddEdge(3, 2, CommitDep) // reuses it
 	if d := g.OutDegree(3); d != 1 {
 		t.Fatalf("reused node out-degree = %d, want 1", d)
 	}

@@ -84,7 +84,7 @@ func TestConversationCommitAllocs(t *testing.T) {
 		}
 	}
 	round()
-	const budget = 16.0
+	const budget = 12.0
 	if avg := testing.AllocsPerRun(200, round); avg > budget {
 		t.Fatalf("one-edge hold/release conversation allocates %.2f times, budget %.0f", avg, budget)
 	}

@@ -205,7 +205,7 @@ type Coordinator struct {
 	reg registry
 
 	mu     sync.Mutex
-	mirror *depgraph.Mirror
+	mirror *depgraph.Graph
 	// holdBatches counts conversations that mirrored their hold exports
 	// in one critical section (the batching the counting-observer test
 	// pins, together with mirror.Observes); waveSeq numbers the waves.
@@ -261,7 +261,7 @@ func NewCoordinator(sites int, flog fault.Log, policy HoldPolicy, debug bool) *C
 
 func (c *Coordinator) init(sites int, flog fault.Log, policy HoldPolicy, debug bool) {
 	c.nsites, c.flog, c.debug = sites, flog, debug
-	c.mirror = depgraph.NewMirror()
+	c.mirror = depgraph.New()
 	c.mirror.SetMetrics(&c.tel.Mirror)
 	if _, off := policy.(Unbounded); policy != nil && !off {
 		c.policy = policy
@@ -429,6 +429,8 @@ func (c *Coordinator) DecideWave(reqs []*DecideReq) {
 func (c *Coordinator) Drain(terminated []core.TxnID) (ready []*Conv) {
 	c.mu.Lock()
 	for _, id := range terminated {
+		// RemoveTxn's list is graph scratch: nothing below mutates the
+		// graph while it is iterated.
 		for _, d := range c.mirror.RemoveTxn(id) {
 			cv := c.reg.get(d)
 			if cv != nil && cv.state.Load() == txPseudo && c.mirror.OutDegree(d) == 0 {

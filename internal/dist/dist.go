@@ -2,7 +2,9 @@
 // objects: the database is partitioned across sites, each site runs an
 // independent semantics-based scheduler (any core.Participant), and a
 // coordinator mirrors the commit-dependency and wait-for edges every
-// site reports into a union graph (depgraph.Mirror). Cycle detection
+// site reports into a union graph (a depgraph.Graph whose edges carry
+// the reporting site, the same type each site's scheduler keeps for
+// its own objects). Cycle detection
 // over the union catches cross-site deadlocks and commit-dependency
 // cycles that no single site can see.
 //

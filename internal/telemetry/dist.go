@@ -26,7 +26,7 @@ type DistMetrics struct {
 	Restarts Counter // site recoveries completed
 
 	// Mirror is the dependency-mirror instrument block; the cluster
-	// attaches it via depgraph.Mirror.SetMetrics.
+	// attaches it via depgraph.Graph.SetMetrics on its union graph.
 	Mirror MirrorMetrics
 }
 

@@ -56,7 +56,7 @@ func Dial(addr string, wait time.Duration) (*Client, error) {
 		return nil, err
 	}
 	c.peer = peer
-	if r, err := peer.call(kCliStatus, nil); err == nil {
+	if r, err := peer.call(kCliStatus, telemetry.TraceContext{}, nil); err == nil {
 		c.numSites = int(r.u32())
 		if r.err != nil {
 			c.numSites = 0
@@ -90,7 +90,7 @@ func (c *Client) NumSites() int { return c.numSites }
 // signature).
 func (c *Client) Register(id core.ObjectID, typ adt.Type, class compat.Classifier) error {
 	_, _ = typ, class
-	_, err := c.peer.call(kCliRegister, appendU64(nil, uint64(id)))
+	_, err := c.peer.call(kCliRegister, telemetry.TraceContext{}, appendU64(nil, uint64(id)))
 	if err != nil {
 		return coordDown(0, err)
 	}
@@ -106,7 +106,7 @@ func (c *Client) SetFactory(f func(core.ObjectID) (adt.Type, compat.Classifier))
 // a pre-failed transaction whose operations report a retryable
 // site-failure abort, so Run-style loops retry through the outage.
 func (c *Client) Begin() core.Txn {
-	r, err := c.peer.call(kCliBegin, nil)
+	r, err := c.peer.call(kCliBegin, telemetry.TraceContext{}, nil)
 	if err != nil {
 		return core.ClosedTxn(coordDown(0, err))
 	}
@@ -135,7 +135,7 @@ func (c *Client) Run(ctx context.Context, fn func(core.Txn) error) error {
 
 // Stats fetches the cluster's protocol counters.
 func (c *Client) Stats() core.Stats {
-	r, err := c.peer.call(kCliStatus, nil)
+	r, err := c.peer.call(kCliStatus, telemetry.TraceContext{}, nil)
 	if err != nil {
 		return core.Stats{}
 	}
@@ -153,7 +153,7 @@ func (c *Client) Stats() core.Stats {
 // Status fetches per-site down flags, the stats snapshot and the
 // decision log's live length.
 func (c *Client) Status() (down []bool, st core.Stats, logLen uint64, err error) {
-	r, err := c.peer.call(kCliStatus, nil)
+	r, err := c.peer.call(kCliStatus, telemetry.TraceContext{}, nil)
 	if err != nil {
 		return nil, core.Stats{}, 0, coordDown(0, err)
 	}
@@ -176,7 +176,7 @@ func (c *Client) StateLen(obj core.ObjectID, committed bool) (string, int, error
 	if committed {
 		cb = 1
 	}
-	r, err := c.peer.call(kCliStateLen, appendU8(b, cb))
+	r, err := c.peer.call(kCliStateLen, telemetry.TraceContext{}, appendU8(b, cb))
 	if err != nil {
 		return "", 0, coordDown(0, err)
 	}
@@ -209,7 +209,7 @@ func (c *Client) resolve(id core.TxnID) (committed bool, err error) {
 	}
 	deadline := time.Now().Add(window)
 	for {
-		r, err := c.peer.call(kCliResolve, appendU64(nil, uint64(id)))
+		r, err := c.peer.call(kCliResolve, telemetry.TraceContext{}, appendU64(nil, uint64(id)))
 		if err == nil {
 			committed := r.u8() == 1
 			if r.err != nil {
@@ -270,7 +270,7 @@ func (t *clientTxn) Do(obj core.ObjectID, op adt.Op) (adt.Ret, error) {
 	b := appendU64(nil, uint64(t.id))
 	b = appendU64(b, uint64(obj))
 	b = appendOp(b, op)
-	r, err := t.c.peer.callT(kCliDo, t.tc, b)
+	r, err := t.c.peer.call(kCliDo, t.tc, b)
 	if err != nil {
 		err = coordDown(t.id, err)
 		var ab *core.ErrAborted
@@ -325,7 +325,7 @@ func (t *clientTxn) Commit() (core.CommitStatus, error) {
 	if err := t.deadErr(); err != nil {
 		return 0, err
 	}
-	r, err := t.c.peer.callT(kCliCommit, t.tc, appendU64(nil, uint64(t.id)))
+	r, err := t.c.peer.call(kCliCommit, t.tc, appendU64(nil, uint64(t.id)))
 	if err == nil {
 		st := core.CommitStatus(r.u8())
 		if r.err != nil {
@@ -381,7 +381,7 @@ func (t *clientTxn) Abort() error {
 	aerr := fmt.Errorf("T%d: %w", t.id, core.ErrTxnTerminated)
 	t.setDead(aerr)
 	t.finish(fmt.Errorf("T%d: %w", t.id, &core.ErrAborted{Txn: t.id}))
-	r, err := t.c.peer.call(kCliAbort, appendU64(nil, uint64(t.id)))
+	r, err := t.c.peer.call(kCliAbort, telemetry.TraceContext{}, appendU64(nil, uint64(t.id)))
 	if err != nil {
 		return nil
 	}
@@ -424,7 +424,7 @@ func (t *clientTxn) startWait() {
 // transaction, acknowledges it, and finishes the session locally.
 func (t *clientTxn) wait() {
 	var outErr error
-	r, err := t.c.peer.callT(kCliWait, t.tc, appendU64(nil, uint64(t.id)))
+	r, err := t.c.peer.call(kCliWait, t.tc, appendU64(nil, uint64(t.id)))
 	switch {
 	case err == nil:
 		committed := r.u8() == 1

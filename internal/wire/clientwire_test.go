@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fault"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -123,7 +124,7 @@ func rawDial(t *testing.T, addr string) *Peer {
 
 func rawBegin(t *testing.T, p *Peer) core.TxnID {
 	t.Helper()
-	r, err := p.call(kCliBegin, nil)
+	r, err := p.call(kCliBegin, telemetry.TraceContext{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func rawPush(t *testing.T, p *Peer, id core.TxnID, obj core.ObjectID, v int) {
 	b := appendU64(nil, uint64(id))
 	b = appendU64(b, uint64(obj))
 	b = appendOp(b, adt.Op{Name: adt.StackPush, Arg: v, HasArg: true})
-	r, err := p.call(kCliDo, b)
+	r, err := p.call(kCliDo, telemetry.TraceContext{}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func rawPush(t *testing.T, p *Peer, id core.TxnID, obj core.ObjectID, v int) {
 
 func rawCommit(t *testing.T, p *Peer, id core.TxnID) error {
 	t.Helper()
-	r, err := p.call(kCliCommit, appendU64(nil, uint64(id)))
+	r, err := p.call(kCliCommit, telemetry.TraceContext{}, appendU64(nil, uint64(id)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func rawCommit(t *testing.T, p *Peer, id core.TxnID) error {
 
 func rawResolve(t *testing.T, p *Peer, id core.TxnID) bool {
 	t.Helper()
-	r, err := p.call(kCliResolve, appendU64(nil, uint64(id)))
+	r, err := p.call(kCliResolve, telemetry.TraceContext{}, appendU64(nil, uint64(id)))
 	if err != nil {
 		t.Fatal(err)
 	}

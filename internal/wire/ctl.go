@@ -3,6 +3,8 @@ package wire
 import (
 	"errors"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // ShutdownDaemon asks the site daemon at addr to exit (the wire
@@ -15,7 +17,7 @@ func ShutdownDaemon(addr string, wait time.Duration) error {
 		return err
 	}
 	defer p.Close()
-	if _, err := p.call(kShutdown, nil); err != nil && !errors.Is(err, ErrPeerDown) {
+	if _, err := p.call(kShutdown, telemetry.TraceContext{}, nil); err != nil && !errors.Is(err, ErrPeerDown) {
 		return err
 	}
 	return nil
@@ -29,6 +31,6 @@ func PingDaemon(addr string, sid uint16, wait time.Duration) error {
 		return err
 	}
 	defer p.Close()
-	_, err := p.call(kPing, appendU16(nil, sid))
+	_, err := p.call(kPing, telemetry.TraceContext{}, appendU16(nil, sid))
 	return err
 }

@@ -227,15 +227,11 @@ func (p *Peer) redialLoop() {
 	}
 }
 
-// roundTrip sends one request and waits for its response frame.
-func (p *Peer) roundTrip(kind uint8, payload []byte) (uint8, []byte, error) {
-	return p.roundTripT(kind, telemetry.TraceContext{}, payload)
-}
-
-// roundTripT is roundTrip with trace-context propagation: a valid
-// context rides the request frame's trace block so the remote process
-// records its spans into the same trace.
-func (p *Peer) roundTripT(kind uint8, tc telemetry.TraceContext, payload []byte) (uint8, []byte, error) {
+// roundTrip sends one request and waits for its response frame. A
+// valid trace context rides the request frame's trace block so the
+// remote process records its spans into the same trace; the zero
+// context writes no trace block.
+func (p *Peer) roundTrip(kind uint8, tc telemetry.TraceContext, payload []byte) (uint8, []byte, error) {
 	m := p.cfg.Metrics
 	var start time.Time
 	if m != nil {
@@ -279,13 +275,8 @@ func (p *Peer) roundTripT(kind uint8, tc telemetry.TraceContext, payload []byte)
 // call is roundTrip plus the kOK/kErr convention: a kErr response is
 // decoded into its typed error, a kOK response returned as a payload
 // reader.
-func (p *Peer) call(kind uint8, payload []byte) (*reader, error) {
-	return p.callT(kind, telemetry.TraceContext{}, payload)
-}
-
-// callT is call with trace-context propagation.
-func (p *Peer) callT(kind uint8, tc telemetry.TraceContext, payload []byte) (*reader, error) {
-	rkind, body, err := p.roundTripT(kind, tc, payload)
+func (p *Peer) call(kind uint8, tc telemetry.TraceContext, payload []byte) (*reader, error) {
+	rkind, body, err := p.roundTrip(kind, tc, payload)
 	if err != nil {
 		return nil, err
 	}

@@ -135,7 +135,7 @@ func (rs *RemoteSite) Begin(id core.TxnID) error {
 		return err
 	}
 	b := appendU64(rs.req(8), uint64(id))
-	r, err := rs.peer.callT(kBegin, rs.tc(id), b)
+	r, err := rs.peer.call(kBegin, rs.tc(id), b)
 	if err != nil {
 		return rs.mapErr(err)
 	}
@@ -152,7 +152,7 @@ func (rs *RemoteSite) RequestInto(eff *core.Effects, id core.TxnID, obj core.Obj
 	b := appendU64(rs.req(32), uint64(id))
 	b = appendU64(b, uint64(obj))
 	b = appendOp(b, op)
-	r, err := rs.peer.callT(kRequest, rs.tc(id), b)
+	r, err := rs.peer.call(kRequest, rs.tc(id), b)
 	if err != nil {
 		return core.Decision{}, rs.mapErr(err)
 	}
@@ -171,7 +171,7 @@ func (rs *RemoteSite) CommitInto(eff *core.Effects, id core.TxnID) (core.CommitS
 		return 0, err
 	}
 	b := appendU64(rs.req(8), uint64(id))
-	r, err := rs.peer.callT(kCommit, rs.tc(id), b)
+	r, err := rs.peer.call(kCommit, rs.tc(id), b)
 	if err != nil {
 		return 0, rs.mapErr(err)
 	}
@@ -191,7 +191,7 @@ func (rs *RemoteSite) CommitHoldInto(eff *core.Effects, id core.TxnID) (int, err
 		return 0, err
 	}
 	b := appendU64(rs.req(8), uint64(id))
-	r, err := rs.peer.callT(kCommitHold, rs.tc(id), b)
+	r, err := rs.peer.call(kCommitHold, rs.tc(id), b)
 	if err != nil {
 		return 0, rs.mapErr(err)
 	}
@@ -230,7 +230,7 @@ func (rs *RemoteSite) effectsCall(kind uint8, eff *core.Effects, id core.TxnID) 
 		return err
 	}
 	b := appendU64(rs.req(8), uint64(id))
-	r, err := rs.peer.callT(kind, rs.tc(id), b)
+	r, err := rs.peer.call(kind, rs.tc(id), b)
 	if err != nil {
 		return rs.mapErr(err)
 	}
@@ -248,7 +248,7 @@ func (rs *RemoteSite) RevokeInto(eff *core.Effects, id core.TxnID, reason core.A
 	}
 	b := appendU64(rs.req(9), uint64(id))
 	b = appendU8(b, uint8(reason))
-	r, err := rs.peer.callT(kRevoke, rs.tc(id), b)
+	r, err := rs.peer.call(kRevoke, rs.tc(id), b)
 	if err != nil {
 		return rs.mapErr(err)
 	}
@@ -291,7 +291,7 @@ func (rs *RemoteSite) Register(id core.ObjectID, typ adt.Type, class compat.Clas
 		return err
 	}
 	_, _ = typ, class
-	r, err := rs.peer.call(kRegister, appendU64(rs.req(8), uint64(id)))
+	r, err := rs.peer.call(kRegister, telemetry.TraceContext{}, appendU64(rs.req(8), uint64(id)))
 	if err != nil {
 		return rs.mapErr(err)
 	}
@@ -308,7 +308,7 @@ func (rs *RemoteSite) StatsSnapshot() core.Stats {
 	if err := rs.guard(); err != nil {
 		return core.Stats{}
 	}
-	r, err := rs.peer.call(kStats, rs.req(0))
+	r, err := rs.peer.call(kStats, telemetry.TraceContext{}, rs.req(0))
 	if err != nil {
 		return core.Stats{}
 	}
@@ -340,7 +340,7 @@ func (rs *RemoteSite) stateCall(id core.ObjectID, committed bool) (adt.State, er
 		c = 1
 	}
 	b = appendU8(b, c)
-	r, err := rs.peer.call(kStateLen, b)
+	r, err := rs.peer.call(kStateLen, telemetry.TraceContext{}, b)
 	if err != nil {
 		return nil, rs.mapErr(err)
 	}
@@ -357,7 +357,7 @@ func (rs *RemoteSite) TxnState(id core.TxnID) string {
 	if err := rs.guard(); err != nil {
 		return "site-down"
 	}
-	r, err := rs.peer.call(kTxnState, appendU64(rs.req(8), uint64(id)))
+	r, err := rs.peer.call(kTxnState, telemetry.TraceContext{}, appendU64(rs.req(8), uint64(id)))
 	if err != nil {
 		return "site-down"
 	}
@@ -430,7 +430,7 @@ func (rs *RemoteSite) Restart() (fault.RecoveryReport, error) {
 	if !rs.peer.Up() {
 		return rep, fmt.Errorf("wire: site %d still unreachable: %w", rs.sid, fault.ErrSiteDown)
 	}
-	r, err := rs.peer.call(kAdopt, rs.req(0))
+	r, err := rs.peer.call(kAdopt, telemetry.TraceContext{}, rs.req(0))
 	if err != nil {
 		return rep, rs.mapErr(err)
 	}
@@ -456,7 +456,7 @@ func (rs *RemoteSite) Restart() (fault.RecoveryReport, error) {
 		if act == dist.AdoptRevoke {
 			b = appendU8(b, uint8(core.ReasonSiteFailed))
 		}
-		rr, err := rs.peer.call(adoptVerb[act], b)
+		rr, err := rs.peer.call(adoptVerb[act], telemetry.TraceContext{}, b)
 		switch {
 		case err == nil:
 			if rr.err == nil {
