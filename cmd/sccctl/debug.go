@@ -49,8 +49,10 @@ func cmdStats(cf *wire.ClusterFile) {
 		st.FastCommits, st.Conversations, st.Sheds, st.Held, st.HeldHigh)
 	fmt.Printf("  decisions: logged=%d adopted=%d resolved=%d live=%d\n",
 		st.DecisionsLogged, st.DecisionsAdopted, st.DecisionsResolved, st.LiveDecisions)
-	fmt.Printf("  faults: crashes=%d restarts=%d  mirror-edges=%d  trace-events=%d\n",
-		st.Crashes, st.Restarts, st.MirrorEdges, st.TraceLen)
+	fmt.Printf("  faults: crashes=%d restarts=%d  mirror-edges=%d\n", st.Crashes, st.Restarts, st.MirrorEdges)
+	if tr := st.Tracing; tr != nil {
+		fmt.Printf("  spans: %d/%d retained, %d exemplars, sample rate %g\n", tr.SpanLen, tr.SpanCap, tr.Exemplars, tr.SampleRate)
+	}
 	if ps := st.PolicyStats; ps != nil {
 		fmt.Printf("  policy: tail-aborts=%d held-peak=%d\n", ps.TailAborts, ps.HeldPeak)
 	}
@@ -87,14 +89,13 @@ func printSiteStats(m map[string]core.Stats) {
 	}
 }
 
-// cmdTrace reads the cluster's tracing planes. Without span flags it
-// drains the coordinator's conversation-event ring and prints it
-// oldest-first; -txn/-slowest/-chrome switch to the causal span plane,
-// scraping /tracez?fmt=spans from every process and stitching the
-// records into cluster-wide traces by trace id.
+// cmdTrace reads the cluster's span plane. Without -txn/-slowest/-chrome
+// it prints the coordinator's span ring oldest-first; those flags
+// scrape /tracez from every process and stitch the records into
+// cluster-wide traces by trace id.
 func cmdTrace(cf *wire.ClusterFile, args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	last := fs.Int("last", 0, "print only the last N events (0 = all retained)")
+	last := fs.Int("last", 0, "print only the coordinator's last N spans (0 = all retained)")
 	txn := fs.Uint64("txn", 0, "reconstruct one transaction's cluster-wide causal timeline")
 	slowest := fs.Int("slowest", 0, "rank the N slowest traces still retained (tail exemplars survive wraparound)")
 	chrome := fs.String("chrome", "", "write the merged cluster-wide spans as Chrome trace JSON to this file")
@@ -106,21 +107,23 @@ func cmdTrace(cf *wire.ClusterFile, args []string) {
 		cmdTraceSpans(cf, *txn, *slowest, *chrome)
 		return
 	}
-	var events []telemetry.Event
-	if err := fetchJSON(cf.Debug, "/tracez", &events); err != nil {
+	var doc wire.SpanzDoc
+	if err := fetchJSON(cf.Debug, "/tracez", &doc); err != nil {
 		fatal(err)
 	}
-	if len(events) == 0 {
-		fmt.Println("sccctl: trace ring is empty (is \"trace\" set in the cluster file?)")
+	if len(doc.Spans) == 0 {
+		fmt.Println("sccctl: span ring is empty (is \"spans\" set in the cluster file?)")
 		return
 	}
-	if *last > 0 && len(events) > *last {
-		events = events[len(events)-*last:]
+	spans := make([]procSpan, len(doc.Spans))
+	for i, s := range doc.Spans {
+		spans[i] = procSpan{proc: doc.Process, s: s}
 	}
-	for _, e := range events {
-		fmt.Printf("%12.3fms  #%-8d %-8s txn=%-6d site=%-3d arg=%d\n",
-			float64(e.Nanos)/1e6, e.Seq, e.KindS, e.Txn, e.Site, e.Arg)
+	byWall(spans)
+	if *last > 0 && len(spans) > *last {
+		spans = spans[len(spans)-*last:]
 	}
+	printSpans(spans)
 }
 
 // procSpan is one span record tagged with the process it came from.
@@ -146,7 +149,7 @@ func gatherSpans(cf *wire.ClusterFile) ([]telemetry.SpanGroup, []procSpan) {
 			continue
 		}
 		var doc wire.SpanzDoc
-		if err := fetchJSON(t.addr, "/tracez?fmt=spans", &doc); err != nil {
+		if err := fetchJSON(t.addr, "/tracez", &doc); err != nil {
 			fmt.Fprintf(os.Stderr, "sccctl: %s (%s): %v, skipping\n", t.name, t.addr, err)
 			continue
 		}
@@ -216,14 +219,25 @@ func printTxnTimeline(all []procSpan, txn uint64) {
 			spans = append(spans, ps)
 		}
 	}
+	byWall(spans)
+	fmt.Printf("trace %016x (txn %d): %d span(s) across the cluster\n", trace, txn, len(spans))
+	printSpans(spans)
+}
+
+// byWall orders spans on the shared wall-clock axis.
+func byWall(spans []procSpan) {
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].s.Wall != spans[j].s.Wall {
 			return spans[i].s.Wall < spans[j].s.Wall
 		}
 		return spans[i].s.ID < spans[j].s.ID
 	})
+}
+
+// printSpans prints one line per span, stamped relative to the first —
+// the line printer of trace -txn and trace -last.
+func printSpans(spans []procSpan) {
 	t0 := spans[0].s.Wall
-	fmt.Printf("trace %016x (txn %d): %d span(s) across the cluster\n", trace, txn, len(spans))
 	for _, ps := range spans {
 		s := ps.s
 		kind := s.KindS

@@ -7,7 +7,7 @@
 //	sccctl -config cluster.json load [flags]      # drive a closed-loop load through the client plane
 //	sccctl -config cluster.json kill -daemon N    # ask one site daemon to exit
 //	sccctl -config cluster.json stats             # cluster-wide telemetry from the debug planes
-//	sccctl -config cluster.json trace [flags]     # drain the coordinator's conversation trace
+//	sccctl -config cluster.json trace [flags]     # the coordinator's spans, or stitched cluster traces
 //
 // load drives workload.RunLoad against the coordinator over TCP with
 // crash-tolerant retries, and with -verify checks conservation for

@@ -77,13 +77,14 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// buildFlight constructs the process's flight recorder from the
-// cluster file (nil when disabled). process labels the dump files.
+// buildFlight constructs the process's flight recorder, which dumps
+// the span ring: nil when the span plane is off. process labels the
+// dump files.
 func buildFlight(cf *wire.ClusterFile, process string) *telemetry.FlightRecorder {
-	if cf.Flight <= 0 {
+	if cf.Spans <= 0 {
 		return nil
 	}
-	return telemetry.NewFlightRecorder(cf.Flight, process, cf.FlightDir)
+	return telemetry.NewFlightRecorder(process, cf.FlightDir)
 }
 
 // buildSpans constructs the process's span buffer from the cluster
@@ -106,7 +107,7 @@ func watchSignals(quit chan os.Signal, fr *telemetry.FlightRecorder) {
 			return
 		}
 		if fr == nil {
-			fmt.Fprintln(os.Stderr, "sccd: SIGQUIT but no flight recorder configured (\"flight\" in the cluster file)")
+			fmt.Fprintln(os.Stderr, "sccd: SIGQUIT but no flight recorder configured (set \"spans\" in the cluster file)")
 			continue
 		}
 		if path, err := fr.Dump("sigquit"); err != nil {
@@ -137,9 +138,7 @@ func runSite(cf *wire.ClusterFile, idx int, debugAddr string) {
 	process := fmt.Sprintf("site%d", idx)
 	spans := buildSpans(cf)
 	flight := buildFlight(cf, process)
-	if flight != nil {
-		flight.AttachSpans(spans)
-	}
+	flight.AttachSpans(spans)
 	quit := make(chan os.Signal, 1)
 	srv, err := wire.ServeSites(wire.SiteServerConfig{
 		Addr:       d.Listen,
@@ -198,7 +197,6 @@ func runCoord(cf *wire.ClusterFile, dialWait time.Duration, debugAddr string) {
 		Workload:      cf.Workload,
 		DialWait:      dialWait,
 		Policy:        policy,
-		Trace:         cf.Trace,
 		Spans:         cf.Spans,
 		SpanExemplars: cf.SpanExemplars,
 		SampleSeed:    cf.SampleSeed,

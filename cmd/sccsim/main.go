@@ -230,7 +230,7 @@ func multiSite(model string, db, terminals int, writeProb float64, pc, pr int,
 		res.Crashes, res.Restarts, res.Redone, res.PresumedAborted)
 	fmt.Printf("  in-doubt windows   %s\n", res.InDoubt.String())
 	fmt.Printf("  decision-log peak  %d live entries\n", res.LogHighWater)
-	fmt.Printf("  trace              %d events, hash %016x\n", res.TraceLen, res.TraceHash)
+	fmt.Printf("  trace              %d events, hash %016x\n", res.TraceLines, res.TraceHash)
 }
 
 // runSim builds and runs one engine.

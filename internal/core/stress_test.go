@@ -41,10 +41,13 @@ func TestSchedulerConcurrentStress(t *testing.T) {
 				obj := ObjectID(1 + (w*13+i)%objects)
 				// Insert then member: inserts of distinct values
 				// commute, members are recoverable — plenty of
-				// commit-dependency traffic, no blocking.
+				// commit-dependency traffic, no blocking. The member
+				// arguments are negative, a value no insert uses: Member(x)
+				// after an uncommitted Insert(x) is not recoverable (Table
+				// VI) and would rightly block.
 				ops := []adt.Op{
 					{Name: adt.SetInsert, Arg: w*txns + i, HasArg: true},
-					{Name: adt.SetMember, Arg: w, HasArg: true},
+					{Name: adt.SetMember, Arg: -(w + 1), HasArg: true},
 				}
 				dead := false
 				for _, op := range ops {

@@ -196,16 +196,12 @@ type Cluster struct {
 	closeMu sync.Mutex
 	drain   chan struct{}
 
-	// tracer is the opt-in conversation event ring — the flight
-	// recorder's when one is configured, else Config.Trace events (nil
-	// when neither; every Record call is nil-safe).
-	tracer *telemetry.Tracer
-
 	// Span plane (nil unless Config.Spans > 0; every Record is
 	// nil-safe): sampler mints deterministic per-transaction trace
-	// contexts at Begin, spans holds the process's span ring plus the
-	// tail-latency exemplar store, and flight (shared with the hosting
-	// process) is the crash black box.
+	// contexts at Begin, spans is the process's one event ring — every
+	// conversation step, crash and restart — plus the tail-latency
+	// exemplar store, and flight (shared with the hosting process) is
+	// the crash black box that dumps it.
 	spans      *telemetry.SpanBuffer
 	sampler    *telemetry.Sampler
 	flight     *telemetry.FlightRecorder
@@ -255,18 +251,13 @@ type Config struct {
 	// TCP connection. With FaultTolerant, each backend must also
 	// implement CrashRestarter.
 	Backends []SiteBackend
-	// Trace, when positive, enables the commit-conversation event
-	// tracer with a ring of that many events (drained via Tracer();
-	// /tracez on a daemon). Zero disables tracing entirely — the
-	// default, and the zero-overhead path. With Flight set the
-	// recorder's ring is the event ring and Trace is unused.
-	Trace int
 	// Spans, when positive, enables causal tracing: every transaction
 	// is minted a deterministic trace context at Begin, and sampled
 	// conversations record span records (begin/hold/decide/release/...)
 	// into a per-process buffer of this capacity, exportable as a
-	// Chrome trace and stitched cluster-wide by sccctl. Zero disables
-	// the span plane entirely — the zero-overhead default.
+	// Chrome trace and stitched cluster-wide by sccctl; site crashes and
+	// restarts land there too, sampled or not. Zero disables the span
+	// plane entirely — the zero-overhead default.
 	Spans int
 	// SpanExemplars bounds the tail-based exemplar store: completed
 	// traces whose end-to-end latency lands in the top latency buckets
@@ -282,10 +273,8 @@ type Config struct {
 	// Zero defaults to 1 (sample everything) when Spans > 0.
 	SampleRate float64
 	// Flight, when non-nil, is the process's flight recorder: the
-	// cluster records its conversation events into the recorder's ring
-	// (which Tracer() then returns) and attaches the span buffer, so a
-	// dump (SIGQUIT, panic, invariant violation) carries the full black
-	// box.
+	// cluster attaches its span buffer, so a dump (SIGQUIT, panic,
+	// invariant violation) carries the full black box.
 	Flight *telemetry.FlightRecorder
 }
 
@@ -323,12 +312,7 @@ func NewWithConfig(cfg Config) (*Cluster, error) {
 		c.sampler = telemetry.NewSampler(cfg.SampleSeed, rate)
 		c.sampleSeed, c.sampleRate = cfg.SampleSeed, rate
 	}
-	if c.flight != nil {
-		c.flight.AttachSpans(c.spans)
-		c.tracer = c.flight.Events()
-	} else {
-		c.tracer = telemetry.NewTracer(cfg.Trace)
-	}
+	c.flight.AttachSpans(c.spans)
 	var flog fault.Log
 	if cfg.FaultTolerant {
 		if flog = cfg.Log; flog == nil {
@@ -407,11 +391,6 @@ func (c *Cluster) Flight() *telemetry.FlightRecorder { return c.flight }
 // SampleConfig reports the span plane's sampler parameters; rate is 0
 // when the span plane is off.
 func (c *Cluster) SampleConfig() (seed int64, rate float64) { return c.sampleSeed, c.sampleRate }
-
-// trace records a conversation event into the event ring (nil-safe).
-func (c *Cluster) trace(kind telemetry.EventKind, txn uint64, site int32, arg int64) {
-	c.tracer.Record(kind, txn, site, arg)
-}
 
 // completeTrace finishes a sampled transaction's trace: end-to-end
 // latency measured from Begin drives the tail-based exemplar store, so
@@ -580,8 +559,8 @@ func (c *Cluster) ackRelease(id core.TxnID, sid SiteID) {
 // checkConservation runs after an ack resolved a decision: every
 // resolved decision was first logged by this coordinator or adopted
 // from the log. More resolutions than that budget means release
-// accounting double-counted — dump the flight recorder while the
-// evidence (recent events, spans) is still in the rings. Resolved is
+// accounting double-counted — record the excess and dump the flight
+// recorder while the evidence is still in the span ring. Resolved is
 // loaded first, so a concurrent log-then-resolve cannot read as an
 // excess.
 func (c *Cluster) checkConservation(id core.TxnID, sid SiteID) {
@@ -589,7 +568,7 @@ func (c *Cluster) checkConservation(id core.TxnID, sid SiteID) {
 		return
 	}
 	if r, b := c.tel.DecisionsResolved.Load(), c.tel.DecisionsLogged.Load()+c.tel.DecisionsAdopted.Load(); r > b {
-		c.flight.Record(telemetry.EvCrash, uint64(id), int32(sid), int64(r-b))
+		c.spans.RecordSite(telemetry.SpanViolation, uint64(id), int32(sid), int64(r-b))
 		_, _ = c.flight.DumpOnce("conservation-violation")
 	}
 }
@@ -724,7 +703,6 @@ func (c *Cluster) exec(t *Txn, in Input, drain *[]core.TxnID) (fin Action, bug e
 			c.decide(&t.req)
 			dur := time.Since(start)
 			c.tel.DecideNanos.Observe(uint64(dur))
-			c.trace(telemetry.EvDecide, uint64(t.id), int32(noSite), int64(t.req.Gdeps))
 			t.span(telemetry.SpanDecide, int32(noSite), int64(t.req.Gdeps), int64(t.req.Wave), int64(dur))
 			acts = c.Step(&t.Conv, Input{Kind: InVerdict}, acts)
 		case ActDecided:
@@ -735,7 +713,6 @@ func (c *Cluster) exec(t *Txn, in Input, drain *[]core.TxnID) (fin Action, bug e
 			switch fin = act; {
 			case act.Reason != core.ReasonNone:
 				if act.Reason == core.ReasonShed {
-					c.trace(telemetry.EvShed, uint64(t.id), int32(noSite), int64(t.req.Gdeps))
 					t.span(telemetry.SpanShed, int32(noSite), int64(t.req.Gdeps), int64(t.req.Wave), 0)
 				}
 				c.finish(t, act.Site, act.Reason)
@@ -807,16 +784,11 @@ func (c *Cluster) atSite(t *Txn, act Action, acts []Action, bug *error) []Action
 			*bug = fmt.Errorf("dist: %v of T%d at site %d: %w", act.Kind, t.id, act.Site, err)
 		}
 	case act.Kind == ActHold:
-		c.trace(telemetry.EvHold, uint64(t.id), int32(act.Site), 0)
 		if !holdStart.IsZero() {
 			t.span(telemetry.SpanHold, int32(act.Site), 0, 0, int64(time.Since(holdStart)))
 		}
-	case act.Kind == ActRelease:
-		c.ackRelease(t.id, act.Site)
-		c.trace(telemetry.EvRelease, uint64(t.id), int32(act.Site), 0)
-		t.span(telemetry.SpanRelease, int32(act.Site), 0, 0, 0)
-	case act.Kind == ActCommitDirect:
-		if t.logged {
+	case act.Kind == ActRelease || act.Kind == ActCommitDirect:
+		if act.Kind == ActRelease || t.logged {
 			c.ackRelease(t.id, act.Site)
 		}
 		t.span(telemetry.SpanRelease, int32(act.Site), 0, 0, 0)
@@ -865,10 +837,6 @@ func (c *Cluster) cascade(ids []core.TxnID) {
 	}
 }
 
-// Tracer returns the conversation event ring, or nil when tracing is
-// disabled (Config.Trace == 0).
-func (c *Cluster) Tracer() *telemetry.Tracer { return c.tracer }
-
 // ---- Crash-stop fault handling (Config.FaultTolerant clusters) ----
 
 // SiteDown reports whether the site is currently crashed (always false
@@ -910,7 +878,7 @@ func (c *Cluster) Crash(id SiteID) error {
 	s.hub.FailAll(core.ReasonSiteFailed)
 	s.mu.Unlock()
 
-	c.trace(telemetry.EvCrash, 0, int32(id), 0)
+	c.spans.RecordSite(telemetry.SpanCrash, 0, int32(id), 0)
 	for _, cv := range c.SiteCrashed(id, touched) {
 		c.run(cv.Owner.(*Txn), Input{Kind: InSiteCrashed, Site: id})
 	}
@@ -944,7 +912,7 @@ func (c *Cluster) Restart(id SiteID) (fault.RecoveryReport, error) {
 		c.Observe(id, txid, s.edges(txid))
 	}
 	s.mu.Unlock()
-	c.trace(telemetry.EvRestart, 0, int32(id), int64(len(rep.Redone)))
+	c.spans.RecordSite(telemetry.SpanRestart, 0, int32(id), int64(len(rep.Redone)))
 	// The redo span re-derives its context from the sampler — the
 	// transaction itself may have been unregistered before the crash.
 	for _, txid := range rep.Redone {

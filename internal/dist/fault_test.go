@@ -19,7 +19,7 @@ import (
 // 1..objects.
 func newFaultCluster(t *testing.T, n, objects int) *Cluster {
 	t.Helper()
-	c, err := NewWithConfig(Config{Sites: n, FaultTolerant: true, Opts: core.Options{Debug: true}, Trace: 256, Spans: 256})
+	c, err := NewWithConfig(Config{Sites: n, FaultTolerant: true, Opts: core.Options{Debug: true}, Spans: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,25 +226,23 @@ func TestLoggedCommitRedoneAfterCrashedRelease(t *testing.T) {
 	if got := s1.(*adt.PageState); got.V != 12 {
 		t.Fatalf("site 1 committed after redo = %d, want 12", got.V)
 	}
-	// The skipped release left no trace: site 1's release is its redo.
-	for _, ev := range c.Tracer().Snapshot() {
-		if ev.Kind == telemetry.EvRelease && ev.Txn == uint64(t2.ID()) && ev.Site != 0 {
-			t.Errorf("release event for T2 at down site %d", ev.Site)
-		}
-	}
-	var redo, release int
+	// The skipped release left no trace: site 1's release is its redo,
+	// and the restart span counts it.
+	var redo, release, restart int
 	for _, sp := range c.Spans().Snapshot() {
-		if sp.Txn == uint64(t2.ID()) && sp.Site == 1 {
-			switch sp.Kind {
-			case telemetry.SpanRedo:
-				redo++
-			case telemetry.SpanRelease:
-				release++
-			}
+		switch {
+		case sp.Kind == telemetry.SpanRestart && sp.Site == 1 && sp.Object == 1:
+			restart++
+		case sp.Txn != uint64(t2.ID()) || sp.Site != 1:
+		case sp.Kind == telemetry.SpanRedo:
+			redo++
+		case sp.Kind == telemetry.SpanRelease:
+			release++
 		}
 	}
-	if redo != 1 || release != 0 {
-		t.Errorf("T2 at site 1: %d redo and %d release spans, want the redo alone", redo, release)
+	if redo != 1 || release != 0 || restart != 1 {
+		t.Errorf("T2 at site 1: %d redo, %d release and %d restart spans, want one redo and one restart (1 redone)",
+			redo, release, restart)
 	}
 }
 

@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/adt"
@@ -15,7 +17,7 @@ import (
 // a flight recorder armed.
 func newSpanCluster(t *testing.T, dir string) *Cluster {
 	t.Helper()
-	fr := telemetry.NewFlightRecorder(256, "test", dir)
+	fr := telemetry.NewFlightRecorder("test", dir)
 	c, err := NewWithConfig(Config{
 		Sites:      3,
 		Spans:      1024,
@@ -121,8 +123,8 @@ func TestClusterSpansAbort(t *testing.T) {
 	}
 }
 
-// TestClusterFlightDump: the cluster's flight recorder accumulates the
-// commit conversation's events and dumps a readable artifact.
+// TestClusterFlightDump: the cluster's flight recorder dumps the span
+// ring the commit conversation recorded into, as a readable artifact.
 func TestClusterFlightDump(t *testing.T) {
 	dir := t.TempDir()
 	c := newSpanCluster(t, dir)
@@ -133,11 +135,7 @@ func TestClusterFlightDump(t *testing.T) {
 	if st, err := t1.Commit(); err != nil || st != core.Committed {
 		t.Fatalf("commit = %v, %v", st, err)
 	}
-	fr := c.Flight()
-	if fr == nil || fr.Len() == 0 {
-		t.Fatal("flight recorder empty after a commit")
-	}
-	path, err := fr.Dump("test")
+	path, err := c.Flight().Dump("test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +146,46 @@ func TestClusterFlightDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) == 0 {
-		t.Fatal("flight dump is empty")
+	var d telemetry.FlightDump
+	if err := json.Unmarshal(b, &d); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(d.Spans); n == 0 || d.Spans[n-1].KindS != "release" {
+		t.Fatalf("flight dump spans = %+v, want the commit ending in its release", d.Spans)
+	}
+}
+
+// TestClusterSiteSpansUnsampled: a site's crash and restart are
+// recorded in the span ring even when no transaction is sampled.
+func TestClusterSiteSpansUnsampled(t *testing.T) {
+	c, err := NewWithConfig(Config{Sites: 2, FaultTolerant: true, Spans: 64, SampleRate: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Register(1, adt.Page{}, compat.PageTable()); err != nil {
+		t.Fatal(err)
+	}
+	t1 := c.Begin()
+	if _, err := t1.Do(1, write(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Restart(1); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range c.Spans().Snapshot() {
+		if s.Trace != 0 || s.Site != 1 {
+			t.Fatalf("span %+v: want only site 1's untraced crash and restart", s)
+		}
+		got = append(got, s.KindS)
+	}
+	if !slices.Equal(got, []string{"crash", "restart"}) {
+		t.Fatalf("span ring = %v, want [crash restart]", got)
 	}
 }

@@ -197,7 +197,6 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 			return adt.Ret{}, err
 		}
 		t.Visit(sid)
-		t.c.trace(telemetry.EvBegin, uint64(t.id), int32(sid), 0)
 		t.span(telemetry.SpanBegin, int32(sid), 0, 0, 0)
 	}
 
@@ -228,7 +227,6 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 		return t.abort(sid, sid, dec.Reason)
 
 	case core.Blocked:
-		t.c.trace(telemetry.EvBlocked, uint64(t.id), int32(sid), 0)
 		t.span(telemetry.SpanBlock, int32(sid), int64(obj), 0, 0)
 		var blockStart time.Time
 		if t.sampled() {

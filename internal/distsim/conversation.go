@@ -146,8 +146,8 @@ func (e *Engine) perform(p *sproc, act dist.Action) bool {
 			if act.Kind == dist.ActRelease {
 				delete(s.prepTime, id)
 				e.tracef("release T%d site=%d", id, sid)
-				e.span(telemetry.SpanRelease, id, sid, 0, 0, 0)
 			}
+			e.span(telemetry.SpanRelease, id, sid, 0, 0, 0)
 		}
 		e.processEffects(s, &eff)
 	}

@@ -59,9 +59,9 @@ func TestRunCompletes(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	a := run(t, small(7))
 	b := run(t, small(7))
-	if a.TraceHash != b.TraceHash || a.TraceLen != b.TraceLen {
+	if a.TraceHash != b.TraceHash || a.TraceLines != b.TraceLines {
 		t.Fatalf("same seed, different traces: %016x/%d vs %016x/%d",
-			a.TraceHash, a.TraceLen, b.TraceHash, b.TraceLen)
+			a.TraceHash, a.TraceLines, b.TraceHash, b.TraceLines)
 	}
 	if a.String() != b.String() {
 		t.Fatalf("same seed, different results:\n%s\n%s", a, b)

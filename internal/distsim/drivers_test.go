@@ -10,6 +10,7 @@ import (
 	"repro/internal/compat"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -17,10 +18,12 @@ import (
 // the conversation script — the wall-clock dist.Cluster (recording its
 // Config.StepHook firings) and this package's Engine (its "step" trace
 // lines) — and requires the same ordered list of (step, transaction,
-// site). Two sites; a commit-dependency chain T3 -> T2 -> T1 over
-// stacks, T2 cross-site; commits issued one at a time (T2, then T3, both
-// held, then T1, whose termination cascades the two releases), so no two
-// conversations overlap and the wall-clock order is deterministic too.
+// site), and the same span kinds at the same sites for each transaction.
+// Two sites; a commit-dependency chain T3 -> T2 -> T1 over stacks, T2
+// cross-site; commits issued one at a time (T2, then T3, both held, then
+// T1, whose termination cascades the two releases, and which commits
+// directly), so no two conversations overlap and the wall-clock order is
+// deterministic too.
 func TestDriversAgree(t *testing.T) {
 	const a, b, private = 2, 1, 4 // a and private live at site 0, b at site 1
 	push := func(obj core.ObjectID, v int) workload.Step {
@@ -31,11 +34,16 @@ func TestDriversAgree(t *testing.T) {
 		{push(a, 2), push(b, 2)}, // depends on T1 at site 0
 		{push(b, 3)},             // depends on T2 at site 1
 	}
+	// A transaction commits on the virtual clock when its steps run out,
+	// so T1 is kept busy on a private object until T2 and T3 are held.
+	for i := 0; i < 60; i++ {
+		scripts[0] = append(scripts[0], push(private, i))
+	}
 
 	// The wall-clock driver.
 	var wall []string
 	c, err := dist.NewWithConfig(dist.Config{
-		Sites: 2, FaultTolerant: true, Opts: core.Options{Debug: true},
+		Sites: 2, FaultTolerant: true, Opts: core.Options{Debug: true}, Spans: 256,
 		StepHook: func(s dist.Step, id core.TxnID, site dist.SiteID) {
 			wall = append(wall, fmt.Sprintf("%s T%d site=%d", s, id, site))
 		},
@@ -69,11 +77,10 @@ func TestDriversAgree(t *testing.T) {
 	}
 
 	// The virtual-clock driver: the same three scripts as detached
-	// attempts (no terminal resubmits them). A transaction commits when
-	// its steps run out, so T1 is kept busy on a private object until T2
-	// and T3 are held.
+	// attempts (no terminal resubmits them).
 	cfg := Default(workload.Pushes{DBSize: 4}, 2, 1, 1)
 	cfg.RecordTrace = true
+	cfg.Spans = 256
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -91,9 +98,6 @@ func TestDriversAgree(t *testing.T) {
 	procs := make([]*sproc, len(scripts))
 	for i, steps := range scripts {
 		procs[i] = &sproc{terminal: -1, steps: steps}
-	}
-	for i := 0; i < 60; i++ {
-		procs[0].steps = append(procs[0].steps, push(private, i))
 	}
 	eng.startAttempt(procs[0])
 	pump("T1's first push", func() bool { return procs[0].idx >= 1 })
@@ -125,4 +129,30 @@ func TestDriversAgree(t *testing.T) {
 	if want := 5 + 3 + 3 + 2; len(wall) != want {
 		t.Errorf("%d boundaries fired, want %d:\n  %s", len(wall), want, strings.Join(wall, "\n  "))
 	}
+
+	// Span names agree on both clocks: each transaction records the same
+	// sequence of span kinds at the same sites. Durations are not
+	// compared (decide's is the decide wave on the wall clock, the held
+	// wait on the virtual one), nor the begin the wall clock adds at each
+	// site's first touch, which the simulator folds into the request.
+	wallSpans, virtSpans := spanKinds(c.Spans().Snapshot()), spanKinds(eng.Spans().Snapshot())
+	for id := uint64(1); id <= uint64(len(scripts)); id++ {
+		if len(virtSpans[id]) == 0 || !slices.Equal(wallSpans[id], virtSpans[id]) {
+			t.Errorf("T%d's spans disagree.\nwall clock:    %s\nvirtual clock: %s",
+				id, strings.Join(wallSpans[id], " "), strings.Join(virtSpans[id], " "))
+		}
+	}
+	t.Logf("T2's spans: %s", strings.Join(wallSpans[2], " "))
+}
+
+// spanKinds lists each transaction's spans in order as kind@site,
+// leaving out site-level begins.
+func spanKinds(spans []telemetry.Span) map[uint64][]string {
+	out := make(map[uint64][]string)
+	for _, s := range spans {
+		if s.Kind != telemetry.SpanBegin || s.Site < 0 {
+			out[s.Txn] = append(out[s.Txn], fmt.Sprintf("%s@%d", s.KindS, s.Site))
+		}
+	}
+	return out
 }

@@ -189,9 +189,9 @@ type Engine struct {
 	respPseudo, respReal                  metrics.Window
 	committedSteps                        map[core.ObjectID]uint64
 
-	traceHash uint64
-	traceLen  int
-	trace     []string
+	traceHash  uint64
+	traceLines int
+	trace      []string
 
 	// Span plane (nil unless Config.Spans > 0): spans is clocked off
 	// the virtual timeline, sampler derives each transaction's trace
@@ -421,7 +421,7 @@ func (e *Engine) result() Result {
 		LogHighWater:      e.logHighWater,
 		CommittedSteps:    e.committedSteps,
 		TraceHash:         e.traceHash,
-		TraceLen:          e.traceLen,
+		TraceLines:        e.traceLines,
 		Trace:             e.trace,
 		Stats:             st,
 		TailAborts:        e.tailAborts(),

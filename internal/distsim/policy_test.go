@@ -114,9 +114,9 @@ func TestPolicyDeterminism(t *testing.T) {
 	for _, p := range canonicalPolicies() {
 		a := run(t, convoyShort(9, p))
 		b := run(t, convoyShort(9, p))
-		if a.TraceHash != b.TraceHash || a.TraceLen != b.TraceLen {
+		if a.TraceHash != b.TraceHash || a.TraceLines != b.TraceLines {
 			t.Errorf("%s: same seed, different traces: %016x/%d vs %016x/%d",
-				p.Name(), a.TraceHash, a.TraceLen, b.TraceHash, b.TraceLen)
+				p.Name(), a.TraceHash, a.TraceLines, b.TraceHash, b.TraceLines)
 		}
 		if a.String() != b.String() {
 			t.Errorf("%s: same seed, different results:\n%s\n%s", p.Name(), a, b)

@@ -102,8 +102,8 @@ type Result struct {
 	// TraceHash is the 64-bit FNV-1a hash of every trace line — the
 	// bit-identity fingerprint two same-seed runs must share.
 	TraceHash uint64
-	// TraceLen is the number of trace lines hashed.
-	TraceLen int
+	// TraceLines is the number of trace lines hashed.
+	TraceLines int
 	// Trace holds the lines themselves when Config.RecordTrace is set.
 	Trace []string
 

@@ -35,7 +35,7 @@ func (e *Engine) tracef(format string, args ...any) {
 	h ^= '\n'
 	h *= fnvPrime
 	e.traceHash = h
-	e.traceLen++
+	e.traceLines++
 	if e.cfg.RecordTrace {
 		e.trace = append(e.trace, line)
 	}

@@ -14,17 +14,13 @@ func TestInstrumentZeroAllocs(t *testing.T) {
 	var c Counter
 	var g Gauge
 	var h Histogram
-	tr := NewTracer(64)
 	sb := NewSpanBuffer(64, 4)
-	fr := NewFlightRecorder(64, "test", t.TempDir())
 	smp := NewSampler(42, 0.5)
 	sampled := TraceContext{Trace: 1, Span: 1, Flags: TraceSampled}
 	unsampled := TraceContext{Trace: 2, Span: 2}
 	var nilC *Counter
 	var nilH *Histogram
-	var nilTr *Tracer
 	var nilSB *SpanBuffer
-	var nilFR *FlightRecorder
 	cases := []struct {
 		name string
 		f    func()
@@ -33,16 +29,14 @@ func TestInstrumentZeroAllocs(t *testing.T) {
 		{"Counter.Add", func() { c.Add(3) }},
 		{"Gauge.Set", func() { g.Set(7) }},
 		{"Histogram.Observe", func() { h.Observe(12345) }},
-		{"Tracer.Record", func() { tr.Record(EvHold, 1, 2, 3) }},
 		{"Sampler.Context", func() { smp.Context(7) }},
 		{"SpanBuffer.Record sampled", func() { sb.Record(sampled, SpanHold, 1, 2, 3, 0, 0) }},
 		{"SpanBuffer.Record unsampled", func() { sb.Record(unsampled, SpanHold, 1, 2, 3, 0, 0) }},
-		{"FlightRecorder.Record", func() { fr.Record(EvHold, 1, 2, 3) }},
+		{"SpanBuffer.RecordSite", func() { sb.RecordSite(SpanCrash, 0, 2, 0) }},
 		{"nil Counter.Inc", func() { nilC.Inc() }},
 		{"nil Histogram.Observe", func() { nilH.Observe(1) }},
-		{"nil Tracer.Record", func() { nilTr.Record(EvHold, 1, 2, 3) }},
 		{"nil SpanBuffer.Record", func() { nilSB.Record(sampled, SpanHold, 1, 2, 3, 0, 0) }},
-		{"nil FlightRecorder.Record", func() { nilFR.Record(EvHold, 1, 2, 3) }},
+		{"nil SpanBuffer.RecordSite", func() { nilSB.RecordSite(SpanCrash, 0, 2, 0) }},
 	}
 	for _, tc := range cases {
 		if avg := testing.AllocsPerRun(200, tc.f); avg != 0 {

@@ -10,16 +10,14 @@ import (
 	"time"
 )
 
-// Flight recorder: a bounded structured-event black box per process.
+// Flight recorder: the per-process black box.
 //
-// The recorder is a dump view over an event ring (a Tracer) — it exists
-// to be *dumped*, not scraped: on SIGQUIT, on a daemon panic, or when a
-// decision-log conservation invariant trips, it writes a self-contained
-// JSON post-mortem (the ring, plus a snapshot of any attached span
-// buffer) to disk. A cluster handed a recorder records its conversation
-// events straight into the recorder's ring, so /tracez and the dump
-// show one timeline, recorded once. The recording path keeps the
-// package's contract: Record is allocation-free and nil-safe; only Dump
+// The recorder owns no ring of its own: it is a dump view over the
+// process's span buffer, the one event ring. It exists to be *dumped*,
+// not scraped: on SIGQUIT, on a daemon panic, or when a decision-log
+// conservation invariant trips, it writes a self-contained JSON
+// post-mortem — the ring's spans plus the pinned exemplars — to disk,
+// so /tracez and the dump show one timeline, recorded once. Only Dump
 // allocates.
 
 // FlightDump is the JSON document a dump writes.
@@ -27,7 +25,6 @@ type FlightDump struct {
 	Process   string          `json:"process"`
 	Reason    string          `json:"reason"`
 	Wall      string          `json:"wall"`
-	Events    []Event         `json:"events"`
 	Spans     []Span          `json:"spans,omitempty"`
 	Exemplars []TraceExemplar `json:"exemplars,omitempty"`
 }
@@ -35,7 +32,6 @@ type FlightDump struct {
 // FlightRecorder is the per-process black box. A nil recorder no-ops
 // everywhere, so call sites never guard.
 type FlightRecorder struct {
-	events  *Tracer
 	process string
 	dir     string
 
@@ -46,34 +42,21 @@ type FlightRecorder struct {
 	once     map[string]bool // reasons already dumped via DumpOnce
 }
 
-// NewFlightRecorder builds a recorder with capacity size for process
-// (a short role label: "coord", "site-a", ...), dumping into dir
-// (defaulted to the working directory). size <= 0 disables: the
-// returned recorder is nil.
-func NewFlightRecorder(size int, process, dir string) *FlightRecorder {
-	if size <= 0 {
-		return nil
-	}
+// NewFlightRecorder builds a recorder for process (a short role label:
+// "coord", "site-a", ...), dumping into dir (defaulted to the working
+// directory). Its dumps carry the span buffer AttachSpans names.
+func NewFlightRecorder(process, dir string) *FlightRecorder {
 	if dir == "" {
 		dir = "."
 	}
 	return &FlightRecorder{
-		events:  NewTracer(size),
 		process: process,
 		dir:     dir,
 		once:    make(map[string]bool),
 	}
 }
 
-// Events returns the recorder's event ring (nil for a nil recorder).
-func (f *FlightRecorder) Events() *Tracer {
-	if f == nil {
-		return nil
-	}
-	return f.events
-}
-
-// AttachSpans includes the span buffer's snapshot in future dumps.
+// AttachSpans names the span buffer future dumps carry.
 func (f *FlightRecorder) AttachSpans(b *SpanBuffer) {
 	if f == nil {
 		return
@@ -82,17 +65,6 @@ func (f *FlightRecorder) AttachSpans(b *SpanBuffer) {
 	f.spans = b
 	f.mu.Unlock()
 }
-
-// Record appends one event. Nil-safe, allocation-free.
-func (f *FlightRecorder) Record(kind EventKind, txn uint64, site int32, arg int64) {
-	f.Events().Record(kind, txn, site, arg)
-}
-
-// Len reports how many events are currently retained.
-func (f *FlightRecorder) Len() int { return f.Events().Len() }
-
-// Cap reports the ring capacity (0 for nil).
-func (f *FlightRecorder) Cap() int { return f.Events().Cap() }
 
 // LastDump reports the path of the most recent on-disk dump ("" if
 // none yet).
@@ -120,17 +92,13 @@ func (f *FlightRecorder) snapshot(reason string) FlightDump {
 	f.mu.Lock()
 	spans := f.spans
 	f.mu.Unlock()
-	d := FlightDump{
-		Process: f.process,
-		Reason:  reason,
-		Wall:    time.Now().UTC().Format(time.RFC3339Nano),
-		Events:  f.events.Snapshot(),
+	return FlightDump{
+		Process:   f.process,
+		Reason:    reason,
+		Wall:      time.Now().UTC().Format(time.RFC3339Nano),
+		Spans:     spans.Snapshot(),
+		Exemplars: spans.Exemplars(),
 	}
-	if spans != nil {
-		d.Spans = spans.Snapshot()
-		d.Exemplars = spans.Exemplars()
-	}
-	return d
 }
 
 // DumpTo writes the post-mortem document to w.

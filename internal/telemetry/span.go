@@ -41,20 +41,24 @@ func (tc TraceContext) Sampled() bool { return tc.Flags&TraceSampled != 0 }
 // Valid reports whether the context carries a trace at all.
 func (tc TraceContext) Valid() bool { return tc.Trace != 0 }
 
-// SpanKind labels one step of a transaction's causal timeline.
+// SpanKind labels one step of a transaction's causal timeline, or —
+// recorded through RecordSite, outside any trace — a site event.
 type SpanKind uint8
 
 const (
-	SpanBegin   SpanKind = iota + 1 // transaction created / first touch
-	SpanRequest                     // an operation executed at a site
-	SpanBlock                       // a request parked behind a conflict
-	SpanGrant                       // a parked request resumed
-	SpanHold                        // commit-hold (prepare) at a site
-	SpanDecide                      // coordinator decision round (Arg: wave)
-	SpanRelease                     // real commit released at a site
-	SpanShed                        // hold policy refused the conversation
-	SpanAbort                       // transaction aborted
-	SpanRedo                        // logged commit redone at restart
+	SpanBegin     SpanKind = iota + 1 // transaction created / first touch
+	SpanRequest                       // an operation executed at a site
+	SpanBlock                         // a request parked behind a conflict
+	SpanGrant                         // a parked request resumed
+	SpanHold                          // commit-hold (prepare) at a site
+	SpanDecide                        // coordinator decision round (Wave: wave)
+	SpanRelease                       // real commit landed at a site
+	SpanShed                          // hold policy refused the conversation
+	SpanAbort                         // transaction aborted
+	SpanRedo                          // logged commit redone at restart
+	SpanCrash                         // site crashed (RecordSite)
+	SpanRestart                       // site recovered (RecordSite; Object: redone commits)
+	SpanViolation                     // decision conservation broke (RecordSite; Object: excess)
 )
 
 // String names the kind for JSON and the sccctl timeline.
@@ -80,15 +84,23 @@ func (k SpanKind) String() string {
 		return "abort"
 	case SpanRedo:
 		return "redo"
+	case SpanCrash:
+		return "crash"
+	case SpanRestart:
+		return "restart"
+	case SpanViolation:
+		return "violation"
 	}
 	return "?"
 }
 
 // Span is one recorded step of a trace: identity (trace id, span id,
-// parent), what happened (kind, transaction, site, object, decide
-// wave), and when (Wall: nanoseconds since the Unix epoch, for
-// cross-process alignment; Start: monotonic nanoseconds since the
-// buffer's epoch; Dur: the step's duration, 0 for instant events).
+// parent; trace 0 for a RecordSite span), what happened (kind,
+// transaction, site, object — or the kind's argument where no object
+// is involved — and decide wave), and when (Wall: nanoseconds since
+// the Unix epoch, for cross-process alignment; Start: monotonic
+// nanoseconds since the buffer's epoch; Dur: the step's duration, 0
+// for instant events).
 type Span struct {
 	Trace  uint64   `json:"trace"`
 	ID     uint64   `json:"id"`
@@ -228,6 +240,23 @@ func (b *SpanBuffer) Record(tc TraceContext, kind SpanKind, txn uint64, site int
 	if b == nil || !tc.Sampled() {
 		return
 	}
+	b.put(tc, kind, txn, site, object, wave, dur)
+}
+
+// RecordSite appends one span that belongs to no trace (Trace 0): a
+// site's crash or restart, or the evidence of a violated invariant,
+// with its argument in Object. These are rare and are what a
+// post-mortem needs, so unlike Record they do not depend on sampling.
+// Nil-safe and allocation-free.
+func (b *SpanBuffer) RecordSite(kind SpanKind, txn uint64, site int32, arg int64) {
+	if b == nil {
+		return
+	}
+	b.put(TraceContext{}, kind, txn, site, arg, 0, 0)
+}
+
+// put stamps and stores one span in the ring.
+func (b *SpanBuffer) put(tc TraceContext, kind SpanKind, txn uint64, site int32, object, wave, dur int64) {
 	b.mu.Lock()
 	var wall, start int64
 	if b.clock != nil {

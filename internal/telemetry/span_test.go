@@ -63,26 +63,27 @@ func TestSamplerDeterminism(t *testing.T) {
 }
 
 // TestSpanBufferWraparound checks the ring semantics: capacity bounds
-// retention, oldest spans are overwritten first, and snapshots come
-// out oldest-first.
+// retention, oldest spans are overwritten first, snapshots come out
+// oldest-first with kind names filled in, span ids keep counting across
+// the wrap, and site spans record without sampling.
 func TestSpanBufferWraparound(t *testing.T) {
 	b := NewSpanBuffer(4, 2)
 	tc := TraceContext{Trace: 1, Span: 1, Flags: TraceSampled}
 	for i := uint64(1); i <= 6; i++ {
 		b.Record(tc, SpanRequest, i, 0, 0, 0, 0)
 	}
-	if b.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", b.Len())
+	if b.Len() != 4 || b.Cap() != 4 {
+		t.Fatalf("Len/Cap = %d/%d, want 4/4", b.Len(), b.Cap())
 	}
 	snap := b.Snapshot()
-	var txns []uint64
-	for _, s := range snap {
-		txns = append(txns, s.Txn)
-	}
-	want := []uint64{3, 4, 5, 6}
-	for i := range want {
-		if txns[i] != want[i] {
-			t.Fatalf("snapshot txns = %v, want %v", txns, want)
+	for i, s := range snap {
+		want := uint64(3 + i)
+		if s.Txn != want || s.ID != want || s.KindS != "request" {
+			t.Fatalf("span %d = txn %d id %d kind %q, want %d/%d/request (oldest-first after wrap)",
+				i, s.Txn, s.ID, s.KindS, want, want)
+		}
+		if i > 0 && s.Start < snap[i-1].Start {
+			t.Fatalf("span %d stamped before its predecessor", i)
 		}
 	}
 	// Unsampled contexts record nothing.
@@ -90,9 +91,15 @@ func TestSpanBufferWraparound(t *testing.T) {
 	if b.Len() != 4 || b.Snapshot()[3].Txn != 6 {
 		t.Error("unsampled context was recorded")
 	}
+	// A site span needs no context: it lands under trace 0.
+	b.RecordSite(SpanRestart, 0, 2, 5)
+	if s := b.Snapshot()[3]; s.Kind != SpanRestart || s.KindS != "restart" || s.Trace != 0 || s.Site != 2 || s.Object != 5 {
+		t.Errorf("site span = %+v, want restart at site 2 with arg 5 under trace 0", s)
+	}
 	// Nil buffer no-ops everywhere.
 	var nb *SpanBuffer
 	nb.Record(tc, SpanBegin, 1, 0, 0, 0, 0)
+	nb.RecordSite(SpanCrash, 0, 1, 0)
 	nb.Complete(tc, 1, 1)
 	if nb.Len() != 0 || nb.Snapshot() != nil || nb.Exemplars() != nil {
 		t.Error("nil buffer retained data")
@@ -214,20 +221,18 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderDump checks the black box end to end: record (via
-// the recorder and via its ring), attach spans, dump to a buffer and to
-// disk, DumpOnce
-// once-per-reason semantics, and nil safety.
+// TestFlightRecorderDump checks the black box end to end: the attached
+// span ring (trace and site spans alike) dumped to a buffer and to disk,
+// DumpOnce once-per-reason semantics, and nil safety.
 func TestFlightRecorderDump(t *testing.T) {
 	dir := t.TempDir()
-	f := NewFlightRecorder(8, "site-a", dir)
+	f := NewFlightRecorder("site-a", dir)
 	spans := NewSpanBuffer(8, 1)
 	f.AttachSpans(spans)
 
 	tc := TraceContext{Trace: 11, Span: 11, Flags: TraceSampled}
 	spans.Record(tc, SpanHold, 7, 2, 0, 0, 0)
-	f.Record(EvHold, 7, 2, 1)
-	f.Events().Record(EvCrash, 0, 2, 0)
+	spans.RecordSite(SpanCrash, 0, 2, 0)
 
 	var buf bytes.Buffer
 	if err := f.DumpTo(&buf, "test"); err != nil {
@@ -240,10 +245,7 @@ func TestFlightRecorderDump(t *testing.T) {
 	if d.Process != "site-a" || d.Reason != "test" {
 		t.Errorf("dump header = %q/%q", d.Process, d.Reason)
 	}
-	if len(d.Events) != 2 || d.Events[1].KindS != "crash" || d.Events[1].Wall == 0 {
-		t.Errorf("dump events = %+v", d.Events)
-	}
-	if len(d.Spans) != 1 || d.Spans[0].Trace != 11 {
+	if len(d.Spans) != 2 || d.Spans[0].Trace != 11 || d.Spans[1].KindS != "crash" || d.Spans[1].Wall == 0 {
 		t.Errorf("dump spans = %+v", d.Spans)
 	}
 
@@ -266,15 +268,12 @@ func TestFlightRecorderDump(t *testing.T) {
 	}
 
 	var nf *FlightRecorder
-	nf.Record(EvHold, 1, 1, 1)
-	if nf.Len() != 0 || nf.Cap() != 0 || nf.LastDump() != "" {
+	nf.AttachSpans(spans)
+	if nf.Dumps() != 0 || nf.LastDump() != "" {
 		t.Error("nil recorder retained state")
 	}
 	if p, err := nf.Dump("x"); p != "" || err != nil {
 		t.Error("nil recorder dumped")
-	}
-	if NewFlightRecorder(0, "x", "") != nil {
-		t.Error("size 0 must disable")
 	}
 	if NewSpanBuffer(0, 0) != nil {
 		t.Error("size 0 must disable")

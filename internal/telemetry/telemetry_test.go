@@ -114,35 +114,28 @@ func TestNilSafety(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var tr *Tracer
 	var w *WireMetrics
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
 	h.Observe(9)
-	tr.Record(EvHold, 1, 2, 3)
 	if c.Load() != 0 || g.Load() != 0 || g.High() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments must read zero")
-	}
-	if tr.Snapshot() != nil || tr.Len() != 0 {
-		t.Fatal("nil tracer must be empty")
 	}
 	if w.RTT(0x12) != nil {
 		t.Fatal("nil wire metrics must hand out nil histograms")
 	}
 	w.RTT(0x12).Observe(1) // and those must still be safe to observe
-	if NewTracer(0) != nil {
-		t.Fatal("NewTracer(0) must disable tracing")
-	}
 }
 
-// TestTracerWraparound pins the ring semantics: once full the oldest
-// events are overwritten, Snapshot returns oldest-first, and Seq
-// keeps counting across the wrap.
+// TestTracerWraparound pins the ring semantics of untraced site events
+// (RecordSite), the ring's tracer role: they need no sampled context,
+// once full the oldest are overwritten, Snapshot returns oldest-first
+// with kind names filled in, and span ids keep counting across the wrap.
 func TestTracerWraparound(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewSpanBuffer(4, 1)
 	for i := 0; i < 10; i++ {
-		tr.Record(EvHold, uint64(i), int32(i), int64(i))
+		tr.RecordSite(SpanHold, uint64(i), int32(i), int64(i))
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("len = %d, want 4", tr.Len())
@@ -153,23 +146,24 @@ func TestTracerWraparound(t *testing.T) {
 	}
 	for i, e := range evs {
 		want := uint64(6 + i)
-		if e.Seq != want || e.Txn != want {
-			t.Fatalf("event %d = seq %d txn %d, want %d (oldest-first after wrap)", i, e.Seq, e.Txn, want)
+		if e.ID != want+1 || e.Txn != want || e.Site != int32(want) || e.Object != int64(want) {
+			t.Fatalf("event %d = id %d txn %d site %d arg %d, want txn %d (oldest-first after wrap)",
+				i, e.ID, e.Txn, e.Site, e.Object, want)
 		}
-		if e.KindS != "hold" {
-			t.Fatalf("event kind string = %q", e.KindS)
+		if e.Trace != 0 || e.KindS != "hold" {
+			t.Fatalf("event %d = trace %d kind %q, want an untraced hold", i, e.Trace, e.KindS)
 		}
 	}
-	// Before wrapping, a short tracer returns exactly what was recorded.
-	tr2 := NewTracer(8)
-	tr2.Record(EvBegin, 1, 0, 0)
-	tr2.Record(EvDecide, 1, -1, 2)
+	// Before wrapping, a short ring returns exactly what was recorded.
+	tr2 := NewSpanBuffer(8, 1)
+	tr2.RecordSite(SpanCrash, 0, 2, 0)
+	tr2.RecordSite(SpanRestart, 0, 2, 5)
 	evs = tr2.Snapshot()
-	if len(evs) != 2 || evs[0].Kind != EvBegin || evs[1].Kind != EvDecide {
+	if len(evs) != 2 || evs[0].Kind != SpanCrash || evs[1].Kind != SpanRestart || evs[1].KindS != "restart" || evs[1].Object != 5 {
 		t.Fatalf("pre-wrap snapshot = %+v", evs)
 	}
-	if evs[1].Nanos < evs[0].Nanos {
-		t.Fatalf("timestamps must be monotonic: %d then %d", evs[0].Nanos, evs[1].Nanos)
+	if evs[1].Start < evs[0].Start {
+		t.Fatalf("timestamps must be monotonic: %d then %d", evs[0].Start, evs[1].Start)
 	}
 }
 

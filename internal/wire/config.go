@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -43,12 +44,10 @@ type ClusterFile struct {
 	// Debug is the coordinator's debug-plane HTTP listen address
 	// (/metrics, /statusz, /tracez, pprof); empty disables it.
 	Debug string `json:"debug,omitempty"`
-	// Trace sizes the coordinator's conversation-event ring for
-	// /tracez; 0 disables tracing. Unused when Flight is set: the
-	// flight recorder's ring is then the event ring.
-	Trace int `json:"trace,omitempty"`
 	// Spans sizes every process's causal span ring (coordinator and
-	// site daemons alike); 0 disables the span plane cluster-wide.
+	// site daemons alike), the one event ring /tracez serves and the
+	// flight recorder dumps; 0 disables the span plane — and with it
+	// the black box — cluster-wide.
 	Spans int `json:"spans,omitempty"`
 	// SpanExemplars bounds each process's pinned tail-latency exemplar
 	// store; 0 picks a small default.
@@ -59,9 +58,6 @@ type ClusterFile struct {
 	// SampleSeed seeds the deterministic trace sampler; every process
 	// derives the same trace ids from it.
 	SampleSeed int64 `json:"sample_seed,omitempty"`
-	// Flight sizes every process's flight-recorder ring; 0 disables
-	// the black box.
-	Flight int `json:"flight,omitempty"`
 	// FlightDir is where flight dumps land (default: the working
 	// directory of each process).
 	FlightDir string `json:"flight_dir,omitempty"`
@@ -69,14 +65,18 @@ type ClusterFile struct {
 	Daemons []DaemonSpec `json:"daemons"`
 }
 
-// LoadClusterFile reads and validates a cluster description.
+// LoadClusterFile reads and validates a cluster description. An
+// unknown key — a typo, or one a newer build retired — is an error
+// naming it, not silently dropped.
 func LoadClusterFile(path string) (*ClusterFile, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var f ClusterFile
-	if err := json.Unmarshal(raw, &f); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("wire: cluster file %s: %w", path, err)
 	}
 	if err := f.Validate(); err != nil {

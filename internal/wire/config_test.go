@@ -7,18 +7,25 @@ import (
 	"testing"
 )
 
+// loadCluster writes a two-site cluster file with the extra keys spliced
+// in and loads it.
+func loadCluster(t *testing.T, extra string) (*ClusterFile, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	body := `{"client": "127.0.0.1:0", ` + extra + `
+		"daemons": [{"listen": "127.0.0.1:0", "sites": [0, 1]}]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return LoadClusterFile(path)
+}
+
 // TestLoadClusterFilePolicy: a cluster file naming a retired hold policy
 // fails to load, with the ParsePolicy error listing the accepted forms,
 // rather than silently running the default; no policy and depth=N load.
 func TestLoadClusterFilePolicy(t *testing.T) {
 	load := func(policy string) (*ClusterFile, error) {
-		path := filepath.Join(t.TempDir(), "cluster.json")
-		body := `{"client": "127.0.0.1:0", "policy": "` + policy + `",
-			"daemons": [{"listen": "127.0.0.1:0", "sites": [0, 1]}]}`
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return LoadClusterFile(path)
+		return loadCluster(t, `"policy": "`+policy+`",`)
 	}
 	for _, ok := range []string{"", "off", "depth=4"} {
 		if _, err := load(ok); err != nil {
@@ -29,6 +36,22 @@ func TestLoadClusterFilePolicy(t *testing.T) {
 		_, err := load(stale)
 		if err == nil || !strings.Contains(err.Error(), "off or depth=N") {
 			t.Errorf("policy %q: err = %v, want the ParsePolicy error", stale, err)
+		}
+	}
+}
+
+// TestLoadClusterFileUnknownKeys: a key the file format does not have —
+// the retired event-ring sizes "trace" and "flight" among them — fails
+// the load with an error naming it instead of being dropped silently;
+// the span plane's keys load.
+func TestLoadClusterFileUnknownKeys(t *testing.T) {
+	if _, err := loadCluster(t, `"spans": 4096, "span_exemplars": 8, "flight_dir": "/tmp",`); err != nil {
+		t.Errorf("span-plane keys: %v", err)
+	}
+	for _, key := range []string{"trace", "flight", "spnas"} {
+		_, err := loadCluster(t, `"`+key+`": 2048,`)
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
+			t.Errorf("key %q: err = %v, want an unknown-field error naming it", key, err)
 		}
 	}
 }

@@ -62,16 +62,15 @@ type CoordinatorConfig struct {
 	// Policy bounds the hold convoy (see dist.HoldPolicy): nil is the
 	// cluster default, dist.Unbounded{} the paper's unbounded hold.
 	Policy dist.HoldPolicy
-	// Trace sizes the cluster's conversation-event ring (0 disables).
-	Trace int
 	// Spans/SpanExemplars/SampleSeed/SampleRate configure the cluster's
-	// causal span plane (see dist.Config); Spans 0 disables it.
+	// causal span plane, the process's one event ring (see dist.Config);
+	// Spans 0 disables it.
 	Spans         int
 	SpanExemplars int
 	SampleSeed    int64
 	SampleRate    float64
 	// Flight, when non-nil, is the process's flight recorder, shared
-	// with the cluster so conversation events land in the black box.
+	// with the cluster so its dumps carry the cluster's span ring.
 	Flight *telemetry.FlightRecorder
 }
 
@@ -191,7 +190,6 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		Log:           flog,
 		Backends:      backends,
 		Policy:        cfg.Policy,
-		Trace:         cfg.Trace,
 		Spans:         cfg.Spans,
 		SpanExemplars: cfg.SpanExemplars,
 		SampleSeed:    cfg.SampleSeed,

@@ -33,10 +33,11 @@ type DebugConfig struct {
 	// Process labels this process in exported Chrome traces and flight
 	// dumps; empty falls back to Role.
 	Process string
-	// Spans/Flight expose the span plane on /tracez and /statusz. A
-	// coordinator may leave them nil: the cluster's own buffer and
-	// recorder are used. Site daemons set them explicitly (their spans
-	// come from the served backends, not a cluster).
+	// Spans/Flight expose the span plane — the process's one event ring
+	// — on /tracez and /statusz. A coordinator may leave them nil: the
+	// cluster's own buffer and recorder are used. Site daemons set them
+	// explicitly (their spans come from the served backends, not a
+	// cluster).
 	Spans  *telemetry.SpanBuffer
 	Flight *telemetry.FlightRecorder
 	// SampleSeed/SampleRate report the span plane's sampler in /statusz
@@ -95,7 +96,7 @@ func mergedSpans(sb *telemetry.SpanBuffer) []telemetry.Span {
 }
 
 // DebugServer is the HTTP observability plane: /metrics (Prometheus
-// text), /statusz (JSON), /tracez (JSON event ring), and net/http/pprof
+// text), /statusz (JSON), /tracez (the span ring), and net/http/pprof
 // under /debug/pprof/. It runs on its own mux so pprof's default-mux
 // registration never leaks into the daemon.
 type DebugServer struct {
@@ -135,33 +136,18 @@ func ServeDebug(cfg DebugConfig) (*DebugServer, error) {
 	})
 	mux.HandleFunc("/tracez", func(w http.ResponseWriter, r *http.Request) {
 		sb, _, _, _ := cfg.spanPlane()
-		switch r.URL.Query().Get("fmt") {
-		case "json":
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Query().Get("fmt") == "json" {
 			// Chrome trace_event JSON: load straight into chrome://tracing
 			// or Perfetto.
-			w.Header().Set("Content-Type", "application/json")
 			_ = telemetry.WriteChromeTrace(w, cfg.processName(), mergedSpans(sb))
 			return
-		case "spans":
-			// Raw span records, the sccctl stitching feed: this process's
-			// ring plus its pinned exemplars.
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(SpanzDoc{Process: cfg.processName(), Spans: mergedSpans(sb)})
-			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		var events []telemetry.Event
-		if cfg.Cluster != nil {
-			events = cfg.Cluster.Tracer().Snapshot()
-		}
-		if events == nil {
-			events = []telemetry.Event{}
-		}
+		// Raw span records (any other fmt, "spans" included), the sccctl
+		// feed: this process's ring plus its pinned exemplars.
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(events)
+		_ = enc.Encode(SpanzDoc{Process: cfg.processName(), Spans: mergedSpans(sb)})
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -283,7 +269,6 @@ type Statusz struct {
 	Crashes     uint64 `json:"crashes,omitempty"`
 	Restarts    uint64 `json:"restarts,omitempty"`
 	MirrorEdges int    `json:"mirror_edges"`
-	TraceLen    int    `json:"trace_len,omitempty"`
 
 	Tracing *TracingStatusz `json:"tracing,omitempty"`
 	Flight  *FlightStatusz  `json:"flight,omitempty"`
@@ -291,8 +276,8 @@ type Statusz struct {
 	Wire *WireStatusz `json:"wire,omitempty"`
 }
 
-// SpanzDoc is the /tracez?fmt=spans JSON document: one process's span
-// records, ready for cross-process stitching by trace id.
+// SpanzDoc is the /tracez JSON document: one process's span records,
+// ready for cross-process stitching by trace id.
 type SpanzDoc struct {
 	Process string           `json:"process"`
 	Spans   []telemetry.Span `json:"spans"`
@@ -308,11 +293,10 @@ type TracingStatusz struct {
 	SampleRate float64 `json:"sample_rate"`
 }
 
-// FlightStatusz is the flight-recorder block inside /statusz.
+// FlightStatusz is the flight-recorder block inside /statusz; the
+// tracing block's span_len/span_cap describe the ring it dumps.
 type FlightStatusz struct {
 	Enabled  bool   `json:"enabled"`
-	Len      int    `json:"len"`
-	Cap      int    `json:"cap"`
 	Dumps    int    `json:"dumps"`
 	LastDump string `json:"last_dump,omitempty"`
 }
@@ -353,7 +337,6 @@ func buildStatusz(cfg DebugConfig) Statusz {
 		st.Crashes = tel.Crashes.Load()
 		st.Restarts = tel.Restarts.Load()
 		st.MirrorEdges = c.MirrorEdges()
-		st.TraceLen = c.Tracer().Len()
 	}
 	if len(cfg.Sites) > 0 {
 		st.SiteStats = make(map[string]core.Stats, len(cfg.Sites))
@@ -375,8 +358,6 @@ func buildStatusz(cfg DebugConfig) Statusz {
 		if fr != nil {
 			st.Flight = &FlightStatusz{
 				Enabled:  true,
-				Len:      fr.Len(),
-				Cap:      fr.Cap(),
 				Dumps:    fr.Dumps(),
 				LastDump: fr.LastDump(),
 			}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fault"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -60,7 +59,7 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 		Workload:   spec,
 		DialWait:   2 * time.Second,
 		Policy:     dist.DepthBound{Max: 8},
-		Trace:      1024,
+		Spans:      1024,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,12 +145,15 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 		t.Errorf("wire block missing or empty: %+v", st.Wire)
 	}
 
-	var events []telemetry.Event
-	if err := json.Unmarshal(httpGet(t, dbg.Addr(), "/tracez"), &events); err != nil {
+	var doc SpanzDoc
+	if err := json.Unmarshal(httpGet(t, dbg.Addr(), "/tracez"), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) == 0 {
-		t.Error("tracez empty with tracing enabled")
+	if doc.Process != "coord" || len(doc.Spans) == 0 {
+		t.Errorf("tracez = process %q with %d spans, want the coordinator's span ring", doc.Process, len(doc.Spans))
+	}
+	if st.Tracing == nil || st.Tracing.SpanLen == 0 {
+		t.Errorf("statusz tracing block = %+v, want the span ring's fill", st.Tracing)
 	}
 
 	siteMetrics := string(httpGet(t, sdbg.Addr(), "/metrics"))

@@ -37,8 +37,8 @@ type SiteServerConfig struct {
 	// their frame emit spans here, which is the daemon's half of the
 	// cluster-wide trace sccctl stitches.
 	Spans *telemetry.SpanBuffer
-	// Flight, when set, records hold/release/abort transitions into the
-	// daemon's flight recorder (the black box dumped on SIGQUIT/panic).
+	// Flight, when set, is the daemon's flight recorder, dumped if a
+	// site worker panics; the caller attaches Spans to it.
 	Flight *telemetry.FlightRecorder
 }
 
@@ -281,8 +281,7 @@ func (s *SiteServer) settled(ss *servedSite, kind uint8, id core.TxnID) bool {
 
 // handle executes one request against the site backend and builds the
 // response frame body. A sampled trace context records the daemon's
-// half of the conversation: spans into the span buffer, hold/release
-// transitions into the flight recorder.
+// half of the conversation into the span buffer.
 func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContext, body []byte) (uint8, []byte) {
 	r := &reader{b: body}
 	fail := func(err error) (uint8, []byte) { return kErr, appendErrResp(nil, err) }
@@ -354,7 +353,6 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 			return fail(err)
 		}
 		s.cfg.Spans.Record(tc, telemetry.SpanRelease, uint64(id), sid, 0, 0, dur())
-		s.cfg.Flight.Record(telemetry.EvRelease, uint64(id), sid, 0)
 		b := appendU8(nil, uint8(st))
 		b = appendEffects(b, &ss.eff)
 		return kOK, ss.report(b)
@@ -369,7 +367,6 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 			return fail(err)
 		}
 		s.cfg.Spans.Record(tc, telemetry.SpanHold, uint64(id), sid, 0, 0, dur())
-		s.cfg.Flight.Record(telemetry.EvHold, uint64(id), sid, int64(deg))
 		b := appendI64(nil, int64(deg))
 		b = appendEffects(b, &ss.eff)
 		return kOK, ss.report(b)
@@ -396,7 +393,6 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 		}
 		if kind == kRelease {
 			s.cfg.Spans.Record(tc, telemetry.SpanRelease, uint64(id), sid, 0, 0, dur())
-			s.cfg.Flight.Record(telemetry.EvRelease, uint64(id), sid, 0)
 		} else {
 			s.cfg.Spans.Record(tc, telemetry.SpanAbort, uint64(id), sid, 0, 0, dur())
 		}
@@ -416,7 +412,6 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 			ss.eff.Reset()
 		}
 		s.cfg.Spans.Record(tc, telemetry.SpanAbort, uint64(id), sid, 0, 0, dur())
-		s.cfg.Flight.Record(telemetry.EvShed, uint64(id), sid, int64(reason))
 		b := appendEffects(nil, &ss.eff)
 		return kOK, ss.report(b)
 

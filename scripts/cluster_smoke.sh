@@ -58,12 +58,10 @@ cat > "$CFG" <<EOF
   "sync":     false,
   "workload": "pushes:32",
   "debug":    "127.0.0.1:$P_DBG_CO",
-  "trace":    4096,
   "spans":    32768,
   "span_exemplars": 8,
   "sample_rate": 1,
   "sample_seed": 42,
-  "flight":   2048,
   "flight_dir": "$FLIGHT_DIR",
   "daemons": [
     {"listen": "127.0.0.1:$P_D0", "sites": [0, 1], "debug": "127.0.0.1:$P_DBG_D0"},
@@ -71,6 +69,15 @@ cat > "$CFG" <<EOF
   ]
 }
 EOF
+
+echo "== a retired cluster-file key stops sccd at start, named"
+# The span ring is the one event ring: "trace" and "flight" (the old
+# rings' sizes) are unknown keys now, and unknown keys are errors.
+sed 's/"spans":/"flight": 2048, "spans":/' "$CFG" > "$DIR/stale.json"
+if timeout 10 "$BIN/sccd" -config "$DIR/stale.json" -role coord > "$LOG/stale.log" 2>&1; then
+  fail "sccd started on a cluster file with a retired \"flight\" key"
+fi
+grep -q 'unknown field "flight"' "$LOG/stale.log" || { cat "$LOG/stale.log" >&2; fail "sccd did not name the stale key"; }
 
 # scrape HOST:PORT PATT...: curl a debug plane's /metrics and require
 # every pattern to appear. curl retries cover the restart window.
@@ -263,6 +270,7 @@ grep -q 'commits' "$LOG/stats.log" || fail "sccctl stats printed no commit line"
 "$BIN/sccctl" -config "$CFG" trace -last 5 > "$LOG/trace.log" 2>&1 || {
   cat "$LOG/trace.log" >&2; fail "sccctl trace"
 }
+[ "$(grep -c ' txn=' "$LOG/trace.log")" -eq 5 ] || { cat "$LOG/trace.log" >&2; fail "sccctl trace -last 5 did not print 5 span lines"; }
 
 echo "== /statusz reports the tracing and flight-recorder planes"
 echo "$STATUS" | grep -q '"tracing"' || fail "/statusz missing tracing block"
