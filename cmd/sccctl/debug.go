@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/debugz"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -35,7 +36,7 @@ func cmdStats(cf *wire.ClusterFile) {
 	if cf.Debug == "" {
 		fatal(fmt.Errorf("stats needs a coordinator debug address (\"debug\") in the cluster file"))
 	}
-	var st wire.Statusz
+	var st debugz.Statusz
 	if err := fetchJSON(cf.Debug, "/statusz", &st); err != nil {
 		fatal(err)
 	}
@@ -66,7 +67,7 @@ func cmdStats(cf *wire.ClusterFile) {
 			fmt.Printf("daemon %d (%s): no debug plane configured\n", i, d.Listen)
 			continue
 		}
-		var ds wire.Statusz
+		var ds debugz.Statusz
 		if err := fetchJSON(d.Debug, "/statusz", &ds); err != nil {
 			fmt.Printf("daemon %d (%s): %v\n", i, d.Debug, err)
 			continue
@@ -107,7 +108,7 @@ func cmdTrace(cf *wire.ClusterFile, args []string) {
 		cmdTraceSpans(cf, *txn, *slowest, *chrome)
 		return
 	}
-	var doc wire.SpanzDoc
+	var doc debugz.SpanzDoc
 	if err := fetchJSON(cf.Debug, "/tracez", &doc); err != nil {
 		fatal(err)
 	}
@@ -148,7 +149,7 @@ func gatherSpans(cf *wire.ClusterFile) ([]telemetry.SpanGroup, []procSpan) {
 			fmt.Fprintf(os.Stderr, "sccctl: %s: no debug plane configured, skipping\n", t.name)
 			continue
 		}
-		var doc wire.SpanzDoc
+		var doc debugz.SpanzDoc
 		if err := fetchJSON(t.addr, "/tracez", &doc); err != nil {
 			fmt.Fprintf(os.Stderr, "sccctl: %s (%s): %v, skipping\n", t.name, t.addr, err)
 			continue

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/debugz"
 	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/telemetry"
@@ -152,7 +153,7 @@ func runSite(cf *wire.ClusterFile, idx int, debugAddr string) {
 		fatal(err)
 	}
 	if addr := pickDebugAddr(debugAddr, d.Debug); addr != "" {
-		dbg, err := wire.ServeDebug(wire.DebugConfig{
+		dbg, err := debugz.Serve(debugz.Config{
 			Addr:       addr,
 			Role:       "site",
 			Process:    process,
@@ -208,7 +209,7 @@ func runCoord(cf *wire.ClusterFile, dialWait time.Duration, debugAddr string) {
 		fatal(err)
 	}
 	if addr := pickDebugAddr(debugAddr, cf.Debug); addr != "" {
-		dbg, err := wire.ServeDebug(wire.DebugConfig{
+		dbg, err := debugz.Serve(debugz.Config{
 			Addr:    addr,
 			Role:    "coord",
 			Process: "coord",

@@ -922,16 +922,6 @@ func (s *Scheduler) OutDegree(id TxnID) int {
 	return s.g.OutDegree(id)
 }
 
-// OutEdgesOf returns the transaction's current outgoing dependency
-// edges at this scheduler (wait-for and commit-dependency). The
-// distributed layer piggybacks these on its coordination calls to
-// maintain the global dependency graph (§6 of the paper).
-func (s *Scheduler) OutEdgesOf(id TxnID) []depgraph.Edge {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.g.OutEdgesAppend(id, nil)
-}
-
 // ObjectSnapshot is one object's committed state, as exported by
 // ExportCommitted — what a site's durable storage holds in the
 // crash-stop fault model.
@@ -971,8 +961,10 @@ func (s *Scheduler) RegisterSeeded(id ObjectID, typ adt.Type, class compat.Class
 	return s.store.registerSeeded(id, typ, class, st)
 }
 
-// OutEdgesAppend is OutEdgesOf with a caller-provided scratch buffer:
-// edges are appended to buf[:0]. The distributed layer reuses one
+// OutEdgesAppend appends the transaction's current outgoing dependency
+// edges at this scheduler (wait-for and commit-dependency) to buf[:0].
+// The distributed layer piggybacks these on its coordination calls to
+// maintain the global dependency graph (§6 of the paper), reusing one
 // buffer per site so the per-coordination-call export allocates
 // nothing.
 func (s *Scheduler) OutEdgesAppend(id TxnID, buf []depgraph.Edge) []depgraph.Edge {

@@ -1,4 +1,8 @@
-package wire
+// Package debugz is a daemon's opt-in HTTP observability plane:
+// /metrics (Prometheus text), /statusz (JSON), /tracez (the span ring)
+// and net/http/pprof, served next to — not through — the wire
+// transport's listeners.
+package debugz
 
 import (
 	"encoding/json"
@@ -10,13 +14,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
-// DebugConfig parameterises ServeDebug, the opt-in observability plane
-// a daemon exposes next to its wire listener. Exactly one of Cluster
+// Config parameterises Serve, the opt-in observability plane a daemon
+// exposes next to its wire listener. Exactly one of Cluster
 // (coordinator role) or Sites (site-daemon role) should be set; Wire
 // optionally adds the transport instrument block to a coordinator.
-type DebugConfig struct {
+type Config struct {
 	// Addr is the HTTP listen address ("127.0.0.1:0" picks a port).
 	Addr string
 	// Role labels the process in /statusz ("coord" or "site").
@@ -42,14 +47,16 @@ type DebugConfig struct {
 	Flight *telemetry.FlightRecorder
 	// SampleSeed/SampleRate report the span plane's sampler in /statusz
 	// for roles without a Cluster (the coordinator's are read from it).
+	// SampleRate is the configured rate: /statusz reports the rate the
+	// span plane runs at, telemetry.EffectiveSampleRate of it.
 	SampleSeed int64
 	SampleRate float64
 }
 
 // spanPlane resolves the effective span buffer, flight recorder and
 // sampler parameters for this debug plane.
-func (cfg DebugConfig) spanPlane() (sb *telemetry.SpanBuffer, fr *telemetry.FlightRecorder, seed int64, rate float64) {
-	sb, fr, seed, rate = cfg.Spans, cfg.Flight, cfg.SampleSeed, cfg.SampleRate
+func (cfg Config) spanPlane() (sb *telemetry.SpanBuffer, fr *telemetry.FlightRecorder, seed int64, rate float64) {
+	sb, fr, seed, rate = cfg.Spans, cfg.Flight, cfg.SampleSeed, telemetry.EffectiveSampleRate(cfg.SampleRate)
 	if c := cfg.Cluster; c != nil {
 		if sb == nil {
 			sb = c.Spans()
@@ -57,15 +64,13 @@ func (cfg DebugConfig) spanPlane() (sb *telemetry.SpanBuffer, fr *telemetry.Flig
 		if fr == nil {
 			fr = c.Flight()
 		}
-		if rate == 0 {
-			seed, rate = c.SampleConfig()
-		}
+		seed, rate = c.SampleConfig()
 	}
 	return sb, fr, seed, rate
 }
 
 // processName labels this process in trace exports.
-func (cfg DebugConfig) processName() string {
+func (cfg Config) processName() string {
 	if cfg.Process != "" {
 		return cfg.Process
 	}
@@ -95,17 +100,17 @@ func mergedSpans(sb *telemetry.SpanBuffer) []telemetry.Span {
 	return spans
 }
 
-// DebugServer is the HTTP observability plane: /metrics (Prometheus
+// Server is the HTTP observability plane: /metrics (Prometheus
 // text), /statusz (JSON), /tracez (the span ring), and net/http/pprof
 // under /debug/pprof/. It runs on its own mux so pprof's default-mux
 // registration never leaks into the daemon.
-type DebugServer struct {
+type Server struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
-// ServeDebug starts the debug plane on cfg.Addr.
-func ServeDebug(cfg DebugConfig) (*DebugServer, error) {
+// Serve starts the debug plane on cfg.Addr.
+func Serve(cfg Config) (*Server, error) {
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, err
@@ -154,16 +159,16 @@ func ServeDebug(cfg DebugConfig) (*DebugServer, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s := &DebugServer{ln: ln, srv: &http.Server{Handler: mux}}
+	s := &Server{ln: ln, srv: &http.Server{Handler: mux}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }
 
 // Addr returns the bound listen address.
-func (s *DebugServer) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the debug server.
-func (s *DebugServer) Close() { _ = s.srv.Close() }
+func (s *Server) Close() { _ = s.srv.Close() }
 
 // writeSchedMetrics renders one core.Stats block as counter samples.
 func writeSchedMetrics(pw *telemetry.PromWriter, st core.Stats, labels string) {
@@ -238,7 +243,7 @@ func writeWireMetrics(pw *telemetry.PromWriter, m *telemetry.WireMetrics) {
 	pw.Gauge("scc_wire_pipeline", "outstanding pipelined calls", m.Pipeline.Load(), "")
 	pw.Gauge("scc_wire_pipeline_high", "outstanding-call high-water mark", m.Pipeline.High(), "")
 	m.EachRTT(func(kind byte, s telemetry.HistSnapshot) {
-		pw.Histogram("scc_wire_rtt_nanos", "request round-trip latency", s, fmt.Sprintf(`verb=%q`, kindName(kind)))
+		pw.Histogram("scc_wire_rtt_nanos", "request round-trip latency", s, fmt.Sprintf(`verb=%q`, wire.KindName(kind)))
 	})
 }
 
@@ -312,7 +317,7 @@ type WireStatusz struct {
 	PipelineHigh int64  `json:"pipeline_high"`
 }
 
-func buildStatusz(cfg DebugConfig) Statusz {
+func buildStatusz(cfg Config) Statusz {
 	st := Statusz{Role: cfg.Role}
 	if c := cfg.Cluster; c != nil {
 		sum := c.Stats()
@@ -375,85 +380,4 @@ func buildStatusz(cfg DebugConfig) Statusz {
 		}
 	}
 	return st
-}
-
-// dumpOnPanic (deferred in request handlers) writes the flight
-// recorder's black box before letting a panic take the process down,
-// so even an invariant-violation crash leaves a post-mortem artifact.
-func dumpOnPanic(fr *telemetry.FlightRecorder) {
-	if r := recover(); r != nil {
-		if fr != nil {
-			_, _ = fr.DumpOnce("panic")
-		}
-		panic(r)
-	}
-}
-
-// KindName labels a frame kind (verb) for metrics and trace rendering
-// — the labels /metrics and sccbench's per-verb RTT tables share.
-func KindName(k byte) string { return kindName(k) }
-
-// kindName labels a frame kind for metrics and trace rendering.
-func kindName(k byte) string {
-	switch k {
-	case kOK:
-		return "ok"
-	case kErr:
-		return "err"
-	case kBegin:
-		return "begin"
-	case kRequest:
-		return "request"
-	case kCommit:
-		return "commit"
-	case kCommitHold:
-		return "commit-hold"
-	case kRelease:
-		return "release"
-	case kAbort:
-		return "abort"
-	case kRevoke:
-		return "revoke"
-	case kWithdraw:
-		return "withdraw"
-	case kForget:
-		return "forget"
-	case kRegister:
-		return "register"
-	case kFactory:
-		return "factory"
-	case kStats:
-		return "stats"
-	case kStateLen:
-		return "state-len"
-	case kTxnState:
-		return "txn-state"
-	case kAdopt:
-		return "adopt"
-	case kPing:
-		return "ping"
-	case kShutdown:
-		return "shutdown"
-	case kCliBegin:
-		return "cli-begin"
-	case kCliDo:
-		return "cli-do"
-	case kCliCommit:
-		return "cli-commit"
-	case kCliAbort:
-		return "cli-abort"
-	case kCliWait:
-		return "cli-wait"
-	case kCliResolve:
-		return "cli-resolve"
-	case kCliAck:
-		return "cli-ack"
-	case kCliStatus:
-		return "cli-status"
-	case kCliStateLen:
-		return "cli-state-len"
-	case kCliRegister:
-		return "cli-register"
-	}
-	return fmt.Sprintf("0x%02x", k)
 }

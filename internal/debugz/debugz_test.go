@@ -1,4 +1,4 @@
-package wire
+package debugz
 
 import (
 	"encoding/json"
@@ -11,6 +11,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fault"
+	"repro/internal/telemetry"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -48,14 +50,14 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 		}
 		sites[sid] = cr
 	}
-	srv, err := ServeSites(SiteServerConfig{Addr: "127.0.0.1:0", Sites: sites, Workload: spec})
+	srv, err := wire.ServeSites(wire.SiteServerConfig{Addr: "127.0.0.1:0", Sites: sites, Workload: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	co, err := StartCoordinator(CoordinatorConfig{
+	co, err := wire.StartCoordinator(wire.CoordinatorConfig{
 		ClientAddr: "127.0.0.1:0",
-		Daemons:    []DaemonSpec{{Listen: srv.Addr(), Sites: []uint16{0, 1}}},
+		Daemons:    []wire.DaemonSpec{{Listen: srv.Addr(), Sites: []uint16{0, 1}}},
 		Workload:   spec,
 		DialWait:   2 * time.Second,
 		Policy:     dist.DepthBound{Max: 8},
@@ -65,18 +67,21 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	dbg, err := ServeDebug(DebugConfig{Addr: "127.0.0.1:0", Role: "coord", Cluster: co.Cluster, Wire: co.WireMetrics()})
+	dbg, err := Serve(Config{Addr: "127.0.0.1:0", Role: "coord", Cluster: co.Cluster, Wire: co.WireMetrics()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dbg.Close()
-	sdbg, err := ServeDebug(DebugConfig{Addr: "127.0.0.1:0", Role: "site", Sites: sites})
+	// The site plane runs the cluster file's default sample rate (0):
+	// its /statusz must report the rate its sampler uses, as the
+	// coordinator's does.
+	sdbg, err := Serve(Config{Addr: "127.0.0.1:0", Role: "site", Sites: sites, Spans: telemetry.NewSpanBuffer(64, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sdbg.Close()
 
-	cl, err := Dial(co.Addr(), 2*time.Second)
+	cl, err := wire.Dial(co.Addr(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,5 +172,8 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 	}
 	if sst.Role != "site" || len(sst.SiteStats) != 2 {
 		t.Errorf("site statusz role=%q sites=%d", sst.Role, len(sst.SiteStats))
+	}
+	if sst.Tracing == nil || sst.Tracing.SampleRate != 1 {
+		t.Errorf("site statusz tracing = %+v, want sample_rate 1 like the coordinator's", sst.Tracing)
 	}
 }

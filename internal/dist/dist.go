@@ -61,8 +61,6 @@ type SiteBackend interface {
 	ObjectState(id core.ObjectID) (adt.State, error)
 	CommittedState(id core.ObjectID) (adt.State, error)
 	TxnState(id core.TxnID) string
-	OutDegree(id core.TxnID) int
-	OutEdgesOf(id core.TxnID) []depgraph.Edge
 }
 
 var (
@@ -270,7 +268,8 @@ type Config struct {
 	// re-derived after a coordinator restart.
 	SampleSeed int64
 	// SampleRate is the fraction of transactions sampled, in [0,1].
-	// Zero defaults to 1 (sample everything) when Spans > 0.
+	// Zero defaults to 1 (sample everything) when Spans > 0; see
+	// telemetry.EffectiveSampleRate.
 	SampleRate float64
 	// Flight, when non-nil, is the process's flight recorder: the
 	// cluster attaches its span buffer, so a dump (SIGQUIT, panic,
@@ -304,10 +303,7 @@ func NewWithConfig(cfg Config) (*Cluster, error) {
 		flight: cfg.Flight,
 	}
 	if cfg.Spans > 0 {
-		rate := cfg.SampleRate
-		if rate <= 0 {
-			rate = 1
-		}
+		rate := telemetry.EffectiveSampleRate(cfg.SampleRate)
 		c.spans = telemetry.NewSpanBuffer(cfg.Spans, cfg.SpanExemplars)
 		c.sampler = telemetry.NewSampler(cfg.SampleSeed, rate)
 		c.sampleSeed, c.sampleRate = cfg.SampleSeed, rate

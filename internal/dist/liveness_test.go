@@ -62,10 +62,8 @@ func TestClusterHighContentionLiveness(t *testing.T) {
 			if st == "unknown" {
 				continue
 			}
-			local += fmt.Sprintf(" s%d:%s:deg%d", si, st, c.sites[si].p.OutDegree(id))
-			for _, e := range c.sites[si].p.OutEdgesOf(id) {
-				local += fmt.Sprintf("[%v]", e)
-			}
+			edges := c.sites[si].p.OutEdgesAppend(id, nil)
+			local += fmt.Sprintf(" s%d:%s:edges%v", si, st, edges)
 		}
 		c.mu.Lock()
 		var medges []depgraph.Edge

@@ -573,28 +573,6 @@ func (c *Crashable) TxnState(id core.TxnID) string {
 	return c.sched.TxnState(id)
 }
 
-// OutDegree returns the transaction's local dependency out-degree
-// (zero while down).
-func (c *Crashable) OutDegree(id core.TxnID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.down {
-		return 0
-	}
-	return c.sched.OutDegree(id)
-}
-
-// OutEdgesOf returns the transaction's local out-edges (nil while
-// down).
-func (c *Crashable) OutEdgesOf(id core.TxnID) []depgraph.Edge {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.down {
-		return nil
-	}
-	return c.sched.OutEdgesOf(id)
-}
-
 // PreparedIDs returns the ids of the site's current prepared
 // (in-doubt) records, in ascending order — durable state, readable
 // even while down (tests and tools).

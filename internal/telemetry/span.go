@@ -151,6 +151,17 @@ func NewSampler(seed int64, rate float64) *Sampler {
 	return &Sampler{seed: uint64(seed), threshold: uint64(rate * (1 << 32))}
 }
 
+// EffectiveSampleRate is the sampling rate a span plane runs at when
+// configured with rate: 0 (unset) means sample everything, as does
+// anything outside (0,1]. Every process applies this one rule, so
+// they all report the rate their sampler actually uses.
+func EffectiveSampleRate(rate float64) float64 {
+	if rate <= 0 || rate > 1 {
+		return 1
+	}
+	return rate
+}
+
 // Context mints the transaction's trace context. Deterministic and
 // allocation-free; nil-safe (a nil sampler returns the zero context).
 func (s *Sampler) Context(txn uint64) TraceContext {

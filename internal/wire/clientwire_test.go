@@ -93,7 +93,7 @@ func (nc *netCluster) crashCoord() {
 	for _, p := range co.peers {
 		p.Close()
 	}
-	co.Server.Close()
+	co.server.Close()
 	co.Cluster.Close()
 	if co.closeLog != nil {
 		_ = co.closeLog()
@@ -524,12 +524,12 @@ func TestNetClientRemoteErrorsKeepTheirType(t *testing.T) {
 	}
 	// Every outcome is in the client's hands, so every session is
 	// acknowledged (one-way frames: poll).
-	srv := nc.co.Server
+	srv := nc.co.server
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		srv.mu.Lock()
+		srv.tmu.Lock()
 		n := len(srv.txns)
-		srv.mu.Unlock()
+		srv.tmu.Unlock()
 		if n == 0 {
 			break
 		}

@@ -95,11 +95,20 @@ func (f *ClusterFile) NumSites() int {
 }
 
 // Validate checks the file is a runnable deployment: a client address,
-// a parseable workload (when present), and a site placement covering
-// exactly 0..N-1.
+// a parseable workload (when present), a site placement covering
+// exactly 0..N-1, and span-plane sizes and rate in range.
 func (f *ClusterFile) Validate() error {
 	if f.Client == "" {
 		return fmt.Errorf("missing client address")
+	}
+	if !(f.SampleRate >= 0 && f.SampleRate <= 1) {
+		return fmt.Errorf("sample_rate %g: want a fraction in [0,1]", f.SampleRate)
+	}
+	if f.Spans < 0 {
+		return fmt.Errorf("spans %d: want a ring size, or 0 for off", f.Spans)
+	}
+	if f.SpanExemplars < 0 {
+		return fmt.Errorf("span_exemplars %d: want a store size, or 0 for the default", f.SpanExemplars)
 	}
 	if len(f.Daemons) == 0 {
 		return fmt.Errorf("no daemons")

@@ -55,3 +55,25 @@ func TestLoadClusterFileUnknownKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadClusterFileRanges: a span-plane value out of range fails the
+// load with an error naming its key, instead of being reinterpreted
+// (a negative rate as "sample everything", a rate above 1 clamped).
+func TestLoadClusterFileRanges(t *testing.T) {
+	for _, ok := range []string{`"sample_rate": 0,`, `"sample_rate": 0.25,`, `"sample_rate": 1,`, `"spans": 0, "span_exemplars": 0,`} {
+		if _, err := loadCluster(t, ok); err != nil {
+			t.Errorf("%s: %v", ok, err)
+		}
+	}
+	for _, bad := range []struct{ extra, key string }{
+		{`"sample_rate": -0.5,`, "sample_rate"},
+		{`"sample_rate": 1.5,`, "sample_rate"},
+		{`"spans": -1,`, "spans"},
+		{`"span_exemplars": -8,`, "span_exemplars"},
+	} {
+		_, err := loadCluster(t, bad.extra)
+		if err == nil || !strings.Contains(err.Error(), bad.key+" ") {
+			t.Errorf("%s: err = %v, want an error naming %s", bad.extra, err, bad.key)
+		}
+	}
+}

@@ -20,7 +20,6 @@ import (
 // touching the daemons.
 type Coordinator struct {
 	Cluster *dist.Cluster
-	Server  *CoordServer
 	Log     fault.Log
 
 	// Adopted lists the commit decisions found in the log at startup —
@@ -33,6 +32,7 @@ type Coordinator struct {
 	// reconnect binding).
 	Reports map[dist.SiteID]fault.RecoveryReport
 
+	server   *coordServer
 	peers    []*Peer
 	wireMet  *telemetry.WireMetrics
 	closeLog func() error
@@ -227,21 +227,16 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		co.Reports[dist.SiteID(sid)] = rep
 	}
 
-	srv, err := ServeCoord(CoordConfig{
-		Addr:    cfg.ClientAddr,
-		Cluster: c,
-		Factory: objFactory,
-		Flight:  cfg.Flight,
-	})
-	if err != nil {
+	cs := &coordServer{cluster: c, factory: objFactory, flight: cfg.Flight, txns: make(map[core.TxnID]*servedTxn)}
+	if err := cs.start(cfg.ClientAddr, cs.dispatch, cs.connCleanup); err != nil {
 		return fail(err)
 	}
-	co.Server = srv
+	co.server = cs
 	return co, nil
 }
 
 // Addr returns the client-plane listen address.
-func (co *Coordinator) Addr() string { return co.Server.Addr() }
+func (co *Coordinator) Addr() string { return co.server.Addr() }
 
 // WireMetrics returns the transport instrument block shared by every
 // daemon connection.
@@ -251,7 +246,7 @@ func (co *Coordinator) WireMetrics() *telemetry.WireMetrics { return co.wireMet 
 // decision log. The daemons themselves keep running (and keep their
 // state; a new coordinator adopts it).
 func (co *Coordinator) Close() error {
-	co.Server.Close()
+	co.server.Close()
 	for _, p := range co.peers {
 		p.Close()
 	}

@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"sync"
 
 	"repro/internal/adt"
@@ -14,226 +12,110 @@ import (
 	"repro/internal/telemetry"
 )
 
-// CoordConfig parameterises the coordinator's client-plane server.
-type CoordConfig struct {
-	// Addr is the TCP listen address for clients.
-	Addr string
-	// Cluster is the coordinator this server fronts.
-	Cluster *dist.Cluster
-	// Factory resolves object types for kCliRegister (nil rejects
-	// remote registration). Comes from the cluster config's workload
-	// spec, like the site daemons' factories.
-	Factory func(core.ObjectID) (adt.Type, compat.Classifier)
-	// Flight, when non-nil, is dumped before a panic in a request
-	// handler takes the process down, so the crash leaves a black box.
-	Flight *telemetry.FlightRecorder
-}
-
 // servedTxn is one client transaction's session state at the
 // coordinator. It outlives its connection when a commit conversation
 // is in flight: a client whose connection died mid-commit reconnects
 // and resolves the outcome against this record (or, after a
 // coordinator restart, against the decision log).
 type servedTxn struct {
-	t core.Txn
+	t    core.Txn
+	conn *srvConn // the connection that began it; its hangup rolls it back
 
 	mu         sync.Mutex
 	committing bool
-	finished   bool
 	status     core.CommitStatus
 	err        error
 	done       chan struct{} // closed when the commit attempt returns
 }
 
-// cliConn is one accepted client connection and the transactions it
-// owns.
-type cliConn struct {
-	conn net.Conn
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-
-	mu    sync.Mutex
-	owned map[core.TxnID]*servedTxn
-}
-
-func (c *cliConn) send(corr uint64, kind uint8, payload []byte) {
-	if corr == 0 {
-		return
-	}
-	c.wmu.Lock()
-	if err := writeFrame(c.bw, corr, kind, telemetry.TraceContext{}, payload); err == nil {
-		_ = c.bw.Flush()
-	}
-	c.wmu.Unlock()
-}
-
-// CoordServer serves the client plane: core.Store calls from remote
+// coordServer serves the client plane: core.Store calls from remote
 // clients against the wrapped cluster, with exactly-once commit
 // resolution across connection loss and coordinator restart.
-type CoordServer struct {
-	cfg CoordConfig
-	ln  net.Listener
+type coordServer struct {
+	server
+	cluster *dist.Cluster
+	// factory resolves object types for kCliRegister (nil rejects
+	// remote registration); it comes from the cluster config's workload
+	// spec, like the site daemons' factories.
+	factory func(core.ObjectID) (adt.Type, compat.Classifier)
+	// flight, when non-nil, is dumped before a panic in a request
+	// handler takes the process down.
+	flight *telemetry.FlightRecorder
 
-	mu     sync.Mutex
-	conns  map[net.Conn]*cliConn
-	txns   map[core.TxnID]*servedTxn
-	closed bool
+	tmu  sync.Mutex // guards txns
+	txns map[core.TxnID]*servedTxn
 }
 
-// ServeCoord starts the client-plane server on cfg.Addr.
-func ServeCoord(cfg CoordConfig) (*CoordServer, error) {
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &CoordServer{
-		cfg:   cfg,
-		ln:    ln,
-		conns: make(map[net.Conn]*cliConn),
-		txns:  make(map[core.TxnID]*servedTxn),
-	}
-	go s.acceptLoop()
-	return s, nil
+// dispatch runs each client request in its own goroutine: a Do parks
+// until granted and a Wait until the real commit lands, and pipelining
+// by correlation id must keep the connection flowing underneath them.
+func (s *coordServer) dispatch(rq request) {
+	rq.body = append([]byte(nil), rq.body...)
+	go s.serve(rq)
 }
 
-// Addr returns the bound listen address.
-func (s *CoordServer) Addr() string { return s.ln.Addr().String() }
-
-// Close stops accepting and closes every client connection. Sessions
-// mid-commit finish server-side; the cluster itself is not closed.
-func (s *CoordServer) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	s.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (s *CoordServer) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			_ = tc.SetNoDelay(true)
-		}
-		cc := &cliConn{
-			conn:  conn,
-			bw:    bufio.NewWriterSize(conn, 64<<10),
-			owned: make(map[core.TxnID]*servedTxn),
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = cc
-		s.mu.Unlock()
-		go s.readLoop(cc)
-	}
-}
-
-// readLoop parses frames and runs each request in its own goroutine —
-// client operations block (a Do parks until granted, a Wait until the
-// real commit lands), and pipelining by correlation id keeps the
-// connection usable underneath them.
-func (s *CoordServer) readLoop(cc *cliConn) {
-	defer s.connCleanup(cc)
-	br := bufio.NewReaderSize(cc.conn, 64<<10)
-	var buf []byte
-	for {
-		corr, kind, payload, nbuf, err := readFrame(br, buf)
-		if err != nil {
-			return
-		}
-		buf = nbuf
-		kind, tc, payload, err := splitTrace(kind, payload)
-		if err != nil {
-			cc.send(corr, kErr, appendErrResp(nil, err))
-			continue
-		}
-		body := append([]byte(nil), payload...)
-		go s.handle(cc, corr, kind, tc, body)
-	}
+func (s *coordServer) serve(rq request) {
+	defer dumpOnPanic(s.flight)
+	kind, payload := s.handle(rq)
+	rq.c.send(rq.corr, kind, payload)
 }
 
 // connCleanup runs when a client connection dies: transactions the
-// connection owned are rolled back — unless a commit conversation is
+// connection began are rolled back — unless a commit conversation is
 // in flight or finished, in which case the session detaches and waits
 // for the client to reconnect and resolve (the decision, once logged,
 // is gated on that resolution; see Cluster.GateDecision).
-func (s *CoordServer) connCleanup(cc *cliConn) {
-	s.mu.Lock()
-	delete(s.conns, cc.conn)
-	s.mu.Unlock()
-	cc.conn.Close()
-	cc.mu.Lock()
-	owned := cc.owned
-	cc.owned = make(map[core.TxnID]*servedTxn)
-	cc.mu.Unlock()
-	for id, sv := range owned {
+func (s *coordServer) connCleanup(c *srvConn) {
+	var orphans []core.Txn
+	s.tmu.Lock()
+	for id, sv := range s.txns {
+		if sv.conn != c {
+			continue
+		}
 		sv.mu.Lock()
 		committing := sv.committing
 		sv.mu.Unlock()
 		if committing {
 			continue // detached: resolve owns it now
 		}
-		s.mu.Lock()
 		delete(s.txns, id)
-		s.mu.Unlock()
-		go sv.t.Abort()
+		orphans = append(orphans, sv.t)
+	}
+	s.tmu.Unlock()
+	for _, t := range orphans {
+		go t.Abort()
 	}
 }
 
-func (s *CoordServer) lookup(id core.TxnID) *servedTxn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *coordServer) lookup(id core.TxnID) *servedTxn {
+	s.tmu.Lock()
+	defer s.tmu.Unlock()
 	return s.txns[id]
 }
 
-func (s *CoordServer) drop(id core.TxnID) {
-	s.mu.Lock()
+func (s *coordServer) drop(id core.TxnID) {
+	s.tmu.Lock()
 	delete(s.txns, id)
-	s.mu.Unlock()
+	s.tmu.Unlock()
 }
 
-// handle executes one client request and answers it. A trace context
-// on kCliBegin is a client-minted root: it is attached to the new
-// transaction and overrides the coordinator's own sampling decision,
-// so the client's trace id spans the whole cluster.
-func (s *CoordServer) handle(cc *cliConn, corr uint64, kind uint8, tc telemetry.TraceContext, body []byte) {
-	defer dumpOnPanic(s.cfg.Flight)
-	r := &reader{b: body}
-	fail := func(err error) { cc.send(corr, kErr, appendErrResp(nil, err)) }
-	ok := func(payload []byte) { cc.send(corr, kOK, payload) }
-	c := s.cfg.Cluster
-	switch kind {
+// handle executes one client request and builds its answer. A trace
+// context on kCliBegin is a client-minted root: it is attached to the
+// new transaction and overrides the coordinator's own sampling
+// decision, so the client's trace id spans the whole cluster.
+func (s *coordServer) handle(rq request) (uint8, []byte) {
+	r := &reader{b: rq.body}
+	c := s.cluster
+	switch rq.kind {
 	case kCliBegin:
 		t := c.Begin()
 		if t.ID() == 0 {
-			fail(core.ErrClosed)
-			return
+			return errReply(core.ErrClosed)
 		}
-		attachTrace(t, tc)
-		sv := &servedTxn{t: t}
-		s.mu.Lock()
-		s.txns[t.ID()] = sv
-		s.mu.Unlock()
-		cc.mu.Lock()
-		cc.owned[t.ID()] = sv
-		cc.mu.Unlock()
+		attachTrace(t, rq.tc)
+		s.tmu.Lock()
+		s.txns[t.ID()] = &servedTxn{t: t, conn: rq.c}
+		s.tmu.Unlock()
 		// The response carries the transaction's trace context (the
 		// coordinator-minted one unless the client just overrode it), so
 		// the client can adopt the cluster's trace id.
@@ -246,41 +128,36 @@ func (s *CoordServer) handle(cc *cliConn, corr uint64, kind uint8, tc telemetry.
 			b = appendU64(b, ttc.Span)
 			b = appendU8(b, ttc.Flags)
 		}
-		ok(b)
+		return kOK, b
 
 	case kCliDo:
 		id := core.TxnID(r.u64())
 		obj := core.ObjectID(r.u64())
 		op := r.op()
 		if r.err != nil {
-			fail(r.err)
-			return
+			return errReply(r.err)
 		}
 		sv := s.lookup(id)
 		if sv == nil {
-			fail(fmt.Errorf("T%d: %w", id, core.ErrUnknownTxn))
-			return
+			return errReply(fmt.Errorf("T%d: %w", id, core.ErrUnknownTxn))
 		}
-		attachTrace(sv.t, tc)
+		attachTrace(sv.t, rq.tc)
 		ret, err := sv.t.Do(obj, op)
 		if err != nil {
-			fail(err)
-			return
+			return errReply(err)
 		}
-		ok(appendRet(nil, ret))
+		return kOK, appendRet(nil, ret)
 
 	case kCliCommit:
 		id := core.TxnID(r.u64())
 		if r.err != nil {
-			fail(r.err)
-			return
+			return errReply(r.err)
 		}
 		sv := s.lookup(id)
 		if sv == nil {
-			fail(fmt.Errorf("T%d: %w", id, core.ErrUnknownTxn))
-			return
+			return errReply(fmt.Errorf("T%d: %w", id, core.ErrUnknownTxn))
 		}
-		attachTrace(sv.t, tc)
+		attachTrace(sv.t, rq.tc)
 		sv.mu.Lock()
 		if sv.committing {
 			// A duplicate commit (client retried on a blip that did not
@@ -298,7 +175,7 @@ func (s *CoordServer) handle(cc *cliConn, corr uint64, kind uint8, tc telemetry.
 			c.GateDecision(id)
 			st, err := sv.t.Commit()
 			sv.mu.Lock()
-			sv.status, sv.err, sv.finished = st, err, true
+			sv.status, sv.err = st, err
 			close(sv.done)
 			sv.mu.Unlock()
 		}
@@ -306,62 +183,49 @@ func (s *CoordServer) handle(cc *cliConn, corr uint64, kind uint8, tc telemetry.
 		st, err := sv.status, sv.err
 		sv.mu.Unlock()
 		if err != nil {
-			fail(err)
-			return
+			return errReply(err)
 		}
-		ok(appendU8(nil, uint8(st)))
+		return kOK, appendU8(nil, uint8(st))
 
 	case kCliAbort:
 		id := core.TxnID(r.u64())
 		if r.err != nil {
-			fail(r.err)
-			return
+			return errReply(r.err)
 		}
 		if sv := s.lookup(id); sv != nil {
 			s.drop(id)
-			cc.mu.Lock()
-			delete(cc.owned, id)
-			cc.mu.Unlock()
 			if err := sv.t.Abort(); err != nil {
-				fail(err)
-				return
+				return errReply(err)
 			}
 		}
-		ok(nil) // aborting an unknown (already cleaned) txn is a no-op
+		return kOK, nil // aborting an unknown (already cleaned) txn is a no-op
 
 	case kCliWait:
 		id := core.TxnID(r.u64())
 		if r.err != nil {
-			fail(r.err)
-			return
+			return errReply(r.err)
 		}
 		sv := s.lookup(id)
 		if sv == nil {
 			// Coordinator restarted under the client: answer from the
 			// decision log (logged = the commit will land; absent =
 			// presumed abort).
-			if committed := s.loggedCommit(id); committed {
-				ok(appendU8(nil, 1))
-			} else {
-				b := appendU8(nil, 0)
-				ok(appendErrResp(b, fmt.Errorf("T%d: %w", id,
-					&core.ErrAborted{Txn: id, Reason: core.ReasonSiteFailed})))
+			if s.loggedCommit(id) {
+				return kOK, appendU8(nil, 1)
 			}
-			return
+			return kOK, appendErrResp(appendU8(nil, 0), fmt.Errorf("T%d: %w", id,
+				&core.ErrAborted{Txn: id, Reason: core.ReasonSiteFailed}))
 		}
 		<-sv.t.Done()
 		if err := sv.t.Err(); err != nil {
-			b := appendU8(nil, 0)
-			ok(appendErrResp(b, err))
-			return
+			return kOK, appendErrResp(appendU8(nil, 0), err)
 		}
-		ok(appendU8(nil, 1))
+		return kOK, appendU8(nil, 1)
 
 	case kCliResolve:
 		id := core.TxnID(r.u64())
 		if r.err != nil {
-			fail(r.err)
-			return
+			return errReply(r.err)
 		}
 		committed := false
 		if sv := s.lookup(id); sv != nil {
@@ -379,24 +243,18 @@ func (s *CoordServer) handle(cc *cliConn, corr uint64, kind uint8, tc telemetry.
 		} else {
 			committed = s.loggedCommit(id)
 		}
-		var b []byte
 		if committed {
-			b = appendU8(nil, 1)
-		} else {
-			b = appendU8(nil, 0)
+			return kOK, appendU8(nil, 1)
 		}
-		ok(b)
+		return kOK, appendU8(nil, 0)
 
 	case kCliAck:
 		id := core.TxnID(r.u64())
-		if r.err != nil {
-			return // one-way
+		if r.err == nil { // one-way (corr 0): a bad ack is dropped unanswered
+			c.AckDecision(id)
+			s.drop(id)
 		}
-		c.AckDecision(id)
-		s.drop(id)
-		cc.mu.Lock()
-		delete(cc.owned, id)
-		cc.mu.Unlock()
+		return kOK, nil
 
 	case kCliStatus:
 		b := appendU32(nil, uint32(c.NumSites()))
@@ -412,54 +270,54 @@ func (s *CoordServer) handle(cc *cliConn, corr uint64, kind uint8, tc telemetry.
 		if l := c.DecisionLog(); l != nil {
 			logLen = uint64(l.Len())
 		}
-		ok(appendU64(b, logLen))
+		return kOK, appendU64(b, logLen)
 
 	case kCliStateLen:
-		obj := core.ObjectID(r.u64())
-		committed := r.u8() == 1
-		if r.err != nil {
-			fail(r.err)
-			return
-		}
-		site := c.Site(c.SiteOf(obj))
-		var st adt.State
-		var err error
-		if committed {
-			st, err = site.CommittedState(obj)
-		} else {
-			st, err = site.ObjectState(obj)
-		}
-		if err != nil {
-			fail(err)
-			return
-		}
-		n := -1
-		if l, okLen := st.(interface{ Len() int }); okLen {
-			n = l.Len()
-		}
-		b := appendStr(nil, st.String())
-		ok(appendI64(b, int64(n)))
+		return stateSummary(r, func(obj core.ObjectID) dist.SiteBackend { return c.Site(c.SiteOf(obj)) })
 
 	case kCliRegister:
 		obj := core.ObjectID(r.u64())
 		if r.err != nil {
-			fail(r.err)
-			return
+			return errReply(r.err)
 		}
-		if s.cfg.Factory == nil {
-			fail(fmt.Errorf("coordinator has no workload factory for registration"))
-			return
+		if s.factory == nil {
+			return errReply(fmt.Errorf("coordinator has no workload factory for registration"))
 		}
-		typ, class := s.cfg.Factory(obj)
+		typ, class := s.factory(obj)
 		if err := c.Register(obj, typ, class); err != nil {
-			fail(err)
-			return
+			return errReply(err)
 		}
-		ok(nil)
-
-	default:
-		fail(fmt.Errorf("unknown client request kind %#x", kind))
+		return kOK, nil
 	}
+	return errReply(fmt.Errorf("unknown client request kind %#x", rq.kind))
+}
+
+// stateSummary answers a state-len request on either plane: it reads
+// the object id and the committed flag, and reports the object's state
+// at the backend site(obj) picks as its description and length (-1
+// when the type has none) — the summary RemoteState decodes.
+func stateSummary(r *reader, site func(core.ObjectID) dist.SiteBackend) (uint8, []byte) {
+	obj := core.ObjectID(r.u64())
+	committed := r.u8() == 1
+	if r.err != nil {
+		return errReply(r.err)
+	}
+	b := site(obj)
+	var st adt.State
+	var err error
+	if committed {
+		st, err = b.CommittedState(obj)
+	} else {
+		st, err = b.ObjectState(obj)
+	}
+	if err != nil {
+		return errReply(err)
+	}
+	n := -1
+	if l, ok := st.(interface{ Len() int }); ok {
+		n = l.Len()
+	}
+	return kOK, appendI64(appendStr(nil, st.String()), int64(n))
 }
 
 // attachTrace hands a client-carried trace context to the transaction.
@@ -479,8 +337,8 @@ func attachTrace(t core.Txn, tc telemetry.TraceContext) {
 // loggedCommit consults the decision log for a transaction with no
 // live session: under presumed abort, a logged commit is the only way
 // the transaction committed.
-func (s *CoordServer) loggedCommit(id core.TxnID) bool {
-	l := s.cfg.Cluster.DecisionLog()
+func (s *coordServer) loggedCommit(id core.TxnID) bool {
+	l := s.cluster.DecisionLog()
 	if l == nil {
 		return false
 	}

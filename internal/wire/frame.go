@@ -34,9 +34,11 @@ const traceBlockKnown = 8 + 8 + 1
 // travels between the header and the payload, so the receiving process
 // stitches its spans into the sender's trace; an invalid (zero) one
 // writes a plain frame — the wire carries no tracing overhead when
-// tracing is off. The caller is responsible for flushing (the peer and
-// the servers flush once per batch of queued frames, which is what
-// amortises the syscall under pipelining).
+// tracing is off. The caller flushes: the server's send and the Peer's
+// roundTrip and oneway each flush after every frame, under the
+// connection's write lock, so every frame costs one write syscall and
+// nothing is batched (DESIGN.md, "Wire protocol", says where batching
+// would go).
 func writeFrame(w *bufio.Writer, corr uint64, kind uint8, tc telemetry.TraceContext, payload []byte) error {
 	var buf [13 + 1 + traceBlockKnown]byte
 	hdr := buf[:13]

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -144,4 +146,67 @@ func TestClientAdoptsCoordinatorTrace(t *testing.T) {
 	if r.err != nil {
 		t.Errorf("old response errored: %v", r.err)
 	}
+}
+
+// FuzzFrame feeds untrusted bytes through what a server's read loop
+// and a peer's decoders do with them — readFrame, splitTrace, then
+// every reader decoder over the payload — and requires no panic and no
+// allocation beyond one MaxFrame buffer plus a constant factor of the
+// bytes the input actually carries (a length or count field alone must
+// not buy memory). It also round-trips writeFrame for arbitrary
+// (corr, kind, trace context, payload), pinning the frame's byte size.
+func FuzzFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, corr uint64, kind uint8, trace, span uint64, flags uint8, payload []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		br := bufio.NewReader(bytes.NewReader(data))
+		var buf []byte
+		for {
+			_, k, body, nbuf, err := readFrame(br, buf)
+			if err != nil {
+				break
+			}
+			buf = nbuf
+			if _, _, body, err = splitTrace(k, body); err != nil {
+				continue
+			}
+			(&reader{b: body}).op()
+			var eff core.Effects
+			(&reader{b: body}).effects(&eff)
+			(&reader{b: body}).edgeSets()
+			_ = (&reader{b: body}).errResp()
+			(&reader{b: body}).stats()
+		}
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(MaxFrame+64*len(data)+64<<10); grew > limit {
+			t.Fatalf("decoding %d input bytes allocated %d bytes (limit %d)", len(data), grew, limit)
+		}
+
+		kind &^= kindTrace
+		tc := telemetry.TraceContext{Trace: trace, Span: span, Flags: flags}
+		var wb bytes.Buffer
+		bw := bufio.NewWriter(&wb)
+		if err := writeFrame(bw, corr, kind, tc, payload); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+		size := frameOverhead + len(payload)
+		if tc.Valid() {
+			size += 1 + traceBlockKnown
+		} else {
+			tc = telemetry.TraceContext{}
+		}
+		if wb.Len() != size {
+			t.Fatalf("frame is %d bytes, want %d", wb.Len(), size)
+		}
+		gotCorr, gotKind, body, _, err := readFrame(bufio.NewReader(&wb), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, gotTC, rest, err := splitTrace(gotKind, body)
+		if err != nil || gotCorr != corr || base != kind || gotTC != tc || !bytes.Equal(rest, payload) {
+			t.Fatalf("round trip = (%d, %#x, %+v, %x, %v), want (%d, %#x, %+v, %x)",
+				gotCorr, base, gotTC, rest, err, corr, kind, tc, payload)
+		}
+	})
 }

@@ -16,11 +16,11 @@ import (
 
 // RemoteSite is a dist.SiteBackend whose scheduler lives in another
 // process behind a Peer connection. The coordinator drives it exactly
-// like an in-process site; every participant call is one RPC, and the
-// read-side methods (OutEdgesAppend, OutDegree, OutEdgesOf) are served
-// from a local edge cache refreshed by the batched edge report each
-// mutating response carries — so the commit conversation's hold phase
-// costs one round trip per site and the observe path costs none.
+// like an in-process site; every participant call is one RPC, and
+// OutEdgesAppend is served from a local edge cache refreshed by the
+// batched edge report each mutating response carries — so the commit
+// conversation's hold phase costs one round trip per site and the
+// observe path costs none.
 //
 // The cache needs no versioning: dist serializes every participant
 // call to a site under that site's mutex, so a response's report is
@@ -366,20 +366,6 @@ func (rs *RemoteSite) TxnState(id core.TxnID) string {
 		return "unknown"
 	}
 	return s
-}
-
-// OutDegree is the cached out-edge count.
-func (rs *RemoteSite) OutDegree(id core.TxnID) int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return len(rs.cache[id])
-}
-
-// OutEdgesOf is the cached out-edge set.
-func (rs *RemoteSite) OutEdgesOf(id core.TxnID) []depgraph.Edge {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return append([]depgraph.Edge(nil), rs.cache[id]...)
 }
 
 // ---- dist.CrashRestarter ----

@@ -1,11 +1,8 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"repro/internal/adt"
@@ -51,51 +48,21 @@ type servedSite struct {
 	sid     uint16
 	backend dist.SiteBackend
 	factory func(core.ObjectID) (adt.Type, compat.Classifier)
-	work    chan wreq
+	// work is the site's FIFO. One read loop feeds every site on a
+	// connection, so a full queue at a busy site stalls requests to the
+	// others behind it; 256 keeps that rare under pipelining. The
+	// queue's order, not its size, is what reproduces the site mutex.
+	work    chan request
 	txns    map[core.TxnID]struct{}
 	scratch []depgraph.Edge
 	eff     core.Effects
 }
 
-// wreq is one dispatched request: where to answer, the frame, and the
-// trace context it carried (zero when the frame had none).
-type wreq struct {
-	c    *serverConn
-	corr uint64
-	kind uint8
-	tc   telemetry.TraceContext
-	body []byte
-}
-
-// serverConn wraps one accepted connection with a write lock, since
-// several site workers answer onto the same connection.
-type serverConn struct {
-	conn net.Conn
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-}
-
-func (c *serverConn) send(corr uint64, kind uint8, payload []byte) {
-	if corr == 0 {
-		return // one-way request
-	}
-	c.wmu.Lock()
-	if err := writeFrame(c.bw, corr, kind, telemetry.TraceContext{}, payload); err == nil {
-		_ = c.bw.Flush()
-	}
-	c.wmu.Unlock()
-}
-
 // SiteServer serves sites' participant plane on one listener.
 type SiteServer struct {
+	server
 	cfg   SiteServerConfig
-	ln    net.Listener
 	sites map[uint16]*servedSite
-	done  chan struct{}
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
 }
 
 // ServeSites starts a site server: it listens, installs the configured
@@ -109,127 +76,54 @@ func ServeSites(cfg SiteServerConfig) (*SiteServer, error) {
 		}
 		factory = gen.Factory()
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &SiteServer{
-		cfg:   cfg,
-		ln:    ln,
-		sites: make(map[uint16]*servedSite, len(cfg.Sites)),
-		done:  make(chan struct{}),
-		conns: make(map[net.Conn]struct{}),
-	}
+	s := &SiteServer{cfg: cfg, sites: make(map[uint16]*servedSite, len(cfg.Sites))}
 	for sid, b := range cfg.Sites {
-		ss := &servedSite{
+		s.sites[sid] = &servedSite{
 			sid:     sid,
 			backend: b,
 			factory: factory,
-			work:    make(chan wreq, 256),
+			work:    make(chan request, 256),
 			txns:    make(map[core.TxnID]struct{}),
 		}
 		if factory != nil {
 			b.SetFactory(factory)
 		}
-		s.sites[sid] = ss
+	}
+	if err := s.start(cfg.Addr, s.dispatch, nil); err != nil {
+		return nil, err
+	}
+	for _, ss := range s.sites {
 		go s.siteWorker(ss)
 	}
-	go s.acceptLoop()
 	return s, nil
 }
 
-// Addr returns the bound listen address.
-func (s *SiteServer) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server: listener and connections close, workers
-// exit. Backends are left as they are.
-func (s *SiteServer) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+// dispatch routes one participant-plane request. kShutdown is
+// daemon-level and answered inline; every other request names its
+// site in the payload's leading u16 and joins that site's FIFO, so
+// requests to one site execute in the order they arrived.
+func (s *SiteServer) dispatch(rq request) {
+	if rq.kind == kShutdown {
+		rq.c.send(rq.corr, kOK, nil)
+		if s.cfg.OnShutdown != nil {
+			go s.cfg.OnShutdown()
+		}
 		return
 	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
+	if len(rq.body) < 2 {
+		rq.c.send(rq.corr, kErr, appendErrResp(nil, fmt.Errorf("short payload")))
+		return
 	}
-	s.mu.Unlock()
-	close(s.done)
-	s.ln.Close()
-	for _, c := range conns {
-		c.Close()
+	sid := uint16(rq.body[0]) | uint16(rq.body[1])<<8
+	ss := s.sites[sid]
+	if ss == nil {
+		rq.c.send(rq.corr, kErr, appendErrResp(nil, fmt.Errorf("unknown site %d", sid)))
+		return
 	}
-}
-
-func (s *SiteServer) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			_ = tc.SetNoDelay(true)
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.readLoop(conn)
-	}
-}
-
-// readLoop parses frames off one connection and dispatches each to its
-// site's worker. Site ids are the first u16 of every participant
-// payload; kShutdown is daemon-level and handled inline.
-func (s *SiteServer) readLoop(conn net.Conn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	sc := &serverConn{conn: conn, bw: bufio.NewWriterSize(conn, 64<<10)}
-	br := bufio.NewReaderSize(conn, 64<<10)
-	var buf []byte
-	for {
-		corr, kind, payload, nbuf, err := readFrame(br, buf)
-		if err != nil {
-			return
-		}
-		buf = nbuf
-		kind, tc, payload, err := splitTrace(kind, payload)
-		if err != nil {
-			sc.send(corr, kErr, appendErrResp(nil, err))
-			continue
-		}
-		if kind == kShutdown {
-			sc.send(corr, kOK, nil)
-			if s.cfg.OnShutdown != nil {
-				go s.cfg.OnShutdown()
-			}
-			continue
-		}
-		if len(payload) < 2 {
-			sc.send(corr, kErr, appendErrResp(nil, fmt.Errorf("short payload")))
-			continue
-		}
-		sid := uint16(payload[0]) | uint16(payload[1])<<8
-		ss := s.sites[sid]
-		if ss == nil {
-			sc.send(corr, kErr, appendErrResp(nil, fmt.Errorf("unknown site %d", sid)))
-			continue
-		}
-		body := append([]byte(nil), payload[2:]...)
-		select {
-		case ss.work <- wreq{c: sc, corr: corr, kind: kind, tc: tc, body: body}:
-		case <-s.done:
-			return
-		}
+	rq.body = append([]byte(nil), rq.body[2:]...)
+	select {
+	case ss.work <- rq:
+	case <-s.done:
 	}
 }
 
@@ -238,9 +132,9 @@ func (s *SiteServer) siteWorker(ss *servedSite) {
 	defer dumpOnPanic(s.cfg.Flight)
 	for {
 		select {
-		case wr := <-ss.work:
-			kind, payload := s.handle(ss, wr.kind, wr.tc, wr.body)
-			wr.c.send(wr.corr, kind, payload)
+		case rq := <-ss.work:
+			kind, payload := s.handle(ss, rq.kind, rq.tc, rq.body)
+			rq.c.send(rq.corr, kind, payload)
 		case <-s.done:
 			return
 		}
@@ -284,7 +178,6 @@ func (s *SiteServer) settled(ss *servedSite, kind uint8, id core.TxnID) bool {
 // half of the conversation into the span buffer.
 func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContext, body []byte) (uint8, []byte) {
 	r := &reader{b: body}
-	fail := func(err error) (uint8, []byte) { return kErr, appendErrResp(nil, err) }
 	sid := int32(ss.sid)
 	var start time.Time
 	if tc.Sampled() && s.cfg.Spans != nil {
@@ -300,7 +193,7 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 	case kBegin:
 		id := core.TxnID(r.u64())
 		if r.err != nil {
-			return fail(r.err)
+			return errReply(r.err)
 		}
 		err := ss.backend.Begin(id)
 		if errors.Is(err, core.ErrDuplicateTxn) {
@@ -315,7 +208,7 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 			}
 		}
 		if err != nil {
-			return fail(err)
+			return errReply(err)
 		}
 		ss.txns[id] = struct{}{}
 		s.cfg.Spans.Record(tc, telemetry.SpanBegin, uint64(id), sid, 0, 0, 0)
@@ -326,11 +219,11 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 		obj := core.ObjectID(r.u64())
 		op := r.op()
 		if r.err != nil {
-			return fail(r.err)
+			return errReply(r.err)
 		}
 		dec, err := ss.backend.RequestInto(&ss.eff, id, obj, op)
 		if err != nil {
-			return fail(err)
+			return errReply(err)
 		}
 		sk := telemetry.SpanRequest
 		if dec.Outcome == core.Blocked {
@@ -346,11 +239,11 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 	case kCommit:
 		id := core.TxnID(r.u64())
 		if r.err != nil {
-			return fail(r.err)
+			return errReply(r.err)
 		}
 		st, err := ss.backend.CommitInto(&ss.eff, id)
 		if err != nil {
-			return fail(err)
+			return errReply(err)
 		}
 		s.cfg.Spans.Record(tc, telemetry.SpanRelease, uint64(id), sid, 0, 0, dur())
 		b := appendU8(nil, uint8(st))
@@ -360,11 +253,11 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 	case kCommitHold:
 		id := core.TxnID(r.u64())
 		if r.err != nil {
-			return fail(r.err)
+			return errReply(r.err)
 		}
 		deg, err := ss.backend.CommitHoldInto(&ss.eff, id)
 		if err != nil {
-			return fail(err)
+			return errReply(err)
 		}
 		s.cfg.Spans.Record(tc, telemetry.SpanHold, uint64(id), sid, 0, 0, dur())
 		b := appendI64(nil, int64(deg))
@@ -374,7 +267,7 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 	case kRelease, kAbort, kWithdraw:
 		id := core.TxnID(r.u64())
 		if r.err != nil {
-			return fail(r.err)
+			return errReply(r.err)
 		}
 		var err error
 		switch kind {
@@ -386,7 +279,7 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 			err = ss.backend.WithdrawInto(&ss.eff, id)
 		}
 		if err != nil && !s.settled(ss, kind, id) {
-			return fail(err)
+			return errReply(err)
 		}
 		if err != nil {
 			ss.eff.Reset() // duplicate delivery: nothing new happened
@@ -403,11 +296,11 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 		id := core.TxnID(r.u64())
 		reason := core.AbortReason(r.u8())
 		if r.err != nil {
-			return fail(r.err)
+			return errReply(r.err)
 		}
 		if err := ss.backend.RevokeInto(&ss.eff, id, reason); err != nil {
 			if !s.settled(ss, kRevoke, id) {
-				return fail(err)
+				return errReply(err)
 			}
 			ss.eff.Reset()
 		}
@@ -426,25 +319,25 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 	case kRegister:
 		obj := core.ObjectID(r.u64())
 		if r.err != nil {
-			return fail(r.err)
+			return errReply(r.err)
 		}
 		if ss.factory == nil {
-			return fail(fmt.Errorf("site %d has no workload factory", ss.sid))
+			return errReply(fmt.Errorf("site %d has no workload factory", ss.sid))
 		}
 		typ, class := ss.factory(obj)
 		if err := ss.backend.Register(obj, typ, class); err != nil {
-			return fail(err)
+			return errReply(err)
 		}
 		return kOK, nil
 
 	case kFactory:
 		spec := r.str()
 		if r.err != nil {
-			return fail(r.err)
+			return errReply(r.err)
 		}
 		gen, err := workload.ParseSpec(spec)
 		if err != nil {
-			return fail(err)
+			return errReply(err)
 		}
 		ss.factory = gen.Factory()
 		ss.backend.SetFactory(ss.factory)
@@ -454,32 +347,12 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 		return kOK, appendStats(nil, ss.backend.StatsSnapshot())
 
 	case kStateLen:
-		obj := core.ObjectID(r.u64())
-		committed := r.u8() == 1
-		if r.err != nil {
-			return fail(r.err)
-		}
-		var st adt.State
-		var err error
-		if committed {
-			st, err = ss.backend.CommittedState(obj)
-		} else {
-			st, err = ss.backend.ObjectState(obj)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		n := -1
-		if l, ok := st.(interface{ Len() int }); ok {
-			n = l.Len()
-		}
-		b := appendStr(nil, st.String())
-		return kOK, appendI64(b, int64(n))
+		return stateSummary(r, func(core.ObjectID) dist.SiteBackend { return ss.backend })
 
 	case kTxnState:
 		id := core.TxnID(r.u64())
 		if r.err != nil {
-			return fail(r.err)
+			return errReply(r.err)
 		}
 		return kOK, appendStr(nil, ss.backend.TxnState(id))
 
@@ -508,5 +381,5 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 	case kPing:
 		return kOK, nil
 	}
-	return fail(fmt.Errorf("unknown request kind %#x", kind))
+	return errReply(fmt.Errorf("unknown request kind %#x", kind))
 }

@@ -147,6 +147,31 @@ const (
 	kCliRegister uint8 = 0x39
 )
 
+// KindName labels a frame kind (verb) for metrics and trace rendering
+// — the labels /metrics and sccbench's per-verb RTT tables share.
+func KindName(k byte) string {
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("0x%02x", k)
+}
+
+var kindNames = [...]string{
+	kOK: "ok", kErr: "err",
+
+	kBegin: "begin", kRequest: "request", kCommit: "commit",
+	kCommitHold: "commit-hold", kRelease: "release", kAbort: "abort",
+	kRevoke: "revoke", kWithdraw: "withdraw", kForget: "forget",
+	kRegister: "register", kFactory: "factory", kStats: "stats",
+	kStateLen: "state-len", kTxnState: "txn-state", kAdopt: "adopt",
+	kPing: "ping", kShutdown: "shutdown",
+
+	kCliBegin: "cli-begin", kCliDo: "cli-do", kCliCommit: "cli-commit",
+	kCliAbort: "cli-abort", kCliWait: "cli-wait", kCliResolve: "cli-resolve",
+	kCliAck: "cli-ack", kCliStatus: "cli-status", kCliStateLen: "cli-state-len",
+	kCliRegister: "cli-register",
+}
+
 // Adopt-report transaction states (see SiteServer's adopt handler).
 const (
 	adoptActive uint8 = iota // active or blocked: an orphan to abort

@@ -41,16 +41,6 @@ func (w *wireCluster) close() {
 // workload spec (their Register factory).
 func startWireCluster(t *testing.T, daemons, perDaemon int, wl string) *wireCluster {
 	t.Helper()
-	return startWireClusterRedial(t, daemons, perDaemon, wl, 5*time.Millisecond)
-}
-
-// startWireClusterRedial is startWireCluster with an explicit redial
-// delay. Tests that observe the down window after a connection drop
-// (waitSiteDown) need it wide enough that the drop's crash event
-// reliably beats the redial's restart event to the binding; load tests
-// that only care about riding through drops keep it tight.
-func startWireClusterRedial(t *testing.T, daemons, perDaemon int, wl string, redial time.Duration) *wireCluster {
-	t.Helper()
 	mlog := fault.NewMemLog()
 	// Late-bound so reconcile redos go through the cluster's ClaimRedo
 	// arbitration (safe: clu is set before Bind publishes the cluster,
@@ -86,7 +76,7 @@ func startWireClusterRedial(t *testing.T, daemons, perDaemon int, wl string, red
 		peer := NewPeer(PeerConfig{
 			Addr:        srv.Addr(),
 			Redial:      true,
-			RedialDelay: redial,
+			RedialDelay: 5 * time.Millisecond,
 			OnDown:      bind.Down,
 			OnUp:        bind.Up,
 		})
@@ -251,14 +241,23 @@ func TestWireChaosReconcile(t *testing.T) {
 // dropped daemon aborts with ErrSiteFailed and Retryable() true — and
 // the redial loop brings the site back for fresh work.
 func TestWireDroppedPeerTypedError(t *testing.T) {
-	w := startWireClusterRedial(t, 2, 1, "readwrite:64", 200*time.Millisecond)
+	w := startWireCluster(t, 2, 1, "readwrite:64")
 	registerPages(t, w.c, 4)
 	tx := w.c.Begin()
 	if _, err := tx.Do(1, write(10)); err != nil { // site 1
 		t.Fatal(err)
 	}
 	w.peers[1].DropConnection()
-	waitSiteDown(t, w.c, 1, true)
+	// The redial starts at once, so the site may be down for well under
+	// a millisecond: wait for the crash itself, not for a poll to land
+	// inside that window.
+	deadline := time.Now().Add(10 * time.Second)
+	for w.c.Telemetry().Crashes.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("dropping the connection never crashed the site")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	_, err := tx.Do(1, write(11))
 	if !errors.Is(err, core.ErrSiteFailed) {
 		t.Fatalf("Do after drop = %v, want ErrSiteFailed", err)
