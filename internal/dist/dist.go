@@ -448,10 +448,9 @@ func (c *Cluster) Begin() core.Txn {
 	}
 	t.Owner = t
 	if c.sampler != nil {
-		tc := c.sampler.Context(uint64(t.id))
-		t.tc.Store(&tc)
+		t.tc = c.sampler.Context(uint64(t.id))
 		t.begin = time.Now()
-		c.spans.Record(tc, telemetry.SpanBegin, uint64(t.id), -1, 0, 0, 0)
+		c.spans.Record(t.tc, telemetry.SpanBegin, uint64(t.id), -1, 0, 0, 0)
 	}
 	c.Enlist(&t.Conv)
 	if c.closed.Load() {

@@ -28,12 +28,10 @@ type Txn struct {
 	reason atomic.Int32 // core.AbortReason, stored before state becomes txAborted
 
 	// tc is the transaction's causal trace context, minted by the
-	// coordinator's sampler at Begin (nil pointer when the span plane is
-	// off). A remote client with its own sampler overrides it through
-	// AttachTrace — a foreign goroutine relative to conversation reads,
-	// hence the atomic pointer. begin stamps Begin for end-to-end
-	// latency; set only when tracing is on, before the handle escapes.
-	tc    atomic.Pointer[telemetry.TraceContext]
+	// coordinator's sampler at Begin (zero when the span plane is off).
+	// begin stamps Begin for end-to-end latency. Both are set only when
+	// tracing is on, before the handle escapes.
+	tc    telemetry.TraceContext
 	begin time.Time
 
 	done chan struct{} // closed at the terminal state (real commit everywhere, or abort)
@@ -41,23 +39,7 @@ type Txn struct {
 
 // Trace returns the transaction's trace context (zero when the span
 // plane is off).
-func (t *Txn) Trace() telemetry.TraceContext {
-	if p := t.tc.Load(); p != nil {
-		return *p
-	}
-	return telemetry.TraceContext{}
-}
-
-// AttachTrace adopts an externally minted trace context — a remote
-// client that roots the trace — overriding the coordinator's own
-// sampling decision for this transaction. Invalid contexts and
-// repeated attaches of the current context are no-ops.
-func (t *Txn) AttachTrace(tc telemetry.TraceContext) {
-	if !tc.Valid() || t.Trace() == tc {
-		return
-	}
-	t.tc.Store(&tc)
-}
+func (t *Txn) Trace() telemetry.TraceContext { return t.tc }
 
 // span records one causal span for this transaction. Nil-safe and
 // unsampled-safe at every layer, so call sites stay unguarded; the

@@ -30,7 +30,6 @@ type Client struct {
 	// caller must not re-run the transaction.
 	ResolveWindow time.Duration
 	numSites      int
-	sampler       *telemetry.Sampler
 	// met instruments the client hop: frames, bytes, reconnects and
 	// per-verb round-trip time of this client's connection.
 	met telemetry.WireMetrics
@@ -39,13 +38,6 @@ type Client struct {
 // WireMetrics exposes the client hop's live instrument block for
 // lock-free reads.
 func (c *Client) WireMetrics() *telemetry.WireMetrics { return &c.met }
-
-// SetSampler enables client-rooted tracing: each transaction mints a
-// deterministic trace context from the sampler at Begin, and every
-// subsequent frame of that transaction carries it — the coordinator
-// adopts the client's trace id, so the resulting cluster-wide trace is
-// rooted here. Call before starting transactions.
-func (c *Client) SetSampler(s *telemetry.Sampler) { c.sampler = s }
 
 // Dial connects to a coordinator's client plane, retrying for wait.
 func Dial(addr string, wait time.Duration) (*Client, error) {
@@ -56,11 +48,8 @@ func Dial(addr string, wait time.Duration) (*Client, error) {
 		return nil, err
 	}
 	c.peer = peer
-	if r, err := peer.call(kCliStatus, telemetry.TraceContext{}, nil); err == nil {
-		c.numSites = int(r.u32())
-		if r.err != nil {
-			c.numSites = 0
-		}
+	if down, _, _, err := c.Status(); err == nil {
+		c.numSites = len(down)
 	}
 	return c, nil
 }
@@ -102,31 +91,11 @@ func (c *Client) Register(id core.ObjectID, typ adt.Type, class compat.Classifie
 // the workload harness (which requires it) runs against Client.
 func (c *Client) SetFactory(f func(core.ObjectID) (adt.Type, compat.Classifier)) {}
 
-// Begin starts a transaction. On an unreachable coordinator it returns
-// a pre-failed transaction whose operations report a retryable
+// Begin starts a transaction without a round trip: the coordinator
+// begins it when the first Do arrives and names it in that Do's answer.
+// An unreachable coordinator surfaces at the first Do as a retryable
 // site-failure abort, so Run-style loops retry through the outage.
-func (c *Client) Begin() core.Txn {
-	r, err := c.peer.call(kCliBegin, telemetry.TraceContext{}, nil)
-	if err != nil {
-		return core.ClosedTxn(coordDown(0, err))
-	}
-	id := core.TxnID(r.u64())
-	// Older responses end at the id; newer ones append the
-	// coordinator-minted trace context, which the client adopts unless
-	// its own sampler overrides it (the client then roots the trace and
-	// tells the coordinator so on the next frame).
-	var tc telemetry.TraceContext
-	if len(r.b) >= traceBlockKnown {
-		tc = telemetry.TraceContext{Trace: r.u64(), Span: r.u64(), Flags: r.u8()}
-	}
-	if r.err != nil {
-		return core.ClosedTxn(r.err)
-	}
-	if c.sampler != nil {
-		tc = c.sampler.Context(uint64(id))
-	}
-	return &clientTxn{c: c, id: id, tc: tc}
-}
+func (c *Client) Begin() core.Txn { return &clientTxn{c: c} }
 
 // Run executes fn in a transaction with the standard retry loop.
 func (c *Client) Run(ctx context.Context, fn func(core.Txn) error) error {
@@ -135,16 +104,8 @@ func (c *Client) Run(ctx context.Context, fn func(core.Txn) error) error {
 
 // Stats fetches the cluster's protocol counters.
 func (c *Client) Stats() core.Stats {
-	r, err := c.peer.call(kCliStatus, telemetry.TraceContext{}, nil)
+	_, st, _, err := c.Status()
 	if err != nil {
-		return core.Stats{}
-	}
-	n := int(r.u32())
-	for i := 0; i < n; i++ {
-		r.u8()
-	}
-	st := r.stats()
-	if r.err != nil {
 		return core.Stats{}
 	}
 	return st
@@ -171,12 +132,8 @@ func (c *Client) Status() (down []bool, st core.Stats, logLen uint64, err error)
 // length (-1 when the type has none). committed selects the committed
 // state instead of the current one.
 func (c *Client) StateLen(obj core.ObjectID, committed bool) (string, int, error) {
-	b := appendU64(nil, uint64(obj))
-	var cb uint8
-	if committed {
-		cb = 1
-	}
-	r, err := c.peer.call(kCliStateLen, telemetry.TraceContext{}, appendU8(b, cb))
+	b := appendBool(appendU64(nil, uint64(obj)), committed)
+	r, err := c.peer.call(kCliStateLen, telemetry.TraceContext{}, b)
 	if err != nil {
 		return "", 0, coordDown(0, err)
 	}
@@ -230,9 +187,12 @@ func (c *Client) resolve(id core.TxnID) (committed bool, err error) {
 
 // clientTxn is one transaction session over the wire.
 type clientTxn struct {
-	c  *Client
+	c *Client
+	// id is 0 until the coordinator names the session: in the first
+	// Do's answer, or in a kCliBegin answer when ID, Commit or Done needs
+	// it first. Only the goroutine driving the transaction writes it,
+	// before any wait goroutine starts.
 	id core.TxnID
-	tc telemetry.TraceContext
 
 	mu          sync.Mutex
 	dead        error         // terminal client-side error, short-circuits later ops
@@ -242,8 +202,27 @@ type clientTxn struct {
 	outErr      error
 }
 
-// ID implements core.Txn.
-func (t *clientTxn) ID() core.TxnID { return t.id }
+// ID implements core.Txn. Before the first Do the coordinator has not
+// named the transaction, so asking opens the session with a standalone
+// kCliBegin. If that fails the transaction ends with the failure as its
+// dead error (nothing exists at the coordinator to clean up), and ID
+// returns 0.
+func (t *clientTxn) ID() core.TxnID {
+	if t.id != 0 || t.deadErr() != nil {
+		return t.id
+	}
+	r, err := t.c.peer.call(kCliBegin, telemetry.TraceContext{}, nil)
+	if err == nil {
+		t.id = core.TxnID(r.u64())
+		err = r.err
+	}
+	if err != nil {
+		err = coordDown(0, err)
+		t.setDead(err)
+		t.finish(err)
+	}
+	return t.id
+}
 
 func (t *clientTxn) deadErr() error {
 	t.mu.Lock()
@@ -263,6 +242,12 @@ func (t *clientTxn) setDead(err error) {
 // the coordinator's connection cleanup rolls the orphan back, and the
 // caller sees the retryable site-failure abort. A remote verdict keeps
 // its type; only an abort dooms the session.
+//
+// The first Do carries id 0: the coordinator begins the session, and
+// its answer names the id before the Ret. If that Do fails the
+// coordinator aborts and drops the session itself, since the id never
+// reached the client; an abort then ends the transaction here too, and
+// any other verdict leaves it as it was, with no session yet.
 func (t *clientTxn) Do(obj core.ObjectID, op adt.Op) (adt.Ret, error) {
 	if err := t.deadErr(); err != nil {
 		return adt.Ret{}, err
@@ -270,14 +255,20 @@ func (t *clientTxn) Do(obj core.ObjectID, op adt.Op) (adt.Ret, error) {
 	b := appendU64(nil, uint64(t.id))
 	b = appendU64(b, uint64(obj))
 	b = appendOp(b, op)
-	r, err := t.c.peer.call(kCliDo, t.tc, b)
+	r, err := t.c.peer.call(kCliDo, telemetry.TraceContext{}, b)
 	if err != nil {
 		err = coordDown(t.id, err)
 		var ab *core.ErrAborted
 		if errors.As(err, &ab) {
 			t.setDead(err)
+			if t.id == 0 {
+				t.finish(err)
+			}
 		}
 		return adt.Ret{}, err
+	}
+	if t.id == 0 {
+		t.id = core.TxnID(r.u64())
 	}
 	ret := r.ret()
 	return ret, r.err
@@ -325,7 +316,10 @@ func (t *clientTxn) Commit() (core.CommitStatus, error) {
 	if err := t.deadErr(); err != nil {
 		return 0, err
 	}
-	r, err := t.c.peer.call(kCliCommit, t.tc, appendU64(nil, uint64(t.id)))
+	if t.ID() == 0 {
+		return 0, t.deadErr()
+	}
+	r, err := t.c.peer.call(kCliCommit, telemetry.TraceContext{}, appendU64(nil, uint64(t.id)))
 	if err == nil {
 		st := core.CommitStatus(r.u8())
 		if r.err != nil {
@@ -376,11 +370,15 @@ func (t *clientTxn) CommitCtx(ctx context.Context) (core.CommitStatus, error) {
 }
 
 // Abort implements core.Txn. Transport loss is fine: the coordinator's
-// connection cleanup aborts the orphan.
+// connection cleanup aborts the orphan. A transaction with no session
+// yet aborts without a frame.
 func (t *clientTxn) Abort() error {
 	aerr := fmt.Errorf("T%d: %w", t.id, core.ErrTxnTerminated)
 	t.setDead(aerr)
 	t.finish(fmt.Errorf("T%d: %w", t.id, &core.ErrAborted{Txn: t.id}))
+	if t.id == 0 {
+		return nil
+	}
 	r, err := t.c.peer.call(kCliAbort, telemetry.TraceContext{}, appendU64(nil, uint64(t.id)))
 	if err != nil {
 		return nil
@@ -392,8 +390,9 @@ func (t *clientTxn) Abort() error {
 // has landed or the transaction aborted. The wait runs over the wire
 // (kCliWait); if the connection dies during it, the outcome comes from
 // the resolve loop instead. A transaction already terminal client-side
-// answers locally.
+// answers locally; one with no session yet opens it first (ID).
 func (t *clientTxn) Done() <-chan struct{} {
+	t.ID()
 	t.mu.Lock()
 	if t.doneCh == nil {
 		t.doneCh = make(chan struct{})
@@ -424,7 +423,7 @@ func (t *clientTxn) startWait() {
 // transaction, acknowledges it, and finishes the session locally.
 func (t *clientTxn) wait() {
 	var outErr error
-	r, err := t.c.peer.call(kCliWait, t.tc, appendU64(nil, uint64(t.id)))
+	r, err := t.c.peer.call(kCliWait, telemetry.TraceContext{}, appendU64(nil, uint64(t.id)))
 	switch {
 	case err == nil:
 		committed := r.u8() == 1

@@ -245,6 +245,93 @@ func TestNetLoadConservation(t *testing.T) {
 	}
 }
 
+// TestFramesPerTransaction pins what an uncontended transaction costs
+// on each plane, in frames. No round trip carries only a begin: the
+// client's first Do goes out with id 0, and a site's first request
+// carries the begin flag. An N-push transaction that commits costs the
+// client N+1 round trips plus the one-way ack. On the participant plane
+// it costs N requests plus, per site touched, the one-way Forget and
+// the commit: one direct commit at a single site, a hold and a release
+// at each of several (a logged cluster holds every multi-site commit).
+func TestFramesPerTransaction(t *testing.T) {
+	const n = 4
+	nc := startNetCluster(t, 1, 2, "pushes:4") // object 1 lives at site 1, object 2 at site 0
+	cl := nc.dial()
+	cm, pm := cl.WireMetrics(), nc.co.WireMetrics()
+	for _, tc := range []struct {
+		name              string
+		objs              [n]core.ObjectID
+		cliOut, cliIn     uint64
+		sitesOut, sitesIn uint64
+	}{
+		{"one site", [n]core.ObjectID{1, 1, 1, 1}, n + 2, n + 1, n + 2, n + 1},
+		{"two sites", [n]core.ObjectID{1, 2, 1, 2}, n + 2, n + 1, n + 6, n + 4},
+	} {
+		cOut, cIn, pOut, pIn := cm.FramesOut.Load(), cm.FramesIn.Load(), pm.FramesOut.Load(), pm.FramesIn.Load()
+		tx := cl.Begin()
+		for i, obj := range tc.objs {
+			if _, err := tx.Do(obj, push(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st, err := tx.Commit(); err != nil || st != core.Committed {
+			t.Fatalf("%s: commit = %v, %v; want committed", tc.name, st, err)
+		}
+		if out, in := cm.FramesOut.Load()-cOut, cm.FramesIn.Load()-cIn; out != tc.cliOut || in != tc.cliIn {
+			t.Errorf("%s: client plane sent %d and received %d frames, want %d and %d", tc.name, out, in, tc.cliOut, tc.cliIn)
+		}
+		if out, in := pm.FramesOut.Load()-pOut, pm.FramesIn.Load()-pIn; out != tc.sitesOut || in != tc.sitesIn {
+			t.Errorf("%s: participant plane sent %d and received %d frames, want %d and %d", tc.name, out, in, tc.sitesOut, tc.sitesIn)
+		}
+	}
+}
+
+// TestClientBeginIsLocal: a transaction first exists at the coordinator
+// when something needs its id. An Abort before any Do sends no frame;
+// ID before any Do opens the session with one kCliBegin; a Commit with
+// no Do commits; and a first Do that fails leaves no session behind,
+// because the client never learned the id that would end it.
+func TestClientBeginIsLocal(t *testing.T) {
+	nc := startNetCluster(t, 1, 2, "pushes:4") // object 1 lives at site 1
+	cl := nc.dial()
+	m := cl.WireMetrics()
+
+	out := m.FramesOut.Load()
+	if err := cl.Begin().Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.FramesOut.Load() - out; n != 0 {
+		t.Fatalf("Begin and Abort before any Do sent %d frames, want 0", n)
+	}
+
+	tx := cl.Begin()
+	if id := tx.ID(); id == 0 || m.RTT(kCliBegin).Count() != 1 {
+		t.Fatalf("ID before any Do = %d after %d begin round trips, want non-zero after 1", id, m.RTT(kCliBegin).Count())
+	}
+	if st, err := tx.Commit(); err != nil || st != core.Committed {
+		t.Fatalf("commit after ID = %v, %v; want committed", st, err)
+	}
+	if st, err := cl.Begin().Commit(); err != nil || st != core.Committed {
+		t.Fatalf("commit with no Do = %v, %v; want committed", st, err)
+	}
+
+	if err := nc.co.Cluster.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	tx = cl.Begin()
+	_, err := tx.Do(1, push(1))
+	var ab *core.ErrAborted
+	if !errors.As(err, &ab) || ab.Reason != core.ReasonSiteFailed {
+		t.Fatalf("first Do at a crashed site = %v, want a ReasonSiteFailed abort", err)
+	}
+	select {
+	case <-tx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("Done of a transaction whose first Do aborted never closed")
+	}
+	waitNoSessions(t, nc.co, "after a failed first Do, which must drop its own")
+}
+
 // TestNetCoordinatorRestartExactlyOnce is the tentpole's recovery
 // story in one scenario. A client commits but never acks (its
 // connection "dies" with the outcome unread); another transaction is
@@ -524,17 +611,25 @@ func TestNetClientRemoteErrorsKeepTheirType(t *testing.T) {
 	}
 	// Every outcome is in the client's hands, so every session is
 	// acknowledged (one-way frames: poll).
-	srv := nc.co.server
+	waitNoSessions(t, nc.co, "after every outcome was delivered")
+}
+
+// waitNoSessions waits for the coordinator's client-session table to
+// empty; acks are one-way, so the last ones land after their senders
+// return.
+func waitNoSessions(t *testing.T, co *Coordinator, why string) {
+	t.Helper()
+	srv := co.server
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		srv.tmu.Lock()
 		n := len(srv.txns)
 		srv.tmu.Unlock()
 		if n == 0 {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("coordinator still holds %d client sessions after every outcome was delivered", n)
+			t.Fatalf("coordinator still holds %d client sessions %s", n, why)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -14,13 +14,20 @@ import (
 // a caller-owned []byte, so steady-state calls reuse one buffer) and a
 // consuming reader on the read side. Integers are little-endian fixed
 // width; strings and slices carry a u32 count. Signed ints cross as
-// two's-complement u64.
+// two's-complement u64; a bool crosses as a u8, 1 for true.
 
 func appendU8(b []byte, v uint8) []byte   { return append(b, v) }
 func appendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 func appendI64(b []byte, v int64) []byte  { return appendU64(b, uint64(v)) }
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
 
 func appendStr(b []byte, s string) []byte {
 	b = appendU32(b, uint32(len(s)))
@@ -48,16 +55,6 @@ func (r *reader) u8() uint8 {
 	}
 	v := r.b[0]
 	r.b = r.b[1:]
-	return v
-}
-
-func (r *reader) u16() uint16 {
-	if r.err != nil || len(r.b) < 2 {
-		r.fail("u16")
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b)
-	r.b = r.b[2:]
 	return v
 }
 
@@ -148,6 +145,23 @@ func (r *reader) op() adt.Op {
 	return op
 }
 
+// appendRequest encodes a kRequest body after the site id: the
+// transaction, whether this request carries its begin, the object and
+// the operation.
+func appendRequest(b []byte, id core.TxnID, begin bool, obj core.ObjectID, op adt.Op) []byte {
+	b = appendU64(b, uint64(id))
+	b = appendBool(b, begin)
+	b = appendU64(b, uint64(obj))
+	return appendOp(b, op)
+}
+
+func (r *reader) request() (id core.TxnID, begin bool, obj core.ObjectID, op adt.Op) {
+	id = core.TxnID(r.u64())
+	begin = r.u8() == 1
+	obj = core.ObjectID(r.u64())
+	return id, begin, obj, r.op()
+}
+
 func appendRet(b []byte, ret adt.Ret) []byte {
 	b = appendU8(b, uint8(ret.Code))
 	return appendI64(b, int64(ret.Val))
@@ -222,15 +236,6 @@ func (r *reader) edges(buf []depgraph.Edge) []depgraph.Edge {
 type edgeSet struct {
 	txn   core.TxnID
 	edges []depgraph.Edge
-}
-
-func appendEdgeSets(b []byte, sets []edgeSet) []byte {
-	b = appendU32(b, uint32(len(sets)))
-	for _, s := range sets {
-		b = appendU64(b, uint64(s.txn))
-		b = appendEdges(b, s.edges)
-	}
-	return b
 }
 
 func (r *reader) edgeSets() []edgeSet {

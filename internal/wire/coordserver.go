@@ -99,36 +99,31 @@ func (s *coordServer) drop(id core.TxnID) {
 	s.tmu.Unlock()
 }
 
-// handle executes one client request and builds its answer. A trace
-// context on kCliBegin is a client-minted root: it is attached to the
-// new transaction and overrides the coordinator's own sampling
-// decision, so the client's trace id spans the whole cluster.
+// open begins a transaction and registers its session on the
+// connection that asked, whose hangup rolls it back.
+func (s *coordServer) open(c *srvConn) (*servedTxn, error) {
+	t := s.cluster.Begin()
+	if t.ID() == 0 {
+		return nil, core.ErrClosed
+	}
+	sv := &servedTxn{t: t, conn: c}
+	s.tmu.Lock()
+	s.txns[t.ID()] = sv
+	s.tmu.Unlock()
+	return sv, nil
+}
+
+// handle executes one client request and builds its answer.
 func (s *coordServer) handle(rq request) (uint8, []byte) {
 	r := &reader{b: rq.body}
 	c := s.cluster
 	switch rq.kind {
 	case kCliBegin:
-		t := c.Begin()
-		if t.ID() == 0 {
-			return errReply(core.ErrClosed)
+		sv, err := s.open(rq.c)
+		if err != nil {
+			return errReply(err)
 		}
-		attachTrace(t, rq.tc)
-		s.tmu.Lock()
-		s.txns[t.ID()] = &servedTxn{t: t, conn: rq.c}
-		s.tmu.Unlock()
-		// The response carries the transaction's trace context (the
-		// coordinator-minted one unless the client just overrode it), so
-		// the client can adopt the cluster's trace id.
-		b := appendU64(nil, uint64(t.ID()))
-		if tt, okT := any(t).(interface {
-			Trace() telemetry.TraceContext
-		}); okT {
-			ttc := tt.Trace()
-			b = appendU64(b, ttc.Trace)
-			b = appendU64(b, ttc.Span)
-			b = appendU8(b, ttc.Flags)
-		}
-		return kOK, b
+		return kOK, appendU64(nil, uint64(sv.t.ID()))
 
 	case kCliDo:
 		id := core.TxnID(r.u64())
@@ -137,16 +132,31 @@ func (s *coordServer) handle(rq request) (uint8, []byte) {
 		if r.err != nil {
 			return errReply(r.err)
 		}
-		sv := s.lookup(id)
-		if sv == nil {
+		// Id 0 is a transaction's first Do: begin the session here and
+		// name it before the Ret.
+		var b []byte
+		var sv *servedTxn
+		if id == 0 {
+			var err error
+			if sv, err = s.open(rq.c); err != nil {
+				return errReply(err)
+			}
+			id = sv.t.ID()
+			b = appendU64(nil, uint64(id))
+		} else if sv = s.lookup(id); sv == nil {
 			return errReply(fmt.Errorf("T%d: %w", id, core.ErrUnknownTxn))
 		}
-		attachTrace(sv.t, rq.tc)
 		ret, err := sv.t.Do(obj, op)
 		if err != nil {
+			if b != nil {
+				// The client never learns this id, so nothing it sends
+				// can end the session: end it here.
+				s.drop(id)
+				_ = sv.t.Abort() // a no-op when the Do already aborted it
+			}
 			return errReply(err)
 		}
-		return kOK, appendRet(nil, ret)
+		return kOK, appendRet(b, ret)
 
 	case kCliCommit:
 		id := core.TxnID(r.u64())
@@ -157,7 +167,6 @@ func (s *coordServer) handle(rq request) (uint8, []byte) {
 		if sv == nil {
 			return errReply(fmt.Errorf("T%d: %w", id, core.ErrUnknownTxn))
 		}
-		attachTrace(sv.t, rq.tc)
 		sv.mu.Lock()
 		if sv.committing {
 			// A duplicate commit (client retried on a blip that did not
@@ -243,10 +252,7 @@ func (s *coordServer) handle(rq request) (uint8, []byte) {
 		} else {
 			committed = s.loggedCommit(id)
 		}
-		if committed {
-			return kOK, appendU8(nil, 1)
-		}
-		return kOK, appendU8(nil, 0)
+		return kOK, appendBool(nil, committed)
 
 	case kCliAck:
 		id := core.TxnID(r.u64())
@@ -259,11 +265,7 @@ func (s *coordServer) handle(rq request) (uint8, []byte) {
 	case kCliStatus:
 		b := appendU32(nil, uint32(c.NumSites()))
 		for sid := 0; sid < c.NumSites(); sid++ {
-			var down uint8
-			if c.SiteDown(dist.SiteID(sid)) {
-				down = 1
-			}
-			b = appendU8(b, down)
+			b = appendBool(b, c.SiteDown(dist.SiteID(sid)))
 		}
 		b = appendStats(b, c.Stats())
 		var logLen uint64
@@ -318,20 +320,6 @@ func stateSummary(r *reader, site func(core.ObjectID) dist.SiteBackend) (uint8, 
 		n = l.Len()
 	}
 	return kOK, appendI64(appendStr(nil, st.String()), int64(n))
-}
-
-// attachTrace hands a client-carried trace context to the transaction.
-// A no-op for invalid contexts or transactions without tracing; for a
-// context the transaction already carries it is an idempotent store.
-func attachTrace(t core.Txn, tc telemetry.TraceContext) {
-	if !tc.Valid() {
-		return
-	}
-	if at, ok := any(t).(interface {
-		AttachTrace(telemetry.TraceContext)
-	}); ok {
-		at.AttachTrace(tc)
-	}
 }
 
 // loggedCommit consults the decision log for a transaction with no

@@ -117,43 +117,14 @@ func TestTraceBlockForwardCompat(t *testing.T) {
 	}
 }
 
-// TestClientAdoptsCoordinatorTrace checks the Begin-response context
-// hand-off end to end over a real connection: with cluster tracing on,
-// the client's transaction adopts a valid context and its later frames
-// carry it back (exercised implicitly by the traced kCliDo path).
-func TestClientAdoptsCoordinatorTrace(t *testing.T) {
-	tc := telemetry.TraceContext{Trace: 5, Span: 6, Flags: telemetry.TraceSampled}
-	// Response encoding as the coordinator writes it.
-	b := appendU64(nil, uint64(77))
-	b = appendU64(b, tc.Trace)
-	b = appendU64(b, tc.Span)
-	b = appendU8(b, tc.Flags)
-	r := &reader{b: b}
-	id := r.u64()
-	var got telemetry.TraceContext
-	if len(r.b) >= traceBlockKnown {
-		got = telemetry.TraceContext{Trace: r.u64(), Span: r.u64(), Flags: r.u8()}
-	}
-	if r.err != nil || id != 77 || got != tc {
-		t.Errorf("decoded (%d, %+v, %v)", id, got, r.err)
-	}
-	// Old-style response (id only): no context, no error.
-	r = &reader{b: appendU64(nil, 77)}
-	_ = r.u64()
-	if len(r.b) >= traceBlockKnown {
-		t.Error("old response misread as carrying a context")
-	}
-	if r.err != nil {
-		t.Errorf("old response errored: %v", r.err)
-	}
-}
-
 // FuzzFrame feeds untrusted bytes through what a server's read loop
 // and a peer's decoders do with them — readFrame, splitTrace, then
-// every reader decoder over the payload — and requires no panic and no
-// allocation beyond one MaxFrame buffer plus a constant factor of the
-// bytes the input actually carries (a length or count field alone must
-// not buy memory). It also round-trips writeFrame for arbitrary
+// every reader decoder over the payload, the begin-flagged request
+// body and the first Do's id-before-Ret answer among them — and
+// requires no panic and no allocation beyond one MaxFrame buffer plus
+// a constant factor of the bytes the input actually carries (a length
+// or count field alone must not buy memory). It also round-trips
+// writeFrame for arbitrary
 // (corr, kind, trace context, payload), pinning the frame's byte size.
 func FuzzFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, corr uint64, kind uint8, trace, span uint64, flags uint8, payload []byte) {
@@ -171,6 +142,10 @@ func FuzzFrame(f *testing.F) {
 				continue
 			}
 			(&reader{b: body}).op()
+			(&reader{b: body}).request()
+			answer := &reader{b: body}
+			answer.u64()
+			answer.ret()
 			var eff core.Effects
 			(&reader{b: body}).effects(&eff)
 			(&reader{b: body}).edgeSets()

@@ -16,11 +16,12 @@ import (
 
 // RemoteSite is a dist.SiteBackend whose scheduler lives in another
 // process behind a Peer connection. The coordinator drives it exactly
-// like an in-process site; every participant call is one RPC, and
-// OutEdgesAppend is served from a local edge cache refreshed by the
-// batched edge report each mutating response carries — so the commit
-// conversation's hold phase costs one round trip per site and the
-// observe path costs none.
+// like an in-process site; every participant call but Begin, which
+// rides the transaction's first request, is one RPC, and OutEdgesAppend
+// is served from a local edge cache refreshed by the batched edge
+// report each mutating response carries — so the commit conversation's
+// hold phase costs one round trip per site and the observe path costs
+// none.
 //
 // The cache needs no versioning: dist serializes every participant
 // call to a site under that site's mutex, so a response's report is
@@ -51,6 +52,10 @@ type RemoteSite struct {
 	mu    sync.Mutex
 	down  bool
 	cache map[core.TxnID][]depgraph.Edge
+	// owed holds the transactions begun here whose begin has not reached
+	// the daemon: it rides their first request. Until then the daemon
+	// holds nothing of them, so every other verb answers locally.
+	owed map[core.TxnID]struct{}
 }
 
 // NewRemoteSite builds a backend for global site sid served by the
@@ -62,6 +67,7 @@ func NewRemoteSite(peer *Peer, sid uint16, decided func(core.TxnID) bool) *Remot
 		sid:     sid,
 		decided: decided,
 		cache:   make(map[core.TxnID][]depgraph.Edge),
+		owed:    make(map[core.TxnID]struct{}),
 	}
 }
 
@@ -105,10 +111,21 @@ func (rs *RemoteSite) req(extra int) []byte {
 // guard fails fast while the site is in the crashed state — between
 // the cluster observing the connection loss and Restart completing
 // reconciliation, no call may reach the daemon (it could be back up
-// with unreconciled orphans).
-func (rs *RemoteSite) guard() error {
+// with unreconciled orphans). It also reports whether id's begin is
+// still owed (id 0 names no transaction); take settles the debt, for
+// the request about to carry the begin.
+func (rs *RemoteSite) guard(id core.TxnID, take bool) (owed bool, err error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	_, owed = rs.owed[id]
+	if take {
+		delete(rs.owed, id)
+	}
+	return owed, rs.downErr()
+}
+
+// downErr is guard's verdict; rs.mu is held.
+func (rs *RemoteSite) downErr() error {
 	if rs.down {
 		return fmt.Errorf("wire: site %d crashed: %w", rs.sid, fault.ErrSiteDown)
 	}
@@ -129,31 +146,36 @@ func (rs *RemoteSite) applyReport(sets []edgeSet) {
 
 // ---- core.Participant ----
 
-// Begin registers the transaction at the remote site.
+// Begin records the transaction as owed to the site and sends nothing:
+// as in the paper's conversation, the daemon first hears of it through
+// its first request here, which carries the begin.
 func (rs *RemoteSite) Begin(id core.TxnID) error {
-	if err := rs.guard(); err != nil {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if err := rs.downErr(); err != nil {
 		return err
 	}
-	b := appendU64(rs.req(8), uint64(id))
-	r, err := rs.peer.call(kBegin, rs.tc(id), b)
-	if err != nil {
-		return rs.mapErr(err)
-	}
-	rs.applyReport(r.edgeSets())
-	return r.err
+	rs.owed[id] = struct{}{}
+	return nil
 }
 
-// RequestInto executes op on obj at the remote site.
+// RequestInto executes op on obj at the remote site, beginning the
+// transaction there first when its begin is owed. A daemon that already
+// has a live transaction under this id refuses the begin with
+// core.ErrDuplicateTxn; the id then stays owed, so no later verb of
+// this transaction can reach the other holder.
 func (rs *RemoteSite) RequestInto(eff *core.Effects, id core.TxnID, obj core.ObjectID, op adt.Op) (core.Decision, error) {
 	eff.Reset()
-	if err := rs.guard(); err != nil {
+	begin, err := rs.guard(id, true)
+	if err != nil {
 		return core.Decision{}, err
 	}
-	b := appendU64(rs.req(32), uint64(id))
-	b = appendU64(b, uint64(obj))
-	b = appendOp(b, op)
+	b := appendRequest(rs.req(33), id, begin, obj, op)
 	r, err := rs.peer.call(kRequest, rs.tc(id), b)
 	if err != nil {
+		if begin && errors.Is(err, core.ErrDuplicateTxn) {
+			_ = rs.Begin(id) // owe it again; a site crashed meanwhile owes nothing
+		}
 		return core.Decision{}, rs.mapErr(err)
 	}
 	dec := core.Decision{Outcome: core.Outcome(r.u8())}
@@ -165,20 +187,9 @@ func (rs *RemoteSite) RequestInto(eff *core.Effects, id core.TxnID, obj core.Obj
 }
 
 // CommitInto commits the transaction locally at the remote site.
-func (rs *RemoteSite) CommitInto(eff *core.Effects, id core.TxnID) (core.CommitStatus, error) {
-	eff.Reset()
-	if err := rs.guard(); err != nil {
-		return 0, err
-	}
-	b := appendU64(rs.req(8), uint64(id))
-	r, err := rs.peer.call(kCommit, rs.tc(id), b)
-	if err != nil {
-		return 0, rs.mapErr(err)
-	}
-	st := core.CommitStatus(r.u8())
-	r.effects(eff)
-	rs.applyReport(r.edgeSets())
-	return st, r.err
+func (rs *RemoteSite) CommitInto(eff *core.Effects, id core.TxnID) (st core.CommitStatus, err error) {
+	err = rs.effectsCall(kCommit, eff, id, func(r *reader) { st = core.CommitStatus(r.u8()) })
+	return st, err
 }
 
 // CommitHoldInto pseudo-commits and holds at the remote site. The
@@ -186,20 +197,9 @@ func (rs *RemoteSite) CommitInto(eff *core.Effects, id core.TxnID) (core.CommitS
 // edge read free: dist calls OutEdgesAppend right after this under the
 // same site mutex, and the cache already holds the answer.
 func (rs *RemoteSite) CommitHoldInto(eff *core.Effects, id core.TxnID) (int, error) {
-	eff.Reset()
-	if err := rs.guard(); err != nil {
+	deg := 0
+	if err := rs.effectsCall(kCommitHold, eff, id, func(r *reader) { deg = clampLen(r.i64()) }); err != nil {
 		return 0, err
-	}
-	b := appendU64(rs.req(8), uint64(id))
-	r, err := rs.peer.call(kCommitHold, rs.tc(id), b)
-	if err != nil {
-		return 0, rs.mapErr(err)
-	}
-	deg := clampLen(r.i64())
-	r.effects(eff)
-	rs.applyReport(r.edgeSets())
-	if r.err != nil {
-		return 0, r.err
 	}
 	if deg < 0 {
 		return 0, fmt.Errorf("wire: site %d: bad out-degree", rs.sid)
@@ -209,48 +209,43 @@ func (rs *RemoteSite) CommitHoldInto(eff *core.Effects, id core.TxnID) (int, err
 
 // ReleaseInto really commits a held transaction at the remote site.
 func (rs *RemoteSite) ReleaseInto(eff *core.Effects, id core.TxnID) error {
-	return rs.effectsCall(kRelease, eff, id)
+	return rs.effectsCall(kRelease, eff, id, nil)
 }
 
 // AbortInto aborts the transaction at the remote site.
 func (rs *RemoteSite) AbortInto(eff *core.Effects, id core.TxnID) error {
-	return rs.effectsCall(kAbort, eff, id)
+	return rs.effectsCall(kAbort, eff, id, nil)
 }
 
 // WithdrawInto abandons the transaction's blocked request.
 func (rs *RemoteSite) WithdrawInto(eff *core.Effects, id core.TxnID) error {
-	return rs.effectsCall(kWithdraw, eff, id)
-}
-
-// effectsCall is the shared shape of Release/Abort/Withdraw: txn id
-// out, effects + edge report back.
-func (rs *RemoteSite) effectsCall(kind uint8, eff *core.Effects, id core.TxnID) error {
-	eff.Reset()
-	if err := rs.guard(); err != nil {
-		return err
-	}
-	b := appendU64(rs.req(8), uint64(id))
-	r, err := rs.peer.call(kind, rs.tc(id), b)
-	if err != nil {
-		return rs.mapErr(err)
-	}
-	r.effects(eff)
-	rs.applyReport(r.edgeSets())
-	return r.err
+	return rs.effectsCall(kWithdraw, eff, id, nil)
 }
 
 // RevokeInto aborts a held pseudo-committed transaction (presumed
 // abort) at the remote site.
 func (rs *RemoteSite) RevokeInto(eff *core.Effects, id core.TxnID, reason core.AbortReason) error {
+	return rs.effectsCall(kRevoke, eff, id, nil, uint8(reason))
+}
+
+// effectsCall is the shared shape of every verb after a transaction's
+// first request: the txn id (and a revoke's reason) out; the verb's
+// own answer fields, read by head when non-nil, then the effects and
+// the edge report back. A transaction whose begin is still owed did
+// nothing at the daemon, so it answers locally, as an empty one would:
+// no effects, no edges, and a commit that commits.
+func (rs *RemoteSite) effectsCall(kind uint8, eff *core.Effects, id core.TxnID, head func(*reader), extra ...byte) error {
 	eff.Reset()
-	if err := rs.guard(); err != nil {
+	if owed, err := rs.guard(id, false); err != nil || owed {
 		return err
 	}
-	b := appendU64(rs.req(9), uint64(id))
-	b = appendU8(b, uint8(reason))
-	r, err := rs.peer.call(kRevoke, rs.tc(id), b)
+	b := append(appendU64(rs.req(8+len(extra)), uint64(id)), extra...)
+	r, err := rs.peer.call(kind, rs.tc(id), b)
 	if err != nil {
 		return rs.mapErr(err)
+	}
+	if head != nil {
+		head(r)
 	}
 	r.effects(eff)
 	rs.applyReport(r.edgeSets())
@@ -268,13 +263,13 @@ func (rs *RemoteSite) OutEdgesAppend(id core.TxnID, buf []depgraph.Edge) []depgr
 
 // Forget drops the transaction's bookkeeping. It is fire-and-forget on
 // the wire (correlation id 0): nothing downstream depends on its
-// completion, so the conversation does not wait on it.
+// completion, so the conversation does not wait on it. Forgetting an
+// owed transaction settles the debt and sends nothing.
 func (rs *RemoteSite) Forget(id core.TxnID) {
 	rs.mu.Lock()
 	delete(rs.cache, id)
-	down := rs.down
 	rs.mu.Unlock()
-	if down {
+	if owed, err := rs.guard(id, true); err != nil || owed {
 		return
 	}
 	rs.peer.oneway(kForget, appendU64(rs.req(8), uint64(id)))
@@ -287,7 +282,7 @@ func (rs *RemoteSite) Forget(id core.TxnID) {
 // its own workload spec (see workload.ParseSpec), because adt.Type
 // carries behaviour that cannot be serialised.
 func (rs *RemoteSite) Register(id core.ObjectID, typ adt.Type, class compat.Classifier) error {
-	if err := rs.guard(); err != nil {
+	if _, err := rs.guard(0, false); err != nil {
 		return err
 	}
 	_, _ = typ, class
@@ -305,7 +300,7 @@ func (rs *RemoteSite) SetFactory(f func(core.ObjectID) (adt.Type, compat.Classif
 
 // StatsSnapshot fetches the remote scheduler's counters.
 func (rs *RemoteSite) StatsSnapshot() core.Stats {
-	if err := rs.guard(); err != nil {
+	if _, err := rs.guard(0, false); err != nil {
 		return core.Stats{}
 	}
 	r, err := rs.peer.call(kStats, telemetry.TraceContext{}, rs.req(0))
@@ -331,15 +326,10 @@ func (rs *RemoteSite) CommittedState(id core.ObjectID) (adt.State, error) {
 }
 
 func (rs *RemoteSite) stateCall(id core.ObjectID, committed bool) (adt.State, error) {
-	if err := rs.guard(); err != nil {
+	if _, err := rs.guard(0, false); err != nil {
 		return nil, err
 	}
-	b := appendU64(rs.req(9), uint64(id))
-	var c uint8
-	if committed {
-		c = 1
-	}
-	b = appendU8(b, c)
+	b := appendBool(appendU64(rs.req(9), uint64(id)), committed)
 	r, err := rs.peer.call(kStateLen, telemetry.TraceContext{}, b)
 	if err != nil {
 		return nil, rs.mapErr(err)
@@ -352,10 +342,13 @@ func (rs *RemoteSite) stateCall(id core.ObjectID, committed bool) (adt.State, er
 }
 
 // TxnState fetches the transaction's state string; transport loss
-// reads as "site-down", matching fault.Crashable.
+// reads as "site-down", matching fault.Crashable. An owed transaction
+// is "active", as it would be after a local Begin.
 func (rs *RemoteSite) TxnState(id core.TxnID) string {
-	if err := rs.guard(); err != nil {
+	if owed, err := rs.guard(id, false); err != nil {
 		return "site-down"
+	} else if owed {
+		return "active"
 	}
 	r, err := rs.peer.call(kTxnState, telemetry.TraceContext{}, appendU64(rs.req(8), uint64(id)))
 	if err != nil {
@@ -370,14 +363,16 @@ func (rs *RemoteSite) TxnState(id core.TxnID) string {
 
 // ---- dist.CrashRestarter ----
 
-// Crash marks the site failed: the edge cache is dropped and every
-// call answers fault.ErrSiteDown until Restart. The cluster invokes it
-// when the peer connection dies (and in tests, to simulate a failure).
+// Crash marks the site failed: the edge cache and the owed begins are
+// dropped and every call answers fault.ErrSiteDown until Restart. The
+// cluster invokes it when the peer connection dies (and in tests, to
+// simulate a failure).
 func (rs *RemoteSite) Crash() error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	rs.down = true
 	rs.cache = make(map[core.TxnID][]depgraph.Edge)
+	clear(rs.owed)
 	return nil
 }
 

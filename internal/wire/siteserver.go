@@ -173,6 +173,28 @@ func (s *SiteServer) settled(ss *servedSite, kind uint8, id core.TxnID) bool {
 	return false
 }
 
+// begin registers a transaction at the site, in the same FIFO turn as
+// the first request that carried it. A restarted coordinator mints ids
+// from 1 again, and this daemon outlived it: an id whose previous
+// holder already terminated here (committed, or aborted by the restart
+// adoption, with the Forget lost in the crash) is free to reuse. A live
+// holder is a genuine duplicate: core.ErrDuplicateTxn.
+func (s *SiteServer) begin(ss *servedSite, tc telemetry.TraceContext, id core.TxnID) error {
+	err := ss.backend.Begin(id)
+	if errors.Is(err, core.ErrDuplicateTxn) {
+		if st := ss.backend.TxnState(id); st == "committed" || st == "aborted" {
+			ss.backend.Forget(id)
+			err = ss.backend.Begin(id)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	ss.txns[id] = struct{}{}
+	s.cfg.Spans.Record(tc, telemetry.SpanBegin, uint64(id), int32(ss.sid), 0, 0, 0)
+	return nil
+}
+
 // handle executes one request against the site backend and builds the
 // response frame body. A sampled trace context records the daemon's
 // half of the conversation into the span buffer.
@@ -190,36 +212,15 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 		return int64(time.Since(start))
 	}
 	switch kind {
-	case kBegin:
-		id := core.TxnID(r.u64())
-		if r.err != nil {
-			return errReply(r.err)
-		}
-		err := ss.backend.Begin(id)
-		if errors.Is(err, core.ErrDuplicateTxn) {
-			// A restarted coordinator mints ids from 1 again, and this
-			// daemon outlived it: an id whose previous holder already
-			// terminated here (committed, or aborted by the restart
-			// adoption, with the Forget lost in the crash) is free to
-			// reuse. A live holder is a genuine duplicate.
-			if st := ss.backend.TxnState(id); st == "committed" || st == "aborted" {
-				ss.backend.Forget(id)
-				err = ss.backend.Begin(id)
-			}
-		}
-		if err != nil {
-			return errReply(err)
-		}
-		ss.txns[id] = struct{}{}
-		s.cfg.Spans.Record(tc, telemetry.SpanBegin, uint64(id), sid, 0, 0, 0)
-		return kOK, ss.report(nil)
-
 	case kRequest:
-		id := core.TxnID(r.u64())
-		obj := core.ObjectID(r.u64())
-		op := r.op()
+		id, begin, obj, op := r.request()
 		if r.err != nil {
 			return errReply(r.err)
+		}
+		if begin {
+			if err := s.begin(ss, tc, id); err != nil {
+				return errReply(err)
+			}
 		}
 		dec, err := ss.backend.RequestInto(&ss.eff, id, obj, op)
 		if err != nil {

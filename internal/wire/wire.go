@@ -11,10 +11,16 @@
 // response granted, and everything still live there — so the
 // coordinator's observe/refreshParked reads (OutEdgesAppend) are served
 // from a local cache and the commit conversation's hold phase stays one
-// round trip per site.
+// round trip per site. No round trip carries only a begin: as in the
+// paper's §6 conversation, a site first hears of a transaction through
+// its first operation there, whose request carries a begin flag.
 //
 // The client plane carries core.Store calls from a remote client
-// (sccctl, or any process using Client) to the coordinator. Commits are
+// (sccctl, or any process using Client) to the coordinator. Begin is
+// local too: the first Do goes out with transaction id 0, and the
+// coordinator begins the session and names the minted id in that Do's
+// answer. An N-operation transaction whose commit lands at once costs
+// the client N+1 round trips and a one-way ack. Commits are
 // exactly-once across coordinator crashes: the coordinator gates each
 // decision's log truncation on a client acknowledgement
 // (dist.GateDecision), so a client whose connection died mid-commit
@@ -63,6 +69,7 @@ const (
 	ceAborted // payload carries txn id + reason: decodes to *core.ErrAborted
 	ceClosed
 	ceTxnDone
+	ceDuplicateTxn
 )
 
 // encodeErr classifies err into a wire error code plus the abort
@@ -83,6 +90,8 @@ func encodeErr(err error) (code uint8, txn core.TxnID, reason core.AbortReason, 
 		return ceClosed, 0, 0, msg
 	case errors.Is(err, core.ErrTxnDone):
 		return ceTxnDone, 0, 0, msg
+	case errors.Is(err, core.ErrDuplicateTxn):
+		return ceDuplicateTxn, 0, 0, msg
 	}
 	return ceGeneric, 0, 0, msg
 }
@@ -103,6 +112,8 @@ func decodeErr(code uint8, txn core.TxnID, reason core.AbortReason, msg string) 
 		return fmt.Errorf("remote (%s): %w", msg, core.ErrClosed)
 	case ceTxnDone:
 		return fmt.Errorf("remote (%s): %w", msg, core.ErrTxnDone)
+	case ceDuplicateTxn:
+		return fmt.Errorf("remote (%s): %w", msg, core.ErrDuplicateTxn)
 	}
 	return fmt.Errorf("remote: %s", msg)
 }
@@ -116,7 +127,6 @@ const (
 	// Participant plane: coordinator -> site daemon. Payloads start
 	// with the global site id (u16) the call addresses; one daemon can
 	// serve several sites on one connection.
-	kBegin      uint8 = 0x10
 	kRequest    uint8 = 0x11
 	kCommit     uint8 = 0x12
 	kCommitHold uint8 = 0x13
@@ -159,7 +169,7 @@ func KindName(k byte) string {
 var kindNames = [...]string{
 	kOK: "ok", kErr: "err",
 
-	kBegin: "begin", kRequest: "request", kCommit: "commit",
+	kRequest: "request", kCommit: "commit",
 	kCommitHold: "commit-hold", kRelease: "release", kAbort: "abort",
 	kRevoke: "revoke", kWithdraw: "withdraw", kForget: "forget",
 	kRegister: "register", kFactory: "factory", kStats: "stats",

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fault"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -349,6 +350,115 @@ func TestWireLoadSurvivesConnectionDrops(t *testing.T) {
 		if got, want := remoteLen(t, w.c, obj), int(counts[obj]); got != want {
 			t.Fatalf("object %d: committed depth %d, want %d pushes", obj, got, want)
 		}
+	}
+}
+
+// remoteSites serves one site behind a daemon and returns k RemoteSites
+// for it, each on its own counted connection — k coordinators' views of
+// one daemon, as after a coordinator restart.
+func remoteSites(t *testing.T, k int) ([]*RemoteSite, []*telemetry.WireMetrics) {
+	t.Helper()
+	cr, err := fault.New(core.Options{}, fault.NewMemLog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ServeSites(SiteServerConfig{Addr: "127.0.0.1:0", Sites: map[uint16]dist.SiteBackend{0: cr}, Workload: "pushes:4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	var rss []*RemoteSite
+	var mets []*telemetry.WireMetrics
+	for i := 0; i < k; i++ {
+		m := &telemetry.WireMetrics{}
+		peer := NewPeer(PeerConfig{Addr: srv.Addr(), Metrics: m})
+		if err := peer.Connect(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(peer.Close)
+		rss = append(rss, NewRemoteSite(peer, 0, nil))
+		mets = append(mets, m)
+	}
+	return rss, mets
+}
+
+func push(v int) adt.Op { return adt.Op{Name: adt.StackPush, Arg: v, HasArg: true} }
+
+// TestRemoteSiteOwedBegin: a begun transaction whose first request has
+// not gone out exists only at the coordinator. Abort, withdraw, forget
+// and txn-state answer locally without a frame; a crash clears the
+// debt, so a later request carries no begin and the daemon, which
+// never heard of the id, refuses it.
+func TestRemoteSiteOwedBegin(t *testing.T) {
+	rss, mets := remoteSites(t, 1)
+	rs, m := rss[0], mets[0]
+	var eff core.Effects
+	if err := rs.Begin(1); err != nil {
+		t.Fatal(err)
+	}
+	if st := rs.TxnState(1); st != "active" {
+		t.Fatalf("owed TxnState = %q, want active", st)
+	}
+	if err := rs.WithdrawInto(&eff, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.AbortInto(&eff, 1); err != nil {
+		t.Fatal(err)
+	}
+	rs.Forget(1)
+	if n := m.FramesOut.Load(); n != 0 {
+		t.Fatalf("an owed transaction sent %d frames, want 0", n)
+	}
+
+	if err := rs.Begin(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.RequestInto(&eff, 2, 1, push(1)); !errors.Is(err, core.ErrUnknownTxn) {
+		t.Fatalf("request after a crash cleared the begin = %v, want ErrUnknownTxn", err)
+	}
+}
+
+// TestRefusedBeginKeepsOtherHolder: two coordinators over one daemon
+// mint the same id, as a restarted one does. The second coordinator's
+// folded begin is refused with core.ErrDuplicateTxn while the first's
+// transaction is live, and unwinding the refused transaction must not
+// reach the other holder: its abort answers locally, and the first
+// coordinator's transaction still commits.
+func TestRefusedBeginKeepsOtherHolder(t *testing.T) {
+	rss, _ := remoteSites(t, 2)
+	var clusters []*dist.Cluster
+	for _, rs := range rss {
+		c, err := dist.NewWithConfig(dist.Config{Sites: 1, Backends: []dist.SiteBackend{rs}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		clusters = append(clusters, c)
+	}
+	live, refused := clusters[0].Begin(), clusters[1].Begin()
+	if live.ID() != refused.ID() {
+		t.Fatalf("ids %d and %d; the scenario needs one id on both coordinators", live.ID(), refused.ID())
+	}
+	if _, err := live.Do(1, push(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := refused.Do(1, push(2)); !errors.Is(err, core.ErrDuplicateTxn) {
+		t.Fatalf("second holder's first request = %v, want ErrDuplicateTxn", err)
+	}
+	if err := refused.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := live.Commit(); err != nil || st != core.Committed {
+		t.Fatalf("first holder's commit = %v, %v; want committed", st, err)
+	}
+	if got := remoteLen(t, clusters[0], 1); got != 1 {
+		t.Fatalf("committed depth = %d, want the first holder's one push", got)
 	}
 }
 
