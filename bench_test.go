@@ -157,6 +157,7 @@ func BenchmarkSchedulerCommutingOps(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	var eff core.Effects
 	var id core.TxnID
 	for i := 0; i < b.N; i++ {
 		id++
@@ -164,10 +165,10 @@ func BenchmarkSchedulerCommutingOps(b *testing.B) {
 			b.Fatal(err)
 		}
 		op := repro.Member(i % 97)
-		if dec, _, err := s.Request(id, 1, op); err != nil || dec.Outcome != core.Executed {
+		if dec, err := s.RequestInto(&eff, id, 1, op); err != nil || dec.Outcome != core.Executed {
 			b.Fatalf("%v %v", dec, err)
 		}
-		if _, _, err := s.Commit(id); err != nil {
+		if _, err := s.CommitInto(&eff, id); err != nil {
 			b.Fatal(err)
 		}
 		s.Forget(id)
@@ -184,6 +185,7 @@ func BenchmarkSchedulerRecoverableOps(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	var eff core.Effects
 	id := core.TxnID(0)
 	for i := 0; i < b.N; i++ {
 		ta, tb := id+1, id+2
@@ -194,17 +196,17 @@ func BenchmarkSchedulerRecoverableOps(b *testing.B) {
 		if err := s.Begin(tb); err != nil {
 			b.Fatal(err)
 		}
-		if dec, _, err := s.Request(ta, 1, repro.Push(i)); err != nil || dec.Outcome != core.Executed {
+		if dec, err := s.RequestInto(&eff, ta, 1, repro.Push(i)); err != nil || dec.Outcome != core.Executed {
 			b.Fatalf("%v %v", dec, err)
 		}
 		// The recoverable path: executes over ta's uncommitted push.
-		if dec, _, err := s.Request(tb, 1, repro.Push(i+1)); err != nil || dec.Outcome != core.Executed {
+		if dec, err := s.RequestInto(&eff, tb, 1, repro.Push(i+1)); err != nil || dec.Outcome != core.Executed {
 			b.Fatalf("%v %v", dec, err)
 		}
-		if st, _, err := s.Commit(tb); err != nil || st != core.PseudoCommitted {
+		if st, err := s.CommitInto(&eff, tb); err != nil || st != core.PseudoCommitted {
 			b.Fatalf("%v %v", st, err)
 		}
-		if st, _, err := s.Commit(ta); err != nil || st != core.Committed {
+		if st, err := s.CommitInto(&eff, ta); err != nil || st != core.Committed {
 			b.Fatalf("%v %v", st, err)
 		}
 		s.Forget(ta)
@@ -283,11 +285,12 @@ func BenchmarkCycleDetection(b *testing.B) {
 	}
 	// 200 stacked writers: each new write adds commit-dep edges to
 	// every prior writer and runs one cycle check.
+	var eff core.Effects
 	for id := core.TxnID(1); id <= 200; id++ {
 		if err := s.Begin(id); err != nil {
 			b.Fatal(err)
 		}
-		if dec, _, err := s.Request(id, 1, repro.Write(int(id))); err != nil || dec.Outcome != core.Executed {
+		if dec, err := s.RequestInto(&eff, id, 1, repro.Write(int(id))); err != nil || dec.Outcome != core.Executed {
 			b.Fatal("setup write failed")
 		}
 	}
@@ -298,12 +301,12 @@ func BenchmarkCycleDetection(b *testing.B) {
 		if err := s.Begin(id); err != nil {
 			b.Fatal(err)
 		}
-		if dec, _, err := s.Request(id, 1, repro.Write(i)); err != nil || dec.Outcome != core.Executed {
+		if dec, err := s.RequestInto(&eff, id, 1, repro.Write(i)); err != nil || dec.Outcome != core.Executed {
 			b.Fatal("bench write failed")
 		}
 		// Aborting keeps the graph from growing without bound while
 		// exercising removal too.
-		if _, err := s.Abort(id); err != nil {
+		if err := s.AbortInto(&eff, id); err != nil {
 			b.Fatal(err)
 		}
 		s.Forget(id)

@@ -15,9 +15,9 @@ import (
 // path does not touch the heap. They run a generous warm-up first so
 // every pool and scratch buffer reaches its steady capacity.
 
-// TestCommutingPathZeroAllocs asserts a steady-state Begin / Request
-// (commuting op) / Commit / Forget cycle performs zero heap
-// allocations.
+// TestCommutingPathZeroAllocs asserts a steady-state Begin /
+// RequestInto (commuting op) / CommitInto / Forget cycle, with one
+// reused Effects buffer, performs zero heap allocations.
 func TestCommutingPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -26,6 +26,7 @@ func TestCommutingPathZeroAllocs(t *testing.T) {
 	if err := s.Register(1, adt.Set{}, compat.SetTable()); err != nil {
 		t.Fatal(err)
 	}
+	var eff Effects
 	var id TxnID
 	cycle := func() {
 		id++
@@ -33,10 +34,10 @@ func TestCommutingPathZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		op := adt.Op{Name: adt.SetMember, Arg: int(id % 97), HasArg: true}
-		if dec, _, err := s.Request(id, 1, op); err != nil || dec.Outcome != Executed {
+		if dec, err := s.RequestInto(&eff, id, 1, op); err != nil || dec.Outcome != Executed {
 			t.Fatalf("request: %v %v", dec, err)
 		}
-		if st, _, err := s.Commit(id); err != nil || st != Committed {
+		if st, err := s.CommitInto(&eff, id); err != nil || st != Committed {
 			t.Fatalf("commit: %v %v", st, err)
 		}
 		s.Forget(id)
@@ -45,14 +46,14 @@ func TestCommutingPathZeroAllocs(t *testing.T) {
 		cycle()
 	}
 	if avg := testing.AllocsPerRun(500, cycle); avg != 0 {
-		t.Fatalf("commuting Request/Commit cycle allocates %.2f times per op, want 0", avg)
+		t.Fatalf("commuting RequestInto/CommitInto cycle allocates %.2f times per op, want 0", avg)
 	}
 }
 
 // TestBlockedPathZeroAllocs asserts the blocked path — park a
 // conflicting request, wait-for edge, deadlock check, grant on the
 // holder's commit — allocates nothing in steady state when driven
-// through the *Into variants with a reused Effects buffer: the
+// through the *Into verbs with a reused Effects buffer: the
 // per-block request is pooled (graveyard -> free list) and the grant
 // is appended into the caller's buffer.
 func TestBlockedPathZeroAllocs(t *testing.T) {
@@ -152,10 +153,9 @@ func TestWithdrawPathZeroAllocs(t *testing.T) {
 }
 
 // TestRecoverablePathIntoZeroAllocs asserts that the recoverable path
-// driven through the *Into variants — commit-dependency edges, a cycle
+// driven through the *Into verbs — commit-dependency edges, a cycle
 // check, pseudo-commit and cascade, with the Effects appended into a
-// reused buffer — performs zero allocations (the value-returning
-// variant below still pays for the escaping Effects lists).
+// reused buffer — performs zero allocations.
 func TestRecoverablePathIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -199,53 +199,6 @@ func TestRecoverablePathIntoZeroAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(500, pair); avg != 0 {
 		t.Fatalf("recoverable Into pair allocates %.2f times, want 0", avg)
-	}
-}
-
-// TestRecoverablePathBoundedAllocs asserts the recoverable path —
-// commit-dependency edges, a cycle check, pseudo-commit and cascade —
-// stays within a fixed small allocation bound per transaction pair
-// (the Effects lists returned to the caller still allocate).
-func TestRecoverablePathBoundedAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	s := NewScheduler(Options{})
-	if err := s.Register(1, adt.Stack{}, compat.StackTable()); err != nil {
-		t.Fatal(err)
-	}
-	var id TxnID
-	pair := func() {
-		ta, tb := id+1, id+2
-		id += 2
-		if err := s.Begin(ta); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Begin(tb); err != nil {
-			t.Fatal(err)
-		}
-		push := func(v int) adt.Op { return adt.Op{Name: adt.StackPush, Arg: v, HasArg: true} }
-		if dec, _, err := s.Request(ta, 1, push(1)); err != nil || dec.Outcome != Executed {
-			t.Fatalf("request: %v %v", dec, err)
-		}
-		if dec, _, err := s.Request(tb, 1, push(2)); err != nil || dec.Outcome != Executed {
-			t.Fatalf("request: %v %v", dec, err)
-		}
-		if st, _, err := s.Commit(tb); err != nil || st != PseudoCommitted {
-			t.Fatalf("commit b: %v %v", st, err)
-		}
-		if st, _, err := s.Commit(ta); err != nil || st != Committed {
-			t.Fatalf("commit a: %v %v", st, err)
-		}
-		s.Forget(ta)
-		s.Forget(tb)
-	}
-	for i := 0; i < 200; i++ {
-		pair()
-	}
-	const bound = 4.0
-	if avg := testing.AllocsPerRun(500, pair); avg > bound {
-		t.Fatalf("recoverable pair allocates %.2f times, want <= %.0f", avg, bound)
 	}
 }
 

@@ -81,23 +81,23 @@ func runMirroredScript(t *testing.T, opts Options, seed int64) {
 		id := TxnID(1 + rng.Intn(txns))
 		switch rng.Intn(10) {
 		case 0: // commit
-			stF, effF, errF := fast.Commit(id)
-			stS, effS, errS := slow.Commit(id)
+			stF, effF, errF := doCommit(fast, id)
+			stS, effS, errS := doCommit(slow, id)
 			if stF != stS || fmt.Sprint(effF) != fmt.Sprint(effS) || fmt.Sprint(errF) != fmt.Sprint(errS) {
 				t.Fatalf("seed %d step %d: Commit(%d) diverged: (%v %v %v) vs (%v %v %v)",
 					seed, step, id, stF, effF, errF, stS, effS, errS)
 			}
 		case 1: // abort
-			effF, errF := fast.Abort(id)
-			effS, errS := slow.Abort(id)
+			effF, errF := doAbort(fast, id)
+			effS, errS := doAbort(slow, id)
 			if fmt.Sprint(effF) != fmt.Sprint(effS) || fmt.Sprint(errF) != fmt.Sprint(errS) {
 				t.Fatalf("seed %d step %d: Abort(%d) diverged", seed, step, id)
 			}
 		default: // request
 			obj := ObjectID(1 + rng.Intn(objects))
 			op := randOp(obj)
-			decF, effF, errF := fast.Request(id, obj, op)
-			decS, effS, errS := slow.Request(id, obj, op)
+			decF, effF, errF := doRequest(fast, id, obj, op)
+			decS, effS, errS := doRequest(slow, id, obj, op)
 			if fmt.Sprint(decF) != fmt.Sprint(decS) || fmt.Sprint(effF) != fmt.Sprint(effS) ||
 				fmt.Sprint(errF) != fmt.Sprint(errS) {
 				t.Fatalf("seed %d step %d: Request(%d, %d, %v) diverged: (%v %v %v) vs (%v %v %v)",
@@ -108,8 +108,8 @@ func runMirroredScript(t *testing.T, opts Options, seed int64) {
 	// Drain: abort every transaction that is still around, then compare
 	// the end states.
 	for id := TxnID(1); id <= txns; id++ {
-		effF, errF := fast.Abort(id)
-		effS, errS := slow.Abort(id)
+		effF, errF := doAbort(fast, id)
+		effS, errS := doAbort(slow, id)
 		if fmt.Sprint(effF) != fmt.Sprint(effS) || fmt.Sprint(errF) != fmt.Sprint(errS) {
 			t.Fatalf("seed %d: drain Abort(%d) diverged", seed, id)
 		}

@@ -101,7 +101,7 @@ const (
 	ReasonShed = proto.ReasonShed
 )
 
-// Outcome is the immediate result of a Request.
+// Outcome is the immediate result of a RequestInto.
 type Outcome uint8
 
 // Outcomes.
@@ -116,7 +116,7 @@ const (
 	Aborted
 )
 
-// Decision is the immediate result of Request.
+// Decision is the immediate result of RequestInto.
 type Decision struct {
 	Outcome Outcome
 	Ret     adt.Ret
@@ -155,7 +155,7 @@ type RetryAbort = proto.RetryAbort
 // Effects collects everything that happened downstream of one scheduler
 // call: requests granted, blocked transactions aborted during retry,
 // and pseudo-committed transactions that really committed. Reusable via
-// Reset; the *Into scheduler variants append into a caller-owned value.
+// Reset; the scheduler's *Into verbs append into a caller-owned value.
 type Effects = proto.Effects
 
 // Recorder receives protocol events; internal/history implements it to

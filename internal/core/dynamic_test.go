@@ -20,7 +20,7 @@ func newDynStackSched(t *testing.T, vals ...int) *Scheduler {
 		for _, v := range vals {
 			mustExec(t, s, 1000, 1, push(v))
 		}
-		if st, _, err := s.Commit(1000); err != nil || st != Committed {
+		if st, _, err := doCommit(s, 1000); err != nil || st != Committed {
 			t.Fatalf("seed commit: %v %v", st, err)
 		}
 		s.Forget(1000)
@@ -42,13 +42,13 @@ func TestDynamicPopsEqualTops(t *testing.T) {
 	if r := mustExec(t, s, 2, 1, pop()); r != (adt.Ret{Code: adt.Value, Val: 7}) {
 		t.Fatalf("T2 pop = %v", r)
 	}
-	if d := s.OutDegree(2); d != 1 {
+	if d := s.g.OutDegree(2); d != 1 {
 		t.Fatalf("T2 out-degree = %d, want a commit dependency on T1", d)
 	}
 	// "it cannot be allowed to execute concurrently with them unless
 	// the top three elements of the stack are the same" — they are
 	// not (9 ≠ 7), so the third pop blocks.
-	dec, _, err := s.Request(3, 1, pop())
+	dec, _, err := doRequest(s, 3, 1, pop())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +58,10 @@ func TestDynamicPopsEqualTops(t *testing.T) {
 
 	// Abort T1: T2's pop return is unaffected (soundness), T3 still
 	// cannot run until T2 terminates.
-	if _, err := s.Abort(1); err != nil {
+	if _, err := doAbort(s, 1); err != nil {
 		t.Fatal(err)
 	}
-	if st, _, err := s.Commit(2); err != nil || st != Committed {
+	if st, _, err := doCommit(s, 2); err != nil || st != Committed {
 		t.Fatalf("T2 commit = %v, %v", st, err)
 	}
 	// T2's commit releases T3's pop, which sees the remaining 9.
@@ -86,13 +86,13 @@ func TestDynamicThreeEqualTops(t *testing.T) {
 		}
 	}
 	// Commit in invocation order; all real by cascade.
-	if st, _, _ := s.Commit(3); st != PseudoCommitted {
+	if st, _, _ := doCommit(s, 3); st != PseudoCommitted {
 		t.Fatal("T3 should pseudo-commit")
 	}
-	if st, _, _ := s.Commit(2); st != PseudoCommitted {
+	if st, _, _ := doCommit(s, 2); st != PseudoCommitted {
 		t.Fatal("T2 should pseudo-commit")
 	}
-	st, eff, err := s.Commit(1)
+	st, eff, err := doCommit(s, 1)
 	if err != nil || st != Committed || len(eff.Committed) != 2 {
 		t.Fatalf("T1 commit: %v %+v %v", st, eff, err)
 	}
@@ -112,12 +112,12 @@ func TestDynamicDisabledBlocks(t *testing.T) {
 	mustBegin(t, s, 1000)
 	mustExec(t, s, 1000, 1, push(7))
 	mustExec(t, s, 1000, 1, push(7))
-	if _, _, err := s.Commit(1000); err != nil {
+	if _, _, err := doCommit(s, 1000); err != nil {
 		t.Fatal(err)
 	}
 	mustBegin(t, s, 1, 2)
 	mustExec(t, s, 1, 1, pop())
-	dec, _, err := s.Request(2, 1, pop())
+	dec, _, err := doRequest(s, 2, 1, pop())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestDynamicTopOverSameValuePush(t *testing.T) {
 	// A different value would have blocked.
 	mustBegin(t, s, 3, 4)
 	mustExec(t, s, 3, 1, push(6))
-	dec, _, err := s.Request(4, 1, adt.Op{Name: adt.StackTop})
+	dec, _, err := doRequest(s, 4, 1, adt.Op{Name: adt.StackTop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +161,13 @@ func TestDynamicRandomRunsStaySound(t *testing.T) {
 	mustExec(t, s, 1, 1, pop())   // 2
 	mustExec(t, s, 2, 1, pop())   // 2 (equal tops: state-recoverable)
 	mustExec(t, s, 3, 1, push(9)) // push RR pop: deps T3 -> {T1, T2}
-	if _, err := s.Abort(1); err != nil {
+	if _, err := doAbort(s, 1); err != nil {
 		t.Fatal(err)
 	}
-	if st, _, _ := s.Commit(2); st != Committed {
+	if st, _, _ := doCommit(s, 2); st != Committed {
 		t.Fatal("T2 should commit for real (its dependency aborted)")
 	}
-	if st, _, _ := s.Commit(3); st != Committed {
+	if st, _, _ := doCommit(s, 3); st != Committed {
 		t.Fatal("T3 should commit")
 	}
 	got, _ := s.CommittedState(1)
@@ -188,12 +188,12 @@ func TestDynamicNeedsIntentions(t *testing.T) {
 	mustBegin(t, s, 1000)
 	mustExec(t, s, 1000, 1, push(7))
 	mustExec(t, s, 1000, 1, push(7))
-	if _, _, err := s.Commit(1000); err != nil {
+	if _, _, err := doCommit(s, 1000); err != nil {
 		t.Fatal(err)
 	}
 	mustBegin(t, s, 1, 2)
 	mustExec(t, s, 1, 1, pop())
-	dec, _, err := s.Request(2, 1, pop())
+	dec, _, err := doRequest(s, 2, 1, pop())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,9 @@ import (
 // Every mutating call follows the *Into convention: downstream effects
 // are appended into a caller-owned Effects buffer (reset on entry), so
 // a coordinator that reuses one buffer per site allocates nothing per
-// conversation round.
+// conversation round. These *Into verbs are the Scheduler's only
+// mutating API: the DB front end, the simulator and the distributed
+// layer all drive a scheduler through them.
 type Participant interface {
 	// Begin registers a new transaction at this participant.
 	Begin(id TxnID) error
@@ -36,7 +38,7 @@ type Participant interface {
 	// real and cascades).
 	CommitInto(eff *Effects, id TxnID) (CommitStatus, error)
 	// CommitHoldInto pseudo-commits and holds: the transaction is
-	// excluded from the automatic cascade until Release. Returns the
+	// excluded from the automatic cascade until ReleaseInto. Returns the
 	// local out-degree so the coordinator can sum the global dependency
 	// set.
 	CommitHoldInto(eff *Effects, id TxnID) (int, error)

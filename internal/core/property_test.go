@@ -71,8 +71,10 @@ func runRandomProtocol(t *testing.T, cfg propConfig) (*history.Recorder, *core.S
 	}
 	var nextID core.TxnID
 	active := map[core.TxnID]*client{}
-	// applyEffects resolves grants and retry-aborts for blocked
+	// eff is the one Effects buffer every scheduler call appends into;
+	// applyEffects resolves its grants and retry-aborts for blocked
 	// clients and forgets cascaded commits.
+	var eff core.Effects
 	applyEffects := func(eff core.Effects) {
 		for _, g := range eff.Grants {
 			if c, ok := active[g.Txn]; ok {
@@ -114,8 +116,7 @@ func runRandomProtocol(t *testing.T, cfg propConfig) (*history.Recorder, *core.S
 					any = c
 				}
 			}
-			eff, err := s.Abort(any.id)
-			if err != nil {
+			if err := s.AbortInto(&eff, any.id); err != nil {
 				t.Fatal(err)
 			}
 			delete(active, any.id)
@@ -132,7 +133,7 @@ func runRandomProtocol(t *testing.T, cfg propConfig) (*history.Recorder, *core.S
 		c := min
 		switch rng.Intn(10) {
 		case 0: // commit
-			st, eff, err := s.Commit(c.id)
+			st, err := s.CommitInto(&eff, c.id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,15 +144,14 @@ func runRandomProtocol(t *testing.T, cfg propConfig) (*history.Recorder, *core.S
 			}
 			applyEffects(eff)
 		case 1: // user abort
-			eff, err := s.Abort(c.id)
-			if err != nil {
+			if err := s.AbortInto(&eff, c.id); err != nil {
 				t.Fatal(err)
 			}
 			delete(active, c.id)
 			applyEffects(eff)
 		default: // operation
 			obj := core.ObjectID(1 + rng.Intn(cfg.objects))
-			dec, eff, err := s.Request(c.id, obj, randomOp(types[obj]))
+			dec, err := s.RequestInto(&eff, c.id, obj, randomOp(types[obj]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,8 +175,7 @@ func runRandomProtocol(t *testing.T, cfg propConfig) (*history.Recorder, *core.S
 			}
 		}
 		if pick != nil {
-			_, eff, err := s.Commit(pick.id)
-			if err != nil {
+			if _, err := s.CommitInto(&eff, pick.id); err != nil {
 				t.Fatal(err)
 			}
 			delete(active, pick.id)
@@ -188,8 +187,7 @@ func runRandomProtocol(t *testing.T, cfg propConfig) (*history.Recorder, *core.S
 				pick = c
 			}
 		}
-		eff, err := s.Abort(pick.id)
-		if err != nil {
+		if err := s.AbortInto(&eff, pick.id); err != nil {
 			t.Fatal(err)
 		}
 		delete(active, pick.id)

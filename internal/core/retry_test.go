@@ -37,7 +37,7 @@ func TestRetryAbort(t *testing.T) {
 	mustExec(t, s, 3, 2, write(30)) // dep T3 -> T2
 	mustExec(t, s, 1, 1, push(1))
 
-	dec, _, err := s.Request(2, 1, pop())
+	dec, _, err := doRequest(s, 2, 1, pop())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRetryAbort(t *testing.T) {
 	}
 	mustExec(t, s, 3, 1, push(2)) // dep T3 -> T1, overtakes the pop
 
-	st, eff, err := s.Commit(1)
+	st, eff, err := doCommit(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRetryAbort(t *testing.T) {
 		t.Fatalf("T2 state = %s", got)
 	}
 	// T3 survives; T2's abort dropped T3's dependency on it.
-	if st, _, err := s.Commit(3); err != nil || st != Committed {
+	if st, _, err := doCommit(s, 3); err != nil || st != Committed {
 		t.Fatalf("T3 commit = %v, %v", st, err)
 	}
 	// T2's write on Y was undone underneath T3's (write-chain):
@@ -83,16 +83,16 @@ func TestWaitEdgesClearedOnGrant(t *testing.T) {
 	}
 	mustBegin(t, s, 1, 2)
 	mustExec(t, s, 1, 1, push(1))
-	if dec, _, _ := s.Request(2, 1, pop()); dec.Outcome != Blocked {
+	if dec, _, _ := doRequest(s, 2, 1, pop()); dec.Outcome != Blocked {
 		t.Fatal("pop should block")
 	}
-	if d := s.OutDegree(2); d != 1 {
+	if d := s.g.OutDegree(2); d != 1 {
 		t.Fatalf("blocked T2 out-degree = %d, want 1 wait edge", d)
 	}
-	if _, eff, err := s.Commit(1); err != nil || len(eff.Grants) != 1 {
+	if _, eff, err := doCommit(s, 1); err != nil || len(eff.Grants) != 1 {
 		t.Fatalf("commit effects = %+v, %v", eff, err)
 	}
-	if d := s.OutDegree(2); d != 0 {
+	if d := s.g.OutDegree(2); d != 0 {
 		t.Fatalf("granted T2 out-degree = %d, want 0 (wait edges cleared, holder gone)", d)
 	}
 }
@@ -115,7 +115,7 @@ func TestFIFOAcrossRetry(t *testing.T) {
 		txn TxnID
 		op  adt.Op
 	}{{2, read()}, {3, write(30)}, {4, read()}} {
-		dec, _, err := s.Request(req.txn, 1, req.op)
+		dec, _, err := doRequest(s, req.txn, 1, req.op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestFIFOAcrossRetry(t *testing.T) {
 	// T3's write (no conflict left: the read executed and write RR
 	// read), then T4's read must NOT run (it conflicts with T3's
 	// uncommitted write).
-	_, eff, err := s.Commit(1)
+	_, eff, err := doCommit(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +144,12 @@ func TestFIFOAcrossRetry(t *testing.T) {
 	// T3's granted write ran over T2's uncommitted read, so T3 picked
 	// up a commit dependency on T2 and can only pseudo-commit while
 	// T2 is active.
-	if st, _, err := s.Commit(3); err != nil || st != PseudoCommitted {
+	if st, _, err := doCommit(s, 3); err != nil || st != PseudoCommitted {
 		t.Fatalf("T3 commit = %v, %v, want pseudo-committed (depends on T2)", st, err)
 	}
 	// T2 commits: T3's real commit cascades, releasing its write from
 	// the log, which finally grants T4's read with T3's value.
-	_, eff, err = s.Commit(2)
+	_, eff, err = doCommit(s, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,17 +176,17 @@ func TestCommitDepAcrossObjectsOrdersCascade(t *testing.T) {
 	mustExec(t, s, 3, 1, write(31)) // X: T3 -> dep on T1
 	mustExec(t, s, 3, 2, write(32)) // Y: T3 -> dep on T2
 
-	if st, _, _ := s.Commit(3); st != PseudoCommitted {
+	if st, _, _ := doCommit(s, 3); st != PseudoCommitted {
 		t.Fatal("T3 should pseudo-commit")
 	}
 	// Committing only T1 must not release T3 (still depends on T2).
-	if _, eff, err := s.Commit(1); err != nil || len(eff.Committed) != 0 {
+	if _, eff, err := doCommit(s, 1); err != nil || len(eff.Committed) != 0 {
 		t.Fatalf("after T1: effects %+v, %v", eff, err)
 	}
 	if got := s.TxnState(3); got != "pseudo-committed" {
 		t.Fatalf("T3 = %s", got)
 	}
-	_, eff, err := s.Commit(2)
+	_, eff, err := doCommit(s, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // schedScratch holds the scheduler's reusable buffers. Every holder
 // list, affected-object list and queue snapshot the protocol's inner
 // loops need lives here, grown once and reused, so a steady-state
-// Request+Commit of a commuting operation performs zero heap
+// RequestInto+CommitInto of a commuting operation performs zero heap
 // allocations. All fields follow the same discipline: a consumer takes
 // field[:0], appends, and stores the result back so the grown capacity
 // survives.
@@ -133,23 +133,14 @@ func (s *Scheduler) Begin(id TxnID) error {
 	return err
 }
 
-// Request asks to execute op on obj for transaction id, implementing
-// Figure 2 of the paper. The Decision reports the immediate outcome;
-// Effects reports anything that happened downstream (an abort of the
-// requester can unblock other transactions and cascade commits).
-func (s *Scheduler) Request(id TxnID, obj ObjectID, op adt.Op) (Decision, Effects, error) {
-	var eff Effects
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dec, err := s.requestLocked(&eff, id, obj, op)
-	s.drainRetired()
-	return dec, eff, err
-}
-
-// RequestInto is Request appending its effects into a caller-owned,
-// reusable buffer (reset on entry): the delivery layer passes one
-// Effects per lock domain, so the steady-state conversation between a
-// blocking front end and the scheduler allocates nothing.
+// RequestInto asks to execute op on obj for transaction id,
+// implementing Figure 2 of the paper. The Decision reports the
+// immediate outcome; eff (reset on entry) receives anything that
+// happened downstream (an abort of the requester can unblock other
+// transactions and cascade commits). The buffer is caller-owned and
+// reusable: the delivery layer passes one Effects per lock domain, so
+// the steady-state conversation between a blocking front end and the
+// scheduler allocates nothing.
 func (s *Scheduler) RequestInto(eff *Effects, id TxnID, obj ObjectID, op adt.Op) (Decision, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -280,7 +271,6 @@ func (s *Scheduler) tryExecute(t *txn, o *object, op adt.Op, retry bool, eff *Ef
 		return Decision{}, err
 	}
 	t.visited[o.id] = struct{}{}
-	t.nops++
 	s.stats.Executes.Inc()
 	if r := s.opts.Recorder; r != nil {
 		r.Executed(t.id, o.id, op, ret, s.nextSeq)
@@ -288,20 +278,10 @@ func (s *Scheduler) tryExecute(t *txn, o *object, op adt.Op, retry bool, eff *Ef
 	return Decision{Outcome: Executed, Ret: ret}, nil
 }
 
-// Commit finishes transaction id. If it has outstanding commit
+// CommitInto finishes transaction id. If it has outstanding commit
 // dependencies it pseudo-commits (§4.3); otherwise it commits for real,
-// which may unblock waiters and cascade commits of its dependants.
-func (s *Scheduler) Commit(id TxnID) (CommitStatus, Effects, error) {
-	var eff Effects
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, err := s.commitLocked(&eff, id)
-	s.drainRetired()
-	return st, eff, err
-}
-
-// CommitInto is Commit appending into a caller-owned, reusable Effects
-// buffer (reset on entry).
+// which may unblock waiters and cascade commits of its dependants —
+// appended into eff (reset on entry).
 func (s *Scheduler) CommitInto(eff *Effects, id TxnID) (CommitStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -346,24 +326,15 @@ func (s *Scheduler) commitLocked(eff *Effects, id TxnID) (CommitStatus, error) {
 	return Committed, nil
 }
 
-// CommitHold is the distributed variant of Commit (phase one of the
-// §6 commit conversation): the transaction pseudo-commits even if it
-// has no local dependencies, its operations stay in the logs, and it is
-// excluded from the automatic cascade — only Release (or, for the whole
-// cluster, the coordinator) finalises it. It returns the transaction's
-// current out-degree so the coordinator can decide whether the global
-// dependency set is empty.
-func (s *Scheduler) CommitHold(id TxnID) (int, Effects, error) {
-	var eff Effects
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	deg, err := s.commitHoldLocked(id)
-	return deg, eff, err
-}
-
-// CommitHoldInto is CommitHold with the caller-owned Effects convention
-// of the other *Into variants (a hold has no downstream effects today,
-// but the distributed layer treats every participant call uniformly).
+// CommitHoldInto is the distributed variant of CommitInto (phase one
+// of the §6 commit conversation): the transaction pseudo-commits even
+// if it has no local dependencies, its operations stay in the logs, and
+// it is excluded from the automatic cascade — only ReleaseInto (or, for
+// the whole cluster, the coordinator) finalises it. It returns the
+// transaction's current out-degree so the coordinator can decide
+// whether the global dependency set is empty. A hold has no downstream
+// effects, but it takes eff like every other participant call so the
+// distributed layer treats them uniformly.
 func (s *Scheduler) CommitHoldInto(eff *Effects, id TxnID) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -395,21 +366,11 @@ func (s *Scheduler) commitHoldLocked(id TxnID) (int, error) {
 	return s.g.OutDegree(id), nil
 }
 
-// Release really commits a held, pseudo-committed transaction. The
-// caller (the distributed coordinator) must have established that the
+// ReleaseInto really commits a held, pseudo-committed transaction,
+// appending the cascade into eff (reset on entry). The caller (the
+// distributed coordinator) must have established that the
 // transaction's global dependency set is empty; locally that means an
-// out-degree of zero, which Release enforces.
-func (s *Scheduler) Release(id TxnID) (Effects, error) {
-	var eff Effects
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.releaseLocked(&eff, id)
-	s.drainRetired()
-	return eff, err
-}
-
-// ReleaseInto is Release appending into a caller-owned, reusable
-// Effects buffer (reset on entry).
+// out-degree of zero, which ReleaseInto enforces.
 func (s *Scheduler) ReleaseInto(eff *Effects, id TxnID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -440,18 +401,9 @@ func (s *Scheduler) releaseLocked(eff *Effects, id TxnID) error {
 	return nil
 }
 
-// Abort aborts transaction id at the caller's request.
-func (s *Scheduler) Abort(id TxnID) (Effects, error) {
-	var eff Effects
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.abortLocked(&eff, id)
-	s.drainRetired()
-	return eff, err
-}
-
-// AbortInto is Abort appending into a caller-owned, reusable Effects
-// buffer (reset on entry).
+// AbortInto aborts transaction id at the caller's request, appending
+// what follows downstream (grants, retry aborts, cascaded commits) into
+// eff (reset on entry).
 func (s *Scheduler) AbortInto(eff *Effects, id TxnID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -528,24 +480,14 @@ func (s *Scheduler) revokeLocked(eff *Effects, id TxnID, reason AbortReason) err
 	return nil
 }
 
-// Withdraw abandons transaction id's blocked request: the request is
-// dequeued, its wait-for edges are shed, and the transaction returns to
-// the active state with its executed operations intact — the
+// WithdrawInto abandons transaction id's blocked request: the request
+// is dequeued, its wait-for edges are shed, and the transaction returns
+// to the active state with its executed operations intact — the
 // cancellation path of a context-aware Do. Requests parked behind the
 // withdrawn one are retried before the call returns (the same rescan a
-// terminating transaction triggers), so a withdrawal can never strand a
-// fairness-gated follower.
-func (s *Scheduler) Withdraw(id TxnID) (Effects, error) {
-	var eff Effects
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.withdrawLocked(&eff, id)
-	s.drainRetired()
-	return eff, err
-}
-
-// WithdrawInto is Withdraw appending into a caller-owned, reusable
-// Effects buffer (reset on entry).
+// terminating transaction triggers, its effects appended into eff,
+// reset on entry), so a withdrawal can never strand a fairness-gated
+// follower.
 func (s *Scheduler) WithdrawInto(eff *Effects, id TxnID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -885,17 +827,6 @@ func (s *Scheduler) BlockedDepth() int {
 	return n
 }
 
-// TxnOps returns how many operations the transaction has executed (used
-// for the paper's abort-length metric).
-func (s *Scheduler) TxnOps(id TxnID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.txns.get(id); ok {
-		return t.nops
-	}
-	return 0
-}
-
 // TxnState returns a human-readable state for tests and tools.
 func (s *Scheduler) TxnState(id TxnID) string {
 	s.mu.Lock()
@@ -912,14 +843,6 @@ func (s *Scheduler) Forget(id TxnID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.txns.forget(id)
-}
-
-// OutDegree exposes the transaction's dependency-graph out-degree (for
-// tests and examples).
-func (s *Scheduler) OutDegree(id TxnID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.g.OutDegree(id)
 }
 
 // ObjectSnapshot is one object's committed state, as exported by

@@ -28,7 +28,7 @@ func newStackSched(t *testing.T, opts Options) *Scheduler {
 
 func mustExec(t *testing.T, s *Scheduler, id TxnID, obj ObjectID, op adt.Op) adt.Ret {
 	t.Helper()
-	dec, _, err := s.Request(id, obj, op)
+	dec, _, err := doRequest(s, id, obj, op)
 	if err != nil {
 		t.Fatalf("T%d %v: %v", id, op, err)
 	}
@@ -57,12 +57,12 @@ func TestTwoPushesRunConcurrently(t *testing.T) {
 	mustExec(t, s, 1, 1, push(4))
 	mustExec(t, s, 2, 1, push(2)) // executes immediately despite T1's uncommitted push
 
-	if d := s.OutDegree(2); d != 1 {
+	if d := s.g.OutDegree(2); d != 1 {
 		t.Fatalf("T2 out-degree = %d, want 1 (commit dependency on T1)", d)
 	}
 
 	// T2 commits first: it can only pseudo-commit.
-	st, eff, err := s.Commit(2)
+	st, eff, err := doCommit(s, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestTwoPushesRunConcurrently(t *testing.T) {
 	}
 
 	// T1 commits: real commit, cascading T2's real commit.
-	st, eff, err = s.Commit(1)
+	st, eff, err = doCommit(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +103,14 @@ func TestAbortDoesNotCascade(t *testing.T) {
 			mustExec(t, s, 1, 1, push(4))
 			mustExec(t, s, 2, 1, push(2))
 
-			if _, err := s.Abort(1); err != nil {
+			if _, err := doAbort(s, 1); err != nil {
 				t.Fatal(err)
 			}
 			// T2 is unaffected and now has no dependencies.
-			if d := s.OutDegree(2); d != 0 {
+			if d := s.g.OutDegree(2); d != 0 {
 				t.Fatalf("T2 out-degree after T1 abort = %d, want 0", d)
 			}
-			st, _, err := s.Commit(2)
+			st, _, err := doCommit(s, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestCommutativityBaselineBlocks(t *testing.T) {
 	mustBegin(t, s, 1, 2)
 	mustExec(t, s, 1, 1, push(4))
 
-	dec, _, err := s.Request(2, 1, push(2))
+	dec, _, err := doRequest(s, 2, 1, push(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestCommutativityBaselineBlocks(t *testing.T) {
 	}
 
 	// T1 commits; T2's push is granted.
-	st, eff, err := s.Commit(1)
+	st, eff, err := doCommit(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCommutativityBaselineBlocks(t *testing.T) {
 	if len(eff.Grants) != 1 || eff.Grants[0].Txn != 2 || eff.Grants[0].Ret != adt.RetOK {
 		t.Fatalf("grants = %+v, want T2's push", eff.Grants)
 	}
-	if st, _, _ := s.Commit(2); st != Committed {
+	if st, _, _ := doCommit(s, 2); st != Committed {
 		t.Fatalf("T2 commit = %v", st)
 	}
 }
@@ -180,14 +180,14 @@ func TestPaperSequence3(t *testing.T) {
 	mustExec(t, s, 2, 1, push(2)) // S: (push(2), T2, ok) — no waiting
 	mustExec(t, s, 2, 2, sins(3)) // X: (insert(3), T2, ok) — no waiting
 
-	st2, _, err := s.Commit(2)
+	st2, _, err := doCommit(s, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st2 != PseudoCommitted {
 		t.Fatalf("T2 before T1 terminates: %v, want pseudo-committed", st2)
 	}
-	st1, eff, err := s.Commit(1)
+	st1, eff, err := doCommit(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +210,14 @@ func TestReadWriteDeadlock(t *testing.T) {
 	mustExec(t, s, 1, 1, write(10))
 	mustExec(t, s, 2, 2, write(20))
 
-	dec, _, err := s.Request(1, 2, read())
+	dec, _, err := doRequest(s, 1, 2, read())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Outcome != Blocked {
 		t.Fatalf("T1 read obj2 = %v, want blocked", dec.Outcome)
 	}
-	dec, eff, err := s.Request(2, 1, read())
+	dec, eff, err := doRequest(s, 2, 1, read())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +245,10 @@ func TestCommitDependencyCycleAborts(t *testing.T) {
 		}
 	}
 	mustBegin(t, s, 1, 2)
-	mustExec(t, s, 1, 1, write(10))           // X: T1
-	mustExec(t, s, 2, 1, write(11))           // X: T2 after T1 -> dep T2->T1
-	mustExec(t, s, 2, 2, write(20))           // Y: T2
-	dec, _, err := s.Request(1, 2, write(21)) // Y: T1 after T2 -> dep T1->T2: cycle
+	mustExec(t, s, 1, 1, write(10))              // X: T1
+	mustExec(t, s, 2, 1, write(11))              // X: T2 after T1 -> dep T2->T1
+	mustExec(t, s, 2, 2, write(20))              // Y: T2
+	dec, _, err := doRequest(s, 1, 2, write(21)) // Y: T1 after T2 -> dep T1->T2: cycle
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestCommitDependencyCycleAborts(t *testing.T) {
 		t.Fatalf("cycle-closing write = %v/%v, want commit-cycle abort", dec.Outcome, dec.Reason)
 	}
 	// T2 survives and commits for real (T1's entries are gone).
-	if st, _, err := s.Commit(2); err != nil || st != Committed {
+	if st, _, err := doCommit(s, 2); err != nil || st != Committed {
 		t.Fatalf("T2 commit = %v, %v", st, err)
 	}
 	got, _ := s.CommittedState(1)
@@ -277,13 +277,13 @@ func TestPseudoCommitChain(t *testing.T) {
 	mustExec(t, s, 2, 1, write(20))
 	mustExec(t, s, 3, 1, write(30))
 
-	if st, _, _ := s.Commit(3); st != PseudoCommitted {
+	if st, _, _ := doCommit(s, 3); st != PseudoCommitted {
 		t.Fatal("T3 should pseudo-commit")
 	}
-	if st, _, _ := s.Commit(2); st != PseudoCommitted {
+	if st, _, _ := doCommit(s, 2); st != PseudoCommitted {
 		t.Fatal("T2 should pseudo-commit")
 	}
-	st, eff, err := s.Commit(1)
+	st, eff, err := doCommit(s, 1)
 	if err != nil || st != Committed {
 		t.Fatalf("T1 commit: %v, %v", st, err)
 	}
@@ -304,10 +304,10 @@ func TestPseudoCommittedSurviveDependencyAbort(t *testing.T) {
 	mustBegin(t, s, 1, 2)
 	mustExec(t, s, 1, 1, push(4))
 	mustExec(t, s, 2, 1, push(2))
-	if st, _, _ := s.Commit(2); st != PseudoCommitted {
+	if st, _, _ := doCommit(s, 2); st != PseudoCommitted {
 		t.Fatal("T2 should pseudo-commit")
 	}
-	eff, err := s.Abort(1)
+	eff, err := doAbort(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestFairSchedulingBlocksBehindBlockedRequest(t *testing.T) {
 		}
 		mustBegin(t, s, 1, 2, 3)
 		mustExec(t, s, 1, 1, write(10))
-		dec, _, err := s.Request(2, 1, read())
+		dec, _, err := doRequest(s, 2, 1, read())
 		if err != nil || dec.Outcome != Blocked {
 			t.Fatalf("read should block: %v %v", dec, err)
 		}
@@ -341,7 +341,7 @@ func TestFairSchedulingBlocksBehindBlockedRequest(t *testing.T) {
 
 	// Fair: T3's write waits behind T2's blocked read.
 	s := newPageSched(false)
-	dec, _, err := s.Request(3, 1, write(30))
+	dec, _, err := doRequest(s, 3, 1, write(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestFairSchedulingBlocksBehindBlockedRequest(t *testing.T) {
 	}
 	// T1 commits: FIFO grants — T2's read first (sees 10), then T3's
 	// write.
-	_, eff, err := s.Commit(1)
+	_, eff, err := doCommit(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestFairSchedulingBlocksBehindBlockedRequest(t *testing.T) {
 	// Unfair: T3's write jumps the queue (preferential treatment of
 	// writes under recoverability, §5.5.1).
 	s = newPageSched(true)
-	dec, _, err = s.Request(3, 1, write(30))
+	dec, _, err = doRequest(s, 3, 1, write(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,15 +383,15 @@ func TestBlockedAbortByUser(t *testing.T) {
 	}
 	mustBegin(t, s, 1, 2)
 	mustExec(t, s, 1, 1, write(10))
-	dec, _, _ := s.Request(2, 1, read())
+	dec, _, _ := doRequest(s, 2, 1, read())
 	if dec.Outcome != Blocked {
 		t.Fatal("read should block")
 	}
-	if _, err := s.Abort(2); err != nil {
+	if _, err := doAbort(s, 2); err != nil {
 		t.Fatal(err)
 	}
 	// T1 commits with nothing to grant.
-	_, eff, err := s.Commit(1)
+	_, eff, err := doCommit(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,10 +412,10 @@ func TestMisuseErrors(t *testing.T) {
 	if err := s.Register(1, adt.Stack{}, compat.StackTable()); !errors.Is(err, ErrDuplicateObj) {
 		t.Errorf("duplicate register: %v", err)
 	}
-	if _, _, err := s.Request(9, 1, push(1)); !errors.Is(err, ErrUnknownTxn) {
+	if _, _, err := doRequest(s, 9, 1, push(1)); !errors.Is(err, ErrUnknownTxn) {
 		t.Errorf("unknown txn: %v", err)
 	}
-	if _, _, err := s.Request(1, 9, push(1)); !errors.Is(err, ErrUnknownObject) {
+	if _, _, err := doRequest(s, 1, 9, push(1)); !errors.Is(err, ErrUnknownObject) {
 		t.Errorf("unknown object: %v", err)
 	}
 	if _, err := s.ObjectState(9); !errors.Is(err, ErrUnknownObject) {
@@ -425,24 +425,24 @@ func TestMisuseErrors(t *testing.T) {
 	// Blocked transactions cannot issue requests or commit.
 	mustBegin(t, s, 2)
 	mustExec(t, s, 1, 1, push(1))
-	if dec, _, _ := s.Request(2, 1, pop()); dec.Outcome != Blocked {
+	if dec, _, _ := doRequest(s, 2, 1, pop()); dec.Outcome != Blocked {
 		t.Fatal("pop after push should block")
 	}
-	if _, _, err := s.Request(2, 1, push(2)); !errors.Is(err, ErrTxnBlocked) {
+	if _, _, err := doRequest(s, 2, 1, push(2)); !errors.Is(err, ErrTxnBlocked) {
 		t.Errorf("request while blocked: %v", err)
 	}
-	if _, _, err := s.Commit(2); !errors.Is(err, ErrTxnBlocked) {
+	if _, _, err := doCommit(s, 2); !errors.Is(err, ErrTxnBlocked) {
 		t.Errorf("commit while blocked: %v", err)
 	}
 
 	// Terminated transactions are terminated.
-	if _, _, err := s.Commit(1); err != nil {
+	if _, _, err := doCommit(s, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Commit(1); !errors.Is(err, ErrTxnTerminated) {
+	if _, _, err := doCommit(s, 1); !errors.Is(err, ErrTxnTerminated) {
 		t.Errorf("commit after commit: %v", err)
 	}
-	if _, err := s.Abort(1); !errors.Is(err, ErrTxnTerminated) {
+	if _, err := doAbort(s, 1); !errors.Is(err, ErrTxnTerminated) {
 		t.Errorf("abort after commit: %v", err)
 	}
 
@@ -450,16 +450,16 @@ func TestMisuseErrors(t *testing.T) {
 	mustBegin(t, s, 3, 4)
 	mustExec(t, s, 3, 1, push(7))
 	mustExec(t, s, 4, 1, push(8))
-	if st, _, _ := s.Commit(4); st != PseudoCommitted {
+	if st, _, _ := doCommit(s, 4); st != PseudoCommitted {
 		t.Fatal("T4 should pseudo-commit")
 	}
-	if _, _, err := s.Request(4, 1, push(9)); !errors.Is(err, ErrPseudoRequest) {
+	if _, _, err := doRequest(s, 4, 1, push(9)); !errors.Is(err, ErrPseudoRequest) {
 		t.Errorf("request while pseudo-committed: %v", err)
 	}
-	if _, err := s.Abort(4); err == nil {
+	if _, err := doAbort(s, 4); err == nil {
 		t.Error("abort of pseudo-committed transaction must be refused")
 	}
-	if st, _, err := s.Commit(4); err != nil || st != PseudoCommitted {
+	if st, _, err := doCommit(s, 4); err != nil || st != PseudoCommitted {
 		t.Errorf("re-commit of pseudo-committed: %v, %v", st, err)
 	}
 }
@@ -487,12 +487,6 @@ func TestStatsAndIntrospection(t *testing.T) {
 	mustExec(t, s, 1, 1, push(1))
 	mustExec(t, s, 1, 1, push(2))
 	mustExec(t, s, 2, 1, push(3))
-	if got := s.TxnOps(1); got != 2 {
-		t.Errorf("TxnOps(1) = %d", got)
-	}
-	if got := s.TxnOps(99); got != 0 {
-		t.Errorf("TxnOps(99) = %d", got)
-	}
 	if st := s.TxnState(1); st != "active" {
 		t.Errorf("TxnState(1) = %q", st)
 	}
@@ -507,7 +501,7 @@ func TestStatsAndIntrospection(t *testing.T) {
 		t.Errorf("ObjectState = %v, %v", stv, e)
 	}
 
-	if _, _, err := s.Commit(1); err != nil {
+	if _, _, err := doCommit(s, 1); err != nil {
 		t.Fatal(err)
 	}
 	s.Forget(1)
@@ -532,14 +526,14 @@ func TestSetParameterConflicts(t *testing.T) {
 	mustExec(t, s, 1, 1, sins(3))
 
 	del3 := adt.Op{Name: adt.SetDelete, Arg: 3, HasArg: true}
-	dec, _, err := s.Request(2, 1, del3)
+	dec, _, err := doRequest(s, 2, 1, del3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Outcome != Blocked {
 		t.Fatalf("delete(3) after uncommitted insert(3) = %v, want blocked", dec.Outcome)
 	}
-	_, eff, err := s.Commit(1)
+	_, eff, err := doCommit(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,13 +21,13 @@ func TestStatsSnapshotDerivesFromTelemetry(t *testing.T) {
 	// Page conflict: T1 writes, T2's read blocks, then T2 withdraws
 	// and aborts (Blocks, WaitForEdges, Withdrawals, Aborts).
 	mustExec(t, s, 1, 2, write(10))
-	if dec, _, err := s.Request(2, 2, read()); err != nil || dec.Outcome != Blocked {
+	if dec, _, err := doRequest(s, 2, 2, read()); err != nil || dec.Outcome != Blocked {
 		t.Fatalf("read: %+v, %v", dec, err)
 	}
-	if _, err := s.Withdraw(2); err != nil {
+	if _, err := doWithdraw(s, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Abort(2); err != nil {
+	if _, err := doAbort(s, 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -36,10 +36,10 @@ func TestStatsSnapshotDerivesFromTelemetry(t *testing.T) {
 	// PseudoCommits, Commits, CycleChecks).
 	mustExec(t, s, 1, 1, push(1))
 	mustExec(t, s, 3, 1, push(2))
-	if st, _, err := s.Commit(3); err != nil || st != PseudoCommitted {
+	if st, _, err := doCommit(s, 3); err != nil || st != PseudoCommitted {
 		t.Fatalf("T3 commit = %v, %v; want pseudo-committed", st, err)
 	}
-	if st, _, err := s.Commit(1); err != nil || st != Committed {
+	if st, _, err := doCommit(s, 1); err != nil || st != Committed {
 		t.Fatalf("T1 commit = %v, %v; want committed", st, err)
 	}
 

@@ -51,7 +51,7 @@ func TestSchedulerConcurrentStress(t *testing.T) {
 				}
 				dead := false
 				for _, op := range ops {
-					dec, _, err := s.Request(id, obj, op)
+					dec, _, err := doRequest(s, id, obj, op)
 					if err != nil {
 						t.Error(err)
 						return
@@ -70,7 +70,7 @@ func TestSchedulerConcurrentStress(t *testing.T) {
 					continue
 				}
 				if i%7 == 0 {
-					if _, err := s.Abort(id); err != nil {
+					if _, err := doAbort(s, id); err != nil {
 						t.Error(err)
 						return
 					}
@@ -78,7 +78,7 @@ func TestSchedulerConcurrentStress(t *testing.T) {
 					s.Forget(id)
 					continue
 				}
-				if _, _, err := s.Commit(id); err != nil {
+				if _, _, err := doCommit(s, id); err != nil {
 					t.Error(err)
 					return
 				}
@@ -186,17 +186,17 @@ func TestBlockedRequesterAbortWakesFairnessWaiters(t *testing.T) {
 	mustBegin(t, s, 1, 2, 3)
 	mustExec(t, s, 1, 1, write(10)) // T1 holds an uncommitted write
 	// T2's read conflicts with the uncommitted write: parks first.
-	if dec, _, err := s.Request(2, 1, read); err != nil || dec.Outcome != Blocked {
+	if dec, _, err := doRequest(s, 2, 1, read); err != nil || dec.Outcome != Blocked {
 		t.Fatalf("T2 read = %+v, %v, want blocked", dec, err)
 	}
 	// T3's write is recoverable with T1's write but does not commute
 	// with T2's parked read: fairness queues it behind T2 only.
-	if dec, _, err := s.Request(3, 1, write(30)); err != nil || dec.Outcome != Blocked {
+	if dec, _, err := doRequest(s, 3, 1, write(30)); err != nil || dec.Outcome != Blocked {
 		t.Fatalf("T3 write = %+v, %v, want blocked", dec, err)
 	}
 	// T2 gives up. It has no log entries anywhere — only the blocked
 	// request — yet its departure must wake T3.
-	eff, err := s.Abort(2)
+	eff, err := doAbort(s, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +207,10 @@ func TestBlockedRequesterAbortWakesFairnessWaiters(t *testing.T) {
 		t.Fatalf("T3 = %s, want active (granted)", st)
 	}
 	// T3 executed over T1's write: commit dependency as usual.
-	if st, _, err := s.Commit(3); err != nil || st != PseudoCommitted {
+	if st, _, err := doCommit(s, 3); err != nil || st != PseudoCommitted {
 		t.Fatalf("T3 commit = %v, %v", st, err)
 	}
-	if _, eff, err := s.Commit(1); err != nil || len(eff.Committed) != 1 || eff.Committed[0] != 3 {
+	if _, eff, err := doCommit(s, 1); err != nil || len(eff.Committed) != 1 || eff.Committed[0] != 3 {
 		t.Fatalf("T1 commit effects = %+v, %v, want T3 cascaded", eff, err)
 	}
 }

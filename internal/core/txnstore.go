@@ -6,11 +6,10 @@ type txn struct {
 	state   txnState
 	visited map[ObjectID]struct{} // objects with log entries of this txn
 	blocked *request              // outstanding blocked request, if any
-	nops    int                   // operations executed so far
 	// held marks a pseudo-committed transaction whose real commit is
 	// controlled by an external coordinator (distributed commit): it
 	// is excluded from the automatic out-degree-zero cascade and
-	// finalised only by Release.
+	// finalised only by ReleaseInto.
 	held bool
 }
 

@@ -166,6 +166,10 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 		!strings.Contains(siteMetrics, `scc_sched_commits_total{site="1"}`) {
 		t.Errorf("site daemon /metrics missing per-site commit counters")
 	}
+	if !strings.Contains(siteMetrics, `scc_sched_blocked{site="0"}`) ||
+		!strings.Contains(siteMetrics, `scc_sched_blocked{site="1"}`) {
+		t.Errorf("site daemon /metrics missing per-site blocked-depth gauges")
+	}
 	var sst Statusz
 	if err := json.Unmarshal(httpGet(t, sdbg.Addr(), "/statusz"), &sst); err != nil {
 		t.Fatal(err)

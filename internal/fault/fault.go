@@ -94,7 +94,7 @@ type Crashable struct {
 	opts core.Options
 	log  Log
 
-	sched *Sched // nil while down
+	sched *core.Scheduler // nil while down
 	down  bool
 	inc   uint64 // incarnation, bumped on every restart
 
@@ -117,10 +117,6 @@ type Crashable struct {
 	// monitoring survives crashes.
 	statsBase core.Stats
 }
-
-// Sched aliases the concrete scheduler type Crashable wraps, so the
-// dist layer can name it without importing core twice.
-type Sched = core.Scheduler
 
 // Crashable is a Participant.
 var _ core.Participant = (*Crashable)(nil)
@@ -538,6 +534,17 @@ func (c *Crashable) StatsSnapshot() core.Stats {
 		st.Add(c.sched.StatsSnapshot())
 	}
 	return st
+}
+
+// BlockedDepth counts the transactions currently parked on a blocked
+// request at the site; a down site has none.
+func (c *Crashable) BlockedDepth() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.down {
+		return 0
+	}
+	return c.sched.BlockedDepth()
 }
 
 // ObjectState returns the materialised state of an object, or

@@ -41,6 +41,13 @@ type Engine struct {
 
 	tl Timeline[*event]
 
+	// effs holds one reusable Effects per nesting depth of scheduler
+	// calls: applying one call's effects can restart a transaction and
+	// admit another, whose request runs while the outer effects are
+	// still being iterated.
+	effs  []*core.Effects
+	depth int
+
 	readyQ []*proc
 	active int // admitted, not yet completed transactions
 
@@ -193,7 +200,9 @@ func (e *Engine) issueNext(p *proc) {
 		return
 	}
 	step := p.steps[p.idx]
-	dec, eff, err := e.sched.Request(p.txn, step.Object, step.Op)
+	eff := e.pushEffects()
+	defer e.popEffects()
+	dec, err := e.sched.RequestInto(eff, p.txn, step.Object, step.Op)
 	if err != nil {
 		panic(fmt.Sprintf("sim: Request: %v", err))
 	}
@@ -268,7 +277,9 @@ func (e *Engine) opComplete(p *proc) {
 // response-time stop) happens at pseudo-commit time unless ablation A
 // defers it to the real commit.
 func (e *Engine) finish(p *proc) {
-	status, eff, err := e.sched.Commit(p.txn)
+	eff := e.pushEffects()
+	defer e.popEffects()
+	status, err := e.sched.CommitInto(eff, p.txn)
 	if err != nil {
 		panic(fmt.Sprintf("sim: Commit: %v", err))
 	}
@@ -326,11 +337,23 @@ func (e *Engine) restartAborted(p *proc) {
 	e.admit()
 }
 
+// pushEffects returns the Effects buffer of the next nesting depth,
+// growing the stack on first use; popEffects hands it back.
+func (e *Engine) pushEffects() *core.Effects {
+	if e.depth == len(e.effs) {
+		e.effs = append(e.effs, new(core.Effects))
+	}
+	e.depth++
+	return e.effs[e.depth-1]
+}
+
+func (e *Engine) popEffects() { e.depth-- }
+
 // applyEffects processes downstream consequences of a scheduler call:
 // granted requests resume their transactions, retry-aborts restart
 // them, real commits of pseudo-committed transactions release
 // bookkeeping (and, under ablation A, complete them).
-func (e *Engine) applyEffects(eff core.Effects) {
+func (e *Engine) applyEffects(eff *core.Effects) {
 	for _, g := range eff.Grants {
 		p := e.procs[g.Txn]
 		if p == nil || p.phase != phBlocked {
