@@ -388,20 +388,6 @@ func (c *Cluster) Flight() *telemetry.FlightRecorder { return c.flight }
 // when the span plane is off.
 func (c *Cluster) SampleConfig() (seed int64, rate float64) { return c.sampleSeed, c.sampleRate }
 
-// completeTrace finishes a sampled transaction's trace: end-to-end
-// latency measured from Begin drives the tail-based exemplar store, so
-// the slowest conversations survive ring wraparound.
-func (c *Cluster) completeTrace(t *Txn) {
-	if c.spans == nil {
-		return
-	}
-	tc := t.Trace()
-	if !tc.Sampled() {
-		return
-	}
-	c.spans.Complete(tc, uint64(t.id), int64(time.Since(t.begin)))
-}
-
 // NumSites returns the number of participant sites.
 func (c *Cluster) NumSites() int { return len(c.sites) }
 
@@ -667,10 +653,11 @@ func (c *Cluster) run(t *Txn, in Input) (Action, error) {
 
 // exec is the action executor, the one loop every commit conversation
 // runs through: fire the action's before-boundary, carry it out (a site
-// call under site.mu, the decide pipeline, or local bookkeeping), fire
-// its after-boundary. Replies go straight back into Step, which appends
-// what follows to the same stack buffer. A transaction retired with
-// union-graph state is appended to drain for the caller's cascade.
+// call under site.mu, the decide pipeline, or local bookkeeping),
+// record its span, fire its after-boundary. Replies go straight back
+// into Step, which appends what follows to the same stack buffer. A
+// transaction retired with union-graph state is appended to drain for
+// the caller's cascade.
 func (c *Cluster) exec(t *Txn, in Input, drain *[]core.TxnID) (fin Action, bug error) {
 	var (
 		buf   [8]Action
@@ -683,12 +670,20 @@ func (c *Cluster) exec(t *Txn, in Input, drain *[]core.TxnID) (fin Action, bug e
 			acts, i = acts[:0], -1 // nothing else pending: reuse the buffer
 		}
 		c.step(act.Before, t.id, act.Site)
-		switch act.Kind {
-		case ActHold, ActCommitDirect, ActRelease, ActRevoke, ActAbort:
+		took, dur := true, time.Duration(0) // a sampled span's Dur: the site call, or commit → decision
+		if act.Kind.AtSite() {
 			if act.Kind == ActHold && phase.IsZero() {
 				phase = time.Now()
+				t.commit = phase
 			}
-			acts = c.atSite(t, act, acts, &bug)
+			acts, dur, took = c.atSite(t, act, acts, &bug)
+		} else if t.tc.Sampled() {
+			dur = time.Since(t.commit)
+		}
+		if took && t.tc.Sampled() {
+			act.RecordSpan(c.spans, t.tc, &t.Conv, int64(dur))
+		}
+		switch act.Kind {
 		case ActDecide:
 			// One coordinator critical section decides this conversation
 			// and every concurrent one queued in the same wave, their
@@ -696,9 +691,7 @@ func (c *Cluster) exec(t *Txn, in Input, drain *[]core.TxnID) (fin Action, bug e
 			start := time.Now()
 			c.tel.HoldNanos.Observe(uint64(start.Sub(phase)))
 			c.decide(&t.req)
-			dur := time.Since(start)
-			c.tel.DecideNanos.Observe(uint64(dur))
-			t.span(telemetry.SpanDecide, int32(noSite), int64(t.req.Gdeps), int64(t.req.Wave), int64(dur))
+			c.tel.DecideNanos.Observe(uint64(time.Since(start)))
 			acts = c.Step(&t.Conv, Input{Kind: InVerdict}, acts)
 		case ActDecided:
 			if !phase.IsZero() {
@@ -707,10 +700,7 @@ func (c *Cluster) exec(t *Txn, in Input, drain *[]core.TxnID) (fin Action, bug e
 		case ActFinished:
 			switch fin = act; {
 			case act.Reason != core.ReasonNone:
-				if act.Reason == core.ReasonShed {
-					t.span(telemetry.SpanShed, int32(noSite), int64(t.req.Gdeps), int64(t.req.Wave), 0)
-				}
-				c.finish(t, act.Site, act.Reason)
+				c.finish(t, act.Reason)
 			case act.Status == core.PseudoCommitted:
 				if c.obs != nil {
 					c.obs.Held(t.id, t.req.Gdeps)
@@ -719,7 +709,7 @@ func (c *Cluster) exec(t *Txn, in Input, drain *[]core.TxnID) (fin Action, bug e
 				if !phase.IsZero() {
 					c.tel.ReleaseNanos.Observe(uint64(time.Since(phase)))
 				}
-				c.finish(t, noSite, core.ReasonNone)
+				c.finish(t, core.ReasonNone)
 			}
 		case ActRetire:
 			if c.Retire(t.id) {
@@ -740,11 +730,14 @@ func (c *Cluster) exec(t *Txn, in Input, drain *[]core.TxnID) (fin Action, bug e
 // skipped (the restart that redoes the logged commit acks and traces
 // it); a refused hold or direct commit is a failed reply — a crash on a
 // fault-tolerant cluster, anywhere else a bug, stored for the caller.
-func (c *Cluster) atSite(t *Txn, act Action, acts []Action, bug *error) []Action {
+// It reports how long the critical section took (for a sampled t; the
+// acks and parked-queue refresh after it are not counted) and whether
+// the participant accepted the verb.
+func (c *Cluster) atSite(t *Txn, act Action, acts []Action, bug *error) ([]Action, time.Duration, bool) {
 	s := c.sites[act.Site]
-	var holdStart time.Time
-	if act.Kind == ActHold && t.sampled() {
-		holdStart = time.Now()
+	var start time.Time
+	if t.tc.Sampled() {
+		start = time.Now()
 	}
 	s.mu.Lock()
 	if act.Kind == ActRevoke || act.Kind == ActAbort {
@@ -772,40 +765,40 @@ func (c *Cluster) atSite(t *Txn, act Action, acts []Action, bug *error) []Action
 		acts = c.Step(&t.Conv, in, acts)
 	}
 	s.mu.Unlock()
+	var took time.Duration
+	if !start.IsZero() {
+		took = time.Since(start)
+	}
 
 	switch {
 	case err != nil:
 		if in.Failed && !t.siteFailure(err) {
 			*bug = fmt.Errorf("dist: %v of T%d at site %d: %w", act.Kind, t.id, act.Site, err)
 		}
-	case act.Kind == ActHold:
-		if !holdStart.IsZero() {
-			t.span(telemetry.SpanHold, int32(act.Site), 0, 0, int64(time.Since(holdStart)))
-		}
-	case act.Kind == ActRelease || act.Kind == ActCommitDirect:
-		if act.Kind == ActRelease || t.logged {
-			c.ackRelease(t.id, act.Site)
-		}
-		t.span(telemetry.SpanRelease, int32(act.Site), 0, 0, 0)
+	case act.Kind == ActRelease || act.Kind == ActCommitDirect && t.logged:
+		c.ackRelease(t.id, act.Site)
 	}
 	if act.Kind != ActHold {
 		c.refreshParked(s)
 	}
-	return acts
+	return acts, took, err == nil
 }
 
 // finish brings t to its terminal state — its real commit landed at
 // every visited site, or (reason set) it aborted: the state and reason
 // behind Err, the Done signal, and the observer callback.
-func (c *Cluster) finish(t *Txn, site SiteID, reason core.AbortReason) {
+func (c *Cluster) finish(t *Txn, reason core.AbortReason) {
 	if reason == core.ReasonNone {
 		t.state.Store(txCommitted)
 	} else {
 		t.reason.Store(int32(reason))
 		t.state.Store(txAborted)
-		t.span(telemetry.SpanAbort, int32(site), 0, 0, 0)
 	}
-	c.completeTrace(t)
+	if t.tc.Sampled() {
+		// End-to-end latency from Begin drives the tail-based exemplar
+		// store, so the slowest conversations survive ring wraparound.
+		c.spans.Complete(t.tc, uint64(t.id), int64(time.Since(t.begin)))
+	}
 	close(t.done)
 	switch {
 	case c.obs == nil:

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/fault"
+	"repro/internal/telemetry"
 )
 
 // The conversation script: Coordinator.Step is the sequencing half of
@@ -62,7 +63,8 @@ type Input struct {
 	Edges []depgraph.Edge
 }
 
-// ActKind discriminates what Step asks a driver to do.
+// ActKind discriminates what Step asks a driver to do. The site verbs
+// come first (AtSite).
 type ActKind uint8
 
 const (
@@ -101,6 +103,10 @@ func (k ActKind) String() string {
 	return [...]string{"hold", "commit", "release", "revoke", "abort", "decide", "decided", "finished", "retire"}[k]
 }
 
+// AtSite reports whether the kind is a site verb, carried out at its
+// participant (Action.At); the rest are the coordinator's own.
+func (k ActKind) AtSite() bool { return k <= ActAbort }
+
 // Action is one instruction to a conversation's driver. Before fires at
 // the coordinator before the action is sent; After fires where the
 // action executed, once it has, before any reply leaves.
@@ -112,17 +118,46 @@ type Action struct {
 	Site          SiteID
 }
 
-// boundaries attaches the five Step boundaries to the actions they
-// surround, {Before, After} — the one place that is decided.
-var boundaries = [ActRetire + 1][2]Step{
-	ActHold:    {BeforeCommitHold, AfterPrepareForce},
-	ActDecide:  {BeforeDecisionForce, NoStep},
-	ActDecided: {NoStep, AfterDecisionBeforeRelease},
-	ActRelease: {DuringReleaseCascade, NoStep},
+// boundaries attaches to each action the Step boundaries around it and
+// the span it records where it takes effect (RecordSpan) — the one
+// place either is decided. ActFinished records its outcome's span:
+// shed or abort by Reason, none for a commit.
+var boundaries = [ActRetire + 1]struct {
+	Before, After Step
+	Span          telemetry.SpanKind
+}{
+	ActHold:         {BeforeCommitHold, AfterPrepareForce, telemetry.SpanHold},
+	ActCommitDirect: {NoStep, NoStep, telemetry.SpanRelease},
+	ActRelease:      {DuringReleaseCascade, NoStep, telemetry.SpanRelease},
+	ActDecide:       {BeforeDecisionForce, NoStep, 0},
+	ActDecided:      {NoStep, AfterDecisionBeforeRelease, telemetry.SpanDecide},
 }
 
 func act(kind ActKind, site SiteID) Action {
-	return Action{Kind: kind, Site: site, Before: boundaries[kind][0], After: boundaries[kind][1]}
+	return Action{Kind: kind, Site: site, Before: boundaries[kind].Before, After: boundaries[kind].After}
+}
+
+// RecordSpan records the action's span for cv's transaction under tc
+// (nil-safe and unsampled-safe, like SpanBuffer.Record). A driver calls
+// it once per action, where the action took effect, with its own
+// clock's dur. The arguments come from the decision: decide carries
+// Gdeps and Wave, shed Depth and Held. An outcome is an instant.
+func (a Action) RecordSpan(b *telemetry.SpanBuffer, tc telemetry.TraceContext, cv *Conv, dur int64) {
+	kind, r := boundaries[a.Kind].Span, &cv.req
+	var arg, wave int64
+	switch {
+	case kind == telemetry.SpanDecide:
+		arg, wave = int64(r.Gdeps), int64(r.Wave)
+	case a.Kind != ActFinished || a.Reason == core.ReasonNone:
+		// the table's span, if any
+	case a.Reason == core.ReasonShed:
+		kind, arg, wave, dur = telemetry.SpanShed, int64(r.Depth), int64(r.Held), 0
+	default:
+		kind, dur = telemetry.SpanAbort, 0
+	}
+	if kind != 0 {
+		b.Record(tc, kind, uint64(cv.id), int32(a.Site), arg, wave, dur)
+	}
 }
 
 // At carries a site action out at its participant: the call — its

@@ -48,8 +48,8 @@ func kinds(sb *telemetry.SpanBuffer, txn uint64) map[telemetry.SpanKind]int {
 }
 
 // TestClusterSpans: a cross-site held transaction leaves a full causal
-// chain — begin, per-site begins and requests, per-site holds, a
-// decision, per-site releases — and completes into the exemplar store.
+// chain — begin, per-site requests, per-site holds, a decision,
+// per-site releases — and completes into the exemplar store.
 func TestClusterSpans(t *testing.T) {
 	c := newSpanCluster(t, t.TempDir())
 	t1, t2 := c.Begin(), c.Begin()

@@ -28,11 +28,14 @@ type Txn struct {
 	reason atomic.Int32 // core.AbortReason, stored before state becomes txAborted
 
 	// tc is the transaction's causal trace context, minted by the
-	// coordinator's sampler at Begin (zero when the span plane is off).
-	// begin stamps Begin for end-to-end latency. Both are set only when
-	// tracing is on, before the handle escapes.
-	tc    telemetry.TraceContext
-	begin time.Time
+	// coordinator's sampler at Begin (zero when the span plane is off):
+	// tc.Sampled() gates the clock reads that give spans durations.
+	// begin stamps Begin for end-to-end latency; both are set only when
+	// tracing is on, before the handle escapes. commit stamps the
+	// commit conversation's start (its first hold), where the decide
+	// span's Dur starts.
+	tc            telemetry.TraceContext
+	begin, commit time.Time
 
 	done chan struct{} // closed at the terminal state (real commit everywhere, or abort)
 }
@@ -40,19 +43,6 @@ type Txn struct {
 // Trace returns the transaction's trace context (zero when the span
 // plane is off).
 func (t *Txn) Trace() telemetry.TraceContext { return t.tc }
-
-// span records one causal span for this transaction. Nil-safe and
-// unsampled-safe at every layer, so call sites stay unguarded; the
-// disabled path is two predictable branches and zero allocations.
-func (t *Txn) span(kind telemetry.SpanKind, site int32, object, wave, dur int64) {
-	t.c.spans.Record(t.Trace(), kind, uint64(t.id), site, object, wave, dur)
-}
-
-// sampled reports whether this transaction's spans are being recorded —
-// the gate for the extra clock reads that give spans durations.
-func (t *Txn) sampled() bool {
-	return t.c.spans != nil && t.Trace().Sampled()
-}
 
 // Done returns a channel closed when the transaction reaches its
 // terminal state: the real commit has landed at every site (for held
@@ -179,7 +169,6 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 			return adt.Ret{}, err
 		}
 		t.Visit(sid)
-		t.span(telemetry.SpanBegin, int32(sid), 0, 0, 0)
 	}
 
 	s.mu.Lock()
@@ -209,9 +198,9 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 		return t.abort(sid, sid, dec.Reason)
 
 	case core.Blocked:
-		t.span(telemetry.SpanBlock, int32(sid), int64(obj), 0, 0)
+		t.c.spans.Record(t.tc, telemetry.SpanBlock, uint64(t.id), int32(sid), int64(obj), 0, 0)
 		var blockStart time.Time
-		if t.sampled() {
+		if t.tc.Sampled() {
 			blockStart = time.Now()
 		}
 		// Mirror the wait-for edges before parking: a cross-site
@@ -249,7 +238,7 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 		// Granted: the wait-for edges are gone and commit dependencies
 		// may have taken their place — re-mirror and re-check.
 		if !blockStart.IsZero() {
-			t.span(telemetry.SpanGrant, int32(sid), int64(obj), 0, int64(time.Since(blockStart)))
+			t.c.spans.Record(t.tc, telemetry.SpanGrant, uint64(t.id), int32(sid), int64(obj), 0, int64(time.Since(blockStart)))
 		}
 		if t.c.observe(t, sid) {
 			return t.abort(noSite, noSite, core.ReasonCommitCycle)
@@ -257,7 +246,7 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 		return msg.Ret, nil
 
 	default: // Executed
-		t.span(telemetry.SpanRequest, int32(sid), int64(obj), 0, 0)
+		t.c.spans.Record(t.tc, telemetry.SpanRequest, uint64(t.id), int32(sid), int64(obj), 0, 0)
 		if t.c.observe(t, sid) {
 			return t.abort(noSite, noSite, core.ReasonCommitCycle)
 		}

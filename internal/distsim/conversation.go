@@ -80,40 +80,20 @@ func (e *Engine) exec(p *sproc, acts []dist.Action) {
 
 // perform carries an action out where it takes effect — at the
 // participant for a site verb (dist.Action.At, on message arrival), at
-// the coordinator for the rest — fires its after-boundary there, and
-// sends the participant's reply (service time plus one latency draw on
-// the FIFO site→coordinator channel). A hold or direct commit that
-// finds its site dead gets no reply: the conversation learns at once,
-// the terminal's timeout collapsed to zero. It reports false when the
-// execution ended here.
+// the coordinator for the rest — records its span, fires its
+// after-boundary there, and sends the participant's reply (service time
+// plus one latency draw on the FIFO site→coordinator channel). A hold
+// or direct commit that finds its site dead gets no reply: the
+// conversation learns at once, the terminal's timeout collapsed to
+// zero. It reports false when the execution ended here.
 func (e *Engine) perform(p *sproc, act dist.Action) bool {
 	id, sid := p.txn, int(act.Site)
 	wait := e.cfg.SiteTime
 	var reply dist.Input
-	switch act.Kind {
-	case dist.ActDecided:
-		// DecideWave or Drain forced the decision to the log and opened
-		// its ack set before the script said so.
-		if wait := e.tl.Now() - p.heldAt; p.state == spHeld {
-			e.heldWaits = append(e.heldWaits, wait)
-			if !e.draining {
-				e.phHeldWait.Add(wait)
-			}
-		} else if !e.draining {
-			e.phHold.Add(e.tl.Now() - p.commitStart)
-		}
-		p.state = spReleasing
-		p.decideTime = e.tl.Now()
-		e.tracef("decide T%d commit", id)
-		e.span(telemetry.SpanDecide, id, -1, 0, 0, int64((e.tl.Now()-p.commitStart)*1e9))
-	case dist.ActFinished:
-		e.finished(p, act)
-	case dist.ActRetire:
-		e.retire(p, act.Reason != core.ReasonNone)
-	default: // a site verb
+	var eff core.Effects
+	var err error
+	if act.Kind.AtSite() {
 		s := e.sites[sid]
-		var eff core.Effects
-		var err error
 		reply, err = act.At(s.cr, &eff, id)
 		down, gone := errors.Is(err, fault.ErrSiteDown), errors.Is(err, core.ErrUnknownTxn)
 		switch {
@@ -140,16 +120,42 @@ func (e *Engine) perform(p *sproc, act dist.Action) bool {
 		case act.Kind == dist.ActHold:
 			s.prepTime[id] = e.tl.Now()
 			e.tracef("hold T%d site=%d (prepare forced)", id, sid)
-			e.span(telemetry.SpanHold, id, sid, 0, 0, 0)
 		default: // a direct commit or a release landed
 			e.ack(id, sid) // the site's durable copy (a no-op for an unlogged direct commit)
 			if act.Kind == dist.ActRelease {
 				delete(s.prepTime, id)
 				e.tracef("release T%d site=%d", id, sid)
 			}
-			e.span(telemetry.SpanRelease, id, sid, 0, 0, 0)
 		}
-		e.processEffects(s, &eff)
+	}
+	if err == nil {
+		var dur int64 // site verbs take effect on arrival; a decision carries the held wait
+		if act.Kind == dist.ActDecided {
+			dur = int64((e.tl.Now() - p.commitStart) * 1e9)
+		}
+		act.RecordSpan(e.spans, e.sampler.Context(uint64(id)), p.cv, dur)
+	}
+	switch act.Kind {
+	case dist.ActDecided:
+		// DecideWave or Drain forced the decision to the log and opened
+		// its ack set before the script said so.
+		if wait := e.tl.Now() - p.heldAt; p.state == spHeld {
+			e.heldWaits = append(e.heldWaits, wait)
+			if !e.draining {
+				e.phHeldWait.Add(wait)
+			}
+		} else if !e.draining {
+			e.phHold.Add(e.tl.Now() - p.commitStart)
+		}
+		p.state = spReleasing
+		p.decideTime = e.tl.Now()
+		e.tracef("decide T%d commit", id)
+	case dist.ActFinished:
+		e.finished(p, act)
+	case dist.ActRetire:
+		e.retire(p, act.Reason != core.ReasonNone)
+	default: // a site verb's downstream effects, after its span
+		e.processEffects(e.sites[sid], &eff)
 	}
 	// Past the commit point a site crash at the boundary unwinds nothing
 	// (releases skip the down site and recovery redoes them), and a
@@ -180,10 +186,7 @@ func (e *Engine) finished(p *sproc, act dist.Action) {
 		// back-pressure the unbounded protocol lacks).
 		e.aborts++
 		e.tracef("shed T%d (%s depth=%d held=%d)", id, e.co.PolicyName(), req.Depth, req.Held)
-		if e.spans != nil {
-			e.span(telemetry.SpanShed, id, -1, int64(req.Depth), int64(req.Held), 0)
-			e.completeSpan(id, e.tl.Now()-p.attemptStart)
-		}
+		e.completeSpan(id, e.tl.Now()-p.attemptStart)
 	case act.Reason != core.ReasonNone && p.state == spHeld:
 		// An unlogged held pseudo-commit a crash voided (presumed abort's
 		// coordinator half): the logical transaction re-runs detached —
@@ -193,11 +196,8 @@ func (e *Engine) finished(p *sproc, act dist.Action) {
 	case act.Reason != core.ReasonNone:
 		e.aborts++
 		e.tracef("abort T%d (%s)", id, act.Reason)
-		if e.spans != nil {
-			delete(e.blockedAt, id)
-			e.span(telemetry.SpanAbort, id, int(act.Site), 0, 0, 0)
-			e.completeSpan(id, e.tl.Now()-p.attemptStart)
-		}
+		delete(e.blockedAt, id)
+		e.completeSpan(id, e.tl.Now()-p.attemptStart)
 	case act.Status == core.PseudoCommitted:
 		if !e.draining {
 			e.phHold.Add(e.tl.Now() - p.commitStart)

@@ -254,9 +254,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 // conservation checks; call after Run, when every site is up).
 func (e *Engine) Site(i int) *fault.Crashable { return e.sites[i].cr }
 
-// Spans exposes the causal-span ring (nil unless Config.Spans > 0).
-func (e *Engine) Spans() *telemetry.SpanBuffer { return e.spans }
-
 // route maps an object to its home site (dist.RouteByModulo's rule).
 func (e *Engine) route(id core.ObjectID) int {
 	return int(uint64(id) % uint64(e.cfg.Sites))
@@ -552,7 +549,7 @@ func (e *Engine) startAttempt(p *sproc) {
 	e.procs[p.txn] = p
 	e.co.Enlist(p.cv)
 	e.tracef("submit T%d term=%d len=%d attempt=%d", p.txn, p.terminal, len(p.steps), p.attempts)
-	e.span(telemetry.SpanBegin, p.txn, -1, int64(len(p.steps)), 0, 0)
+	e.span(telemetry.SpanBegin, p.txn, -1, 0, 0, 0)
 	e.issue(p)
 }
 

@@ -46,14 +46,14 @@ func (tc TraceContext) Valid() bool { return tc.Trace != 0 }
 type SpanKind uint8
 
 const (
-	SpanBegin     SpanKind = iota + 1 // transaction created / first touch
+	SpanBegin     SpanKind = iota + 1 // transaction created, where its id was minted
 	SpanRequest                       // an operation executed at a site
 	SpanBlock                         // a request parked behind a conflict
 	SpanGrant                         // a parked request resumed
 	SpanHold                          // commit-hold (prepare) at a site
-	SpanDecide                        // coordinator decision round (Wave: wave)
+	SpanDecide                        // commit decision logged (Object: gdeps, Wave: wave)
 	SpanRelease                       // real commit landed at a site
-	SpanShed                          // hold policy refused the conversation
+	SpanShed                          // hold policy refused the conversation (Object: depth, Wave: held)
 	SpanAbort                         // transaction aborted
 	SpanRedo                          // logged commit redone at restart
 	SpanCrash                         // site crashed (RecordSite)
@@ -414,27 +414,6 @@ func (b *SpanBuffer) Exemplars() []TraceExemplar {
 	out := make([]TraceExemplar, len(b.exemplars))
 	copy(out, b.exemplars)
 	return out
-}
-
-// TraceOf copies out the retained spans (ring or exemplar) of the trace
-// a transaction belongs to, oldest-first.
-func (b *SpanBuffer) TraceOf(trace uint64) []Span {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if spans := b.collectLocked(trace); len(spans) > 0 {
-		return spans
-	}
-	for i := range b.exemplars {
-		if b.exemplars[i].Trace == trace {
-			out := make([]Span, len(b.exemplars[i].Spans))
-			copy(out, b.exemplars[i].Spans)
-			return out
-		}
-	}
-	return nil
 }
 
 // WriteChromeTrace renders spans as a Chrome trace_event JSON document

@@ -123,8 +123,8 @@ func TestExemplarRetention(t *testing.T) {
 	for i := uint64(10); i < 30; i++ {
 		b.Record(mk(i), SpanRequest, i, 0, 0, 0, 0)
 	}
-	if got := b.TraceOf(1); len(got) != 2 {
-		t.Fatalf("trace 1 lost to wraparound: %d spans retained, want 2", len(got))
+	if exs := b.Exemplars(); len(exs) != 1 || exs[0].Trace != 1 || len(exs[0].Spans) != 2 {
+		t.Fatalf("trace 1 lost to wraparound: exemplars %+v, want trace 1's 2 spans", exs)
 	}
 
 	// Fill the store (cap 2), then evict by latency: a faster trace

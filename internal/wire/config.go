@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/dist"
@@ -67,7 +68,8 @@ type ClusterFile struct {
 
 // LoadClusterFile reads and validates a cluster description. An
 // unknown key — a typo, or one a newer build retired — is an error
-// naming it, not silently dropped.
+// naming it, not silently dropped; so is anything after the one JSON
+// object, where a second object's keys would go unread.
 func LoadClusterFile(path string) (*ClusterFile, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -78,6 +80,9 @@ func LoadClusterFile(path string) (*ClusterFile, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("wire: cluster file %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("wire: cluster file %s: trailing content after the cluster description", path)
 	}
 	if err := f.Validate(); err != nil {
 		return nil, fmt.Errorf("wire: cluster file %s: %w", path, err)

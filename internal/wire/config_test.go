@@ -1,10 +1,14 @@
 package wire
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/dist"
 )
 
 // loadCluster writes a two-site cluster file with the extra keys spliced
@@ -42,8 +46,9 @@ func TestLoadClusterFilePolicy(t *testing.T) {
 
 // TestLoadClusterFileUnknownKeys: a key the file format does not have —
 // the retired event-ring sizes "trace" and "flight" among them — fails
-// the load with an error naming it instead of being dropped silently;
-// the span plane's keys load.
+// the load with an error naming it instead of being dropped silently,
+// and so does content after the description, where a second object's
+// keys would go unread; the span plane's keys load.
 func TestLoadClusterFileUnknownKeys(t *testing.T) {
 	if _, err := loadCluster(t, `"spans": 4096, "span_exemplars": 8, "flight_dir": "/tmp",`); err != nil {
 		t.Errorf("span-plane keys: %v", err)
@@ -53,6 +58,20 @@ func TestLoadClusterFileUnknownKeys(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
 			t.Errorf("key %q: err = %v, want an unknown-field error naming it", key, err)
 		}
+	}
+	const file = `{"client": "127.0.0.1:0", "daemons": [{"listen": "127.0.0.1:0", "sites": [0]}]}`
+	for _, tail := range []string{"\n" + `{"bogus": 1, "spans": -5}`, " trailing garbage"} {
+		path := filepath.Join(t.TempDir(), "cluster.json")
+		if err := os.WriteFile(path, []byte(file+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadClusterFile(path)
+		if err == nil || !strings.Contains(err.Error(), "trailing content") {
+			t.Errorf("file + %q: err = %v, want a trailing-content error", tail, err)
+		}
+	}
+	if _, err := loadCluster(t, ""); err != nil {
+		t.Errorf("the file alone: %v", err)
 	}
 }
 
@@ -76,4 +95,49 @@ func TestLoadClusterFileRanges(t *testing.T) {
 			t.Errorf("%s: err = %v, want an error naming %s", bad.extra, err, bad.key)
 		}
 	}
+}
+
+// FuzzLoadClusterFile feeds arbitrary bytes to the cluster-file loader
+// as a file. The loader must never panic; a file it accepts passes
+// Validate, re-marshals into a file that loads equal, and names a hold
+// policy whose Name parses back to the same policy. Seeds are in
+// testdata/fuzz/FuzzLoadClusterFile; `go test -run xxx -fuzz
+// FuzzLoadClusterFile -fuzztime 30s ./internal/wire/` fuzzes.
+func FuzzLoadClusterFile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		load := func(name string, b []byte) (*ClusterFile, error) {
+			path := filepath.Join(dir, name)
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return LoadClusterFile(path)
+		}
+		cf, err := load("fuzz.json", raw)
+		if err != nil {
+			return
+		}
+		if err := cf.Validate(); err != nil {
+			t.Fatalf("accepted file fails Validate: %v", err)
+		}
+		out, err := json.Marshal(cf)
+		if err != nil {
+			t.Fatalf("re-marshal: %v", err)
+		}
+		again, err := load("again.json", out)
+		if err != nil {
+			t.Fatalf("re-marshalled file %s fails to load: %v", out, err)
+		}
+		if !reflect.DeepEqual(cf, again) {
+			t.Fatalf("reload differs:\n%+v\n%+v", cf, again)
+		}
+		p, err := dist.ParsePolicy(cf.Policy)
+		if err != nil || p == nil {
+			return // Validate vouched for it; nil is the cluster default
+		}
+		q, err := dist.ParsePolicy(p.Name())
+		if err != nil || q != p {
+			t.Fatalf("policy %q: Name %q parses to %v, %v", cf.Policy, p.Name(), q, err)
+		}
+	})
 }

@@ -179,7 +179,7 @@ func (s *SiteServer) settled(ss *servedSite, kind uint8, id core.TxnID) bool {
 // holder already terminated here (committed, or aborted by the restart
 // adoption, with the Forget lost in the crash) is free to reuse. A live
 // holder is a genuine duplicate: core.ErrDuplicateTxn.
-func (s *SiteServer) begin(ss *servedSite, tc telemetry.TraceContext, id core.TxnID) error {
+func (s *SiteServer) begin(ss *servedSite, id core.TxnID) error {
 	err := ss.backend.Begin(id)
 	if errors.Is(err, core.ErrDuplicateTxn) {
 		if st := ss.backend.TxnState(id); st == "committed" || st == "aborted" {
@@ -191,26 +191,54 @@ func (s *SiteServer) begin(ss *servedSite, tc telemetry.TraceContext, id core.Tx
 		return err
 	}
 	ss.txns[id] = struct{}{}
-	s.cfg.Spans.Record(tc, telemetry.SpanBegin, uint64(id), int32(ss.sid), 0, 0, 0)
 	return nil
 }
 
-// handle executes one request against the site backend and builds the
-// response frame body. A sampled trace context records the daemon's
-// half of the conversation into the span buffer.
+// verbSpans, indexed by frame kind, is the daemon's half of the
+// conversation: the span each participant verb records once it
+// succeeded. A withdraw records none — it returns the transaction to
+// active — and the begin riding a first request none either: the
+// coordinator that minted the transaction recorded it.
+var verbSpans = [256]telemetry.SpanKind{
+	kRequest:    telemetry.SpanRequest, // SpanBlock when it parked
+	kCommit:     telemetry.SpanRelease,
+	kCommitHold: telemetry.SpanHold,
+	kRelease:    telemetry.SpanRelease,
+	kAbort:      telemetry.SpanAbort,
+	kRevoke:     telemetry.SpanAbort,
+}
+
+// handle executes one request against the site backend (serve) and,
+// under a sampled trace context, records the verb's span once it
+// succeeded: its Dur is the call, its Object a request's object.
 func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContext, body []byte) (uint8, []byte) {
-	r := &reader{b: body}
-	sid := int32(ss.sid)
-	var start time.Time
-	if tc.Sampled() && s.cfg.Spans != nil {
-		start = time.Now()
+	sk := verbSpans[kind]
+	if s.cfg.Spans == nil || !tc.Sampled() || sk == 0 {
+		return s.serve(ss, kind, body)
 	}
-	dur := func() int64 {
-		if start.IsZero() {
-			return 0
+	start := time.Now()
+	st, out := s.serve(ss, kind, body)
+	if st == kOK {
+		r := &reader{b: body}
+		var id core.TxnID
+		var obj core.ObjectID
+		if kind == kRequest {
+			id, _, obj, _ = r.request()
+			if ss.backend.TxnState(id) == "blocked" {
+				sk = telemetry.SpanBlock
+			}
+		} else {
+			id = core.TxnID(r.u64()) // every other verb's body is its transaction first
 		}
-		return int64(time.Since(start))
+		s.cfg.Spans.Record(tc, sk, uint64(id), int32(ss.sid), int64(obj), 0, int64(time.Since(start)))
 	}
+	return st, out
+}
+
+// serve executes one request against the site backend and builds the
+// response frame body.
+func (s *SiteServer) serve(ss *servedSite, kind uint8, body []byte) (uint8, []byte) {
+	r := &reader{b: body}
 	switch kind {
 	case kRequest:
 		id, begin, obj, op := r.request()
@@ -218,7 +246,7 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 			return errReply(r.err)
 		}
 		if begin {
-			if err := s.begin(ss, tc, id); err != nil {
+			if err := s.begin(ss, id); err != nil {
 				return errReply(err)
 			}
 		}
@@ -226,11 +254,6 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 		if err != nil {
 			return errReply(err)
 		}
-		sk := telemetry.SpanRequest
-		if dec.Outcome == core.Blocked {
-			sk = telemetry.SpanBlock
-		}
-		s.cfg.Spans.Record(tc, sk, uint64(id), sid, int64(obj), 0, dur())
 		b := appendU8(nil, uint8(dec.Outcome))
 		b = appendRet(b, dec.Ret)
 		b = appendU8(b, uint8(dec.Reason))
@@ -246,7 +269,6 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 		if err != nil {
 			return errReply(err)
 		}
-		s.cfg.Spans.Record(tc, telemetry.SpanRelease, uint64(id), sid, 0, 0, dur())
 		b := appendU8(nil, uint8(st))
 		b = appendEffects(b, &ss.eff)
 		return kOK, ss.report(b)
@@ -260,13 +282,16 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 		if err != nil {
 			return errReply(err)
 		}
-		s.cfg.Spans.Record(tc, telemetry.SpanHold, uint64(id), sid, 0, 0, dur())
 		b := appendI64(nil, int64(deg))
 		b = appendEffects(b, &ss.eff)
 		return kOK, ss.report(b)
 
-	case kRelease, kAbort, kWithdraw:
+	case kRelease, kAbort, kWithdraw, kRevoke:
 		id := core.TxnID(r.u64())
+		var reason core.AbortReason
+		if kind == kRevoke {
+			reason = core.AbortReason(r.u8())
+		}
 		if r.err != nil {
 			return errReply(r.err)
 		}
@@ -278,6 +303,8 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 			err = ss.backend.AbortInto(&ss.eff, id)
 		case kWithdraw:
 			err = ss.backend.WithdrawInto(&ss.eff, id)
+		case kRevoke:
+			err = ss.backend.RevokeInto(&ss.eff, id, reason)
 		}
 		if err != nil && !s.settled(ss, kind, id) {
 			return errReply(err)
@@ -285,27 +312,6 @@ func (s *SiteServer) handle(ss *servedSite, kind uint8, tc telemetry.TraceContex
 		if err != nil {
 			ss.eff.Reset() // duplicate delivery: nothing new happened
 		}
-		if kind == kRelease {
-			s.cfg.Spans.Record(tc, telemetry.SpanRelease, uint64(id), sid, 0, 0, dur())
-		} else {
-			s.cfg.Spans.Record(tc, telemetry.SpanAbort, uint64(id), sid, 0, 0, dur())
-		}
-		b := appendEffects(nil, &ss.eff)
-		return kOK, ss.report(b)
-
-	case kRevoke:
-		id := core.TxnID(r.u64())
-		reason := core.AbortReason(r.u8())
-		if r.err != nil {
-			return errReply(r.err)
-		}
-		if err := ss.backend.RevokeInto(&ss.eff, id, reason); err != nil {
-			if !s.settled(ss, kRevoke, id) {
-				return errReply(err)
-			}
-			ss.eff.Reset()
-		}
-		s.cfg.Spans.Record(tc, telemetry.SpanAbort, uint64(id), sid, 0, 0, dur())
 		b := appendEffects(nil, &ss.eff)
 		return kOK, ss.report(b)
 

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -42,6 +44,13 @@ func (w *wireCluster) close() {
 // workload spec (their Register factory).
 func startWireCluster(t *testing.T, daemons, perDaemon int, wl string) *wireCluster {
 	t.Helper()
+	return startTracedWireCluster(t, daemons, perDaemon, wl, 0)
+}
+
+// startTracedWireCluster is startWireCluster with every process's span
+// ring sized spans (0: off), every transaction sampled.
+func startTracedWireCluster(t *testing.T, daemons, perDaemon int, wl string, spans int) *wireCluster {
+	t.Helper()
 	mlog := fault.NewMemLog()
 	// Late-bound so reconcile redos go through the cluster's ClaimRedo
 	// arbitration (safe: clu is set before Bind publishes the cluster,
@@ -68,7 +77,10 @@ func startWireCluster(t *testing.T, daemons, perDaemon int, wl string) *wireClus
 			}
 			sites[sid] = cr
 		}
-		srv, err := ServeSites(SiteServerConfig{Addr: "127.0.0.1:0", Sites: sites, Workload: wl})
+		srv, err := ServeSites(SiteServerConfig{
+			Addr: "127.0.0.1:0", Sites: sites, Workload: wl,
+			Spans: telemetry.NewSpanBuffer(spans, 0),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,6 +109,7 @@ func startWireCluster(t *testing.T, daemons, perDaemon int, wl string) *wireClus
 		FaultTolerant: true,
 		Log:           mlog,
 		Backends:      backends,
+		Spans:         spans,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -301,6 +314,51 @@ func TestWireDropFailsParkedWaiter(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("parked waiter never woke after connection drop")
+	}
+}
+
+// TestWireWithdrawIsNoAbort: a sampled transaction whose blocked DoCtx
+// is cancelled is withdrawn at the daemon — it stays active there — so
+// once it commits, the daemon's ring holds its block, hold and release
+// and no abort.
+func TestWireWithdrawIsNoAbort(t *testing.T) {
+	w := startTracedWireCluster(t, 2, 1, "readwrite:64", 256)
+	registerPages(t, w.c, 4)
+	t1, t2 := w.c.Begin(), w.c.Begin()
+	if _, err := t1.Do(1, write(10)); err != nil { // site 1
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	res := make(chan error, 1)
+	go func() {
+		_, err := t2.DoCtx(ctx, 1, read()) // parks behind T1's write
+		res <- err
+	}()
+	waitRemoteState(t, w.c.Site(1), t2.ID(), "blocked")
+	cancel()
+	if err := <-res; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled DoCtx = %v, want context.Canceled", err)
+	}
+	if _, err := t2.Do(3, write(30)); err != nil { // site 1 again
+		t.Fatal(err)
+	}
+	for _, tx := range []core.Txn{t1, t2} {
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		<-tx.Done()
+		if err := tx.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	for _, sp := range w.servers[1].cfg.Spans.Snapshot() {
+		if sp.Txn == uint64(t2.ID()) {
+			got = append(got, sp.KindS)
+		}
+	}
+	if slices.Contains(got, "abort") || !slices.Contains(got, "block") || !slices.Contains(got, "release") {
+		t.Fatalf("daemon spans of the withdrawn T%d = %v, want its block and release and no abort", t2.ID(), got)
 	}
 }
 
