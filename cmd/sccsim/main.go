@@ -35,6 +35,7 @@ import (
 	"repro"
 	"repro/internal/dist"
 	"repro/internal/distsim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -198,7 +199,7 @@ func multiSite(model string, db, terminals int, writeProb float64, pc, pr int,
 				c := distsim.SweepPoint(cfg.Sites, cfg.Terminals, lat, cr, seed)
 				c.Policy = pol
 				res := runSim(c)
-				fmt.Printf(" %6.1f/%6.1f d=%-4d", res.RealThroughput(), res.PseudoThroughput(), res.ConvoyDepth.Max())
+				fmt.Printf(" %6.1f/%6.1f d=%-4d", res.RealThroughput(), res.PseudoThroughput(), res.ConvoyMax)
 			}
 			fmt.Println()
 		}
@@ -217,20 +218,27 @@ func multiSite(model string, db, terminals int, writeProb float64, pc, pr int,
 	fmt.Printf("  real-throughput    %.1f txn/s (%d real commits)\n", res.RealThroughput(), res.RealCommits)
 	fmt.Printf("  pseudo-throughput  %.1f txn/s (%d terminal completions)\n", res.PseudoThroughput(), res.PseudoCompletions)
 	fmt.Printf("  aborts             %d (+%d revoked holds)\n", res.Aborts, res.HeldAborts)
-	fmt.Printf("  held               %d conversations; convoy depth %s\n", res.Held, res.ConvoyDepth.String())
+	fmt.Printf("  held               %d conversations; convoy depth %s\n", res.Held, res.ConvoySummary())
 	fmt.Printf("  held-wait p99      %.4f s; time-to-drain %.3f s\n", res.HeldWaitP99, res.TimeToDrain)
 	if res.Policy != "" {
 		fmt.Printf("  policy             %s: shed %d\n", res.Policy, res.TailAborts)
 	}
-	fmt.Printf("  phase latency      exec %s\n", res.PhaseExec.String())
-	fmt.Printf("                     hold %s\n", res.PhaseHold.String())
-	fmt.Printf("                     held-wait %s\n", res.PhaseHeldWait.String())
-	fmt.Printf("                     release %s\n", res.PhaseRelease.String())
+	fmt.Printf("  phase latency      exec %s\n", seconds(res.PhaseExec))
+	fmt.Printf("                     hold %s\n", seconds(res.PhaseHold))
+	fmt.Printf("                     held-wait %s\n", seconds(res.PhaseHeldWait))
+	fmt.Printf("                     release %s\n", seconds(res.PhaseRelease))
 	fmt.Printf("  crashes            %d (restarts %d, redone %d, presumed aborted %d)\n",
 		res.Crashes, res.Restarts, res.Redone, res.PresumedAborted)
-	fmt.Printf("  in-doubt windows   %s\n", res.InDoubt.String())
+	fmt.Printf("  in-doubt windows   %s\n", seconds(res.InDoubt))
 	fmt.Printf("  decision-log peak  %d live entries\n", res.LogHighWater)
 	fmt.Printf("  trace              %d events, hash %016x\n", res.TraceLines, res.TraceHash)
+}
+
+// seconds renders a virtual-nanosecond distribution in virtual
+// seconds: sample count, mean, and the p50 and p95 bucket upper bounds.
+func seconds(s telemetry.HistSnapshot) string {
+	return fmt.Sprintf("n=%d mean=%.6f p50<=%.6f p95<=%.6f",
+		s.Count, s.Mean()/1e9, s.Quantile(0.5)/1e9, s.Quantile(0.95)/1e9)
 }
 
 // runSim builds and runs one engine.

@@ -215,10 +215,8 @@ type Coordinator struct {
 	// (Unbounded is stored as nil, so the decide path neither consults
 	// it nor measures chain depth for it).
 	policy HoldPolicy
-	// heldCount tracks the live held set and pstats the policy's
-	// decision counters.
+	// heldCount tracks the live held set.
 	heldCount int
-	pstats    PolicyStats
 
 	// relAcks holds, per logged commit decision, the participants whose
 	// release (or restart-time redo) has not yet been confirmed. Opened
@@ -382,7 +380,6 @@ func (c *Coordinator) DecideWave(reqs []*DecideReq) {
 		if r.Gdeps > 0 && c.policy != nil {
 			r.Depth = c.mirror.LongestChainFrom(cv.id)
 			if !c.policy.AdmitHold(r.Depth) {
-				c.pstats.TailAborts++
 				r.Shed = true
 			}
 		}
@@ -401,9 +398,6 @@ func (c *Coordinator) DecideWave(reqs []*DecideReq) {
 		default:
 			cv.state.Store(txPseudo)
 			c.heldCount++
-			if c.heldCount > c.pstats.HeldPeak {
-				c.pstats.HeldPeak = c.heldCount
-			}
 			c.tel.Held.Set(int64(c.heldCount))
 		}
 		r.Held = c.heldCount
@@ -479,13 +473,10 @@ func (c *Coordinator) HeldCount() int {
 	return c.heldCount
 }
 
-// PolicyStats snapshots the hold policy's decision counters and the
-// held set's high-water mark (HeldPeak is maintained policy or not;
-// TailAborts stays zero without one).
+// PolicyStats views the instrument block: TailAborts is tel.Sheds
+// (zero without a policy), HeldPeak tel.Held's high-water mark.
 func (c *Coordinator) PolicyStats() PolicyStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pstats
+	return PolicyStats{TailAborts: int(c.tel.Sheds.Load()), HeldPeak: int(c.tel.Held.High())}
 }
 
 // PolicyName returns the active hold policy's parseable name, or

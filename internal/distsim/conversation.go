@@ -19,9 +19,7 @@ import (
 func (e *Engine) startCommit(p *sproc) {
 	p.commitStart = e.tl.Now()
 	p.decideTime = p.commitStart // stands for the direct path, which has no decision round
-	if !e.draining {
-		e.phExec.Add(e.tl.Now() - p.attemptStart)
-	}
+	e.observe(&e.phExec, p.attemptStart)
 	if e.coordGate {
 		// The coordinator-failure model gates every decision on the
 		// terminal learning the outcome (the wire client plane's
@@ -139,13 +137,11 @@ func (e *Engine) perform(p *sproc, act dist.Action) bool {
 	case dist.ActDecided:
 		// DecideWave or Drain forced the decision to the log and opened
 		// its ack set before the script said so.
-		if wait := e.tl.Now() - p.heldAt; p.state == spHeld {
-			e.heldWaits = append(e.heldWaits, wait)
-			if !e.draining {
-				e.phHeldWait.Add(wait)
-			}
-		} else if !e.draining {
-			e.phHold.Add(e.tl.Now() - p.commitStart)
+		if p.state == spHeld {
+			e.heldWaits = append(e.heldWaits, e.tl.Now()-p.heldAt)
+			e.observe(&e.phHeldWait, p.heldAt)
+		} else {
+			e.observe(&e.phHold, p.commitStart)
 		}
 		p.state = spReleasing
 		p.decideTime = e.tl.Now()
@@ -199,13 +195,13 @@ func (e *Engine) finished(p *sproc, act dist.Action) {
 		delete(e.blockedAt, id)
 		e.completeSpan(id, e.tl.Now()-p.attemptStart)
 	case act.Status == core.PseudoCommitted:
+		e.observe(&e.phHold, p.commitStart)
 		if !e.draining {
-			e.phHold.Add(e.tl.Now() - p.commitStart)
-			e.convoy.Add(req.Held)
+			e.convoy.Observe(uint64(req.Held))
+			e.convoyMax = max(e.convoyMax, req.Held)
 		}
 		p.state = spHeld
 		p.heldAt = e.tl.Now()
-		e.held++
 		e.tracef("held T%d gdeps=%d depth=%d", id, req.Gdeps, req.Held)
 		e.freeTerminal(p)
 	default:
@@ -218,10 +214,7 @@ func (e *Engine) finished(p *sproc, act dist.Action) {
 func (e *Engine) landed(p *sproc) {
 	id := p.txn
 	e.realCommits++
-	if !e.draining {
-		e.respReal.Add(e.tl.Now() - p.submitted)
-		e.phRelease.Add(e.tl.Now() - p.decideTime)
-	}
+	e.observe(&e.phRelease, p.decideTime)
 	for _, st := range p.steps {
 		e.committedSteps[st.Object]++
 	}
@@ -243,9 +236,6 @@ func (e *Engine) landed(p *sproc) {
 func (e *Engine) freeTerminal(p *sproc) {
 	p.freed = true
 	e.pseudoCompl++
-	if !e.draining {
-		e.respPseudo.Add(e.tl.Now() - p.submitted)
-	}
 	if p.terminal >= 0 && !e.draining {
 		e.tl.Schedule(e.think(), ev{kind: evSubmit, terminal: p.terminal})
 	}
@@ -345,9 +335,7 @@ func (e *Engine) crash(sid int, restartAfter float64) {
 // closeInDoubt ends a prepared record's in-doubt window at the site.
 func (e *Engine) closeInDoubt(s *simSite, id core.TxnID) {
 	if t0, ok := s.prepTime[id]; ok {
-		if !e.draining {
-			e.inDoubt.Add(e.tl.Now() - t0)
-		}
+		e.observe(&e.inDoubt, t0)
 		delete(s.prepTime, id)
 	}
 }

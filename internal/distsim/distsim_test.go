@@ -66,9 +66,9 @@ func TestDeterminism(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("same seed, different results:\n%s\n%s", a, b)
 	}
-	if a.ConvoyDepth.String() != b.ConvoyDepth.String() {
-		t.Fatalf("same seed, different convoy histograms: %s vs %s",
-			a.ConvoyDepth.String(), b.ConvoyDepth.String())
+	if a.ConvoyDepth != b.ConvoyDepth || a.PhaseHeldWait != b.PhaseHeldWait {
+		t.Fatalf("same seed, different distributions: convoy %s vs %s, held wait %+v vs %+v",
+			a.ConvoySummary(), b.ConvoySummary(), a.PhaseHeldWait, b.PhaseHeldWait)
 	}
 	c := run(t, small(8))
 	if c.TraceHash == a.TraceHash {

@@ -2,6 +2,7 @@ package distsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -9,7 +10,6 @@ import (
 	"repro/internal/depgraph"
 	"repro/internal/dist"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -158,8 +158,7 @@ type Engine struct {
 
 	// Counters (whole run; the window is a delta).
 	realCommits, pseudoCompl, aborts, heldAborts int
-	held, crashes, restarts                      int
-	redone, presumed                             int
+	crashes, restarts, redone, presumed          int
 	logHighWater                                 int
 
 	inWindow                                       bool
@@ -177,16 +176,16 @@ type Engine struct {
 	timeToDrain                                    float64
 	snapTime                                       float64
 	snapReal, snapPseudo, snapAborts, snapHeldAbrt int
-	snapHeld                                       int
 
 	// heldWaits collects every held→decision wait (drain included) for
-	// the p99; the gated phHeldWait window keeps its pre-drain meaning.
+	// the p99; the gated phHeldWait keeps its pre-drain meaning.
 	heldWaits []float64
 
-	convoy                                metrics.Hist
-	inDoubt                               metrics.Window
-	phExec, phHold, phHeldWait, phRelease metrics.Window
-	respPseudo, respReal                  metrics.Window
+	// Convoy depths (and their exact max) and virtual-ns durations.
+	convoy                                telemetry.Histogram
+	convoyMax                             int
+	inDoubt                               telemetry.Histogram
+	phExec, phHold, phHeldWait, phRelease telemetry.Histogram
 	committedSteps                        map[core.ObjectID]uint64
 
 	traceHash  uint64
@@ -359,7 +358,6 @@ func (e *Engine) drainHeld(guard int) error {
 	e.snapPseudo = e.pseudoCompl - e.basePseudo
 	e.snapAborts = e.aborts - e.baseAborts
 	e.snapHeldAbrt = e.heldAborts - e.baseHeldAbrt
-	e.snapHeld = e.held
 	start := e.tl.Now()
 	e.draining = true
 	for steps := 0; e.co.HeldCount() > 0; steps++ {
@@ -377,6 +375,14 @@ func (e *Engine) drainHeld(guard int) error {
 	return nil
 }
 
+// observe records the virtual time since `since` into h, in virtual
+// nanoseconds, unless the run is past its completion target.
+func (e *Engine) observe(h *telemetry.Histogram, since float64) {
+	if !e.draining {
+		h.Observe(uint64((e.tl.Now() - since) * 1e9))
+	}
+}
+
 // openWindow starts the measurement window.
 func (e *Engine) openWindow() {
 	e.inWindow = true
@@ -387,14 +393,15 @@ func (e *Engine) openWindow() {
 	e.baseHeldAbrt = e.heldAborts
 }
 
-// result assembles the Result. The windowed counters and Held were
-// snapshot when the completion target was met (drainHeld), so the
-// post-target drain cannot move them.
+// result assembles the Result. The windowed counters were snapshot,
+// and the distributions (Held among them) stopped sampling, when the
+// completion target was met, so the post-target drain cannot move them.
 func (e *Engine) result() Result {
 	var st core.Stats
 	for _, s := range e.sites {
 		st.Add(s.cr.StatsSnapshot())
 	}
+	convoy := e.convoy.Snapshot()
 	r := Result{
 		Sites:             e.cfg.Sites,
 		SimTime:           e.snapTime,
@@ -402,19 +409,18 @@ func (e *Engine) result() Result {
 		PseudoCompletions: e.snapPseudo,
 		Aborts:            e.snapAborts,
 		HeldAborts:        e.snapHeldAbrt,
-		Held:              e.snapHeld,
+		Held:              int(convoy.Count),
 		Crashes:           e.crashes,
 		Restarts:          e.restarts,
 		Redone:            e.redone,
 		PresumedAborted:   e.presumed,
-		ConvoyDepth:       e.convoy,
-		InDoubt:           e.inDoubt,
-		PhaseExec:         e.phExec,
-		PhaseHold:         e.phHold,
-		PhaseHeldWait:     e.phHeldWait,
-		PhaseRelease:      e.phRelease,
-		RespPseudo:        e.respPseudo,
-		RespReal:          e.respReal,
+		ConvoyDepth:       convoy,
+		ConvoyMax:         e.convoyMax,
+		InDoubt:           e.inDoubt.Snapshot(),
+		PhaseExec:         e.phExec.Snapshot(),
+		PhaseHold:         e.phHold.Snapshot(),
+		PhaseHeldWait:     e.phHeldWait.Snapshot(),
+		PhaseRelease:      e.phRelease.Snapshot(),
 		LogHighWater:      e.logHighWater,
 		CommittedSteps:    e.committedSteps,
 		TraceHash:         e.traceHash,
@@ -427,7 +433,7 @@ func (e *Engine) result() Result {
 		CoordAdopted:      e.coordAdopted,
 		CoordOrphans:      e.coordOrphans,
 		CoordRevoked:      e.coordRevoked,
-		HeldWaitP99:       metrics.Quantile(e.heldWaits, 0.99),
+		HeldWaitP99:       quantile(e.heldWaits, 0.99),
 		TimeToDrain:       e.timeToDrain,
 		Policy:            policyName(e.cfg.Policy),
 	}
@@ -436,6 +442,16 @@ func (e *Engine) result() Result {
 		r.SpanExemplars = e.spans.Exemplars()
 	}
 	return r
+}
+
+// quantile returns the nearest-rank q-quantile of xs, the ⌈q·n⌉-th
+// smallest sample (0 when empty). It sorts xs.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	return xs[min(max(int(math.Ceil(q*float64(len(xs))))-1, 0), len(xs)-1)]
 }
 
 // tailAborts sums the shed holds over every coordinator incarnation

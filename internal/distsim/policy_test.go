@@ -65,7 +65,7 @@ func TestConvoyPolicy42(t *testing.T) {
 				t.Errorf("trace hash = %016x, want %016x (policy run no longer bit-identical to the checked-in pin)",
 					res.TraceHash, tc.hash)
 			}
-			if got := res.ConvoyDepth.Max(); got != tc.depth {
+			if got := res.ConvoyMax; got != tc.depth {
 				t.Errorf("max convoy depth = %d, want %d", got, tc.depth)
 			}
 			if res.RealCommits != tc.real || res.PseudoCompletions != tc.pseudo {
@@ -79,7 +79,7 @@ func TestConvoyPolicy42(t *testing.T) {
 				t.Errorf("result policy = %q, want %q", res.Policy, tc.policy.Name())
 			}
 			// The three acceptance axes against the unbounded baseline.
-			if got := res.ConvoyDepth.Max(); got > 120 {
+			if got := res.ConvoyMax; got > 120 {
 				t.Errorf("max convoy depth = %d, want <= 120 (baseline %d)", got, baseDepth)
 			}
 			if gap := res.PseudoThroughput() - res.RealThroughput(); gap > baseGap/2 {

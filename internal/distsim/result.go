@@ -4,16 +4,15 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
 // Result is what one deterministic multi-site run measured. The
 // windowed counters (SimTime, RealCommits, PseudoCompletions, Aborts,
 // HeldAborts) cover the measurement window (after Warmup real
-// commits); the structural counters (Held, Crashes, Redone,
-// PresumedAborted) and the distributions cover the whole run — a crash
-// scenario's recovery counts must not disappear into the warm-up.
+// commits). Held and the distributions sample from the start of the
+// run up to the completion target, warm-up included, and InDoubt also
+// the end-of-run restarts; the other counters cover the whole run.
 type Result struct {
 	Sites int
 
@@ -34,7 +33,7 @@ type Result struct {
 	// before their commit point (each logical transaction re-run).
 	HeldAborts int
 
-	// Held counts commit conversations that ended held (whole run).
+	// Held counts commit conversations that ended held (ConvoyDepth's n).
 	Held int
 	// Crashes / Restarts count injected failures (whole run; restarts
 	// include the end-of-run recovery of still-down sites).
@@ -56,23 +55,20 @@ type Result struct {
 
 	// ConvoyDepth samples the held-set size at each hold — the joining
 	// transaction included, so the first hold of an idle cluster
-	// records depth 1. Its max is the convoy depth the wall-clock
-	// harness can only guess at.
-	ConvoyDepth metrics.Hist
-	// InDoubt measures prepare-to-resolution windows of prepared
-	// records that lived through a crash (resolved by restart
-	// recovery).
-	InDoubt metrics.Window
+	// records depth 1. ConvoyMax is its exact maximum, the convoy depth
+	// the wall-clock harness can only guess at.
+	ConvoyDepth telemetry.HistSnapshot
+	ConvoyMax   int
+	// The durations below are in virtual nanoseconds. InDoubt measures
+	// prepare-to-resolution windows of prepared records that lived
+	// through a crash (resolved by restart recovery).
+	InDoubt telemetry.HistSnapshot
 	// Per-phase latency breakdown of the transaction lifecycle:
 	// execution (first submit-side issue to conversation start), the
 	// hold conversation (start to decision-or-held), the held wait
 	// (held to decision), and the release fan-out (decision to real
 	// commit everywhere).
-	PhaseExec, PhaseHold, PhaseHeldWait, PhaseRelease metrics.Window
-	// RespPseudo / RespReal are terminal-perceived and
-	// promise-honoured response times (submission to pseudo-commit /
-	// to real commit), whole run.
-	RespPseudo, RespReal metrics.Window
+	PhaseExec, PhaseHold, PhaseHeldWait, PhaseRelease telemetry.HistSnapshot
 
 	// LogHighWater is the decision log's peak live size — with
 	// release-ack truncation it tracks in-flight holds, not history.
@@ -143,7 +139,7 @@ func (r Result) String() string {
 		r.Sites, r.SimTime, r.RealCommits, r.RealThroughput(),
 		r.PseudoCompletions, r.PseudoThroughput(), r.Aborts, r.HeldAborts,
 		r.Held, r.Crashes, r.Redone, r.PresumedAborted,
-		r.ConvoyDepth.String(), r.HeldWaitP99, r.TimeToDrain,
+		r.ConvoySummary(), r.HeldWaitP99, r.TimeToDrain,
 		r.LogHighWater, r.TraceHash)
 	if r.Policy != "" {
 		s += fmt.Sprintf(" policy=%s shed=%d", r.Policy, r.TailAborts)
@@ -154,4 +150,12 @@ func (r Result) String() string {
 			r.CoordOrphans, r.CoordRevoked)
 	}
 	return s
+}
+
+// ConvoySummary renders ConvoyDepth: sample count, mean, the p50 and
+// p95 bucket upper bounds (capped at ConvoyMax) and ConvoyMax.
+func (r Result) ConvoySummary() string {
+	s, hi := r.ConvoyDepth, float64(r.ConvoyMax)
+	return fmt.Sprintf("n=%d mean=%.2f p50<=%.0f p95<=%.0f max=%d",
+		s.Count, s.Mean(), min(s.Quantile(0.5), hi), min(s.Quantile(0.95), hi), r.ConvoyMax)
 }

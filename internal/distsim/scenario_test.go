@@ -1,10 +1,13 @@
 package distsim
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // TestGoldenRedoTrace pins the CrashRedo scenario's full event trace:
@@ -30,6 +33,11 @@ func TestGoldenRedoTrace(t *testing.T) {
 	}
 	if !strings.Contains(got, "skipped (down, redo at restart)") {
 		t.Fatal("trace is missing the skipped release that forces the redo")
+	}
+	// The redone record's in-doubt window, recorded before the
+	// distributions moved onto telemetry histograms.
+	if n, mean := res.InDoubt.Count, res.InDoubt.Mean()/1e9; n != 1 || math.Abs(mean-0.519019) > 1e-6 {
+		t.Errorf("in-doubt windows n=%d mean=%.6fs, want n=1 mean=0.519019s", n, mean)
 	}
 
 	path := filepath.Join("testdata", "crash_redo_seed11.trace")
@@ -72,22 +80,22 @@ func TestConvoyCollapse(t *testing.T) {
 	if res.Held == 0 {
 		t.Fatal("no conversation was held — not the convoy regime")
 	}
-	if res.ConvoyDepth.Max() < 100 {
-		t.Fatalf("max convoy depth = %d, want >= 100 (collapse not reproduced)", res.ConvoyDepth.Max())
+	if res.ConvoyMax < 100 {
+		t.Fatalf("max convoy depth = %d, want >= 100 (collapse not reproduced)", res.ConvoyMax)
 	}
 	if rt, pt := res.RealThroughput(), res.PseudoThroughput(); rt >= 0.8*pt {
 		t.Fatalf("real throughput %.1f/s vs pseudo %.1f/s — no collapse gap", rt, pt)
 	}
 	if res.PhaseHeldWait.Mean() < 10*res.PhaseRelease.Mean() {
 		t.Fatalf("held wait (%.3fs mean) should dwarf the release round (%.3fs mean) in a convoy",
-			res.PhaseHeldWait.Mean(), res.PhaseRelease.Mean())
+			res.PhaseHeldWait.Mean()/1e9, res.PhaseRelease.Mean()/1e9)
 	}
 	// The whole point: the collapse is reproducible bit-for-bit.
 	again := run(t, Convoy(42))
 	if again.TraceHash != res.TraceHash {
 		t.Fatalf("convoy scenario not deterministic: %016x vs %016x", res.TraceHash, again.TraceHash)
 	}
-	if again.ConvoyDepth.Max() != res.ConvoyDepth.Max() || again.RealCommits != res.RealCommits {
+	if again.ConvoyMax != res.ConvoyMax || again.RealCommits != res.RealCommits {
 		t.Fatal("convoy metrics differ across same-seed runs")
 	}
 }
@@ -115,7 +123,7 @@ func TestConvoyBaseline42(t *testing.T) {
 		t.Fatalf("Convoy(42) trace hash = %016x, want %016x (event trace no longer bit-identical to the checked-in baseline)",
 			res.TraceHash, baseHash)
 	}
-	if got := res.ConvoyDepth.Max(); got != baseDepth {
+	if got := res.ConvoyMax; got != baseDepth {
 		t.Errorf("max convoy depth = %d, want %d", got, baseDepth)
 	}
 	if res.RealCommits != baseReal || res.PseudoCompletions != basePseudo {
@@ -127,6 +135,23 @@ func TestConvoyBaseline42(t *testing.T) {
 	}
 	if gap := res.PseudoThroughput() - res.RealThroughput(); gap > baseGap+0.01 {
 		t.Errorf("pseudo-real throughput gap = %.4f txn/s, baseline %.4f — convoy got worse", gap, baseGap)
+	}
+	// The phase distributions, recorded before they moved onto
+	// telemetry histograms: exact counts, means to a virtual µs.
+	for _, ph := range []struct {
+		name string
+		got  telemetry.HistSnapshot
+		n    uint64
+		mean float64 // virtual seconds
+	}{
+		{"exec", res.PhaseExec, 689, 0.212698},
+		{"hold", res.PhaseHold, 687, 0.087557},
+		{"held-wait", res.PhaseHeldWait, 449, 3.498812},
+		{"release", res.PhaseRelease, 450, 0.087354},
+	} {
+		if mean := ph.got.Mean() / 1e9; ph.got.Count != ph.n || math.Abs(mean-ph.mean) > 1e-6 {
+			t.Errorf("%s phase n=%d mean=%.6fs, want n=%d mean=%.6fs", ph.name, ph.got.Count, mean, ph.n, ph.mean)
+		}
 	}
 }
 

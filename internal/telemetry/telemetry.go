@@ -181,20 +181,18 @@ func BucketUpperBound(i int) float64 {
 }
 
 // Quantile returns an upper-bound estimate of the q-quantile (q in
-// [0,1]): the upper bound of the bucket the q-th observation falls
-// in. Returns 0 on an empty histogram.
+// [0,1]): the upper bound of the bucket holding the nearest-rank
+// observation, the ⌈q·n⌉-th smallest. Returns 0 on an empty
+// histogram.
 func (s HistSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(s.Count))
-	if rank >= s.Count {
-		rank = s.Count - 1
-	}
+	rank := min(max(math.Ceil(q*float64(s.Count)), 1), float64(s.Count))
 	var seen uint64
 	for i, n := range s.Counts {
 		seen += n
-		if seen > rank {
+		if float64(seen) >= rank {
 			return BucketUpperBound(i)
 		}
 	}

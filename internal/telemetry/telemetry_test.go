@@ -73,6 +73,23 @@ func TestHistogramSnapshot(t *testing.T) {
 	if m := s.Mean(); m != float64(s.Sum)/1000 {
 		t.Fatalf("mean = %g", m)
 	}
+	// Nearest rank: the q-quantile is the ⌈q·n⌉-th smallest value, so
+	// one outlier among a hundred is not the p99, nor one of two the
+	// median.
+	var tail Histogram
+	for i := 0; i < 99; i++ {
+		tail.Observe(1)
+	}
+	tail.Observe(1000)
+	if q := tail.Snapshot().Quantile(0.99); q != 1 {
+		t.Errorf("p99 of 99×1 and one 1000 = %g, want 1", q)
+	}
+	var pair Histogram
+	pair.Observe(1)
+	pair.Observe(1000)
+	if q := pair.Snapshot().Quantile(0.5); q != 1 {
+		t.Errorf("p50 of {1, 1000} = %g, want 1", q)
+	}
 }
 
 // TestConcurrentExactness asserts counters, gauges and histograms
