@@ -489,47 +489,6 @@ func BenchmarkShardScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultToleranceNoCrash pins the cost of the crash-stop
-// machinery on the path that must not pay for it: single-site
-// commuting transactions on a plain cluster vs a fault-tolerant one.
-// The fault layer adds one wrapper mutex and redo-history recording
-// per call; the acceptance bar is staying within a few percent of
-// plain (the fast path takes no decision-log write and no prepare).
-func BenchmarkFaultToleranceNoCrash(b *testing.B) {
-	const objects = 64
-	for _, mode := range []string{"plain", "fault"} {
-		b.Run(mode, func(b *testing.B) {
-			c, err := dist.NewWithConfig(dist.Config{Sites: 4, FaultTolerant: mode == "fault"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for id := core.ObjectID(1); id <= objects; id++ {
-				if err := c.Register(id, adt.Set{}, compat.SetTable()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var next atomic.Uint64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				obj := core.ObjectID(1 + (next.Add(1)-1)%objects)
-				i := 0
-				for pb.Next() {
-					i++
-					t := c.Begin()
-					if _, err := t.Do(obj, repro.Insert(i)); err != nil {
-						b.Error(err)
-						return
-					}
-					if _, err := t.Commit(); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
 // BenchmarkShardScalingContended is the same sweep under a sharded
 // read/write workload with 10% cross-site steps — dependency edges,
 // mirror traffic and held commits included, closer to a real mixed
@@ -618,16 +577,16 @@ func BenchmarkCoordinatorEdgeFree(b *testing.B) {
 // over a one-edge commit dependency, is held, and is released when its
 // predecessor commits. Each parallel worker runs its own object, so
 // concurrent conversations are independent — exactly the traffic the
-// flat-combining wave coalesces into batched mirror observes and (on
-// the fault variant) grouped decision-log forces. The traced mode runs
-// the plain cluster with the span plane armed at sample rate 1 (every
-// transaction stamps begin/hold/decide/release spans into the ring and
-// competes for the exemplar store) — the worst-case tracing overhead
-// recorded in BENCH_5.json; plain vs traced is the cost of the plane.
+// flat-combining wave coalesces into batched mirror observes and
+// grouped decision-log forces. The traced mode arms the span plane at
+// sample rate 1 (every transaction stamps begin/hold/decide/release
+// spans into the ring and competes for the exemplar store) — the
+// worst-case tracing overhead; untraced vs traced is the cost of the
+// plane.
 func BenchmarkCoordinatorConversation(b *testing.B) {
-	for _, mode := range []string{"plain", "fault", "traced"} {
+	for _, mode := range []string{"untraced", "traced"} {
 		b.Run(mode, func(b *testing.B) {
-			cfg := dist.Config{Sites: 4, FaultTolerant: mode == "fault"}
+			cfg := dist.Config{Sites: 4}
 			if mode == "traced" {
 				cfg.Spans = 1 << 14
 				cfg.SpanExemplars = 8
@@ -852,5 +811,36 @@ func TestFacadeStoreBothBackends(t *testing.T) {
 		if _, err := st.Begin().Do(1, repro.Insert(8)); !errors.Is(err, repro.ErrClosed) {
 			t.Fatalf("%s: Do after Close = %v", name, err)
 		}
+	}
+}
+
+// TestFacadeClusterCrashStop: the cluster NewCluster builds is
+// crash-stop — a site crashes, restarts, and serves again.
+func TestFacadeClusterCrashStop(t *testing.T) {
+	cluster, err := repro.NewCluster(2, repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cluster.NumSites(); n != 2 {
+		t.Fatalf("NumSites = %d", n)
+	}
+	if err := cluster.Register(2, repro.Set{}, repro.SetTable()); err != nil { // site 0
+		t.Fatal(err)
+	}
+	if err := cluster.CrashSite(0); err != nil {
+		t.Fatalf("CrashSite = %v", err)
+	}
+	if _, err := cluster.Begin().Do(2, repro.Insert(1)); !errors.Is(err, repro.ErrSiteFailed) {
+		t.Fatalf("Do at a crashed site = %v, want ErrSiteFailed", err)
+	}
+	if err := cluster.RestartSite(0); err != nil {
+		t.Fatalf("RestartSite = %v", err)
+	}
+	err = cluster.Run(context.Background(), func(tx repro.Txn) error {
+		_, err := tx.Do(2, repro.Insert(1))
+		return err
+	})
+	if err != nil {
+		t.Fatalf("Run after restart = %v", err)
 	}
 }

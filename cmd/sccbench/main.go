@@ -11,7 +11,6 @@
 //	sccbench -tables                       # Tables I–VIII and IX–X
 //	sccbench -shardscale                   # 1-shard vs N-shard throughput
 //	sccbench -net                          # loopback-TCP wire vs in-process calls
-//	sccbench -chaos                        # crash-stop fault-tolerance cost + chaos run
 //	sccbench -convoy                       # hold-convoy overload: off vs the default vs the named policies
 //	sccbench -convoy -policy depth=8       # one policy against the unbounded baseline
 //
@@ -19,17 +18,13 @@
 // Shard-scaling knobs: -shards, -workers, -txns, -cross, -skew (zipfian
 // hot keys) and -maxprocs (repeat the sweep at each GOMAXPROCS — the
 // coordinator scaling matrix).
-// Chaos knobs: -chaossites, -crashperiod, -restartdelay (plus the
-// shard-scaling workload knobs); the chaos run checks conservation
-// across the injected failures and reports the fault-tolerance
-// overhead on the no-crash path.
 // Convoy knobs: -convoysites and -policy (plus -workers, -txns, -db,
 // -cross, which default to the overload regime: all-push workload,
 // small database, 40% cross-site); the clock stops only after every
 // pseudo-commit promise is honoured, so txn/s is honest real-commit
 // throughput, drain included. -policy also names the hold policy of
-// the -chaos and -net clusters: empty is the cluster default
-// (dist.DefaultPolicy), off the paper's unbounded hold.
+// the -net clusters: empty is the cluster default (dist.DefaultPolicy),
+// off the paper's unbounded hold.
 // Net knobs: -net reuses the -shardscale sweep knobs (-shards,
 // -workers, -txns, -cross) to compare loopback TCP against in-process
 // calls.
@@ -148,11 +143,10 @@ func runShardScale(shardList, maxprocsList string, workers, txns, db int, cross,
 
 // runNet measures what the wire costs: the same closed-loop sharded
 // conservation workload (all pushes) runs against an in-process
-// fault-tolerant cluster and against the identical cluster deployed
-// over loopback TCP — one site daemon serving every site
-// (wire.ServeSites), a coordinator over remote participants
-// (wire.StartCoordinator), and a client dialling the coordinator's
-// client plane (wire.Dial). Both sides use crash-stop Crashable sites
+// cluster and against the identical cluster deployed over loopback
+// TCP — one site daemon serving every site (wire.ServeSites), a
+// coordinator over remote participants (wire.StartCoordinator), and a
+// client dialling the coordinator's client plane (wire.Dial). Both sides use crash-stop Crashable sites
 // and an in-memory decision log, so the ratio isolates the transport:
 // framing, the per-site FIFO workers, and two network hops per
 // operation (client → coordinator → site). This is the number behind
@@ -172,7 +166,7 @@ func runNet(shardList string, workers, txns, db int, cross float64, seed int64, 
 	spec := fmt.Sprintf("pushes:%d", db)
 	fmt.Printf("net transport: loopback TCP vs in-process, %d workers x %d txns, push db=%d, cross-site prob %.2f\n",
 		workers, txns, db, cross)
-	fmt.Println("(both clusters crash-stop fault-tolerant; the wire side adds the client plane, one site daemon, and 2 hops/op)")
+	fmt.Println("(both clusters crash-stop; the wire side adds the client plane, one site daemon, and 2 hops/op)")
 	fmt.Printf("hold policy %s on both sides\n", installedName(pol))
 	fmt.Printf("%-8s %-14s %10s %10s %10s %12s\n", "shards", "transport", "txn/s", "ops", "aborts", "elapsed")
 	for _, n := range counts {
@@ -188,7 +182,7 @@ func runNet(shardList string, workers, txns, db int, cross float64, seed int64, 
 			RetryHeldAborts: true,
 		}
 
-		inproc, err := dist.NewWithConfig(dist.Config{Sites: n, FaultTolerant: true, Policy: pol})
+		inproc, err := dist.NewWithConfig(dist.Config{Sites: n, Policy: pol})
 		if err != nil {
 			return err
 		}
@@ -339,101 +333,6 @@ func runConvoy(sitesN, workers, txns, db int, cross float64, seed int64, holdOpe
 	return nil
 }
 
-// runChaos measures crash-stop fault tolerance: the same sharded
-// conservation workload (all-push stacks) runs on a plain cluster, on
-// a fault-tolerant cluster with no failures (the no-crash overhead of
-// the decision log and prepare conversation, comparable against the
-// BENCH_*.json trajectory), and on a fault-tolerant cluster under a
-// periodic crash/restart schedule with conservation verified at the
-// end.
-func runChaos(shardsN, workers, txns, db int, cross float64, seed int64, crashPeriod, restartDelay time.Duration, pol dist.HoldPolicy) error {
-	gen := workload.Sharded{
-		Inner: workload.Pushes{DBSize: db},
-		Sites: shardsN, CrossProb: cross,
-	}
-	lc := workload.LoadConfig{
-		Workload:      gen,
-		Workers:       workers,
-		TxnsPerWorker: txns,
-		Seed:          seed,
-		MaxRestarts:   100000,
-	}
-	fmt.Printf("chaos: %d sites, %d workers x %d txns, push db=%d, cross-site prob %.2f\n",
-		shardsN, workers, txns, db, cross)
-	fmt.Printf("hold policy %s on every cluster\n", installedName(pol))
-	fmt.Printf("%-22s %12s %10s %10s %12s %10s\n", "configuration", "txn/s", "held", "aborts", "elapsed", "crashes")
-
-	plain, err := dist.NewWithConfig(dist.Config{Sites: shardsN, Policy: pol})
-	if err != nil {
-		return err
-	}
-	plainRes, err := workload.RunLoad(plain, lc)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-22s %12.0f %10d %10d %12s %10s\n", "plain",
-		plainRes.TxnPerSec, plainRes.Pseudo, plainRes.Aborts, plainRes.Elapsed.Round(time.Millisecond), "-")
-	emitTelemetry("chaos/plain", plain)
-
-	ft, err := dist.NewWithConfig(dist.Config{Sites: shardsN, FaultTolerant: true, Policy: pol})
-	if err != nil {
-		return err
-	}
-	ftRes, err := workload.RunLoad(ft, lc)
-	if err != nil {
-		return err
-	}
-	overhead := ""
-	if plainRes.TxnPerSec > 0 {
-		overhead = fmt.Sprintf("  (%.1f%% vs plain)", 100*(plainRes.TxnPerSec-ftRes.TxnPerSec)/plainRes.TxnPerSec)
-	}
-	fmt.Printf("%-22s %12.0f %10d %10d %12s %10s%s\n", "fault-tolerant",
-		ftRes.TxnPerSec, ftRes.Pseudo, ftRes.Aborts, ftRes.Elapsed.Round(time.Millisecond), "-", overhead)
-	emitTelemetry("chaos/fault-tolerant", ft)
-
-	chaosCluster, err := dist.NewWithConfig(dist.Config{Sites: shardsN, FaultTolerant: true, Policy: pol})
-	if err != nil {
-		return err
-	}
-	chaosRes, err := workload.RunChaos(chaosCluster, workload.ChaosConfig{
-		Load:         lc,
-		CrashEvery:   crashPeriod,
-		RestartAfter: restartDelay,
-		Deadline:     10 * time.Minute,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-22s %12.0f %10d %10d %12s %10d  (heldaborts=%d)\n", "fault-tolerant+chaos",
-		chaosRes.TxnPerSec, chaosRes.Pseudo, chaosRes.Aborts, chaosRes.Elapsed.Round(time.Millisecond),
-		chaosRes.Crashes, chaosRes.HeldAborts)
-	emitTelemetry("chaos/fault-tolerant+chaos", chaosCluster)
-
-	// Conservation across failures: every committed push — and nothing
-	// else — is in a committed stack.
-	var want, got uint64
-	for id := core.ObjectID(1); id <= core.ObjectID(db); id++ {
-		want += chaosRes.CommittedSteps[id]
-		st, err := chaosCluster.Site(chaosCluster.SiteOf(id)).CommittedState(id)
-		if err != nil {
-			if chaosRes.CommittedSteps[id] > 0 {
-				return fmt.Errorf("conservation violated at object %d: %d committed pushes but no committed state (%v)",
-					id, chaosRes.CommittedSteps[id], err)
-			}
-			continue // never touched, never materialised
-		}
-		depth := st.(*repro.StackState).Len()
-		got += uint64(depth)
-		if uint64(depth) != chaosRes.CommittedSteps[id] {
-			return fmt.Errorf("conservation violated at object %d: committed depth %d, promised pushes %d",
-				id, depth, chaosRes.CommittedSteps[id])
-		}
-	}
-	fmt.Printf("conservation: %d committed pushes == %d committed stack cells across %d crashes\n",
-		want, got, chaosRes.Crashes)
-	return nil
-}
-
 func main() {
 	var (
 		experiment  = flag.String("experiment", "", "experiment id (fig4..fig18, ablation-*)")
@@ -450,23 +349,18 @@ func main() {
 
 		shardScale = flag.Bool("shardscale", false, "run the 1-shard vs N-shard throughput comparison")
 		shards     = flag.String("shards", "1,2,4,8", "comma-separated shard counts for -shardscale")
-		workers    = flag.Int("workers", 16, "concurrent workers for -shardscale/-chaos")
-		txns       = flag.Int("txns", 2000, "transactions per worker for -shardscale/-chaos")
-		cross      = flag.Float64("cross", 0.1, "cross-site step probability for -shardscale/-chaos")
+		workers    = flag.Int("workers", 16, "concurrent workers for -shardscale/-net/-convoy")
+		txns       = flag.Int("txns", 2000, "transactions per worker for -shardscale/-net/-convoy")
+		cross      = flag.Float64("cross", 0.1, "cross-site step probability for -shardscale/-net/-convoy")
 		skew       = flag.Float64("skew", 0, "zipfian key-popularity exponent for -shardscale (>1 enables hot keys)")
 		maxprocs   = flag.String("maxprocs", "", "comma-separated GOMAXPROCS values to repeat the -shardscale sweep at (empty: current)")
 
 		netMode = flag.Bool("net", false, "run the loopback-TCP vs in-process transport comparison over the -shards sweep")
 
-		chaos        = flag.Bool("chaos", false, "measure crash-stop fault tolerance: plain vs fault-tolerant vs chaos (with conservation check)")
-		chaosSites   = flag.Int("chaossites", 4, "participant sites for -chaos")
-		crashPeriod  = flag.Duration("crashperiod", 10*time.Millisecond, "healthy interval before each injected crash for -chaos")
-		restartDelay = flag.Duration("restartdelay", 3*time.Millisecond, "downtime per injected crash for -chaos")
-
 		convoy      = flag.Bool("convoy", false, "run the hold-convoy overload: bounded-hold policies vs the unbounded baseline")
 		convoySites = flag.Int("convoysites", 8, "participant sites for -convoy")
 		holdOpen    = flag.Duration("holdopen", 300*time.Microsecond, "per-transaction open window before commit for -convoy (the overlap that forms the convoy)")
-		policyStr   = flag.String("policy", "", "hold policy for -convoy/-chaos/-net: off (unbounded) or depth=N; empty is the cluster default (with -convoy: compares off, the default and depth=16)")
+		policyStr   = flag.String("policy", "", "hold policy for -convoy/-net: off (unbounded) or depth=N; empty is the cluster default (with -convoy: compares off, the default and depth=16)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -565,22 +459,6 @@ func main() {
 			seedVal = 1
 		}
 		if err := runNet(*shards, *workers, txnsVal, dbSize, *cross, seedVal, pol); err != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *chaos {
-		dbSize := *db
-		if dbSize == 0 {
-			dbSize = 1000
-		}
-		seedVal := *seed
-		if seedVal == 0 {
-			seedVal = 1
-		}
-		if err := runChaos(*chaosSites, *workers, *txns, dbSize, *cross, seedVal, *crashPeriod, *restartDelay, pol); err != nil {
 			fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
 			os.Exit(1)
 		}

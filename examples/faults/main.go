@@ -1,6 +1,6 @@
 // Faults: crash-stop fault tolerance on the §6 cluster. A two-site
-// fault-tolerant cluster runs a bank-style scenario and a site is
-// crashed at the three interesting moments:
+// cluster runs a bank-style scenario and a site is crashed at the
+// three interesting moments:
 //
 //  1. mid-transaction — the in-flight transaction aborts with the
 //     typed ErrSiteFailed (retryable) and its operations at the
@@ -40,7 +40,7 @@ func state(c *dist.Cluster, id core.ObjectID) string {
 }
 
 func main() {
-	cluster, err := dist.NewWithConfig(dist.Config{Sites: 2, FaultTolerant: true})
+	cluster, err := dist.New(2, core.Options{}, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

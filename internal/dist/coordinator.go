@@ -197,10 +197,8 @@ func AdoptVerdict(held, logged bool) AdoptAction {
 // Lock order: mu -> {registry shard, logMu}.
 type Coordinator struct {
 	nsites int
-	// flog is the decision log; nil on a plain (non-fault-tolerant)
-	// cluster, where every ack-table method is a no-op.
-	flog  fault.Log
-	debug bool // check the ack-table invariant at every mutation
+	flog   fault.Log // the decision log
+	debug  bool      // check the ack-table invariant at every mutation
 
 	reg registry
 
@@ -217,6 +215,8 @@ type Coordinator struct {
 	policy HoldPolicy
 	// heldCount tracks the live held set.
 	heldCount int
+	// idBuf is logCommitBatch's scratch for a wave's grouped force.
+	idBuf []core.TxnID
 
 	// relAcks holds, per logged commit decision, the participants whose
 	// release (or restart-time redo) has not yet been confirmed. Opened
@@ -224,6 +224,9 @@ type Coordinator struct {
 	// truncated from the log — presumed abort never needs it again.
 	logMu   sync.Mutex
 	relAcks map[core.TxnID]map[SiteID]struct{}
+	// ackFree holds drained ack sets, cleared, for the next decision to
+	// reuse, so a steady stream of decisions allocates no sets.
+	ackFree []map[SiteID]struct{}
 	// clientGate lists transactions whose commit decision must outlive
 	// the participant acks until an external client confirms it learned
 	// the outcome (GateDecision/AckDecision). A network front end uses
@@ -246,11 +249,10 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds a coordinator over sites participant sites.
-// flog is the decision log (nil: no fault tolerance, nothing is
-// logged); policy optionally bounds the hold convoy (nil and
-// Unbounded{} both hold unboundedly — the default policy
-// is NewWithConfig's, not the mechanism's); debug checks the ack-table
-// invariant at every mutation.
+// flog is the decision log and must be non-nil; policy optionally
+// bounds the hold convoy (nil and Unbounded{} both hold unboundedly —
+// the default policy is NewWithConfig's, not the mechanism's); debug
+// checks the ack-table invariant at every mutation.
 func NewCoordinator(sites int, flog fault.Log, policy HoldPolicy, debug bool) *Coordinator {
 	c := new(Coordinator)
 	c.init(sites, flog, policy, debug)
@@ -265,9 +267,7 @@ func (c *Coordinator) init(sites int, flog fault.Log, policy HoldPolicy, debug b
 		c.policy = policy
 	}
 	c.reg.init()
-	if flog != nil {
-		c.relAcks = make(map[core.TxnID]map[SiteID]struct{})
-	}
+	c.relAcks = make(map[core.TxnID]map[SiteID]struct{})
 }
 
 // Enlist enters a transaction into the live registry. It touches only
@@ -499,7 +499,7 @@ func (c *Coordinator) MirrorEdges() int {
 	return c.mirror.EdgeCount()
 }
 
-// DecisionLog returns the decision log (nil on a plain cluster).
+// DecisionLog returns the decision log.
 func (c *Coordinator) DecisionLog() fault.Log { return c.flog }
 
 // ---- The decision-log ack table ----
@@ -522,37 +522,47 @@ func (c *Coordinator) checkAcks() {
 	}
 }
 
-// logCommitBatch forces a group of commit decisions to the decision
-// log (a no-op on a plain cluster) — one grouped force when the log
-// supports it, per-id records otherwise — and opens each transaction's
-// release-ack set. The write must succeed before any participant is
-// released; a failed force would break the recovery promise, so it is
-// surfaced loudly. Conversation decisions are forced under mu (the
-// commit point is serialised against SiteCrashed); a direct commit's
-// record needs no such order.
+// logCommitBatch forces a wave's commit decisions to the decision log
+// — one grouped force when the log supports it, per-id records
+// otherwise — and opens each transaction's release-ack set. The write
+// must succeed before any participant is released; a failed force
+// would break the recovery promise, so it is surfaced loudly. Caller
+// holds mu: the commit point is serialised against SiteCrashed, and
+// idBuf is mu's.
 func (c *Coordinator) logCommitBatch(txns []*Conv) {
-	if c.flog == nil || len(txns) == 0 {
+	if len(txns) == 0 {
 		return
 	}
 	if br, ok := c.flog.(fault.BatchRecorder); ok {
-		ids := make([]core.TxnID, len(txns))
-		for i, cv := range txns {
-			ids[i] = cv.id
+		c.idBuf = c.idBuf[:0]
+		for _, cv := range txns {
+			c.idBuf = append(c.idBuf, cv.id)
 		}
-		if err := br.RecordBatch(ids, fault.OutcomeCommit); err != nil {
-			panic(fmt.Sprintf("dist: decision log commit batch %v: %v", ids, err))
+		if err := br.RecordBatch(c.idBuf, fault.OutcomeCommit); err != nil {
+			panic(fmt.Sprintf("dist: decision log commit batch %v: %v", c.idBuf, err))
 		}
 	} else {
 		for _, cv := range txns {
-			if err := c.flog.Record(cv.id, fault.OutcomeCommit); err != nil {
-				panic(fmt.Sprintf("dist: decision log commit of T%d: %v", cv.id, err))
-			}
+			c.record(cv)
 		}
 	}
+	c.openAcks(txns...)
+}
+
+// record forces one commit decision to the decision log.
+func (c *Coordinator) record(cv *Conv) {
+	if err := c.flog.Record(cv.id, fault.OutcomeCommit); err != nil {
+		panic(fmt.Sprintf("dist: decision log commit of T%d: %v", cv.id, err))
+	}
+}
+
+// openAcks opens the release-ack set of each freshly logged decision:
+// every visited site, plus the client if the decision is gated.
+func (c *Coordinator) openAcks(txns ...*Conv) {
 	c.logMu.Lock()
 	c.tel.DecisionsLogged.Add(uint64(len(txns)))
 	for _, cv := range txns {
-		pending := make(map[SiteID]struct{}, len(cv.visited)+1)
+		pending := c.ackSet()
 		for _, sid := range cv.visited {
 			pending[sid] = struct{}{}
 		}
@@ -564,6 +574,29 @@ func (c *Coordinator) logCommitBatch(txns []*Conv) {
 	c.tel.LiveDecisions.Set(int64(len(c.relAcks)))
 	c.checkAcks()
 	c.logMu.Unlock()
+}
+
+// ackSet returns an empty ack set, reusing a drained one when it can.
+// Caller holds logMu.
+func (c *Coordinator) ackSet() map[SiteID]struct{} {
+	if n := len(c.ackFree); n > 0 {
+		s := c.ackFree[n-1]
+		c.ackFree = c.ackFree[:n-1]
+		return s
+	}
+	return make(map[SiteID]struct{}, c.nsites+1)
+}
+
+// resolve closes id's ack set: the decision leaves the table, its set
+// is recycled and the resolution counted. Caller holds logMu.
+func (c *Coordinator) resolve(id core.TxnID, pending map[SiteID]struct{}) {
+	delete(c.relAcks, id)
+	delete(c.redoClaims, id)
+	clear(pending)
+	c.ackFree = append(c.ackFree, pending)
+	c.tel.DecisionsResolved.Inc()
+	c.tel.LiveDecisions.Set(int64(len(c.relAcks)))
+	c.checkAcks()
 }
 
 // LogDirect forces a decision record for an edge-free direct commit
@@ -578,16 +611,14 @@ func (c *Coordinator) logCommitBatch(txns []*Conv) {
 // harmless, the caller saw the outcome directly. Reports whether a
 // record was written.
 func (c *Coordinator) LogDirect(cv *Conv) bool {
-	if c.flog == nil {
-		return false
-	}
 	c.logMu.Lock()
 	_, gated := c.clientGate[cv.id]
 	c.logMu.Unlock()
 	if !gated {
 		return false
 	}
-	c.logCommitBatch([]*Conv{cv})
+	c.record(cv)
+	c.openAcks(cv)
 	return true
 }
 
@@ -608,11 +639,8 @@ func (c *Coordinator) UndoDirect(id core.TxnID) bool {
 		c.logMu.Unlock()
 		return false
 	}
-	if _, open := c.relAcks[id]; open {
-		delete(c.relAcks, id)
-		c.tel.DecisionsResolved.Inc()
-		c.tel.LiveDecisions.Set(int64(len(c.relAcks)))
-		c.checkAcks()
+	if pending, open := c.relAcks[id]; open {
+		c.resolve(id, pending)
 	}
 	c.logMu.Unlock()
 	_ = c.flog.Truncate(id)
@@ -629,9 +657,6 @@ func (c *Coordinator) UndoDirect(id core.TxnID) bool {
 // are erased when the decision truncates, bounding the map by the set
 // of in-flight logged commits.
 func (c *Coordinator) ClaimRedo(id core.TxnID) bool {
-	if c.flog == nil {
-		return false
-	}
 	c.logMu.Lock()
 	defer c.logMu.Unlock()
 	o, ok := c.flog.Lookup(id)
@@ -655,19 +680,12 @@ func (c *Coordinator) ClaimRedo(id core.TxnID) bool {
 // decisions never logged or already truncated. Reports whether this
 // ack resolved the decision.
 func (c *Coordinator) Ack(id core.TxnID, sid SiteID) (resolved bool) {
-	if c.flog == nil {
-		return false
-	}
 	c.logMu.Lock()
 	pending := c.relAcks[id]
 	if pending != nil {
 		delete(pending, sid)
 		if resolved = len(pending) == 0; resolved {
-			delete(c.relAcks, id)
-			delete(c.redoClaims, id)
-			c.tel.DecisionsResolved.Inc()
-			c.tel.LiveDecisions.Set(int64(len(c.relAcks)))
-			c.checkAcks()
+			c.resolve(id, pending)
 		}
 	}
 	c.logMu.Unlock()
@@ -695,11 +713,8 @@ func (c *Coordinator) AcksPending(id core.TxnID) (sites int, client bool) {
 // client-acknowledged: if the commit point is reached, the decision
 // stays in the log — even after every participant released — until
 // AckDecision confirms the client learned the outcome. Call before
-// starting the commit conversation. On a plain cluster it is a no-op.
+// starting the commit conversation.
 func (c *Coordinator) GateDecision(id core.TxnID) {
-	if c.flog == nil {
-		return
-	}
 	c.logMu.Lock()
 	if c.clientGate == nil {
 		c.clientGate = make(map[core.TxnID]struct{})
@@ -714,9 +729,6 @@ func (c *Coordinator) GateDecision(id core.TxnID) {
 // gated or never reached the commit point. Reports whether this ack
 // resolved the decision.
 func (c *Coordinator) AckDecision(id core.TxnID) bool {
-	if c.flog == nil {
-		return false
-	}
 	c.logMu.Lock()
 	delete(c.clientGate, id)
 	c.logMu.Unlock()
@@ -748,7 +760,7 @@ func (c *Coordinator) Adopt() []core.TxnID {
 		if c.relAcks[id] != nil {
 			continue
 		}
-		pending := make(map[SiteID]struct{}, c.nsites+1)
+		pending := c.ackSet()
 		pending[clientAck] = struct{}{}
 		for s := 0; s < c.nsites; s++ {
 			pending[SiteID(s)] = struct{}{}

@@ -267,19 +267,6 @@ func TestCoordinatorAckTable(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("plain", func(t *testing.T) {
-		// No log: nothing is recorded and every ack-table call no-ops.
-		co := NewCoordinator(2, nil, nil, true)
-		cv := enlist(co, 1, 0)
-		co.GateDecision(1)
-		if r := decide(co, cv); r.Gdeps != 0 || co.LogDirect(cv) || co.Ack(1, 0) || co.AckDecision(1) || co.ClaimRedo(1) {
-			t.Errorf("plain coordinator touched an ack table: %+v", r)
-		}
-		if co.Adopt() != nil {
-			t.Error("plain coordinator adopted decisions")
-		}
-	})
 }
 
 func b2i(b bool) int {
@@ -563,15 +550,6 @@ func TestCoordinatorScript(t *testing.T) {
 		if flog.Len() != 0 || co.Telemetry().FastCommits.Load() != 1 {
 			t.Errorf("ungated direct commit: log %d, fast commits %d", flog.Len(), co.Telemetry().FastCommits.Load())
 		}
-	})
-
-	t.Run("direct/two-sites-unlogged", func(t *testing.T) {
-		// No decision log, no atomicity promise across crashes: edge-free
-		// goes direct at every site, ascending.
-		co := NewCoordinator(2, nil, nil, true)
-		r := newScript(t, co)
-		r.feed(enlist(co, 1, 1, 0), Input{Kind: InCommit})
-		r.want("T1 commit: commit@0", "T1 direct-reply@0: commit@1", "T1 direct-reply@1: "+landed)
 	})
 
 	t.Run("edge-free/two-sites-take-holds", func(t *testing.T) {

@@ -50,9 +50,9 @@ import (
 
 // SiteBackend is what a cluster needs from a site beyond the
 // Participant protocol: registration-time setup and the inspection
-// surface tests and tools use. Both the plain *core.Scheduler (a site
-// assumed immortal) and *fault.Crashable (a crash-stop site) implement
-// it.
+// surface tests and tools use. *core.Scheduler (what a site daemon
+// serves) and *fault.Crashable (a crash-stop site) implement it; a
+// cluster's sites are crash-stop, so it also needs CrashRestarter.
 type SiteBackend interface {
 	core.Participant
 	Register(id core.ObjectID, typ adt.Type, class compat.Classifier) error
@@ -68,10 +68,10 @@ var (
 	_ SiteBackend = (*fault.Crashable)(nil)
 )
 
-// CrashRestarter is the optional crash-stop surface of a SiteBackend:
-// fault.Crashable implements it with a simulated disk, and a network
-// backend (wire.RemoteSite) implements it as connection loss plus
-// reconnect-time reconciliation. A fault-tolerant cluster requires its
+// CrashRestarter is the crash-stop surface a cluster's site has beyond
+// SiteBackend: fault.Crashable implements it with a simulated disk,
+// and a network backend (wire.RemoteSite) implements it as connection
+// loss plus reconnect-time reconciliation. A cluster requires its
 // backends to provide it; Crash/Restart drive it under the site mutex.
 type CrashRestarter interface {
 	// Crash fails the site: volatile state is gone, subsequent calls
@@ -87,6 +87,13 @@ type CrashRestarter interface {
 }
 
 var _ CrashRestarter = (*fault.Crashable)(nil)
+
+// crashStop is a cluster site's backend: a participant that can crash
+// and restart.
+type crashStop interface {
+	SiteBackend
+	CrashRestarter
+}
 
 // SiteID identifies one participant site, 0..NumSites-1.
 type SiteID int
@@ -120,9 +127,6 @@ type Observer interface {
 var (
 	// ErrBadSites is returned by New for a non-positive site count.
 	ErrBadSites = errors.New("dist: cluster needs at least one site")
-	// ErrNotFaultTolerant is returned by Crash/Restart on a cluster
-	// built without Config.FaultTolerant.
-	ErrNotFaultTolerant = errors.New("dist: cluster is not fault-tolerant")
 	// ErrTxnDone is returned for operations on a transaction that has
 	// already entered commit. It aliases core.ErrTxnDone, so one
 	// errors.Is target covers both back ends.
@@ -139,8 +143,7 @@ var (
 type site struct {
 	id  SiteID
 	mu  sync.Mutex
-	p   SiteBackend
-	cr  CrashRestarter // non-nil on a fault-tolerant cluster (p's crash surface)
+	p   crashStop
 	hub *delivery.Hub
 	// txns registers every live transaction that has begun at this
 	// site, guarded by mu. The crash handler uses it to find the
@@ -213,8 +216,9 @@ var (
 	_ core.Txn   = (*Txn)(nil)
 )
 
-// Config parameterises NewWithConfig, the constructor that covers the
-// fault-tolerant variants New cannot express.
+// Config parameterises NewWithConfig, the constructor that covers
+// what New cannot express: a durable decision log, remote backends,
+// hold policies and tracing.
 type Config struct {
 	// Sites is the number of participant sites (required, positive).
 	Sites int
@@ -225,13 +229,12 @@ type Config struct {
 	Route Router
 	// Obs optionally observes coordinator events.
 	Obs Observer
-	// FaultTolerant wraps every site in a fault.Crashable: sites can
-	// Crash and Restart, the coordinator forces commit decisions to the
-	// decision log before releasing, and transactions touching a
-	// crashed site abort with ReasonSiteFailed instead of wedging.
+	// FaultTolerant is ignored.
+	//
+	// Deprecated: every cluster is crash-stop.
 	FaultTolerant bool
 	// Log is the coordinator's decision log; nil means a fresh
-	// fault.NewMemLog(). Ignored unless FaultTolerant.
+	// fault.NewMemLog().
 	Log fault.Log
 	// StepHook, when non-nil, is fired at every named protocol-step
 	// boundary of commit conversations (see StepHook); nil is the
@@ -246,8 +249,7 @@ type Config struct {
 	// the cluster constructing in-process schedulers (len must equal
 	// Sites; Opts is then unused). This is how a coordinator runs over
 	// remote participants: wire.RemoteSite implements SiteBackend over a
-	// TCP connection. With FaultTolerant, each backend must also
-	// implement CrashRestarter.
+	// TCP connection. Each backend must also implement CrashRestarter.
 	Backends []SiteBackend
 	// Spans, when positive, enables causal tracing: every transaction
 	// is minted a deterministic trace context at Begin, and sampled
@@ -280,14 +282,15 @@ type Config struct {
 // New builds a cluster of n in-process sites, each running its own
 // scheduler with the given options. route decides object placement
 // (nil means RouteByModulo(n)); obs optionally observes coordinator
-// events. Sites are assumed immortal; NewWithConfig builds the
-// crash-stop fault-tolerant variant.
+// events. Sites are crash-stop: each is a fault.Crashable over the
+// coordinator's in-memory decision log, so Crash and Restart work on
+// every cluster (see DESIGN.md, "Failure model").
 func New(n int, opts core.Options, route Router, obs Observer) (*Cluster, error) {
 	return NewWithConfig(Config{Sites: n, Opts: opts, Route: route, Obs: obs})
 }
 
-// NewWithConfig builds a cluster from a Config; see New for the plain
-// case and Config.FaultTolerant for the crash-stop one.
+// NewWithConfig builds a cluster from a Config; see New for the common
+// case.
 func NewWithConfig(cfg Config) (*Cluster, error) {
 	if cfg.Sites <= 0 {
 		return nil, ErrBadSites
@@ -309,17 +312,14 @@ func NewWithConfig(cfg Config) (*Cluster, error) {
 		c.sampleSeed, c.sampleRate = cfg.SampleSeed, rate
 	}
 	c.flight.AttachSpans(c.spans)
-	var flog fault.Log
-	if cfg.FaultTolerant {
-		if flog = cfg.Log; flog == nil {
-			flog = fault.NewMemLog()
-		}
+	if cfg.Log == nil {
+		cfg.Log = fault.NewMemLog()
 	}
 	policy := cfg.Policy
 	if policy == nil {
 		policy = DefaultPolicy()
 	}
-	c.Coordinator.init(cfg.Sites, flog, policy, cfg.Opts.Debug)
+	c.Coordinator.init(cfg.Sites, cfg.Log, policy, cfg.Opts.Debug)
 	if cfg.Backends != nil && len(cfg.Backends) != cfg.Sites {
 		return nil, fmt.Errorf("dist: %d backends for %d sites", len(cfg.Backends), cfg.Sites)
 	}
@@ -329,24 +329,16 @@ func NewWithConfig(cfg Config) (*Cluster, error) {
 			hub:  delivery.NewHub(),
 			txns: make(map[core.TxnID]*Txn),
 		}
-		switch {
-		case cfg.Backends != nil:
-			s.p = cfg.Backends[i]
-			if cfg.FaultTolerant {
-				cr, ok := s.p.(CrashRestarter)
-				if !ok {
-					return nil, fmt.Errorf("dist: fault-tolerant backend %d (%T) must implement CrashRestarter", i, s.p)
-				}
-				s.cr = cr
-			}
-		case cfg.FaultTolerant:
-			cr, err := fault.New(cfg.Opts, c.flog)
+		if cfg.Backends == nil {
+			cr, err := fault.New(cfg.Opts, cfg.Log)
 			if err != nil {
 				return nil, err
 			}
-			s.cr, s.p = cr, cr
-		default:
-			s.p = core.NewScheduler(cfg.Opts)
+			s.p = cr
+		} else if p, ok := cfg.Backends[i].(crashStop); ok {
+			s.p = p
+		} else {
+			return nil, fmt.Errorf("dist: backend %d (%T) must implement CrashRestarter", i, cfg.Backends[i])
 		}
 		c.sites = append(c.sites, s)
 	}
@@ -728,8 +720,8 @@ func (c *Cluster) exec(t *Txn, in Input, drain *[]core.TxnID) (fin Action, bug e
 // consumes the reply inside it, where a hold's export can be read
 // straight out of the site's reusable edge buffer. A refused release is
 // skipped (the restart that redoes the logged commit acks and traces
-// it); a refused hold or direct commit is a failed reply — a crash on a
-// fault-tolerant cluster, anywhere else a bug, stored for the caller.
+// it); a refused hold or direct commit is a failed reply — a crash, or
+// else a bug, stored for the caller.
 // It reports how long the critical section took (for a sampled t; the
 // acks and parked-queue refresh after it are not counted) and whether
 // the participant accepted the verb.
@@ -754,7 +746,7 @@ func (c *Cluster) atSite(t *Txn, act Action, acts []Action, bug *error) ([]Actio
 		if act.Kind == ActHold {
 			in.Edges = s.edges(t.id)
 		}
-	case act.Kind == ActRelease && !c.siteFailure(err):
+	case act.Kind == ActRelease && !siteFailure(err):
 		// Neither a crash (ErrSiteDown) nor one already recovered from
 		// (ErrUnknownTxn): the coordinator's dependency accounting is
 		// wrong — surface loudly.
@@ -825,14 +817,10 @@ func (c *Cluster) cascade(ids []core.TxnID) {
 	}
 }
 
-// ---- Crash-stop fault handling (Config.FaultTolerant clusters) ----
+// ---- Crash-stop fault handling ----
 
-// SiteDown reports whether the site is currently crashed (always false
-// on a plain cluster).
-func (c *Cluster) SiteDown(id SiteID) bool {
-	s := c.sites[id]
-	return s.cr != nil && s.cr.Down()
-}
+// SiteDown reports whether the site is currently crashed.
+func (c *Cluster) SiteDown(id SiteID) bool { return c.sites[id].p.Down() }
 
 // Crash fails the site: its scheduler's volatile state is dropped
 // atomically, subsequent calls against it return fault.ErrSiteDown,
@@ -848,11 +836,7 @@ func (c *Cluster) SiteDown(id SiteID) bool {
 func (c *Cluster) Crash(id SiteID) error {
 	s := c.sites[id]
 	s.mu.Lock()
-	if s.cr == nil {
-		s.mu.Unlock()
-		return ErrNotFaultTolerant
-	}
-	if err := s.cr.Crash(); err != nil {
+	if err := s.p.Crash(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -885,11 +869,7 @@ func (c *Cluster) Crash(id SiteID) error {
 func (c *Cluster) Restart(id SiteID) (fault.RecoveryReport, error) {
 	s := c.sites[id]
 	s.mu.Lock()
-	if s.cr == nil {
-		s.mu.Unlock()
-		return fault.RecoveryReport{}, ErrNotFaultTolerant
-	}
-	rep, err := s.cr.Restart()
+	rep, err := s.p.Restart()
 	if err != nil {
 		s.mu.Unlock()
 		return rep, err

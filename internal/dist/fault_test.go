@@ -15,11 +15,11 @@ import (
 	"repro/internal/workload"
 )
 
-// newFaultCluster builds an n-site fault-tolerant cluster with pages
-// 1..objects.
+// newFaultCluster builds an n-site cluster with pages 1..objects and
+// the span plane on.
 func newFaultCluster(t *testing.T, n, objects int) *Cluster {
 	t.Helper()
-	c, err := NewWithConfig(Config{Sites: n, FaultTolerant: true, Opts: core.Options{Debug: true}, Spans: 256})
+	c, err := NewWithConfig(Config{Sites: n, Opts: core.Options{Debug: true}, Spans: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,19 +31,36 @@ func newFaultCluster(t *testing.T, n, objects int) *Cluster {
 	return c
 }
 
-func TestPlainClusterRefusesCrash(t *testing.T) {
+// TestEveryClusterIsCrashStop: the cluster New builds is the
+// crash-stop one. A two-site edge-free transaction takes hold → decide
+// → release, its decision logged then truncated, as in the simulator,
+// and a site crashes and restarts with the commit in its durable state.
+func TestEveryClusterIsCrashStop(t *testing.T) {
 	c := newPageCluster(t, 2, 4)
-	if err := c.Crash(0); !errors.Is(err, ErrNotFaultTolerant) {
-		t.Fatalf("Crash on plain cluster = %v", err)
+	tx := c.Begin()
+	if _, err := tx.Do(1, write(1)); err != nil { // site 1
+		t.Fatal(err)
 	}
-	if _, err := c.Restart(0); !errors.Is(err, ErrNotFaultTolerant) {
-		t.Fatalf("Restart on plain cluster = %v", err)
+	if _, err := tx.Do(2, write(2)); err != nil { // site 0
+		t.Fatal(err)
 	}
-	if c.SiteDown(0) {
-		t.Fatal("plain cluster site reported down")
+	if st, err := tx.Commit(); err != nil || st != core.Committed {
+		t.Fatalf("commit = %v %v", st, err)
 	}
-	if c.DecisionLog() != nil {
-		t.Fatal("plain cluster has a decision log")
+	tel := c.Telemetry()
+	if conv, fast, logged := tel.Conversations.Load(), tel.FastCommits.Load(), tel.DecisionsLogged.Load(); conv != 1 || fast != 0 || logged != 1 || c.DecisionLog().Len() != 0 {
+		t.Errorf("conversations %d, fast commits %d, decisions logged %d, left in the log %d; want 1, 0, 1, 0",
+			conv, fast, logged, c.DecisionLog().Len())
+	}
+	if err := c.Crash(0); err != nil || !c.SiteDown(0) {
+		t.Fatalf("Crash = %v, down %v", err, c.SiteDown(0))
+	}
+	if _, err := c.Restart(0); err != nil || c.SiteDown(0) {
+		t.Fatalf("Restart = %v, down %v", err, c.SiteDown(0))
+	}
+	st, err := c.Site(0).CommittedState(2)
+	if err != nil || st.(*adt.PageState).V != 2 {
+		t.Fatalf("object 2 after restart = %v %v, want 2", st, err)
 	}
 }
 
@@ -195,7 +212,7 @@ func TestLoggedCommitRedoneAfterCrashedRelease(t *testing.T) {
 	}
 	// Site 1 dies silently: the coordinator's crash detection has not
 	// run, so T2 stays held rather than revoked.
-	if err := c.sites[1].cr.Crash(); err != nil {
+	if err := c.sites[1].p.Crash(); err != nil {
 		t.Fatal(err)
 	}
 	// T1 commits, draining T2's dependency: the coordinator logs T2's
@@ -274,8 +291,7 @@ func TestBeginAtDownSite(t *testing.T) {
 	}
 }
 
-// TestMultiSiteEdgeFreeCommitUsesHolds: on a fault-tolerant cluster a
-// multi-site transaction goes through the prepare conversation even
+// TestMultiSiteEdgeFreeCommitUsesHolds: a multi-site transaction goes through the prepare conversation even
 // when edge-free (a direct per-site commit would not be atomic under
 // crashes), and its commit is logged at the commit point — observed at
 // the AfterDecisionBeforeRelease step boundary, because once every
@@ -289,7 +305,7 @@ func TestMultiSiteEdgeFreeCommitUsesHolds(t *testing.T) {
 	}
 	atDecision := make(map[core.TxnID]logged)
 	var c *Cluster
-	cfg := Config{Sites: 2, FaultTolerant: true}
+	cfg := Config{Sites: 2}
 	cfg.StepHook = func(step Step, id core.TxnID, _ SiteID) {
 		if step == AfterDecisionBeforeRelease {
 			o, ok := c.flog.Lookup(id)
@@ -429,7 +445,7 @@ func TestClusterCloseCtx(t *testing.T) {
 }
 
 // TestChaosClusterConservation is the -race chaos stress: RunLoad over
-// a 4-site fault-tolerant cluster with a periodic crash/restart of one
+// a 4-site cluster with a periodic crash/restart of one
 // site, the liveness watchdog armed, and exact conservation checked
 // across the failures — every object's committed stack depth equals
 // the push count of transactions whose commit promise was honoured.
@@ -447,7 +463,7 @@ func TestChaosClusterConservation(t *testing.T) {
 		}
 		backends[i] = cr
 	}
-	c, err := NewWithConfig(Config{Sites: sites, FaultTolerant: true, Log: flog, Backends: backends, Opts: core.Options{Debug: true}})
+	c, err := NewWithConfig(Config{Sites: sites, Log: flog, Backends: backends, Opts: core.Options{Debug: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

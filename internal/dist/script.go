@@ -201,7 +201,7 @@ func (a Action) At(p core.Participant, eff *core.Effects, id core.TxnID) (Input,
 // Step advances cv's conversation by one input and appends the actions
 // that follow to acts. It calls no site and blocks on nothing; of the
 // coordinator's locks it takes only the decision log's, and only for a
-// direct commit on a fault-tolerant cluster (LogDirect / UndoDirect).
+// direct commit (LogDirect / UndoDirect).
 // One driver at a time steps a given conversation: its committing
 // owner, then — once held — whoever's Drain or SiteCrashed selected it.
 func (c *Coordinator) Step(cv *Conv, in Input, acts []Action) []Action {
@@ -213,12 +213,12 @@ func (c *Coordinator) Step(cv *Conv, in Input, acts []Action) []Action {
 			return c.unwind(cv, noSite, core.ReasonSiteFailed, acts)
 		}
 		// A transaction that never grew a dependency edge has a provably
-		// empty global dependency set, so its sites commit directly: no
-		// hold phase, no decision round, no coordinator mutex. With a
-		// decision log only single-site transactions qualify — a direct
-		// multi-site commit has no prepare records, so a crash between
-		// the per-site commits would break atomicity.
-		if !cv.anyEdges.Load() && (c.flog == nil || n <= 1) {
+		// empty global dependency set, so its site commits directly: no
+		// hold phase, no decision round, no coordinator mutex. Only
+		// single-site transactions qualify — a direct multi-site commit
+		// has no prepare records, so a crash between the per-site
+		// commits would break atomicity.
+		if !cv.anyEdges.Load() && n <= 1 {
 			cv.direct = true
 			c.tel.FastCommits.Inc()
 			cv.logged = c.LogDirect(cv)

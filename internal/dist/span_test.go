@@ -158,7 +158,7 @@ func TestClusterFlightDump(t *testing.T) {
 // TestClusterSiteSpansUnsampled: a site's crash and restart are
 // recorded in the span ring even when no transaction is sampled.
 func TestClusterSiteSpansUnsampled(t *testing.T) {
-	c, err := NewWithConfig(Config{Sites: 2, FaultTolerant: true, Spans: 64, SampleRate: 1e-12})
+	c, err := NewWithConfig(Config{Sites: 2, Spans: 64, SampleRate: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/core"
 )
 
-// newStepCluster builds a 2-site fault-tolerant page cluster whose
+// newStepCluster builds a 2-site page cluster whose
 // StepHook crashes site `victim` the first time the given step fires
 // for a transaction (any transaction — the tests drive exactly one
 // conversation).
@@ -18,7 +18,7 @@ func newStepCluster(t *testing.T, step Step, victim SiteID) (*Cluster, *int) {
 	t.Helper()
 	fired := 0
 	var c *Cluster
-	cfg := Config{Sites: 2, FaultTolerant: true, Opts: core.Options{Debug: true}}
+	cfg := Config{Sites: 2, Opts: core.Options{Debug: true}}
 	cfg.StepHook = func(s Step, _ core.TxnID, _ SiteID) {
 		if s == step {
 			fired++
@@ -181,7 +181,7 @@ func TestCrashExactlyAtAfterPrepareForce(t *testing.T) {
 // and touches a second site, pseudo-commits-and-holds, then T1's
 // commit cascades T2's release; both decisions must then be pruned.
 func TestLogBoundedUnderLoad(t *testing.T) {
-	c, err := NewWithConfig(Config{Sites: 4, FaultTolerant: true, Opts: core.Options{Debug: true}})
+	c, err := NewWithConfig(Config{Sites: 4, Opts: core.Options{Debug: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,10 +123,9 @@ func (t *Txn) abortedErr(at SiteID, reason core.AbortReason) error {
 // siteFailure classifies an error from a participant call as a
 // crash-stop failure: the site is down, or it restarted and lost the
 // transaction's volatile state (fresh incarnations answer
-// ErrUnknownTxn). Only fault-tolerant clusters map these to aborts;
-// on a plain cluster they would be bugs and must surface.
-func (c *Cluster) siteFailure(err error) bool {
-	return c.flog != nil && (errors.Is(err, fault.ErrSiteDown) || errors.Is(err, core.ErrUnknownTxn))
+// ErrUnknownTxn).
+func siteFailure(err error) bool {
+	return errors.Is(err, fault.ErrSiteDown) || errors.Is(err, core.ErrUnknownTxn)
 }
 
 // siteFailure is the per-transaction classification: a doomed
@@ -138,7 +137,7 @@ func (c *Cluster) siteFailure(err error) bool {
 // ErrUnknownTxn — both must map to the same retryable site-failed
 // abort.
 func (t *Txn) siteFailure(err error) bool {
-	return t.c.siteFailure(err) || (t.c.flog != nil && t.doomed.Load())
+	return siteFailure(err) || t.doomed.Load()
 }
 
 // do runs the request; a nil ctx means no cancellation.

@@ -208,10 +208,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	flog := cfg.Log
-	if flog == nil {
-		flog = fault.NewMemLog()
+	if cfg.Log == nil {
+		cfg.Log = fault.NewMemLog()
 	}
+	flog := cfg.Log
 	e := &Engine{
 		cfg:             cfg,
 		src:             workload.Source{Gen: cfg.Workload, MinLen: cfg.MinLength, MaxLen: cfg.MaxLength},

@@ -14,7 +14,7 @@ import (
 )
 
 // Coordinator is the whole coordinator process in one value: the
-// fault-tolerant cluster over remote participants, the client-plane
+// crash-stop cluster over remote participants, the client-plane
 // server, the decision log, and the peer connections to the site
 // daemons. StartCoordinator builds it; Close tears it down without
 // touching the daemons.
@@ -92,10 +92,10 @@ type DaemonSpec struct {
 // log until the owning clients resolve them (exactly-once commits
 // across the crash).
 func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	flog := cfg.Log
-	if flog == nil {
-		flog = fault.NewMemLog()
+	if cfg.Log == nil {
+		cfg.Log = fault.NewMemLog()
 	}
+	flog := cfg.Log
 	nsites := 0
 	for _, d := range cfg.Daemons {
 		nsites += len(d.Sites)
@@ -186,7 +186,6 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 
 	c, err := dist.NewWithConfig(dist.Config{
 		Sites:         nsites,
-		FaultTolerant: true,
 		Log:           flog,
 		Backends:      backends,
 		Policy:        cfg.Policy,

@@ -268,11 +268,7 @@ func (s *coordServer) handle(rq request) (uint8, []byte) {
 			b = appendBool(b, c.SiteDown(dist.SiteID(sid)))
 		}
 		b = appendStats(b, c.Stats())
-		var logLen uint64
-		if l := c.DecisionLog(); l != nil {
-			logLen = uint64(l.Len())
-		}
-		return kOK, appendU64(b, logLen)
+		return kOK, appendU64(b, uint64(c.DecisionLog().Len()))
 
 	case kCliStateLen:
 		return stateSummary(r, func(obj core.ObjectID) dist.SiteBackend { return c.Site(c.SiteOf(obj)) })

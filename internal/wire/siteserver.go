@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/adt"
@@ -54,6 +55,7 @@ type servedSite struct {
 	// queue's order, not its size, is what reproduces the site mutex.
 	work    chan request
 	txns    map[core.TxnID]struct{}
+	ids     []core.TxnID // liveIDs' scratch
 	scratch []depgraph.Edge
 	eff     core.Effects
 }
@@ -141,13 +143,25 @@ func (s *SiteServer) siteWorker(ss *servedSite) {
 	}
 }
 
+// liveIDs lists the tracked transactions in ascending id order, so an
+// answer's bytes do not depend on map iteration order. The slice is
+// the site's scratch, valid until the next call.
+func (ss *servedSite) liveIDs() []core.TxnID {
+	ss.ids = ss.ids[:0]
+	for id := range ss.txns {
+		ss.ids = append(ss.ids, id)
+	}
+	slices.Sort(ss.ids)
+	return ss.ids
+}
+
 // report appends the site's full live edge report: every tracked
-// transaction with its current out-edges. Terminated-but-unforgotten
-// transactions export empty sets, which is exactly what the caller's
-// cache must learn (their edges drained).
+// transaction, ascending, with its current out-edges.
+// Terminated-but-unforgotten transactions export empty sets, which is
+// exactly what the caller's cache must learn (their edges drained).
 func (ss *servedSite) report(b []byte) []byte {
 	b = appendU32(b, uint32(len(ss.txns)))
-	for id := range ss.txns {
+	for _, id := range ss.liveIDs() {
 		b = appendU64(b, uint64(id))
 		ss.scratch = ss.backend.OutEdgesAppend(id, ss.scratch[:0])
 		b = appendEdges(b, ss.scratch)
@@ -364,12 +378,12 @@ func (s *SiteServer) serve(ss *servedSite, kind uint8, body []byte) (uint8, []by
 		return kOK, appendStr(nil, ss.backend.TxnState(id))
 
 	case kAdopt:
-		// Report the site's live transactions for log-driven
+		// Report the site's live transactions, ascending, for log-driven
 		// reconciliation: actives (and blocked) are orphans the caller
 		// aborts, pseudo-committed-and-held ones are in doubt.
 		var b []byte
 		n := 0
-		for id := range ss.txns {
+		for _, id := range ss.liveIDs() {
 			switch ss.backend.TxnState(id) {
 			case "active", "blocked":
 				b = appendU64(b, uint64(id))

@@ -40,7 +40,7 @@ func (w *wireCluster) close() {
 }
 
 // startWireCluster brings up daemons×perDaemon remote sites behind
-// TCP and a fault-tolerant coordinator over them. wl is the daemons'
+// TCP and a coordinator over them. wl is the daemons'
 // workload spec (their Register factory).
 func startWireCluster(t *testing.T, daemons, perDaemon int, wl string) *wireCluster {
 	t.Helper()
@@ -105,11 +105,10 @@ func startTracedWireCluster(t *testing.T, daemons, perDaemon int, wl string, spa
 		}
 	}
 	c, err := dist.NewWithConfig(dist.Config{
-		Sites:         total,
-		FaultTolerant: true,
-		Log:           mlog,
-		Backends:      backends,
-		Spans:         spans,
+		Sites:    total,
+		Log:      mlog,
+		Backends: backends,
+		Spans:    spans,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 
 // CrashableStore is the store surface the chaos harness drives: a
 // multi-site Store whose sites can be crashed and restarted.
-// dist.Cluster implements it when built with Config.FaultTolerant.
+// Every dist.Cluster implements it (its sites are crash-stop).
 type CrashableStore interface {
 	core.Store
 	NumSites() int

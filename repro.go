@@ -98,7 +98,7 @@ var (
 	// cycle.
 	ErrConflictCycle = core.ErrConflictCycle
 	// ErrSiteFailed matches aborts caused by a participant site crash
-	// (fault-tolerant clusters only; retryable).
+	// (clusters only; retryable).
 	ErrSiteFailed = core.ErrSiteFailed
 	// ErrClosed is returned by operations on a closed Store.
 	ErrClosed = core.ErrClosed
@@ -109,20 +109,6 @@ var (
 	// was never registered (and that no factory constructs).
 	ErrUnknownObject = core.ErrUnknownObject
 )
-
-// NewCluster builds the §6 distributed / sharded Store: n sites, each
-// with an independent scheduler, objects partitioned by id modulo n,
-// cross-site dependencies mirrored at a commit coordinator. The full
-// distributed API (routers, observers, per-site inspection) lives in
-// internal/dist; this constructor covers the common case through the
-// same Store interface DB implements.
-func NewCluster(n int, opts Options) (Store, error) {
-	c, err := dist.New(n, opts, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
 
 // FaultStore is a Store whose participant sites live under the
 // crash-stop fault model: sites can be crashed (dropping all volatile
@@ -143,11 +129,16 @@ type FaultStore interface {
 	RestartSite(site int) error
 }
 
-// NewFaultTolerantCluster is NewCluster under the crash-stop fault
-// model (internal/fault): every site is crashable and the coordinator
-// runs a presumed-abort decision log. See DESIGN.md, "Failure model".
-func NewFaultTolerantCluster(n int, opts Options) (FaultStore, error) {
-	c, err := dist.NewWithConfig(dist.Config{Sites: n, Opts: opts, FaultTolerant: true})
+// NewCluster builds the §6 distributed / sharded Store: n sites, each
+// with an independent scheduler, objects partitioned by id modulo n,
+// cross-site dependencies mirrored at a commit coordinator. Sites are
+// crash-stop (internal/fault): each can be crashed and restarted, and
+// the coordinator runs a presumed-abort decision log. See DESIGN.md,
+// "Failure model". The full distributed API (routers, observers,
+// per-site inspection) lives in internal/dist; this constructor covers
+// the common case through the same Store interface DB implements.
+func NewCluster(n int, opts Options) (FaultStore, error) {
+	c, err := dist.New(n, opts, nil, nil)
 	if err != nil {
 		return nil, err
 	}

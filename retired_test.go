@@ -73,6 +73,12 @@ var retiredNames = []struct {
 		[]string{"internal/...", "cmd/..."}, "", 0,
 		`	convoy metrics` + `.Hist`,
 		"the simulator measures with telemetry.Histogram, and PolicyStats is a view of the coordinator's instruments"},
+	// bench/ still sets the deprecated Config.FaultTolerant; it is
+	// outside the scope.
+	{45, "one-cluster", `ErrNotFaultTolerant|NewFaultTolerantCluster|FaultTolerant:|flog [!=]= nil|\.cr [!=]= nil`,
+		[]string{"internal/...", "cmd/...", "examples/..."}, "", 0,
+		`	if c.flog == nil || len(txns) == 0 {`,
+		"a plain cluster is back; every cluster is crash-stop over a decision log"},
 }
 
 // TestRetiredNamesStayRetired fails when a retired name is back in
