@@ -153,8 +153,10 @@ const (
 )
 
 // adoptTable is the restart-adoption rule, keyed {held, logged}. A
-// logged decision implies the transaction's global out-degree was zero,
-// so redo and release order across transactions is free.
+// logged decision implies the transaction's global out-degree was zero
+// when it was logged. A site that outlived the verbs retiring its
+// dependencies (a wire daemon across a connection loss) may still hold
+// those edges, so wire's RemoteSite.Restart orders its verbs by them.
 var adoptTable = map[[2]bool]AdoptAction{
 	{false, true}:  AdoptRedo,    // active (or blocked) + logged
 	{false, false}: AdoptAbort,   // active (or blocked) + unlogged

@@ -1,126 +1,53 @@
 package wire
 
 import (
-	"sync"
-	"time"
-
 	"repro/internal/dist"
+	"repro/internal/fault"
 )
-
-// resyncDelay is the pause before a PeerBinding retries a failed
-// restart while the connection is still in its up phase (the
-// reconcile raced a blip, or a transient daemon error). The chain
-// stops as soon as the sites are up or a down transition supersedes
-// it.
-const resyncDelay = 250 * time.Millisecond
 
 // PeerBinding maps one peer's connection state onto the cluster's
 // crash-stop model: connection loss is the crash of every site the
-// daemon serves, reconnection is their restart (reconciliation against
-// the decision log). Install Down/Up as the peer's OnDown/OnUp and
-// call Bind once the cluster exists — transitions before then are
-// ignored, which is what makes the construction order (peer first,
-// cluster second) safe.
-//
-// The callbacks fire from different peer goroutines and can acquire
-// the binding mutex out of event order under rapid drop/redial cycles
-// — a stale down event applied after the up event of a newer
-// connection would crash the sites with no later event ever
-// restarting them. The connection incarnation the peer passes to each
-// callback totally orders the events (up(g) precedes down(g) precedes
-// up(g+1) in real time), and the binding discards any event older
-// than the newest it has applied. A discarded down is still a real
-// disconnect: when an up supersedes an older generation's up
-// directly, the binding synthesizes the missed crash before
-// reconciling, so every drop reconciles exactly as if its down event
-// had won the race.
+// daemon serves, and a connection's up is their restart, the
+// reconciliation against the decision log. Install Down/Up as the
+// peer's OnDown/OnUp. The peer runs them one at a time and in
+// connection order (see PeerConfig), so the binding keeps no lock and
+// orders nothing itself.
 type PeerBinding struct {
-	mu      sync.Mutex
-	c       *dist.Cluster
-	sids    []dist.SiteID
-	lastKey int  // 2*gen for up events, 2*gen+1 for down events
-	upPhase bool // phase of the newest applied event
-	pending bool // a delayed restart retry is already scheduled
+	c    *dist.Cluster
+	sids []dist.SiteID
+	// startup, until the first Up or Down, receives each site's report
+	// of the startup reconcile.
+	startup map[dist.SiteID]fault.RecoveryReport
 }
 
-// AddSite registers a site served by the bound peer.
-func (b *PeerBinding) AddSite(sid dist.SiteID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.sids = append(b.sids, sid)
-}
-
-// Bind attaches the cluster; transitions start taking effect.
-func (b *PeerBinding) Bind(c *dist.Cluster) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.c = c
-}
-
-// Down crashes every bound site that is still up, unless a newer
-// transition has already been applied.
-func (b *PeerBinding) Down(gen int) { b.apply(2*gen+1, false) }
-
-// Up restarts every bound site that is down, unless a newer
-// transition has already been applied. A failed restart (the
-// connection died again mid-reconciliation, or the daemon answered a
-// transient error) is retried after resyncDelay for as long as the
-// binding stays in its up phase.
-func (b *PeerBinding) Up(gen int) { b.apply(2*gen, true) }
-
-func (b *PeerBinding) apply(key int, up bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.c == nil || key < b.lastKey {
-		return
-	}
-	// An up event superseding the up of an OLDER generation means the
-	// down between them lost the mutex race and was discarded. The
-	// disconnect was real — and the new connection may be to a
-	// restarted daemon that lost its state — so synthesize the missed
-	// crash before reconciling, in the same critical section.
-	if up && b.lastKey < key && b.lastKey%2 == 0 {
-		b.upPhase = false
-		b.applyLocked()
-	}
-	b.lastKey = key
-	b.upPhase = up
-	b.applyLocked()
-}
-
-// applyLocked drives the sites toward the current phase. Caller holds
-// b.mu.
-func (b *PeerBinding) applyLocked() {
-	if !b.upPhase {
-		for _, sid := range b.sids {
-			if !b.c.SiteDown(sid) {
-				_ = b.c.Crash(sid)
-			}
-		}
-		return
-	}
-	failed := false
+// Up reconciles the daemon's sites. The first Up is the startup
+// reconcile of every site, which also adopts what a previous
+// coordinator left there; a later one restarts the sites the Down
+// before it crashed.
+func (b *PeerBinding) Up() error {
+	startup := b.startup
+	b.startup = nil
 	for _, sid := range b.sids {
-		if b.c.SiteDown(sid) {
-			if _, err := b.c.Restart(sid); err != nil {
-				failed = true
-			}
+		if startup == nil && !b.c.SiteDown(sid) {
+			continue
+		}
+		rep, err := b.c.Restart(sid)
+		if err != nil {
+			return err
+		}
+		if startup != nil {
+			startup[sid] = rep
 		}
 	}
-	if failed && !b.pending {
-		b.pending = true
-		time.AfterFunc(resyncDelay, b.retry)
-	}
+	return nil
 }
 
-// retry re-runs the up-phase reconcile a failed restart left behind.
-// Not an event: it carries no ordering key, and a down transition
-// applied meanwhile simply makes it a no-op.
-func (b *PeerBinding) retry() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.pending = false
-	if b.c != nil && b.upPhase {
-		b.applyLocked()
+// Down crashes every bound site that is still up.
+func (b *PeerBinding) Down() {
+	b.startup = nil
+	for _, sid := range b.sids {
+		if !b.c.SiteDown(sid) {
+			_ = b.c.Crash(sid)
+		}
 	}
 }

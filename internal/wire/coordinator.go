@@ -28,8 +28,8 @@ type Coordinator struct {
 	Adopted []core.TxnID
 	// Reports holds each site's startup reconciliation report (redone
 	// logged commits, presumed-aborted in-doubt holds). Sites whose
-	// first reconcile failed are absent (they retry via the peer's
-	// reconnect binding).
+	// daemon was down at startup, or whose first reconcile failed, are
+	// absent: they reconcile when the peer's redial lands.
 	Reports map[dist.SiteID]fault.RecoveryReport
 
 	server   *coordServer
@@ -57,7 +57,8 @@ type CoordinatorConfig struct {
 	Workload string
 	// DialWait bounds how long startup waits for each daemon to accept
 	// (default 10s). Startup proceeds with a daemon down: its sites
-	// start crashed and adopt when the connection lands.
+	// start crashed, the peer keeps redialling, and they reconcile and
+	// adopt when the connection lands.
 	DialWait time.Duration
 	// Policy bounds the hold convoy (see dist.HoldPolicy): nil is the
 	// cluster default, dist.Unbounded{} the paper's unbounded hold.
@@ -83,14 +84,15 @@ type DaemonSpec struct {
 }
 
 // StartCoordinator builds the coordinator over the configured site
-// daemons and starts serving clients. If the decision log is non-empty
-// — this coordinator is a restart of a crashed one — every logged
-// commit is adopted before any client is served: each reachable site
-// reports its surviving transactions, orphaned actives are aborted,
-// in-doubt holds with a logged decision are released (redo) and the
-// rest revoked (presumed abort), and the adopted decisions stay in the
-// log until the owning clients resolve them (exactly-once commits
-// across the crash).
+// daemons and starts serving clients. The cluster exists before the
+// first dial, so each daemon connection's first up is its sites'
+// startup reconcile. If the decision log is non-empty — this
+// coordinator is a restart of a crashed one — every logged commit is
+// adopted before any client is served: each reachable site reports its
+// surviving transactions, orphaned actives are aborted, in-doubt holds
+// with a logged decision are released (redo) and the rest revoked
+// (presumed abort), and the adopted decisions stay in the log until the
+// owning clients resolve them (exactly-once commits across the crash).
 func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Log == nil {
 		cfg.Log = fault.NewMemLog()
@@ -116,21 +118,13 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		dialWait = 10 * time.Second
 	}
 
-	// decided routes restart-time redo checks through the cluster's
-	// ClaimRedo arbitration so a reconcile that redoes a logged direct
+	// decided routes reconcile-time redo checks through the cluster's
+	// ClaimRedo arbitration, so a reconcile that redoes a logged direct
 	// commit wins against the live conversation's withdrawal (see
-	// dist.Cluster.ClaimRedo). clu is assigned before any reconcile can
-	// run: the initial Restart loop follows NewWithConfig in program
-	// order, and binding-driven reconciles only start after Bind
-	// publishes the cluster under the binding mutex.
+	// dist.Cluster.ClaimRedo). clu is set before the first dial, and
+	// only a connection's up reconciles.
 	var clu *dist.Cluster
-	decided := func(id core.TxnID) bool {
-		if clu != nil {
-			return clu.ClaimRedo(id)
-		}
-		o, ok := flog.Lookup(id)
-		return ok && o == fault.OutcomeCommit
-	}
+	decided := func(id core.TxnID) bool { return clu.ClaimRedo(id) }
 
 	co := &Coordinator{
 		Log:      flog,
@@ -139,20 +133,15 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		closeLog: cfg.CloseLog,
 	}
 	backends := make([]dist.SiteBackend, nsites)
-	type daemonConn struct {
-		peer *Peer
-		bind *PeerBinding
-		up   bool
-	}
-	conns := make([]daemonConn, 0, len(cfg.Daemons))
+	var binds []*PeerBinding
 	fail := func(err error) (*Coordinator, error) {
-		for _, dc := range conns {
-			dc.peer.Close()
+		for _, p := range co.peers {
+			p.Close()
 		}
 		return nil, err
 	}
 	for _, d := range cfg.Daemons {
-		bind := &PeerBinding{}
+		bind := &PeerBinding{startup: co.Reports}
 		peer := NewPeer(PeerConfig{
 			Addr:        d.Listen,
 			Redial:      true,
@@ -161,22 +150,15 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			OnUp:        bind.Up,
 			Metrics:     co.wireMet,
 		})
-		up := true
-		if err := peer.Connect(dialWait); err != nil {
-			// The daemon is not up yet; its sites start crashed and the
-			// redial loop adopts them when the connection lands.
-			up = false
-		}
+		co.peers = append(co.peers, peer)
 		for _, sid := range d.Sites {
 			if int(sid) >= nsites || backends[sid] != nil {
-				peer.Close()
 				return fail(fmt.Errorf("wire: bad site placement: site %d (want each of 0..%d exactly once)", sid, nsites-1))
 			}
 			backends[sid] = NewRemoteSite(peer, sid, decided)
-			bind.AddSite(dist.SiteID(sid))
+			bind.sids = append(bind.sids, dist.SiteID(sid))
 		}
-		conns = append(conns, daemonConn{peer: peer, bind: bind, up: up})
-		co.peers = append(co.peers, peer)
+		binds = append(binds, bind)
 	}
 	for sid, b := range backends {
 		if b == nil {
@@ -200,6 +182,9 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	co.Cluster = c
 	clu = c
+	for _, b := range binds {
+		b.c = c
+	}
 
 	// Adopt the previous incarnation's logged commits before any site
 	// reconciles or any client connects: the gate keeps each decision in
@@ -208,22 +193,13 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	// resolved the outcome.
 	co.Adopted = c.Adopt()
 
-	// Reconcile every site. Connection loss from here on is the peers'
-	// problem: the binding crashes the site on disconnect and re-runs
-	// this same reconcile on reconnect.
-	for _, dc := range conns {
-		dc.bind.Bind(c)
-	}
-	for sid := 0; sid < nsites; sid++ {
-		rep, err := c.Restart(dist.SiteID(sid))
-		if err != nil {
-			// Unreachable (or reconcile interrupted): mark it down so
-			// client transactions fail fast with the retryable verdict
-			// until the binding brings it back.
-			_ = c.Crash(dist.SiteID(sid))
-			continue
-		}
-		co.Reports[dist.SiteID(sid)] = rep
+	// Each daemon's first connection reconciles its sites, and every
+	// later one after a loss runs that same reconcile. A daemon still
+	// down at DialWait has its sites crashed, so client transactions
+	// fail fast with the retryable verdict, and is redialled until it
+	// is up.
+	for _, p := range co.peers {
+		_ = p.Connect(dialWait)
 	}
 
 	cs := &coordServer{cluster: c, factory: objFactory, flight: cfg.Flight, txns: make(map[core.TxnID]*servedTxn)}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -16,23 +17,25 @@ type PeerConfig struct {
 	Addr string
 	// DialTimeout bounds one dial attempt (default 2s).
 	DialTimeout time.Duration
-	// RedialDelay is the pause between reconnect attempts (default
-	// 50ms). Redial runs until the peer is closed.
+	// RedialDelay is the pause between Connect's attempts, and the
+	// redial loop's pause after a failed dial or a failed OnUp
+	// (default 50ms); the first redial after a loss is immediate.
+	// Redial runs until the peer is closed.
 	RedialDelay time.Duration
 	// Redial keeps a background loop re-dialling after a connection
-	// loss. Without it the peer stays down until Connect is called
-	// again.
+	// loss, and after a Connect that gave up. Without it the peer stays
+	// down until Connect is called again.
 	Redial bool
-	// OnDown/OnUp observe connection-state transitions, called from
-	// the peer's own goroutines with no peer lock held. OnUp fires
-	// after every successful (re)connect, OnDown after every loss.
-	// Both receive the connection incarnation the transition belongs
-	// to: the callbacks race under rapid drop/redial cycles, and the
-	// incarnation (monotone per dial; up precedes down within one)
-	// lets the observer discard a stale event that lost the race to a
-	// newer one.
-	OnDown func(gen int)
-	OnUp   func(gen int)
+	// OnUp and OnDown map connection state onto the owner's model. The
+	// peer calls them with no peer lock held, one at a time and in
+	// order. OnUp runs once a connection is established, before Connect
+	// returns; calls on the peer work inside it. An OnUp error drops the
+	// connection, so the redial loop is its only retry. OnDown runs once
+	// per lost connection, after its in-flight calls failed and its OnUp
+	// returned, and once when Connect gives up; the next dial starts
+	// only after it returned.
+	OnDown func()
+	OnUp   func() error
 	// Metrics, when set, counts frames/bytes both ways, tracks the
 	// outstanding-call depth, reconnects, and per-verb round-trip
 	// latency. Typically one shared instance across all of a
@@ -52,19 +55,18 @@ type resp struct {
 // correlation id, frames interleave on the connection, and the reader
 // loop routes responses back by id. A lost connection fails every
 // in-flight call with ErrPeerDown and (with Redial) keeps re-dialling
-// in the background; OnDown/OnUp let the owner map connection state to
+// in the background; OnUp/OnDown let the owner map connection state to
 // cluster-level crash/restart handling.
 type Peer struct {
 	cfg PeerConfig
 
 	mu      sync.Mutex
-	conn    net.Conn
+	conn    net.Conn // nil while the peer is down
 	bw      *bufio.Writer
-	up      bool
 	closed  bool
 	corr    uint64
 	pending map[uint64]chan resp
-	gen     int // connection incarnation, so a stale reader cannot fail its successor
+	dials   int // connections made, so the metrics count reconnects
 }
 
 // NewPeer returns an unconnected peer; Connect establishes the first
@@ -86,79 +88,88 @@ func (p *Peer) Addr() string { return p.cfg.Addr }
 func (p *Peer) Up() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.up
+	return p.conn != nil
 }
 
 // Connect dials the peer, retrying until the deadline (a zero wait
-// means one attempt). It is also the manual reconnect for peers
-// without Redial.
+// means one attempt), and returns once the connection's OnUp did. A
+// Connect that gives up runs OnDown, as the daemon is down, and with
+// Redial leaves the redial loop dialling in the background. Without
+// Redial it is also the manual reconnect.
 func (p *Peer) Connect(wait time.Duration) error {
 	deadline := time.Now().Add(wait)
 	for {
-		err := p.dialOnce()
-		if err == nil {
-			return nil
+		made, err := p.dialOnce()
+		if made || errors.Is(err, ErrPeerDown) {
+			return err
 		}
 		if !time.Now().Before(deadline) {
+			p.down(true)
 			return fmt.Errorf("wire: connect %s: %w", p.cfg.Addr, err)
 		}
 		time.Sleep(p.cfg.RedialDelay)
 	}
 }
 
-// dialOnce attempts one connection and installs it on success.
-func (p *Peer) dialOnce() error {
+// dialOnce makes one connection attempt. A connection it makes starts
+// an incarnation: installed, its reader started, OnUp run. It reports
+// whether a connection was made (or was already up); err is the
+// dial's error or OnUp's.
+func (p *Peer) dialOnce() (bool, error) {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrPeerDown
-	}
-	if p.up {
-		p.mu.Unlock()
-		return nil
-	}
+	closed, up := p.closed, p.conn != nil
 	p.mu.Unlock()
+	if closed {
+		return false, ErrPeerDown
+	}
+	if up {
+		return true, nil
+	}
 	conn, err := net.DialTimeout("tcp", p.cfg.Addr, p.cfg.DialTimeout)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
 	p.mu.Lock()
-	if p.closed || p.up {
+	if p.closed || p.conn != nil {
 		p.mu.Unlock()
 		conn.Close()
 		if p.closed {
-			return ErrPeerDown
+			return false, ErrPeerDown
 		}
-		return nil
+		return true, nil
 	}
 	p.conn = conn
 	p.bw = bufio.NewWriterSize(conn, 64<<10)
-	p.up = true
-	p.gen++
-	gen := p.gen
+	p.dials++
+	dials := p.dials
 	p.mu.Unlock()
-	if m := p.cfg.Metrics; m != nil && gen > 1 {
+	if m := p.cfg.Metrics; m != nil && dials > 1 {
 		m.Reconnects.Inc()
 	}
-	go p.readLoop(conn, gen)
+	upDone := make(chan error, 1)
+	go p.readLoop(conn, upDone)
 	if p.cfg.OnUp != nil {
-		p.cfg.OnUp(gen)
+		err = p.cfg.OnUp()
 	}
-	return nil
+	upDone <- err
+	if err != nil {
+		conn.Close() // the reader runs this incarnation's down
+	}
+	return true, err
 }
 
 // readLoop routes responses to waiting calls until the connection
 // dies, then runs the down transition for its own incarnation.
-func (p *Peer) readLoop(conn net.Conn, gen int) {
+func (p *Peer) readLoop(conn net.Conn, upDone <-chan error) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var buf []byte
 	for {
 		corr, kind, payload, nbuf, err := readFrame(br, buf)
 		if err != nil {
-			p.connLost(conn, gen)
+			p.connLost(conn, upDone)
 			return
 		}
 		buf = nbuf
@@ -180,50 +191,49 @@ func (p *Peer) readLoop(conn net.Conn, gen int) {
 	}
 }
 
-// connLost tears down one connection incarnation: every in-flight call
-// fails with ErrPeerDown, OnDown fires, and (with Redial) the redial
-// loop starts.
-func (p *Peer) connLost(conn net.Conn, gen int) {
+// connLost ends one connection incarnation, in order: every in-flight
+// call fails with ErrPeerDown, the incarnation's OnUp is waited out,
+// and then the down transition runs, its redial paced when OnUp
+// failed. A connection Close already tore down has no down transition.
+func (p *Peer) connLost(conn net.Conn, upDone <-chan error) {
 	p.mu.Lock()
-	if p.gen != gen || !p.up {
+	if p.conn != conn {
 		p.mu.Unlock()
 		return
 	}
-	p.up = false
 	p.conn = nil
 	p.bw = nil
 	failed := p.pending
 	p.pending = make(map[uint64]chan resp)
-	closed := p.closed
 	p.mu.Unlock()
 	conn.Close()
 	for _, ch := range failed {
 		ch <- resp{err: ErrPeerDown}
 	}
-	if closed {
-		return
-	}
+	p.down(<-upDone != nil)
+}
+
+// down runs OnDown and then, with Redial, starts the redial loop;
+// paced delays its first attempt by RedialDelay.
+func (p *Peer) down(paced bool) {
 	if p.cfg.OnDown != nil {
-		p.cfg.OnDown(gen)
+		p.cfg.OnDown()
 	}
 	if p.cfg.Redial {
-		go p.redialLoop()
+		go p.redialLoop(paced)
 	}
 }
 
-// redialLoop re-dials until the connection is back or the peer closes.
-func (p *Peer) redialLoop() {
-	for {
-		p.mu.Lock()
-		stop := p.closed || p.up
-		p.mu.Unlock()
-		if stop {
+// redialLoop re-dials, RedialDelay apart, until a connection is made
+// or the peer closes.
+func (p *Peer) redialLoop(paced bool) {
+	for ; ; paced = true {
+		if paced {
+			time.Sleep(p.cfg.RedialDelay)
+		}
+		if made, err := p.dialOnce(); made || errors.Is(err, ErrPeerDown) {
 			return
 		}
-		if p.dialOnce() == nil {
-			return
-		}
-		time.Sleep(p.cfg.RedialDelay)
 	}
 }
 
@@ -238,7 +248,7 @@ func (p *Peer) roundTrip(kind uint8, tc telemetry.TraceContext, payload []byte) 
 		start = time.Now()
 	}
 	p.mu.Lock()
-	if p.closed || !p.up {
+	if p.conn == nil { // down, or closed
 		p.mu.Unlock()
 		return 0, nil, ErrPeerDown
 	}
@@ -294,7 +304,7 @@ func (p *Peer) call(kind uint8, tc telemetry.TraceContext, payload []byte) (*rea
 func (p *Peer) oneway(kind uint8, payload []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || !p.up {
+	if p.conn == nil { // down, or closed
 		return
 	}
 	if m := p.cfg.Metrics; m != nil {
@@ -329,7 +339,6 @@ func (p *Peer) Close() {
 	}
 	p.closed = true
 	conn := p.conn
-	p.up = false
 	p.conn = nil
 	p.bw = nil
 	failed := p.pending

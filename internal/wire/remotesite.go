@@ -397,9 +397,14 @@ var adoptVerb = [...]uint8{
 // each in-doubt hold is resolved by the log — logged decision means
 // the global commit happened, so the hold is released (reported in
 // Redone, which the cluster acks); no logged decision means presumed
-// abort, so the hold is revoked. Release order is free: a logged
-// decision implies the transaction's global out-degree was zero, so a
-// logged hold has no out-edges at any site.
+// abort, so the hold is revoked. A logged decision implies the
+// transaction's global out-degree was zero when it was logged, but the
+// daemon outlived the loss: its out-edges there may still point at
+// transactions the coordinator retired while the site was unreachable
+// (an orphan whose abort the loss swallowed, an unlogged hold, a
+// logged hold whose release was lost). The daemon releases only a
+// transaction whose out-edges drained, so a release or redo waits
+// until the verbs before it emptied its edges in the response reports.
 //
 // The same routine serves both reconnect-after-blip (daemon kept its
 // state; the coordinator doomed what it had to while the site was
@@ -417,53 +422,64 @@ func (rs *RemoteSite) Restart() (fault.RecoveryReport, error) {
 	}
 	type entry struct {
 		txn  core.TxnID
-		kind uint8
+		held bool
+		act  dist.AdoptAction
 	}
 	n := r.count(9)
 	entries := make([]entry, 0, n)
 	for ; n > 0; n-- {
-		entries = append(entries, entry{txn: core.TxnID(r.u64()), kind: r.u8()})
+		entries = append(entries, entry{txn: core.TxnID(r.u64()), held: r.u8() == adoptHeld})
 	}
 	sets := r.edgeSets()
 	if r.err != nil {
 		return rep, r.err
 	}
 	rs.applyReport(sets)
+	for i, e := range entries {
+		entries[i].act = dist.AdoptVerdict(e.held, rs.decided != nil && rs.decided(e.txn))
+	}
 	var eff core.Effects
-	for _, e := range entries {
-		logged := rs.decided != nil && rs.decided(e.txn)
-		act := dist.AdoptVerdict(e.kind == adoptHeld, logged)
-		b := appendU64(rs.req(9), uint64(e.txn))
-		if act == dist.AdoptRevoke {
-			b = appendU8(b, uint8(core.ReasonSiteFailed))
-		}
-		rr, err := rs.peer.call(adoptVerb[act], telemetry.TraceContext{}, b)
-		switch {
-		case err == nil:
-			if rr.err == nil {
-				if act == dist.AdoptRedo {
-					_ = rr.u8() // commit status
-				}
-				eff.Reset()
-				rr.effects(&eff)
-				rs.applyReport(rr.edgeSets())
+	for len(entries) > 0 {
+		waiting := entries[:0]
+		for _, e := range entries {
+			if (e.act == dist.AdoptRedo || e.act == dist.AdoptRelease) && len(rs.OutEdgesAppend(e.txn, nil)) > 0 {
+				waiting = append(waiting, e)
+				continue
 			}
-		case errors.Is(err, core.ErrUnknownTxn),
-			act == dist.AdoptRedo && errors.Is(err, core.ErrTxnTerminated):
-			// Resolved (and maybe forgotten) by the live conversation
-			// between the adopt snapshot and this verb; with the decision
-			// logged, terminated can only mean committed.
-		default:
-			return rep, rs.mapErr(err)
+			b := appendU64(rs.req(9), uint64(e.txn))
+			if e.act == dist.AdoptRevoke {
+				b = appendU8(b, uint8(core.ReasonSiteFailed))
+			}
+			// Nothing else reaches the site between the adopt snapshot
+			// and this verb. dist holds the site mutex across every
+			// participant call and across Crash and Restart, so a call
+			// that passed guard before the loss failed before the crash,
+			// the redial waited for the crash, and the new connection's
+			// calls wait for this restart; the daemon refuses older
+			// connections once this one adopted.
+			rr, err := rs.peer.call(adoptVerb[e.act], telemetry.TraceContext{}, b)
+			if err != nil {
+				return rep, rs.mapErr(err)
+			}
+			if e.act == dist.AdoptRedo {
+				_ = rr.u8() // commit status
+			}
+			eff.Reset()
+			rr.effects(&eff)
+			rs.applyReport(rr.edgeSets())
+			switch e.act {
+			case dist.AdoptRedo, dist.AdoptRelease:
+				rep.Redone = append(rep.Redone, e.txn)
+			case dist.AdoptAbort:
+				rep.Aborted = append(rep.Aborted, e.txn)
+			case dist.AdoptRevoke:
+				rep.PresumedAborted = append(rep.PresumedAborted, e.txn)
+			}
 		}
-		switch act {
-		case dist.AdoptRedo, dist.AdoptRelease:
-			rep.Redone = append(rep.Redone, e.txn)
-		case dist.AdoptAbort:
-			rep.Aborted = append(rep.Aborted, e.txn)
-		case dist.AdoptRevoke:
-			rep.PresumedAborted = append(rep.PresumedAborted, e.txn)
+		if len(waiting) == len(entries) {
+			return rep, fmt.Errorf("wire: site %d: adopted T%d still has out-edges", rs.sid, waiting[0].txn)
 		}
+		entries = waiting
 	}
 	rs.mu.Lock()
 	rs.down = false

@@ -36,6 +36,7 @@ type server struct {
 // goroutines, the participant plane's site workers.
 type srvConn struct {
 	nc  net.Conn
+	seq uint64 // accept order on this server: a later connection has a larger seq
 	wmu sync.Mutex
 	bw  *bufio.Writer
 }
@@ -98,7 +99,7 @@ func (s *server) Close() {
 }
 
 func (s *server) acceptLoop() {
-	for {
+	for seq := uint64(1); ; seq++ {
 		nc, err := s.ln.Accept()
 		if err != nil {
 			return
@@ -106,7 +107,7 @@ func (s *server) acceptLoop() {
 		if tc, ok := nc.(*net.TCPConn); ok {
 			_ = tc.SetNoDelay(true)
 		}
-		c := &srvConn{nc: nc, bw: bufio.NewWriterSize(nc, 64<<10)}
+		c := &srvConn{nc: nc, seq: seq, bw: bufio.NewWriterSize(nc, 64<<10)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/dist"
+	"repro/internal/fault"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -53,7 +54,10 @@ type servedSite struct {
 	// connection, so a full queue at a busy site stalls requests to the
 	// others behind it; 256 keeps that rare under pipelining. The
 	// queue's order, not its size, is what reproduces the site mutex.
-	work    chan request
+	work chan request
+	// owner is the seq of the newest connection that adopted the site
+	// (sent kAdopt); 0 until one does. See siteWorker's fence.
+	owner   uint64
 	txns    map[core.TxnID]struct{}
 	ids     []core.TxnID // liveIDs' scratch
 	scratch []depgraph.Edge
@@ -129,12 +133,36 @@ func (s *SiteServer) dispatch(rq request) {
 	}
 }
 
-// siteWorker executes one site's requests sequentially.
+// fenced marks the verbs only the site's owner and newer connections
+// may run: everything that changes a transaction, and the adoption
+// itself. Ping, stats, state and txn-state stay open to every
+// connection.
+var fenced = [256]bool{
+	kRequest: true, kCommit: true, kCommitHold: true, kRelease: true, kAbort: true,
+	kWithdraw: true, kRevoke: true, kForget: true, kAdopt: true,
+}
+
+// siteWorker executes one site's requests sequentially. It fences the
+// site's transactions to its newest coordinator connection: once a
+// connection adopted the site, a fenced verb from an older one — a
+// frame of a dropped connection still queued behind the redial's
+// adoption — is refused as site-down and never runs, because the
+// adoption's snapshot already settled what that connection had done.
+// Newer connections are served (probes and coordinators that never
+// adopt), and a newer adoption takes the site over.
 func (s *SiteServer) siteWorker(ss *servedSite) {
 	defer dumpOnPanic(s.cfg.Flight)
 	for {
 		select {
 		case rq := <-ss.work:
+			if fenced[rq.kind] && rq.c.seq < ss.owner {
+				kind, payload := errReply(fmt.Errorf("wire: site %d is adopted by a newer connection: %w", ss.sid, fault.ErrSiteDown))
+				rq.c.send(rq.corr, kind, payload)
+				continue
+			}
+			if rq.kind == kAdopt {
+				ss.owner = rq.c.seq
+			}
 			kind, payload := s.handle(ss, rq.kind, rq.tc, rq.body)
 			rq.c.send(rq.corr, kind, payload)
 		case <-s.done:
@@ -170,13 +198,15 @@ func (ss *servedSite) report(b []byte) []byte {
 }
 
 // settled reports whether a failed terminal verb is a duplicate whose
-// outcome already landed: the coordinator's live commit conversation
-// and a reconnect reconcile can both deliver the release (or revoke)
-// for the same transaction — the daemon's state survives a connection
-// blip, so unlike a real crash the second delivery finds the
-// transaction terminated rather than unknown. Answering OK keeps the
-// verbs idempotent, which exactly-once delivery over a flapping
-// connection requires.
+// outcome already landed. The daemon's state survives a connection
+// blip or a coordinator-side crash, so a restart reconcile and the
+// live conversation can both deliver a transaction's outcome, on the
+// one owning connection: a release wave can reach the site after the
+// reconcile released the logged hold, and the owner's abort (then
+// revoke) of a transaction the crash doomed can reach it after the
+// reconcile aborted that transaction as an orphan. The second delivery
+// finds the transaction terminated rather than unknown; answering OK
+// keeps the verbs idempotent.
 func (s *SiteServer) settled(ss *servedSite, kind uint8, id core.TxnID) bool {
 	switch kind {
 	case kRelease:

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"net"
 	"slices"
 	"sync"
 	"testing"
@@ -22,21 +23,11 @@ func read() adt.Op       { return adt.Op{Name: adt.PageRead} }
 
 // wireCluster is a coordinator over remote sites served by in-process
 // SiteServers — the full network stack on loopback, minus the separate
-// processes.
+// processes — built by StartCoordinator, as sccd builds it.
 type wireCluster struct {
 	c       *dist.Cluster
 	peers   []*Peer
 	servers []*SiteServer
-}
-
-func (w *wireCluster) close() {
-	w.c.Close()
-	for _, p := range w.peers {
-		p.Close()
-	}
-	for _, s := range w.servers {
-		s.Close()
-	}
 }
 
 // startWireCluster brings up daemons×perDaemon remote sites behind
@@ -51,24 +42,11 @@ func startWireCluster(t *testing.T, daemons, perDaemon int, wl string) *wireClus
 // ring sized spans (0: off), every transaction sampled.
 func startTracedWireCluster(t *testing.T, daemons, perDaemon int, wl string, spans int) *wireCluster {
 	t.Helper()
-	mlog := fault.NewMemLog()
-	// Late-bound so reconcile redos go through the cluster's ClaimRedo
-	// arbitration (safe: clu is set before Bind publishes the cluster,
-	// and no reconcile runs earlier).
-	var clu *dist.Cluster
-	decided := func(id core.TxnID) bool {
-		if clu != nil {
-			return clu.ClaimRedo(id)
-		}
-		o, ok := mlog.Lookup(id)
-		return ok && o == fault.OutcomeCommit
-	}
-	total := daemons * perDaemon
-	backends := make([]dist.SiteBackend, total)
 	w := &wireCluster{}
-	var bindings []*PeerBinding
+	var specs []DaemonSpec
 	for d := 0; d < daemons; d++ {
 		sites := make(map[uint16]dist.SiteBackend, perDaemon)
+		var ids []uint16
 		for k := 0; k < perDaemon; k++ {
 			sid := uint16(d*perDaemon + k)
 			cr, err := fault.New(core.Options{}, fault.NewMemLog())
@@ -76,6 +54,7 @@ func startTracedWireCluster(t *testing.T, daemons, perDaemon int, wl string, spa
 				t.Fatal(err)
 			}
 			sites[sid] = cr
+			ids = append(ids, sid)
 		}
 		srv, err := ServeSites(SiteServerConfig{
 			Addr: "127.0.0.1:0", Sites: sites, Workload: wl,
@@ -84,41 +63,25 @@ func startTracedWireCluster(t *testing.T, daemons, perDaemon int, wl string, spa
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(srv.Close)
 		w.servers = append(w.servers, srv)
-		bind := &PeerBinding{}
-		peer := NewPeer(PeerConfig{
-			Addr:        srv.Addr(),
-			Redial:      true,
-			RedialDelay: 5 * time.Millisecond,
-			OnDown:      bind.Down,
-			OnUp:        bind.Up,
-		})
-		if err := peer.Connect(2 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		w.peers = append(w.peers, peer)
-		bindings = append(bindings, bind)
-		for k := 0; k < perDaemon; k++ {
-			sid := uint16(d*perDaemon + k)
-			backends[sid] = NewRemoteSite(peer, sid, decided)
-			bind.AddSite(dist.SiteID(sid))
-		}
+		specs = append(specs, DaemonSpec{Listen: srv.Addr(), Sites: ids})
 	}
-	c, err := dist.NewWithConfig(dist.Config{
-		Sites:    total,
-		Log:      mlog,
-		Backends: backends,
-		Spans:    spans,
+	co, err := StartCoordinator(CoordinatorConfig{
+		ClientAddr: "127.0.0.1:0",
+		Daemons:    specs,
+		Workload:   wl,
+		DialWait:   2 * time.Second,
+		Spans:      spans,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clu = c
-	for _, b := range bindings {
-		b.Bind(c)
+	t.Cleanup(func() { co.Close() })
+	if len(co.Reports) != daemons*perDaemon {
+		t.Fatalf("startup reconciled %d of %d sites", len(co.Reports), daemons*perDaemon)
 	}
-	w.c = c
-	t.Cleanup(w.close)
+	w.c, w.peers = co.Cluster, co.peers
 	return w
 }
 
@@ -363,18 +326,31 @@ func TestWireWithdrawIsNoAbort(t *testing.T) {
 
 // TestWireLoadSurvivesConnectionDrops: Store.Run's retry loop rides
 // through repeated real TCP connection losses — the load completes and
-// conserves once the daemons are back.
+// conserves once the daemons are back. Each of the four drops waits
+// until its daemon's connection is up and both its sites reconciled,
+// so every drop closes a live connection.
 func TestWireLoadSurvivesConnectionDrops(t *testing.T) {
 	const db = 12
 	w := startWireCluster(t, 2, 2, "pushes:12")
 	var mu sync.Mutex
 	counts := make(map[core.ObjectID]uint64)
+	live := func(d int) bool {
+		return w.peers[d].Up() && !w.c.SiteDown(dist.SiteID(2*d)) && !w.c.SiteDown(dist.SiteID(2*d+1))
+	}
+	drops := 0
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 4; i++ {
 			time.Sleep(20 * time.Millisecond)
-			w.peers[i%len(w.peers)].DropConnection()
+			d := i % len(w.peers)
+			for deadline := time.Now().Add(10 * time.Second); !live(d) && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if live(d) {
+				w.peers[d].DropConnection()
+				drops++
+			}
 		}
 	}()
 	res, err := workload.RunLoad(w.c, workload.LoadConfig{
@@ -396,17 +372,69 @@ func TestWireLoadSurvivesConnectionDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if drops != 4 {
+		t.Fatalf("%d of 4 drops found a live connection", drops)
+	}
 	if res.Commits != 6*20 {
 		t.Fatalf("Commits = %d, want %d", res.Commits, 6*20)
 	}
-	// Wait for any still-down site to reconcile before auditing state.
-	for sid := 0; sid < w.c.NumSites(); sid++ {
-		waitSiteDown(t, w.c, dist.SiteID(sid), false)
-	}
+	// Audit once each object's site answers: the last drop's crash and
+	// reconcile may still be under way when the load returns.
 	for obj := core.ObjectID(1); obj <= db; obj++ {
+		site := w.c.Site(w.c.SiteOf(obj))
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if _, err := site.CommittedState(obj); !errors.Is(err, fault.ErrSiteDown) {
+				break
+			}
+		}
 		if got, want := remoteLen(t, w.c, obj), int(counts[obj]); got != want {
 			t.Fatalf("object %d: committed depth %d, want %d pushes", obj, got, want)
 		}
+	}
+}
+
+// TestLateDaemonIsAdopted: a daemon that is not up when the
+// coordinator starts is redialled until it is; its site starts
+// crashed, then reconciles and serves transactions.
+func TestLateDaemonIsAdopted(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	co, err := StartCoordinator(CoordinatorConfig{
+		ClientAddr: "127.0.0.1:0",
+		Daemons:    []DaemonSpec{{Listen: addr, Sites: []uint16{0}}},
+		Workload:   "pushes:4",
+		DialWait:   100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if !co.Cluster.SiteDown(0) || len(co.Reports) != 0 {
+		t.Fatalf("site of an unreachable daemon: down=%v, reports %v; want down and none", co.Cluster.SiteDown(0), co.Reports)
+	}
+	cr, err := fault.New(core.Options{}, fault.NewMemLog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ServeSites(SiteServerConfig{Addr: addr, Sites: map[uint16]dist.SiteBackend{0: cr}, Workload: "pushes:4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	waitSiteDown(t, co.Cluster, 0, false)
+	if err := co.Cluster.Register(1, adt.Stack{}, compat.StackTable()); err != nil {
+		t.Fatal(err)
+	}
+	tx := co.Cluster.Begin()
+	if _, err := tx.Do(1, push(1)); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := tx.Commit(); err != nil || st != core.Committed {
+		t.Fatalf("commit at the late daemon = %v, %v; want committed", st, err)
 	}
 }
 
@@ -478,6 +506,47 @@ func TestRemoteSiteOwedBegin(t *testing.T) {
 	}
 	if _, err := rs.RequestInto(&eff, 2, 1, push(1)); !errors.Is(err, core.ErrUnknownTxn) {
 		t.Fatalf("request after a crash cleared the begin = %v, want ErrUnknownTxn", err)
+	}
+}
+
+// TestRestartReleasesAfterItsDependencies: a daemon outlives a
+// connection loss holding a logged hold T3 whose out-edge points at an
+// orphan T5, as when the loss swallowed T5's abort. The reconcile lists
+// T3 first, yet must abort T5 before it releases T3, because the daemon
+// releases only a transaction whose dependencies drained.
+func TestRestartReleasesAfterItsDependencies(t *testing.T) {
+	rss, _ := remoteSites(t, 1)
+	rs := rss[0]
+	rs.decided = func(id core.TxnID) bool { return id == 3 }
+	if err := rs.Register(1, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	var eff core.Effects
+	for _, id := range []core.TxnID{5, 3} {
+		if err := rs.Begin(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rs.RequestInto(&eff, id, 1, push(int(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if deg, err := rs.CommitHoldInto(&eff, 3); err != nil || deg != 1 {
+		t.Fatalf("hold of T3 = %d, %v; want out-degree 1", deg, err)
+	}
+	if err := rs.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rs.Restart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rep.Redone, []core.TxnID{3}) || !slices.Equal(rep.Aborted, []core.TxnID{5}) {
+		t.Fatalf("reconcile redid %v and aborted %v, want [3] and [5]", rep.Redone, rep.Aborted)
+	}
+	for id, want := range map[core.TxnID]string{3: "committed", 5: "aborted"} {
+		if st := rs.TxnState(id); st != want {
+			t.Fatalf("T%d is %q at the daemon, want %q", id, st, want)
+		}
 	}
 }
 

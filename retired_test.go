@@ -79,6 +79,10 @@ var retiredNames = []struct {
 		[]string{"internal/...", "cmd/...", "examples/..."}, "", 0,
 		`	if c.flog == nil || len(txns) == 0 {`,
 		"a plain cluster is back; every cluster is crash-stop over a decision log"},
+	{46, "one-connection-life", `resyncDelay|lastKey|upPhase|OnDown func\(gen`,
+		[]string{"internal/...", "cmd/..."}, "", 0,
+		`	OnDown func(gen int)`,
+		"the peer runs each connection's up and down in order; the binding reorders nothing"},
 }
 
 // TestRetiredNamesStayRetired fails when a retired name is back in
