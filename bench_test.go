@@ -7,8 +7,8 @@
 // (simulated transactions/second etc.). Regenerate figures at full
 // scale with:
 //
-//	go run ./cmd/sccbench -experiment fig4            # laptop scale
-//	go run ./cmd/sccbench -experiment fig4 -paper     # paper scale
+//	go run ./cmd/sccsim -experiment fig4                                        # laptop scale
+//	go run ./cmd/sccsim -experiment fig4 -completions 50000 -warmup 5000 -runs 10  # paper scale
 //
 // Run these benchmarks with:
 //

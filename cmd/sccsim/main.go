@@ -1,9 +1,21 @@
 // Command sccsim runs the discrete-event simulations: the paper's §5
-// single-site closed queuing model (the default), and the §6 multi-site
+// single-site closed queuing model (the default), the §5 figures and
+// the repository's ablations (-experiment), and the §6 multi-site
 // cluster model (-sites > 0 or -scenario), which drives real per-site
 // schedulers, the real coordinator commit conversation and the real
 // decision log from a virtual clock, with seeded message latency and
 // protocol-step crash injection.
+//
+// Figure examples (-experiment takes an id, all or list; the scale
+// flags -completions -warmup -runs -seed -db -terminals apply, and an
+// unset one keeps the experiment default of 4000 completions, 400
+// warm-up, 3 runs):
+//
+//	sccsim -experiment list
+//	sccsim -experiment fig4
+//	sccsim -experiment fig4 -completions 200 -warmup 20 -runs 1     # smoke scale
+//	sccsim -experiment fig14 -completions 50000 -warmup 5000 -runs 10  # paper scale
+//	sccsim -experiment all
 //
 // Single-site examples:
 //
@@ -31,6 +43,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro"
 	"repro/internal/dist"
@@ -75,8 +88,32 @@ func main() {
 		policy       = flag.String("policy", "", "hold policy: off (unbounded) or depth=N; empty is the cluster default (multi-site)")
 		sweepLat     = flag.String("sweep-latency", "", "comma-separated latencies: sweep message latency x cross-site probability")
 		sweepCross   = flag.String("sweep-cross", "", "comma-separated cross probabilities for the sweep (default 0,0.2,0.4)")
+
+		experiment = flag.String("experiment", "", "run a §5 figure or ablation by id (fig4..fig18, ablation-*), all, or list; an unset -completions -warmup -runs -seed -db -terminals keeps the experiment default")
 	)
 	flag.Parse()
+
+	if *experiment != "" {
+		opts := repro.DefaultExperimentOpts()
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "completions":
+				opts.Completions = *completions
+			case "warmup":
+				opts.Warmup = *warmup
+			case "runs":
+				opts.Runs = *runs
+			case "seed":
+				opts.Seed = *seed
+			case "db":
+				opts.DBSize = *db
+			case "terminals":
+				opts.Terminals = *terminals
+			}
+		})
+		runExperiments(*experiment, opts)
+		return
+	}
 
 	if *scenario != "" || *sites > 0 || *sweepLat != "" || *sweepCross != "" {
 		multiSite(*model, *db, *terminals, *writeProb, *pc, *pr, *predicate,
@@ -118,6 +155,31 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Printf("  %-18s %s\n", m, s)
+	}
+}
+
+// runExperiments prints the series of one experiment (or all of them),
+// or lists the experiment ids.
+func runExperiments(id string, opts repro.ExperimentOpts) {
+	ids := []string{id}
+	switch id {
+	case "list":
+		for _, id := range repro.ExperimentIDs() {
+			spec, _ := repro.LookupExperiment(id)
+			fmt.Printf("%-22s %s\n", id, spec.Title)
+		}
+		return
+	case "all":
+		ids = repro.ExperimentIDs()
+	}
+	for _, id := range ids {
+		start := time.Now()
+		res, err := repro.RunExperiment(id, opts)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		fmt.Println(res.Table())
+		fmt.Printf("elapsed: %v\n\n", time.Since(start).Round(time.Millisecond))
 	}
 }
 

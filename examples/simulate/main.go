@@ -1,7 +1,8 @@
 // Simulate: a miniature of the paper's Figure 4 — throughput of the
 // read/write model under commutativity vs recoverability across
 // multiprogramming levels — small enough to finish in seconds. The full
-// reproduction of every figure lives in cmd/sccbench.
+// reproduction of every figure is `go run ./cmd/sccsim -experiment fig4`
+// (and fig5 … fig18, or all).
 package main
 
 import (

@@ -491,7 +491,7 @@ func (c *Coordinator) PolicyName() string {
 }
 
 // Telemetry exposes the coordinator's live instrument block for
-// lock-free reads (/metrics scrapes, sccbench snapshots).
+// lock-free reads (/metrics scrapes, the benchmark's per-layer counters).
 func (c *Coordinator) Telemetry() *telemetry.DistMetrics { return &c.tel }
 
 // MirrorEdges reports the dependency mirror's current edge count.

@@ -865,13 +865,16 @@ func (c *Cluster) Crash(id SiteID) error {
 // recovered site then re-exports its dependency edges into the
 // coordinator's mirror; a freshly recovered site holds no live
 // transactions, so today this re-export is empty, but the walk keeps
-// re-registration correct if recovery ever reinstates holds.
+// re-registration correct if recovery ever reinstates holds. A refused
+// recovery leaves the site down and records a restart-failed site
+// span, so a reconcile that keeps failing shows in the span ring.
 func (c *Cluster) Restart(id SiteID) (fault.RecoveryReport, error) {
 	s := c.sites[id]
 	s.mu.Lock()
 	rep, err := s.p.Restart()
 	if err != nil {
 		s.mu.Unlock()
+		c.spans.RecordSite(telemetry.SpanRestartFailed, 0, int32(id), 0)
 		return rep, err
 	}
 	// Rebuild the mirror's view of this site from the recovered

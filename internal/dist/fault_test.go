@@ -263,6 +263,72 @@ func TestLoggedCommitRedoneAfterCrashedRelease(t *testing.T) {
 	}
 }
 
+// refusingSite is a crash-stop site whose recovery is refused while
+// refuse is set, as a daemon's reconcile is on every redial that fails.
+type refusingSite struct {
+	*fault.Crashable
+	refuse bool
+}
+
+var errRecoveryRefused = errors.New("recovery refused")
+
+func (s *refusingSite) Restart() (fault.RecoveryReport, error) {
+	if s.refuse {
+		return fault.RecoveryReport{}, errRecoveryRefused
+	}
+	return s.Crashable.Restart()
+}
+
+// TestRefusedRestartIsRecorded: a site whose recovery keeps failing
+// leaves one unsampled restart-failed site span per attempt and stays
+// down; the recovery that finally succeeds records its restart span.
+func TestRefusedRestartIsRecorded(t *testing.T) {
+	flog := fault.NewMemLog()
+	backends := make([]SiteBackend, 2)
+	for i := range backends {
+		cr, err := fault.New(core.Options{}, flog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[i] = &refusingSite{Crashable: cr, refuse: i == 1}
+	}
+	c, err := NewWithConfig(Config{Sites: 2, Log: flog, Backends: backends, Spans: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := c.Restart(1); !errors.Is(err, errRecoveryRefused) {
+			t.Fatalf("Restart = %v, want the backend's refusal", err)
+		}
+	}
+	if !c.SiteDown(1) {
+		t.Fatal("site 1 is up after a refused recovery")
+	}
+	count := func() map[string]int {
+		m := map[string]int{}
+		for _, sp := range c.Spans().Snapshot() {
+			if sp.Trace != 0 || sp.Site != 1 {
+				t.Fatalf("site span %+v: want trace 0 at site 1", sp)
+			}
+			m[sp.KindS]++
+		}
+		return m
+	}
+	if got := count(); got["restart-failed"] != 2 || got["restart"] != 0 {
+		t.Fatalf("spans after two refused restarts = %v, want 2 restart-failed and no restart", got)
+	}
+	backends[1].(*refusingSite).refuse = false
+	if _, err := c.Restart(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(); got["restart-failed"] != 2 || got["restart"] != 1 {
+		t.Fatalf("spans after the recovery = %v, want 2 restart-failed and 1 restart", got)
+	}
+}
+
 // TestBeginAtDownSite: a fresh transaction routed to a down site
 // aborts retryably and succeeds after the restart.
 func TestBeginAtDownSite(t *testing.T) {

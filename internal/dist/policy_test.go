@@ -315,16 +315,16 @@ func TestPolicyClusterConservation(t *testing.T) {
 }
 
 // runPushConvoy drives the fixed-work convoy that exposed the default
-// configuration's collapse (ROADMAP item 1): unyielding workers, every
-// operation a recoverable push on a small set of stacks, run to
-// completion. It checks push conservation and returns the cluster for
-// its counters.
-func runPushConvoy(t *testing.T, p HoldPolicy, workers, txns int) *Cluster {
-	t.Helper()
+// configuration's collapse: unyielding workers, every operation a
+// recoverable push on a small set of stacks, run to completion. It
+// checks the commit count and push conservation and returns the
+// cluster for its counters with the load's result.
+func runPushConvoy(tb testing.TB, p HoldPolicy, workers, txns int) (*Cluster, workload.LoadResult) {
+	tb.Helper()
 	const sites, db = 2, 256
 	c, err := NewWithConfig(Config{Sites: sites, Policy: p})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var pushed [db + 1]atomic.Int64
 	res, err := workload.RunLoad(c, workload.LoadConfig{
@@ -341,25 +341,25 @@ func runPushConvoy(t *testing.T, p HoldPolicy, workers, txns int) *Cluster {
 		},
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if res.Commits != uint64(workers*txns) {
-		t.Fatalf("%d commits, want %d", res.Commits, workers*txns)
+		tb.Fatalf("%d commits, want %d", res.Commits, workers*txns)
 	}
 	for id := core.ObjectID(1); id <= db; id++ {
 		want := pushed[id].Load()
 		s, err := c.Site(c.SiteOf(id)).CommittedState(id)
 		if err != nil {
 			if want != 0 {
-				t.Fatalf("object %d: %d committed pushes but no committed state (%v)", id, want, err)
+				tb.Fatalf("object %d: %d committed pushes but no committed state (%v)", id, want, err)
 			}
 			continue // never touched, never materialised
 		}
 		if got := int64(s.(*adt.StackState).Len()); got != want {
-			t.Fatalf("object %d: committed depth %d, committed pushes %d", id, got, want)
+			tb.Fatalf("object %d: committed depth %d, committed pushes %d", id, got, want)
 		}
 	}
-	return c
+	return c, res
 }
 
 // TestDefaultPolicyBoundsConvoy pins what a cluster does when no policy
@@ -375,7 +375,7 @@ func TestDefaultPolicyBoundsConvoy(t *testing.T) {
 	const workers, heldBound = 8, 64
 
 	start := time.Now()
-	c := runPushConvoy(t, nil, workers, 800)
+	c, _ := runPushConvoy(t, nil, workers, 800)
 	elapsed := time.Since(start)
 	if got := c.PolicyName(); got != DefaultPolicy().Name() || got != "depth=4" {
 		t.Fatalf("nil Config.Policy installed %q, want %q", got, "depth=4")
@@ -389,7 +389,7 @@ func TestDefaultPolicyBoundsConvoy(t *testing.T) {
 		t.Errorf("default policy took %v on the fixed-work convoy, want < 10s", elapsed)
 	}
 
-	u := runPushConvoy(t, Unbounded{}, workers, 250)
+	u, _ := runPushConvoy(t, Unbounded{}, workers, 250)
 	if got := u.PolicyName(); got != "off" {
 		t.Fatalf("Unbounded{} installed %q, want %q", got, "off")
 	}
@@ -400,5 +400,47 @@ func TestDefaultPolicyBoundsConvoy(t *testing.T) {
 	}
 	if ups.HeldPeak <= heldBound {
 		t.Errorf("Unbounded{} held peak %d: the workload no longer convoys, so the bound above proves nothing", ups.HeldPeak)
+	}
+}
+
+// BenchmarkPushConvoy measures the fixed-work convoy under the wall
+// clock: the paper's unbounded hold (off), the shipped default
+// (depth=4, what a nil policy installs) and a looser bound. Each
+// iteration runs the whole load to completion, every promise drained,
+// and keeps runPushConvoy's commit-count and conservation checks. It
+// reports real-commit throughput, the largest held set any iteration
+// reached and the holds shed per iteration. Vary GOMAXPROCS with -cpu;
+// the unbounded convoy forms even at -cpu 1.
+//
+//	go test -run xxx -bench PushConvoy -benchtime=1x -cpu 2,4 ./internal/dist/
+func BenchmarkPushConvoy(b *testing.B) {
+	const workers, txns = 8, 250
+	for _, bc := range []struct {
+		name string
+		p    HoldPolicy
+	}{
+		{"off", Unbounded{}},
+		{"depth=4", nil},
+		{"depth=16", DepthBound{Max: 16}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var commits uint64
+			var elapsed time.Duration
+			var peak, sheds int
+			for i := 0; i < b.N; i++ {
+				c, res := runPushConvoy(b, bc.p, workers, txns)
+				if got := c.PolicyName(); got != bc.name {
+					b.Fatalf("installed policy %q, want %q", got, bc.name)
+				}
+				ps := c.PolicyStats()
+				commits += res.Commits
+				elapsed += res.Elapsed
+				peak = max(peak, ps.HeldPeak)
+				sheds += ps.TailAborts
+			}
+			b.ReportMetric(float64(commits)/elapsed.Seconds(), "txn/s")
+			b.ReportMetric(float64(peak), "held_peak")
+			b.ReportMetric(float64(sheds)/float64(b.N), "sheds")
+		})
 	}
 }

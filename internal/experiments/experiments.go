@@ -1,8 +1,8 @@
 // Package experiments defines one named, runnable experiment per figure
 // of the paper's evaluation (Figures 4–18) plus the ablations listed in
 // DESIGN.md. Each experiment produces the same series the paper plots;
-// cmd/sccbench and the repository's benchmarks are thin wrappers around
-// this package.
+// `sccsim -experiment` and the repository's figure benchmarks are thin
+// wrappers around this package.
 package experiments
 
 import (

@@ -46,19 +46,20 @@ func (tc TraceContext) Valid() bool { return tc.Trace != 0 }
 type SpanKind uint8
 
 const (
-	SpanBegin     SpanKind = iota + 1 // transaction created, where its id was minted
-	SpanRequest                       // an operation executed at a site
-	SpanBlock                         // a request parked behind a conflict
-	SpanGrant                         // a parked request resumed
-	SpanHold                          // commit-hold (prepare) at a site
-	SpanDecide                        // commit decision logged (Object: gdeps, Wave: wave)
-	SpanRelease                       // real commit landed at a site
-	SpanShed                          // hold policy refused the conversation (Object: depth, Wave: held)
-	SpanAbort                         // transaction aborted
-	SpanRedo                          // logged commit redone at restart
-	SpanCrash                         // site crashed (RecordSite)
-	SpanRestart                       // site recovered (RecordSite; Object: redone commits)
-	SpanViolation                     // decision conservation broke (RecordSite; Object: excess)
+	SpanBegin         SpanKind = iota + 1 // transaction created, where its id was minted
+	SpanRequest                           // an operation executed at a site
+	SpanBlock                             // a request parked behind a conflict
+	SpanGrant                             // a parked request resumed
+	SpanHold                              // commit-hold (prepare) at a site
+	SpanDecide                            // commit decision logged (Object: gdeps, Wave: wave)
+	SpanRelease                           // real commit landed at a site
+	SpanShed                              // hold policy refused the conversation (Object: depth, Wave: held)
+	SpanAbort                             // transaction aborted
+	SpanRedo                              // logged commit redone at restart
+	SpanCrash                             // site crashed (RecordSite)
+	SpanRestart                           // site recovered (RecordSite; Object: redone commits)
+	SpanViolation                         // decision conservation broke (RecordSite; Object: excess)
+	SpanRestartFailed                     // a site's recovery was refused; it stays down (RecordSite)
 )
 
 // String names the kind for JSON and the sccctl timeline.
@@ -90,6 +91,8 @@ func (k SpanKind) String() string {
 		return "restart"
 	case SpanViolation:
 		return "violation"
+	case SpanRestartFailed:
+		return "restart-failed"
 	}
 	return "?"
 }

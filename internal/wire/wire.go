@@ -158,7 +158,7 @@ const (
 )
 
 // KindName labels a frame kind (verb) for metrics and trace rendering
-// — the labels /metrics and sccbench's per-verb RTT tables share.
+// — the labels /metrics and the benchmark's per-verb RTT lookup share.
 func KindName(k byte) string {
 	if int(k) < len(kindNames) && kindNames[k] != "" {
 		return kindNames[k]

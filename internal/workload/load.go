@@ -46,13 +46,6 @@ type LoadConfig struct {
 	// promise time. The chaos harness sets this; a no-failure load
 	// behaves identically either way.
 	RetryHeldAborts bool
-	// HoldOpen keeps each transaction open for this long between its
-	// last operation and its commit — the wall-clock stand-in for the
-	// simulator's terminal interaction time. Open transactions are what
-	// later operations acquire commit dependencies on, so without it a
-	// load on few cores never overlaps and the hold-convoy regime
-	// cannot form. 0 commits immediately (the historical behaviour).
-	HoldOpen time.Duration
 	// OnCommitted, if set, is called once per logical transaction whose
 	// commit promise was honoured, with the steps it executed — the
 	// chaos harness's conservation accounting. Called from worker
@@ -167,9 +160,6 @@ func RunLoad(st core.Store, cfg LoadConfig) (LoadResult, error) {
 							return nil, false
 						}
 						ops.Add(1)
-					}
-					if cfg.HoldOpen > 0 {
-						time.Sleep(cfg.HoldOpen)
 					}
 					status, err := t.Commit()
 					if err != nil {

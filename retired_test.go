@@ -83,6 +83,10 @@ var retiredNames = []struct {
 		[]string{"internal/...", "cmd/..."}, "", 0,
 		`	OnDown func(gen int)`,
 		"the peer runs each connection's up and down in order; the binding reorders nothing"},
+	{49, "one-figure-runner", `sccbench|benchjson|BENCH_[0-9]|HoldOpen`,
+		[]string{".", "internal/...", "cmd/..."}, "", 0,
+		`	go run ./cmd/sccbench -experiment fig4`,
+		"sccsim -experiment runs the figures; wall-clock numbers come from bench/ and go test -bench"},
 }
 
 // TestRetiredNamesStayRetired fails when a retired name is back in
