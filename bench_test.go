@@ -30,6 +30,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/distsim"
 	"repro/internal/experiments"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -458,7 +459,7 @@ func BenchmarkShardScaling(b *testing.B) {
 	const objects = 64
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c, err := dist.New(shards, core.Options{}, nil, nil)
+			c, err := dist.New(shards, core.Options{}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -496,7 +497,7 @@ func BenchmarkShardScaling(b *testing.B) {
 func BenchmarkShardScalingContended(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c, err := dist.New(shards, core.Options{}, nil, nil)
+			c, err := dist.New(shards, core.Options{}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -543,7 +544,7 @@ func BenchmarkShardScalingContended(b *testing.B) {
 // Begin/finalize serialised here.
 func BenchmarkCoordinatorEdgeFree(b *testing.B) {
 	const objects = 64
-	c, err := dist.New(8, core.Options{}, nil, nil)
+	c, err := dist.New(8, core.Options{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -588,10 +589,7 @@ func BenchmarkCoordinatorConversation(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			cfg := dist.Config{Sites: 4}
 			if mode == "traced" {
-				cfg.Spans = 1 << 14
-				cfg.SpanExemplars = 8
-				cfg.SampleSeed = 1
-				cfg.SampleRate = 1
+				cfg.Spans = telemetry.NewSpanBuffer(1<<14, 1, 1)
 			}
 			c, err := dist.NewWithConfig(cfg)
 			if err != nil {
@@ -648,7 +646,7 @@ func BenchmarkCoordinatorConversation(b *testing.B) {
 func BenchmarkCoordinatorHotKey(b *testing.B) {
 	for _, skew := range []float64{0, 1.5} {
 		b.Run(fmt.Sprintf("skew=%g", skew), func(b *testing.B) {
-			c, err := dist.New(8, core.Options{}, nil, nil)
+			c, err := dist.New(8, core.Options{}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

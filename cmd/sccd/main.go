@@ -78,23 +78,15 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// buildFlight constructs the process's flight recorder, which dumps
-// the span ring: nil when the span plane is off. process labels the
-// dump files.
-func buildFlight(cf *wire.ClusterFile, process string) *telemetry.FlightRecorder {
-	if cf.Spans <= 0 {
-		return nil
+// buildSpanPlane constructs the process's span plane from the cluster
+// file: the span buffer and the flight recorder that dumps it, both nil
+// when the span plane is off. process labels the dump files.
+func buildSpanPlane(cf *wire.ClusterFile, process string) (*telemetry.SpanBuffer, *telemetry.FlightRecorder) {
+	spans := telemetry.NewSpanBuffer(cf.Spans, cf.SampleSeed, cf.SampleRate)
+	if spans == nil {
+		return nil, nil
 	}
-	return telemetry.NewFlightRecorder(process, cf.FlightDir)
-}
-
-// buildSpans constructs the process's span buffer from the cluster
-// file (nil when the span plane is off).
-func buildSpans(cf *wire.ClusterFile) *telemetry.SpanBuffer {
-	if cf.Spans <= 0 {
-		return nil
-	}
-	return telemetry.NewSpanBuffer(cf.Spans, cf.SpanExemplars)
+	return spans, telemetry.NewFlightRecorder(process, cf.FlightDir, spans)
 }
 
 // watchSignals blocks until SIGINT/SIGTERM arrives on quit (wire-level
@@ -137,9 +129,7 @@ func runSite(cf *wire.ClusterFile, idx int, debugAddr string) {
 		sites[sid] = cr
 	}
 	process := fmt.Sprintf("site%d", idx)
-	spans := buildSpans(cf)
-	flight := buildFlight(cf, process)
-	flight.AttachSpans(spans)
+	spans, flight := buildSpanPlane(cf, process)
 	quit := make(chan os.Signal, 1)
 	srv, err := wire.ServeSites(wire.SiteServerConfig{
 		Addr:       d.Listen,
@@ -154,14 +144,12 @@ func runSite(cf *wire.ClusterFile, idx int, debugAddr string) {
 	}
 	if addr := pickDebugAddr(debugAddr, d.Debug); addr != "" {
 		dbg, err := debugz.Serve(debugz.Config{
-			Addr:       addr,
-			Role:       "site",
-			Process:    process,
-			Sites:      sites,
-			Spans:      spans,
-			Flight:     flight,
-			SampleSeed: cf.SampleSeed,
-			SampleRate: cf.SampleRate,
+			Addr:    addr,
+			Role:    "site",
+			Process: process,
+			Sites:   sites,
+			Spans:   spans,
+			Flight:  flight,
 		})
 		if err != nil {
 			fatal(err)
@@ -189,20 +177,17 @@ func runCoord(cf *wire.ClusterFile, dialWait time.Duration, debugAddr string) {
 	if err != nil {
 		fatal(err)
 	}
-	flight := buildFlight(cf, "coord")
+	spans, flight := buildSpanPlane(cf, "coord")
 	co, err := wire.StartCoordinator(wire.CoordinatorConfig{
-		ClientAddr:    cf.Client,
-		Log:           flog,
-		CloseLog:      flog.Close,
-		Daemons:       cf.Daemons,
-		Workload:      cf.Workload,
-		DialWait:      dialWait,
-		Policy:        policy,
-		Spans:         cf.Spans,
-		SpanExemplars: cf.SpanExemplars,
-		SampleSeed:    cf.SampleSeed,
-		SampleRate:    cf.SampleRate,
-		Flight:        flight,
+		ClientAddr: cf.Client,
+		Log:        flog,
+		CloseLog:   flog.Close,
+		Daemons:    cf.Daemons,
+		Workload:   cf.Workload,
+		DialWait:   dialWait,
+		Policy:     policy,
+		Spans:      spans,
+		Flight:     flight,
 	})
 	if err != nil {
 		flog.Close()
@@ -215,6 +200,8 @@ func runCoord(cf *wire.ClusterFile, dialWait time.Duration, debugAddr string) {
 			Process: "coord",
 			Cluster: co.Cluster,
 			Wire:    co.WireMetrics(),
+			Spans:   spans,
+			Flight:  flight,
 		})
 		if err != nil {
 			fatal(err)

@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	cluster, err := dist.New(3, core.Options{}, dist.RouteByModulo(3), nil)
+	cluster, err := dist.New(3, core.Options{}, dist.RouteByModulo(3))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func state(c *dist.Cluster, id core.ObjectID) string {
 }
 
 func main() {
-	cluster, err := dist.New(2, core.Options{}, nil, nil)
+	cluster, err := dist.New(2, core.Options{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

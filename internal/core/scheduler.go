@@ -8,7 +8,6 @@ import (
 	"repro/internal/adt"
 	"repro/internal/compat"
 	"repro/internal/depgraph"
-	"repro/internal/telemetry"
 )
 
 // schedScratch holds the scheduler's reusable buffers. Every holder
@@ -51,7 +50,7 @@ type Scheduler struct {
 	txns    txnStore
 	g       *depgraph.Graph
 	nextSeq uint64
-	stats   telemetry.CoreStats
+	stats   Stats
 	sc      schedScratch
 
 	// pendingRetry holds the objects whose blocked queues must be
@@ -221,10 +220,10 @@ func (s *Scheduler) tryExecute(t *txn, o *object, op adt.Op, retry bool, eff *Ef
 		for _, h := range fairWaits {
 			s.g.AddEdge(t.id, h, depgraph.WaitFor)
 		}
-		s.stats.WaitForEdges.Add(uint64(len(conflicts) + len(fairWaits)))
-		s.stats.CycleChecks.Inc()
+		s.stats.WaitForEdges += uint64(len(conflicts) + len(fairWaits))
+		s.stats.CycleChecks++
 		if s.g.HasCycleFrom(t.id) {
-			s.stats.DeadlockAborts.Inc()
+			s.stats.DeadlockAborts++
 			if err := s.finalize(t, false, ReasonDeadlock, eff); err != nil {
 				return Decision{}, err
 			}
@@ -238,7 +237,7 @@ func (s *Scheduler) tryExecute(t *txn, o *object, op adt.Op, retry bool, eff *Ef
 			// running, so it is not a fresh block for the paper's
 			// blocking-ratio metric (the deadlock check above still
 			// counted).
-			s.stats.Blocks.Inc()
+			s.stats.Blocks++
 			if r := s.opts.Recorder; r != nil {
 				r.Blocked(t.id, o.id, op)
 			}
@@ -253,10 +252,10 @@ func (s *Scheduler) tryExecute(t *txn, o *object, op adt.Op, retry bool, eff *Ef
 		for _, h := range recovs {
 			s.g.AddEdge(t.id, h, depgraph.CommitDep)
 		}
-		s.stats.CommitDepEdges.Add(uint64(len(recovs)))
-		s.stats.CycleChecks.Inc()
+		s.stats.CommitDepEdges += uint64(len(recovs))
+		s.stats.CycleChecks++
 		if s.g.HasCycleFrom(t.id) {
-			s.stats.CycleAborts.Inc()
+			s.stats.CycleAborts++
 			if err := s.finalize(t, false, ReasonCommitCycle, eff); err != nil {
 				return Decision{}, err
 			}
@@ -271,7 +270,7 @@ func (s *Scheduler) tryExecute(t *txn, o *object, op adt.Op, retry bool, eff *Ef
 		return Decision{}, err
 	}
 	t.visited[o.id] = struct{}{}
-	s.stats.Executes.Inc()
+	s.stats.Executes++
 	if r := s.opts.Recorder; r != nil {
 		r.Executed(t.id, o.id, op, ret, s.nextSeq)
 	}
@@ -308,7 +307,7 @@ func (s *Scheduler) commitLocked(eff *Effects, id TxnID) (CommitStatus, error) {
 
 	if s.g.OutDegree(id) > 0 {
 		t.state = stPseudo
-		s.stats.PseudoCommits.Inc()
+		s.stats.PseudoCommits++
 		if r := s.opts.Recorder; r != nil {
 			r.PseudoCommitted(id)
 		}
@@ -358,7 +357,7 @@ func (s *Scheduler) commitHoldLocked(id TxnID) (int, error) {
 	}
 	t.state = stPseudo
 	t.held = true
-	s.stats.PseudoCommits.Inc()
+	s.stats.PseudoCommits++
 	if r := s.opts.Recorder; r != nil {
 		r.PseudoCommitted(id)
 	}
@@ -516,7 +515,7 @@ func (s *Scheduler) withdrawLocked(eff *Effects, id TxnID) error {
 	s.retireRequest(r)
 	s.g.RemoveWaitEdges(t.id)
 	t.state = stActive
-	s.stats.Withdrawals.Inc()
+	s.stats.Withdrawals++
 	if err := s.settle(eff); err != nil {
 		return err
 	}
@@ -564,13 +563,13 @@ func (s *Scheduler) finalize(t *txn, commit bool, reason AbortReason, eff *Effec
 
 	if commit {
 		t.state = stCommitted
-		s.stats.Commits.Inc()
+		s.stats.Commits++
 		if r := s.opts.Recorder; r != nil {
 			r.Committed(t.id)
 		}
 	} else {
 		t.state = stAborted
-		s.stats.Aborts.Inc()
+		s.stats.Aborts++
 		if r := s.opts.Recorder; r != nil {
 			r.Aborted(t.id, reason)
 		}
@@ -697,7 +696,7 @@ scan:
 		}
 		switch dec.Outcome {
 		case Executed:
-			s.stats.Grants.Inc()
+			s.stats.Grants++
 			eff.Grants = append(eff.Grants, Grant{Txn: r.txn, Object: o.id, Op: r.op, Ret: dec.Ret})
 		case Blocked:
 			// Re-insert at the front of the remaining queue
@@ -778,38 +777,14 @@ func (s *Scheduler) assertInvariants() {
 	}
 }
 
-// StatsSnapshot returns a copy of the cumulative counters. CycleChecks
-// reflects the scheduler's own count (block-time deadlock checks plus
-// recoverable-execution checks). The snapshot is built from the live
-// telemetry counters — the one source of truth — under the scheduler
-// mutex, so it is exact and the returned struct stays plainly
-// comparable.
+// StatsSnapshot returns a copy of the cumulative counters, taken under
+// the scheduler mutex every increment runs under. CycleChecks reflects
+// the scheduler's own count (block-time deadlock checks plus
+// recoverable-execution checks).
 func (s *Scheduler) StatsSnapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := &s.stats
-	return Stats{
-		Executes:       c.Executes.Load(),
-		Blocks:         c.Blocks.Load(),
-		Grants:         c.Grants.Load(),
-		Aborts:         c.Aborts.Load(),
-		DeadlockAborts: c.DeadlockAborts.Load(),
-		CycleAborts:    c.CycleAborts.Load(),
-		Withdrawals:    c.Withdrawals.Load(),
-		Commits:        c.Commits.Load(),
-		PseudoCommits:  c.PseudoCommits.Load(),
-		CycleChecks:    c.CycleChecks.Load(),
-		CommitDepEdges: c.CommitDepEdges.Load(),
-		WaitForEdges:   c.WaitForEdges.Load(),
-	}
-}
-
-// Telemetry exposes the scheduler's live counter block for lock-free
-// reads (/metrics scrapes read it without taking the scheduler
-// mutex; increments still happen under the mutex, so per-counter
-// values are exact).
-func (s *Scheduler) Telemetry() *telemetry.CoreStats {
-	return &s.stats
+	return s.stats
 }
 
 // BlockedDepth counts transactions currently parked on a blocked

@@ -38,35 +38,11 @@ type Config struct {
 	// Process labels this process in exported Chrome traces and flight
 	// dumps; empty falls back to Role.
 	Process string
-	// Spans/Flight expose the span plane — the process's one event ring
-	// — on /tracez and /statusz. A coordinator may leave them nil: the
-	// cluster's own buffer and recorder are used. Site daemons set them
-	// explicitly (their spans come from the served backends, not a
-	// cluster).
+	// Spans/Flight expose the process's span plane — its one event
+	// ring, with the sampler /statusz reports — and the recorder that
+	// dumps it on /tracez and /statusz; nil leaves them out.
 	Spans  *telemetry.SpanBuffer
 	Flight *telemetry.FlightRecorder
-	// SampleSeed/SampleRate report the span plane's sampler in /statusz
-	// for roles without a Cluster (the coordinator's are read from it).
-	// SampleRate is the configured rate: /statusz reports the rate the
-	// span plane runs at, telemetry.EffectiveSampleRate of it.
-	SampleSeed int64
-	SampleRate float64
-}
-
-// spanPlane resolves the effective span buffer, flight recorder and
-// sampler parameters for this debug plane.
-func (cfg Config) spanPlane() (sb *telemetry.SpanBuffer, fr *telemetry.FlightRecorder, seed int64, rate float64) {
-	sb, fr, seed, rate = cfg.Spans, cfg.Flight, cfg.SampleSeed, telemetry.EffectiveSampleRate(cfg.SampleRate)
-	if c := cfg.Cluster; c != nil {
-		if sb == nil {
-			sb = c.Spans()
-		}
-		if fr == nil {
-			fr = c.Flight()
-		}
-		seed, rate = c.SampleConfig()
-	}
-	return sb, fr, seed, rate
 }
 
 // processName labels this process in trace exports.
@@ -140,19 +116,18 @@ func Serve(cfg Config) (*Server, error) {
 		_ = enc.Encode(buildStatusz(cfg))
 	})
 	mux.HandleFunc("/tracez", func(w http.ResponseWriter, r *http.Request) {
-		sb, _, _, _ := cfg.spanPlane()
 		w.Header().Set("Content-Type", "application/json")
 		if r.URL.Query().Get("fmt") == "json" {
 			// Chrome trace_event JSON: load straight into chrome://tracing
 			// or Perfetto.
-			_ = telemetry.WriteChromeTrace(w, cfg.processName(), mergedSpans(sb))
+			_ = telemetry.WriteChromeTrace(w, cfg.processName(), mergedSpans(cfg.Spans))
 			return
 		}
 		// Raw span records (any other fmt, "spans" included), the sccctl
 		// feed: this process's ring plus its pinned exemplars.
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(SpanzDoc{Process: cfg.processName(), Spans: mergedSpans(sb)})
+		_ = enc.Encode(SpanzDoc{Process: cfg.processName(), Spans: mergedSpans(cfg.Spans)})
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -349,7 +324,8 @@ func buildStatusz(cfg Config) Statusz {
 			st.SiteStats[fmt.Sprintf("%d", sid)] = b.StatsSnapshot()
 		}
 	}
-	if sb, fr, seed, rate := cfg.spanPlane(); sb != nil || fr != nil {
+	if sb, fr := cfg.Spans, cfg.Flight; sb != nil || fr != nil {
+		seed, rate := sb.Sampling()
 		st.Tracing = &TracingStatusz{
 			Enabled:    sb != nil,
 			SampleSeed: seed,

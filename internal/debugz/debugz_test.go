@@ -55,19 +55,20 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	spans := telemetry.NewSpanBuffer(1024, 0, 0)
 	co, err := wire.StartCoordinator(wire.CoordinatorConfig{
 		ClientAddr: "127.0.0.1:0",
 		Daemons:    []wire.DaemonSpec{{Listen: srv.Addr(), Sites: []uint16{0, 1}}},
 		Workload:   spec,
 		DialWait:   2 * time.Second,
 		Policy:     dist.DepthBound{Max: 8},
-		Spans:      1024,
+		Spans:      spans,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	dbg, err := Serve(Config{Addr: "127.0.0.1:0", Role: "coord", Cluster: co.Cluster, Wire: co.WireMetrics()})
+	dbg, err := Serve(Config{Addr: "127.0.0.1:0", Role: "coord", Cluster: co.Cluster, Wire: co.WireMetrics(), Spans: spans})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 	// The site plane runs the cluster file's default sample rate (0):
 	// its /statusz must report the rate its sampler uses, as the
 	// coordinator's does.
-	sdbg, err := Serve(Config{Addr: "127.0.0.1:0", Role: "site", Sites: sites, Spans: telemetry.NewSpanBuffer(64, 0)})
+	sdbg, err := Serve(Config{Addr: "127.0.0.1:0", Role: "site", Sites: sites, Spans: telemetry.NewSpanBuffer(64, 0, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

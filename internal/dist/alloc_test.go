@@ -23,7 +23,7 @@ import (
 // the coordinator, whose only involvement is one registry-shard
 // insert and delete.
 func TestEdgeFreeCommitAllocs(t *testing.T) {
-	c, err := New(2, core.Options{}, nil, nil)
+	c, err := New(2, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestEdgeFreeCommitAllocs(t *testing.T) {
 // handles, the hold exports, the pipeline request and the release
 // cascade; the mirror itself is pinned to zero in internal/depgraph.
 func TestConversationCommitAllocs(t *testing.T) {
-	c, err := New(2, core.Options{}, nil, nil)
+	c, err := New(2, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

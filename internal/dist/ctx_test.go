@@ -159,7 +159,7 @@ func TestClusterCancelStress(t *testing.T) {
 		workers = 8
 		rounds  = 50
 	)
-	c, err := New(sites, core.Options{}, nil, nil)
+	c, err := New(sites, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

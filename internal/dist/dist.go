@@ -108,21 +108,6 @@ func RouteByModulo(n int) Router {
 	return func(id core.ObjectID) SiteID { return SiteID(uint64(id) % uint64(n)) }
 }
 
-// Observer receives coordinator-level events. Implementations must be
-// safe for concurrent use; callbacks run without coordinator locks
-// held. A nil Observer disables observation.
-type Observer interface {
-	// Held reports a commit conversation that left the transaction
-	// pseudo-committed-and-held with globalDeps outstanding
-	// cross-site dependencies.
-	Held(t core.TxnID, globalDeps int)
-	// Released reports that the transaction's global dependency set
-	// drained and the real commit landed at every participant.
-	Released(t core.TxnID)
-	// Aborted reports a coordinator-initiated or propagated abort.
-	Aborted(t core.TxnID, reason string)
-}
-
 // Errors.
 var (
 	// ErrBadSites is returned by New for a non-positive site count.
@@ -171,7 +156,6 @@ func (s *site) edges(id core.TxnID) []depgraph.Edge {
 // driven by one goroutine at a time. Cluster implements core.Store.
 type Cluster struct {
 	route Router
-	obs   Observer
 	hook  StepHook
 	sites []*site
 
@@ -197,17 +181,14 @@ type Cluster struct {
 	closeMu sync.Mutex
 	drain   chan struct{}
 
-	// Span plane (nil unless Config.Spans > 0; every Record is
-	// nil-safe): sampler mints deterministic per-transaction trace
-	// contexts at Begin, spans is the process's one event ring — every
-	// conversation step, crash and restart — plus the tail-latency
-	// exemplar store, and flight (shared with the hosting process) is
-	// the crash black box that dumps it.
-	spans      *telemetry.SpanBuffer
-	sampler    *telemetry.Sampler
-	flight     *telemetry.FlightRecorder
-	sampleSeed int64
-	sampleRate float64
+	// Span plane (both nil unless configured; every method is
+	// nil-safe): spans, the hosting process's, mints deterministic
+	// per-transaction trace contexts at Begin and is its one event
+	// ring — every conversation step, crash and restart — plus the
+	// tail-latency exemplar store; flight is the crash black box that
+	// dumps it.
+	spans  *telemetry.SpanBuffer
+	flight *telemetry.FlightRecorder
 }
 
 // Cluster is the distributed core.Store.
@@ -227,8 +208,6 @@ type Config struct {
 	Opts core.Options
 	// Route decides object placement (nil means RouteByModulo(Sites)).
 	Route Router
-	// Obs optionally observes coordinator events.
-	Obs Observer
 	// FaultTolerant is ignored.
 	//
 	// Deprecated: every cluster is crash-stop.
@@ -251,42 +230,28 @@ type Config struct {
 	// remote participants: wire.RemoteSite implements SiteBackend over a
 	// TCP connection. Each backend must also implement CrashRestarter.
 	Backends []SiteBackend
-	// Spans, when positive, enables causal tracing: every transaction
-	// is minted a deterministic trace context at Begin, and sampled
+	// Spans, when non-nil, enables causal tracing: it mints every
+	// transaction a deterministic trace context at Begin, and sampled
 	// conversations record span records (begin/hold/decide/release/...)
-	// into a per-process buffer of this capacity, exportable as a
-	// Chrome trace and stitched cluster-wide by sccctl; site crashes and
-	// restarts land there too, sampled or not. Zero disables the span
-	// plane entirely — the zero-overhead default.
-	Spans int
-	// SpanExemplars bounds the tail-based exemplar store: completed
-	// traces whose end-to-end latency lands in the top latency buckets
-	// are pinned (copied out of the ring) instead of overwritten.
-	// Zero picks a small default. Ignored unless Spans > 0.
-	SpanExemplars int
-	// SampleSeed seeds the deterministic trace sampler: the same seed
-	// and transaction id always produce the same trace id and sampling
-	// decision, so seeded runs trace reproducibly and contexts can be
-	// re-derived after a coordinator restart.
-	SampleSeed int64
-	// SampleRate is the fraction of transactions sampled, in [0,1].
-	// Zero defaults to 1 (sample everything) when Spans > 0; see
-	// telemetry.EffectiveSampleRate.
-	SampleRate float64
-	// Flight, when non-nil, is the process's flight recorder: the
-	// cluster attaches its span buffer, so a dump (SIGQUIT, panic,
-	// invariant violation) carries the full black box.
+	// into it, exportable as a Chrome trace and stitched cluster-wide
+	// by sccctl; site crashes and restarts land there too, sampled or
+	// not. Nil disables the span plane entirely — the zero-overhead
+	// default.
+	Spans *telemetry.SpanBuffer
+	// Flight, when non-nil, is the process's flight recorder over
+	// Spans: a dump (SIGQUIT, panic, invariant violation) carries the
+	// full black box.
 	Flight *telemetry.FlightRecorder
 }
 
 // New builds a cluster of n in-process sites, each running its own
 // scheduler with the given options. route decides object placement
-// (nil means RouteByModulo(n)); obs optionally observes coordinator
-// events. Sites are crash-stop: each is a fault.Crashable over the
-// coordinator's in-memory decision log, so Crash and Restart work on
-// every cluster (see DESIGN.md, "Failure model").
-func New(n int, opts core.Options, route Router, obs Observer) (*Cluster, error) {
-	return NewWithConfig(Config{Sites: n, Opts: opts, Route: route, Obs: obs})
+// (nil means RouteByModulo(n)). Sites are crash-stop: each is a
+// fault.Crashable over the coordinator's in-memory decision log, so
+// Crash and Restart work on every cluster (see DESIGN.md, "Failure
+// model").
+func New(n int, opts core.Options, route Router) (*Cluster, error) {
+	return NewWithConfig(Config{Sites: n, Opts: opts, Route: route})
 }
 
 // NewWithConfig builds a cluster from a Config; see New for the common
@@ -301,17 +266,10 @@ func NewWithConfig(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		route:  route,
-		obs:    cfg.Obs,
 		hook:   cfg.StepHook,
+		spans:  cfg.Spans,
 		flight: cfg.Flight,
 	}
-	if cfg.Spans > 0 {
-		rate := telemetry.EffectiveSampleRate(cfg.SampleRate)
-		c.spans = telemetry.NewSpanBuffer(cfg.Spans, cfg.SpanExemplars)
-		c.sampler = telemetry.NewSampler(cfg.SampleSeed, rate)
-		c.sampleSeed, c.sampleRate = cfg.SampleSeed, rate
-	}
-	c.flight.AttachSpans(c.spans)
 	if cfg.Log == nil {
 		cfg.Log = fault.NewMemLog()
 	}
@@ -358,27 +316,24 @@ func NewWithConfig(cfg Config) (*Cluster, error) {
 
 // TraceContextOf resolves a transaction's trace context: the live
 // registry entry when the transaction is in flight, else re-derived
-// from the deterministic sampler (redo of an already-unregistered
-// transaction after a restart). Zero when the span plane is off.
+// from the span buffer's deterministic sampler (redo of an
+// already-unregistered transaction after a restart). Zero when the span
+// plane is off.
 func (c *Cluster) TraceContextOf(id core.TxnID) telemetry.TraceContext {
-	if c.sampler == nil {
+	if c.spans == nil {
 		return telemetry.TraceContext{}
 	}
 	if cv := c.Live(id); cv != nil {
 		return cv.Owner.(*Txn).Trace()
 	}
-	return c.sampler.Context(uint64(id))
+	return c.spans.Context(uint64(id))
 }
 
-// Spans returns the cluster's span buffer (nil unless Config.Spans > 0).
+// Spans returns the cluster's span buffer (nil unless configured).
 func (c *Cluster) Spans() *telemetry.SpanBuffer { return c.spans }
 
-// Flight returns the attached flight recorder (nil unless configured).
+// Flight returns the cluster's flight recorder (nil unless configured).
 func (c *Cluster) Flight() *telemetry.FlightRecorder { return c.flight }
-
-// SampleConfig reports the span plane's sampler parameters; rate is 0
-// when the span plane is off.
-func (c *Cluster) SampleConfig() (seed int64, rate float64) { return c.sampleSeed, c.sampleRate }
 
 // NumSites returns the number of participant sites.
 func (c *Cluster) NumSites() int { return len(c.sites) }
@@ -425,8 +380,8 @@ func (c *Cluster) Begin() core.Txn {
 		done: make(chan struct{}),
 	}
 	t.Owner = t
-	if c.sampler != nil {
-		t.tc = c.sampler.Context(uint64(t.id))
+	if c.spans != nil {
+		t.tc = c.spans.Context(uint64(t.id))
 		t.begin = time.Now()
 		c.spans.Record(t.tc, telemetry.SpanBegin, uint64(t.id), -1, 0, 0, 0)
 	}
@@ -690,14 +645,12 @@ func (c *Cluster) exec(t *Txn, in Input, drain *[]core.TxnID) (fin Action, bug e
 				phase = time.Now()
 			}
 		case ActFinished:
+			// A held finish (pseudo-committed) ends nothing yet: its
+			// release finishes it again, committed.
 			switch fin = act; {
 			case act.Reason != core.ReasonNone:
 				c.finish(t, act.Reason)
-			case act.Status == core.PseudoCommitted:
-				if c.obs != nil {
-					c.obs.Held(t.id, t.req.Gdeps)
-				}
-			default:
+			case act.Status != core.PseudoCommitted:
 				if !phase.IsZero() {
 					c.tel.ReleaseNanos.Observe(uint64(time.Since(phase)))
 				}
@@ -778,7 +731,7 @@ func (c *Cluster) atSite(t *Txn, act Action, acts []Action, bug *error) ([]Actio
 
 // finish brings t to its terminal state — its real commit landed at
 // every visited site, or (reason set) it aborted: the state and reason
-// behind Err, the Done signal, and the observer callback.
+// behind Err and the Done signal.
 func (c *Cluster) finish(t *Txn, reason core.AbortReason) {
 	if reason == core.ReasonNone {
 		t.state.Store(txCommitted)
@@ -792,13 +745,6 @@ func (c *Cluster) finish(t *Txn, reason core.AbortReason) {
 		c.spans.Complete(t.tc, uint64(t.id), int64(time.Since(t.begin)))
 	}
 	close(t.done)
-	switch {
-	case c.obs == nil:
-	case reason == core.ReasonNone:
-		c.obs.Released(t.id)
-	default:
-		c.obs.Aborted(t.id, reason.String())
-	}
 }
 
 // cascade is ActRetire's drain: the terminated transactions leave the
@@ -884,7 +830,7 @@ func (c *Cluster) Restart(id SiteID) (fault.RecoveryReport, error) {
 	}
 	s.mu.Unlock()
 	c.spans.RecordSite(telemetry.SpanRestart, 0, int32(id), int64(len(rep.Redone)))
-	// The redo span re-derives its context from the sampler — the
+	// The redo span re-derives its context from the span buffer — the
 	// transaction itself may have been unregistered before the crash.
 	for _, txid := range rep.Redone {
 		c.spans.Record(c.TraceContextOf(txid), telemetry.SpanRedo, uint64(txid), int32(id), 0, 0, 0)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/adt"
 	"repro/internal/compat"
 	"repro/internal/core"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -21,7 +22,7 @@ func push(v int) adt.Op  { return adt.Op{Name: adt.StackPush, Arg: v, HasArg: tr
 // newPageCluster builds an n-site cluster with pages 1..objects.
 func newPageCluster(t *testing.T, n, objects int) *Cluster {
 	t.Helper()
-	c, err := New(n, core.Options{}, RouteByModulo(n), nil)
+	c, err := New(n, core.Options{}, RouteByModulo(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +44,10 @@ func TestRouteByModulo(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, core.Options{}, nil, nil); !errors.Is(err, ErrBadSites) {
+	if _, err := New(0, core.Options{}, nil); !errors.Is(err, ErrBadSites) {
 		t.Fatalf("New(0) = %v, want ErrBadSites", err)
 	}
-	c, err := New(4, core.Options{}, nil, nil)
+	c, err := New(4, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestCrossSiteDeadlock(t *testing.T) {
 // the re-blocked edge is invisible to the union graph and both
 // transactions hang forever.
 func TestReblockedEdgeMirrored(t *testing.T) {
-	c, err := New(2, core.Options{Unfair: true}, nil, nil)
+	c, err := New(2, core.Options{Unfair: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestReblockedEdgeMirrored(t *testing.T) {
 // no owner's observe will ever run again, so refreshParked itself
 // must detect the cycle and wake a victim with the deadlock verdict.
 func TestBothParkedDeadlockDetected(t *testing.T) {
-	c, err := New(2, core.Options{Unfair: true}, nil, nil)
+	c, err := New(2, core.Options{Unfair: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestBothParkedDeadlockDetected(t *testing.T) {
 // TestBlockedGrantAcrossRelease: a request blocked behind a held
 // transaction is granted when the coordinator releases the holder.
 func TestBlockedGrantAcrossRelease(t *testing.T) {
-	c, err := New(2, core.Options{}, nil, nil)
+	c, err := New(2, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,20 +424,13 @@ func TestUserAbortEverywhere(t *testing.T) {
 	}
 }
 
-// observerLog is a race-safe Observer that counts events.
-type observerLog struct {
-	held, released, aborted atomic.Int64
-}
-
-func (o *observerLog) Held(core.TxnID, int)       { o.held.Add(1) }
-func (o *observerLog) Released(t core.TxnID)      { o.released.Add(1) }
-func (o *observerLog) Aborted(core.TxnID, string) { o.aborted.Add(1) }
-
-// TestObserverEvents: held/released/aborted fire for the example
-// scenario.
+// TestObserverEvents: the span plane reports the example scenario's
+// outcomes — one transaction held (its decision waited on a global
+// dependency), at least three real commits (every commit lands a
+// release span) and one cycle abort.
 func TestObserverEvents(t *testing.T) {
-	obs := &observerLog{}
-	c, err := New(3, core.Options{}, nil, obs)
+	spans := telemetry.NewSpanBuffer(1024, 1, 1)
+	c, err := NewWithConfig(Config{Sites: 3, Spans: spans})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,8 +456,20 @@ func TestObserverEvents(t *testing.T) {
 		t.Fatal("cycle not caught")
 	}
 	b.Commit()
-	if h, r, ab := obs.held.Load(), obs.released.Load(), obs.aborted.Load(); h != 1 || r < 3 || ab != 1 {
-		t.Fatalf("observer counts held=%d released=%d aborted=%d", h, r, ab)
+	held, released := map[uint64]bool{}, map[uint64]bool{}
+	aborted := 0
+	for _, s := range spans.Snapshot() {
+		switch {
+		case s.Kind == telemetry.SpanDecide && s.Object > 0:
+			held[s.Txn] = true
+		case s.Kind == telemetry.SpanRelease:
+			released[s.Txn] = true
+		case s.Kind == telemetry.SpanAbort:
+			aborted++
+		}
+	}
+	if len(held) != 1 || len(released) < 3 || aborted != 1 {
+		t.Fatalf("span counts held=%d released=%d aborted=%d", len(held), len(released), aborted)
 	}
 }
 
@@ -479,7 +485,7 @@ func TestClusterStressConsistency(t *testing.T) {
 		workers = 8
 		txns    = 60
 	)
-	c, err := New(sites, core.Options{}, nil, nil)
+	c, err := New(sites, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +573,7 @@ func TestClusterStressConsistency(t *testing.T) {
 // TestRunLoad drives the workload-plumbed load runner over a sharded
 // read/write mix with cross-site traffic.
 func TestRunLoad(t *testing.T) {
-	c, err := New(4, core.Options{}, nil, nil)
+	c, err := New(4, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // the span plane on.
 func newFaultCluster(t *testing.T, n, objects int) *Cluster {
 	t.Helper()
-	c, err := NewWithConfig(Config{Sites: n, Opts: core.Options{Debug: true}, Spans: 256})
+	c, err := NewWithConfig(Config{Sites: n, Opts: core.Options{Debug: true}, Spans: telemetry.NewSpanBuffer(256, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestRefusedRestartIsRecorded(t *testing.T) {
 		}
 		backends[i] = &refusingSite{Crashable: cr, refuse: i == 1}
 	}
-	c, err := NewWithConfig(Config{Sites: 2, Log: flog, Backends: backends, Spans: 64})
+	c, err := NewWithConfig(Config{Sites: 2, Log: flog, Backends: backends, Spans: telemetry.NewSpanBuffer(64, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

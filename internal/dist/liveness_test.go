@@ -21,7 +21,7 @@ func TestClusterHighContentionLiveness(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	const sites = 8
-	c, err := New(sites, core.Options{}, nil, nil)
+	c, err := New(sites, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

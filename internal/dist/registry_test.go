@@ -77,7 +77,7 @@ func TestRegistryShardStress(t *testing.T) {
 // was refused.
 func TestBeginCloseRace(t *testing.T) {
 	for round := 0; round < 50; round++ {
-		c, err := New(2, core.Options{}, nil, nil)
+		c, err := New(2, core.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,13 +17,11 @@ import (
 // a flight recorder armed.
 func newSpanCluster(t *testing.T, dir string) *Cluster {
 	t.Helper()
-	fr := telemetry.NewFlightRecorder("test", dir)
+	spans := telemetry.NewSpanBuffer(1024, 1, 1)
 	c, err := NewWithConfig(Config{
-		Sites:      3,
-		Spans:      1024,
-		SampleSeed: 1,
-		SampleRate: 1,
-		Flight:     fr,
+		Sites:  3,
+		Spans:  spans,
+		Flight: telemetry.NewFlightRecorder("test", dir, spans),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +98,8 @@ func TestClusterSpans(t *testing.T) {
 		t.Fatalf("exemplars %v missing T1/T2", seen)
 	}
 
-	// TraceContextOf re-derives an unregistered id from the sampler.
-	if tc := c.TraceContextOf(core.TxnID(9999)); !tc.Valid() {
+	// TraceContextOf re-derives an unregistered id from the span buffer.
+	if tc := c.TraceContextOf(core.TxnID(9999)); tc != c.Spans().Context(9999) || !tc.Valid() {
 		t.Fatal("TraceContextOf(9999) invalid — sampler re-derivation broken")
 	}
 }
@@ -158,7 +156,7 @@ func TestClusterFlightDump(t *testing.T) {
 // TestClusterSiteSpansUnsampled: a site's crash and restart are
 // recorded in the span ring even when no transaction is sampled.
 func TestClusterSiteSpansUnsampled(t *testing.T) {
-	c, err := NewWithConfig(Config{Sites: 2, Spans: 64, SampleRate: 1e-12})
+	c, err := NewWithConfig(Config{Sites: 2, Spans: telemetry.NewSpanBuffer(64, 0, 1e-12)})
 	if err != nil {
 		t.Fatal(err)
 	}

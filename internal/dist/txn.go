@@ -28,7 +28,7 @@ type Txn struct {
 	reason atomic.Int32 // core.AbortReason, stored before state becomes txAborted
 
 	// tc is the transaction's causal trace context, minted by the
-	// coordinator's sampler at Begin (zero when the span plane is off):
+	// coordinator's span buffer at Begin (zero when the span plane is off):
 	// tc.Sampled() gates the clock reads that give spans durations.
 	// begin stamps Begin for end-to-end latency; both are set only when
 	// tracing is on, before the handle escapes. commit stamps the

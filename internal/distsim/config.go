@@ -150,9 +150,6 @@ type Config struct {
 	// seed yields bit-identical span timelines, and the trace hash is
 	// untouched (span emission never draws randomness or trace lines).
 	Spans int
-	// SpanExemplars bounds the pinned tail-latency exemplar store; 0
-	// picks a small default. Ignored unless Spans > 0.
-	SpanExemplars int
 	// Log is the coordinator's decision log; nil means a fresh
 	// fault.NewMemLog.
 	Log fault.Log

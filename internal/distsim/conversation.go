@@ -131,7 +131,7 @@ func (e *Engine) perform(p *sproc, act dist.Action) bool {
 		if act.Kind == dist.ActDecided {
 			dur = int64((e.tl.Now() - p.commitStart) * 1e9)
 		}
-		act.RecordSpan(e.spans, e.sampler.Context(uint64(id)), p.cv, dur)
+		act.RecordSpan(e.spans, e.spans.Context(uint64(id)), p.cv, dur)
 	}
 	switch act.Kind {
 	case dist.ActDecided:

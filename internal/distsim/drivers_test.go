@@ -100,7 +100,7 @@ func driversAgree(t *testing.T, tc driversCase) {
 	// The wall-clock driver.
 	var wall []string
 	c, err := dist.NewWithConfig(dist.Config{
-		Sites: 2, Opts: core.Options{Debug: true}, Spans: 256, Policy: tc.policy,
+		Sites: 2, Opts: core.Options{Debug: true}, Spans: telemetry.NewSpanBuffer(256, 0, 1), Policy: tc.policy,
 		StepHook: func(s dist.Step, id core.TxnID, site dist.SiteID) {
 			wall = append(wall, fmt.Sprintf("%s T%d site=%d", s, id, site))
 		},

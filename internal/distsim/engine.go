@@ -193,11 +193,10 @@ type Engine struct {
 	trace      []string
 
 	// Span plane (nil unless Config.Spans > 0): spans is clocked off
-	// the virtual timeline, sampler derives each transaction's trace
-	// context purely from (Seed, txn id) — same seed, bit-identical
-	// causal traces.
-	spans   *telemetry.SpanBuffer
-	sampler *telemetry.Sampler
+	// the virtual timeline and derives each transaction's trace context
+	// purely from (Seed, txn id) — same seed, bit-identical causal
+	// traces.
+	spans *telemetry.SpanBuffer
 	// blockedAt remembers when a blocked request parked (virtual time)
 	// so the grant span can carry the wait as its duration.
 	blockedAt map[core.TxnID]float64
@@ -226,9 +225,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.co = dist.NewCoordinator(cfg.Sites, flog, cfg.Policy, false)
 	if cfg.Spans > 0 {
-		e.spans = telemetry.NewSpanBuffer(cfg.Spans, cfg.SpanExemplars)
+		e.spans = telemetry.NewSpanBuffer(cfg.Spans, cfg.Seed, 1)
 		e.spans.SetClock(func() int64 { return int64(e.tl.Now() * 1e9) })
-		e.sampler = telemetry.NewSampler(cfg.Seed, 1)
 		e.blockedAt = make(map[core.TxnID]float64)
 	}
 	opts := core.Options{Predicate: cfg.Predicate, Recovery: core.RecoveryIntentions}
@@ -439,7 +437,7 @@ func (e *Engine) result() Result {
 	}
 	if e.spans != nil {
 		r.Spans = e.spans.Snapshot()
-		r.SpanExemplars = e.spans.Exemplars()
+		r.Exemplars = e.spans.Exemplars()
 	}
 	return r
 }

@@ -104,11 +104,11 @@ type Result struct {
 	Trace []string
 
 	// Spans is the causal-span ring's final contents (nil unless
-	// Config.Spans > 0), stamped from the virtual clock, and
-	// SpanExemplars the pinned tail-latency traces. Same seed, same
-	// config, bit-identical slices.
-	Spans         []telemetry.Span
-	SpanExemplars []telemetry.TraceExemplar
+	// Config.Spans > 0), stamped from the virtual clock, and Exemplars
+	// the pinned tail-latency traces. Same seed, same config,
+	// bit-identical slices.
+	Spans     []telemetry.Span
+	Exemplars []telemetry.TraceExemplar
 
 	// Stats sums every site's scheduler counters across incarnations.
 	Stats core.Stats

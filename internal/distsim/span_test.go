@@ -8,11 +8,10 @@ import (
 )
 
 // spanConvoy is Convoy(42) with the span plane armed: a ring big
-// enough to keep every span of the run and a small exemplar store.
+// enough to keep every span of the run, beside the exemplar store.
 func spanConvoy() Config {
 	cfg := Convoy(42)
 	cfg.Spans = 1 << 15
-	cfg.SpanExemplars = 8
 	return cfg
 }
 
@@ -44,13 +43,13 @@ func TestConvoySpans42(t *testing.T) {
 	if len(res.Spans) != spanCount {
 		t.Fatalf("retained spans = %d, want %d", len(res.Spans), spanCount)
 	}
-	if len(res.SpanExemplars) != 8 {
-		t.Fatalf("exemplars = %d, want 8", len(res.SpanExemplars))
+	if len(res.Exemplars) != 8 {
+		t.Fatalf("exemplars = %d, want 8", len(res.Exemplars))
 	}
 
 	// The slowest exemplar is the convoy's longest chain.
-	top := res.SpanExemplars[0]
-	for _, ex := range res.SpanExemplars[1:] {
+	top := res.Exemplars[0]
+	for _, ex := range res.Exemplars[1:] {
 		if ex.Latency > top.Latency {
 			top = ex
 		}
@@ -96,7 +95,7 @@ func TestConvoySpansDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Spans, b.Spans) {
 		t.Fatal("same-seed runs disagree on the span ring")
 	}
-	if !reflect.DeepEqual(a.SpanExemplars, b.SpanExemplars) {
+	if !reflect.DeepEqual(a.Exemplars, b.Exemplars) {
 		t.Fatal("same-seed runs disagree on the exemplar store")
 	}
 }
@@ -105,7 +104,7 @@ func TestConvoySpansDeterministic(t *testing.T) {
 // the Result carries none.
 func TestSpansOffByDefault(t *testing.T) {
 	res := run(t, small(7))
-	if res.Spans != nil || res.SpanExemplars != nil {
+	if res.Spans != nil || res.Exemplars != nil {
 		t.Fatal("span plane armed without Config.Spans")
 	}
 }

@@ -45,14 +45,14 @@ func (e *Engine) tracef(format string, args ...any) {
 // emission is deliberately decoupled from tracef: it never touches the
 // trace hash, never draws randomness, and keeps recording through the
 // drain phase, so a run's determinism fingerprint is bit-identical
-// with the span plane on or off. With it off the buffer and the
-// sampler are both nil, and this is a no-op.
+// with the span plane on or off. With it off the buffer is nil, and
+// this is a no-op.
 func (e *Engine) span(kind telemetry.SpanKind, txn core.TxnID, site int, object, wave, dur int64) {
-	e.spans.Record(e.sampler.Context(uint64(txn)), kind, uint64(txn), int32(site), object, wave, dur)
+	e.spans.Record(e.spans.Context(uint64(txn)), kind, uint64(txn), int32(site), object, wave, dur)
 }
 
 // completeSpan folds the transaction's finished trace into the
 // exemplar store with the given virtual latency (seconds).
 func (e *Engine) completeSpan(txn core.TxnID, latency float64) {
-	e.spans.Complete(e.sampler.Context(uint64(txn)), uint64(txn), int64(latency*1e9))
+	e.spans.Complete(e.spans.Context(uint64(txn)), uint64(txn), int64(latency*1e9))
 }

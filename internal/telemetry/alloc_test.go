@@ -14,8 +14,7 @@ func TestInstrumentZeroAllocs(t *testing.T) {
 	var c Counter
 	var g Gauge
 	var h Histogram
-	sb := NewSpanBuffer(64, 4)
-	smp := NewSampler(42, 0.5)
+	sb := NewSpanBuffer(64, 42, 0.5)
 	sampled := TraceContext{Trace: 1, Span: 1, Flags: TraceSampled}
 	unsampled := TraceContext{Trace: 2, Span: 2}
 	var nilC *Counter
@@ -29,12 +28,13 @@ func TestInstrumentZeroAllocs(t *testing.T) {
 		{"Counter.Add", func() { c.Add(3) }},
 		{"Gauge.Set", func() { g.Set(7) }},
 		{"Histogram.Observe", func() { h.Observe(12345) }},
-		{"Sampler.Context", func() { smp.Context(7) }},
+		{"SpanBuffer.Context", func() { sb.Context(7) }},
 		{"SpanBuffer.Record sampled", func() { sb.Record(sampled, SpanHold, 1, 2, 3, 0, 0) }},
 		{"SpanBuffer.Record unsampled", func() { sb.Record(unsampled, SpanHold, 1, 2, 3, 0, 0) }},
 		{"SpanBuffer.RecordSite", func() { sb.RecordSite(SpanCrash, 0, 2, 0) }},
 		{"nil Counter.Inc", func() { nilC.Inc() }},
 		{"nil Histogram.Observe", func() { nilH.Observe(1) }},
+		{"nil SpanBuffer.Context", func() { nilSB.Context(7) }},
 		{"nil SpanBuffer.Record", func() { nilSB.Record(sampled, SpanHold, 1, 2, 3, 0, 0) }},
 		{"nil SpanBuffer.RecordSite", func() { nilSB.RecordSite(SpanCrash, 0, 2, 0) }},
 	}

@@ -34,9 +34,9 @@ type FlightDump struct {
 type FlightRecorder struct {
 	process string
 	dir     string
+	spans   *SpanBuffer
 
 	mu       sync.Mutex
-	spans    *SpanBuffer
 	lastPath string
 	dumps    int
 	once     map[string]bool // reasons already dumped via DumpOnce
@@ -44,26 +44,17 @@ type FlightRecorder struct {
 
 // NewFlightRecorder builds a recorder for process (a short role label:
 // "coord", "site-a", ...), dumping into dir (defaulted to the working
-// directory). Its dumps carry the span buffer AttachSpans names.
-func NewFlightRecorder(process, dir string) *FlightRecorder {
+// directory). Its dumps carry spans, the process's span buffer.
+func NewFlightRecorder(process, dir string, spans *SpanBuffer) *FlightRecorder {
 	if dir == "" {
 		dir = "."
 	}
 	return &FlightRecorder{
 		process: process,
 		dir:     dir,
+		spans:   spans,
 		once:    make(map[string]bool),
 	}
-}
-
-// AttachSpans names the span buffer future dumps carry.
-func (f *FlightRecorder) AttachSpans(b *SpanBuffer) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.spans = b
-	f.mu.Unlock()
 }
 
 // LastDump reports the path of the most recent on-disk dump ("" if
@@ -87,17 +78,14 @@ func (f *FlightRecorder) Dumps() int {
 	return f.dumps
 }
 
-// snapshot assembles the dump document. Caller must NOT hold f.mu.
+// snapshot assembles the dump document.
 func (f *FlightRecorder) snapshot(reason string) FlightDump {
-	f.mu.Lock()
-	spans := f.spans
-	f.mu.Unlock()
 	return FlightDump{
 		Process:   f.process,
 		Reason:    reason,
 		Wall:      time.Now().UTC().Format(time.RFC3339Nano),
-		Spans:     spans.Snapshot(),
-		Exemplars: spans.Exemplars(),
+		Spans:     f.spans.Snapshot(),
+		Exemplars: f.spans.Exemplars(),
 	}
 }
 

@@ -12,15 +12,16 @@ import (
 // per-process span buffer the debug plane exports.
 //
 // A TraceContext is minted once per transaction (deterministically, by
-// a seeded Sampler — or by a remote client, in which case it arrives
-// over the wire) and carried through every layer the transaction
-// crosses: the coordinator's conversation, the wire frames, the site
-// daemons. Every process records its own spans into a SpanBuffer; the
-// shared trace id is what lets sccctl stitch the buffers back into one
-// end-to-end timeline. The overhead contract matches the rest of the
-// package: Record is allocation-free and nil-safe, and an unsampled
-// context short-circuits before taking the lock, so tracing disabled
-// (or a transaction not sampled) costs one branch.
+// the seeded SpanBuffer.Context — or by a remote client, in which case
+// it arrives over the wire) and carried through every layer the
+// transaction crosses: the coordinator's conversation, the wire frames,
+// the site daemons. Every process records its own spans into its
+// SpanBuffer; the shared trace id is what lets sccctl stitch the
+// buffers back into one end-to-end timeline. The overhead contract
+// matches the rest of the package: Context and Record are
+// allocation-free and nil-safe, and an unsampled context short-circuits
+// before taking the lock, so tracing disabled (or a transaction not
+// sampled) costs one branch.
 
 // TraceContext identifies a transaction's position in a distributed
 // trace: the trace id (shared by every span of the transaction, across
@@ -131,57 +132,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Sampler mints trace contexts deterministically: the same seed and
-// transaction id always produce the same trace id and the same
-// sampling decision, so two runs of a seeded workload sample the same
-// transactions — and a coordinator can re-derive a transaction's
-// context (after a restart, say) without having stored it. A nil
-// Sampler mints only zero (unsampled) contexts.
-type Sampler struct {
-	seed      uint64
-	threshold uint64 // sample when mix(seed,txn)>>32 < threshold
-}
-
-// NewSampler builds a sampler with the given seed and sampling rate in
-// [0,1] (clamped). rate 1 samples everything; rate 0 disables.
-func NewSampler(seed int64, rate float64) *Sampler {
-	if rate <= 0 {
-		return &Sampler{seed: uint64(seed), threshold: 0}
-	}
-	if rate >= 1 {
-		return &Sampler{seed: uint64(seed), threshold: 1 << 32}
-	}
-	return &Sampler{seed: uint64(seed), threshold: uint64(rate * (1 << 32))}
-}
-
-// EffectiveSampleRate is the sampling rate a span plane runs at when
-// configured with rate: 0 (unset) means sample everything, as does
-// anything outside (0,1]. Every process applies this one rule, so
-// they all report the rate their sampler actually uses.
-func EffectiveSampleRate(rate float64) float64 {
-	if rate <= 0 || rate > 1 {
-		return 1
-	}
-	return rate
-}
-
-// Context mints the transaction's trace context. Deterministic and
-// allocation-free; nil-safe (a nil sampler returns the zero context).
-func (s *Sampler) Context(txn uint64) TraceContext {
-	if s == nil {
-		return TraceContext{}
-	}
-	id := mix64(s.seed ^ txn*0x9e3779b97f4a7c15)
-	if id == 0 {
-		id = 1
-	}
-	tc := TraceContext{Trace: id, Span: mix64(id)}
-	if id>>32 < s.threshold {
-		tc.Flags |= TraceSampled
-	}
-	return tc
-}
-
 // TraceExemplar is one completed trace pinned by tail-based retention:
 // its end-to-end latency landed in the buffer's top latency buckets, so
 // its spans were copied out of the ring before wraparound could
@@ -194,11 +144,15 @@ type TraceExemplar struct {
 	Spans   []Span `json:"spans"`
 }
 
-// SpanBuffer records spans into a fixed ring (overwriting the oldest
-// once full) plus a small pinned exemplar store for the latency tail.
-// Record is allocation-free and nil-safe; an unsampled context is a
-// no-op before the lock. Complete — called once per finished trace —
-// runs the tail-based exemplar retention and may allocate.
+// exemplarCap is how many tail traces a span buffer pins.
+const exemplarCap = 8
+
+// SpanBuffer is a process's span plane: it mints trace contexts, records
+// spans into a fixed ring (overwriting the oldest once full) and pins a
+// small exemplar store for the latency tail. Record is allocation-free
+// and nil-safe; an unsampled context is a no-op before the lock.
+// Complete — called once per finished trace — runs the tail-based
+// exemplar retention and may allocate.
 type SpanBuffer struct {
 	mu    sync.Mutex
 	ring  []Span
@@ -212,28 +166,67 @@ type SpanBuffer struct {
 	// spans deterministic.
 	clock func() int64
 
+	// The sampler: Context samples when mix(seed,txn)>>32 < threshold.
+	// Immutable after construction, so Context takes no lock.
+	seed      uint64
+	rate      float64
+	threshold uint64
+
 	exCap     int
 	exemplars []TraceExemplar
 }
 
-// NewSpanBuffer builds a span buffer with ring capacity size and up to
-// exemplars pinned tail traces (exemplars <= 0 picks a small default).
-// size <= 0 disables: the returned buffer is nil, and every method on a
-// nil buffer no-ops.
-func NewSpanBuffer(size, exemplars int) *SpanBuffer {
+// NewSpanBuffer builds a span buffer with ring capacity size whose
+// sampler has the given seed and rate; a rate outside (0,1] samples
+// everything. size <= 0 disables: the returned buffer is nil, and every
+// method on a nil buffer no-ops.
+func NewSpanBuffer(size int, seed int64, rate float64) *SpanBuffer {
 	if size <= 0 {
 		return nil
 	}
-	if exemplars <= 0 {
-		exemplars = 8
+	if rate <= 0 || rate > 1 {
+		rate = 1
 	}
 	now := time.Now()
 	return &SpanBuffer{
-		ring:  make([]Span, size),
-		epoch: now,
-		wall0: now.UnixNano(),
-		exCap: exemplars,
+		ring:      make([]Span, size),
+		epoch:     now,
+		wall0:     now.UnixNano(),
+		seed:      uint64(seed),
+		rate:      rate,
+		threshold: uint64(rate * (1 << 32)),
+		exCap:     exemplarCap,
 	}
+}
+
+// Context mints the transaction's trace context deterministically: the
+// same seed and transaction id always produce the same trace id and the
+// same sampling decision, so two runs of a seeded workload sample the
+// same transactions — and a coordinator can re-derive a transaction's
+// context (after a restart, say) without having stored it.
+// Allocation-free; a nil buffer returns the zero context.
+func (b *SpanBuffer) Context(txn uint64) TraceContext {
+	if b == nil {
+		return TraceContext{}
+	}
+	id := mix64(b.seed ^ txn*0x9e3779b97f4a7c15)
+	if id == 0 {
+		id = 1
+	}
+	tc := TraceContext{Trace: id, Span: mix64(id)}
+	if id>>32 < b.threshold {
+		tc.Flags |= TraceSampled
+	}
+	return tc
+}
+
+// Sampling reports the sampler's seed and the rate it runs at (zeros
+// for nil).
+func (b *SpanBuffer) Sampling() (seed int64, rate float64) {
+	if b == nil {
+		return 0, 0
+	}
+	return int64(b.seed), b.rate
 }
 
 // SetClock installs a deterministic time source (nanoseconds): both the

@@ -7,18 +7,18 @@ import (
 	"testing"
 )
 
-// TestSamplerDeterminism pins the sampling contract: the same (seed,
-// txn) pair always yields the same trace id and the same decision, so
-// seeded runs are reproducible and contexts can be re-derived after a
-// restart without having been stored.
-func TestSamplerDeterminism(t *testing.T) {
-	a := NewSampler(42, 0.5)
-	b := NewSampler(42, 0.5)
+// TestSpanContextDeterminism pins the sampling contract: the same
+// (seed, txn) pair always yields the same trace id and the same
+// decision, so seeded runs are reproducible and contexts can be
+// re-derived after a restart without having been stored.
+func TestSpanContextDeterminism(t *testing.T) {
+	a := NewSpanBuffer(1, 42, 0.5)
+	b := NewSpanBuffer(1, 42, 0.5)
 	sampled := 0
 	for txn := uint64(1); txn <= 4096; txn++ {
 		ca, cb := a.Context(txn), b.Context(txn)
 		if ca != cb {
-			t.Fatalf("txn %d: contexts differ across samplers: %+v vs %+v", txn, ca, cb)
+			t.Fatalf("txn %d: contexts differ across buffers: %+v vs %+v", txn, ca, cb)
 		}
 		if !ca.Valid() {
 			t.Fatalf("txn %d: invalid trace id", txn)
@@ -32,9 +32,13 @@ func TestSamplerDeterminism(t *testing.T) {
 	if sampled < 1024 || sampled > 3072 {
 		t.Errorf("rate 0.5 sampled %d/4096, far from half", sampled)
 	}
+	// The trace id is the seed-42 splitmix derivation, bit for bit.
+	if tc := a.Context(1); tc.Trace != 0xbdd732262feb6e95 {
+		t.Errorf("seed 42 txn 1 trace = %#x, want 0xbdd732262feb6e95", tc.Trace)
+	}
 
 	// Different seeds must diverge (else the seed does nothing).
-	c := NewSampler(43, 0.5)
+	c := NewSpanBuffer(1, 43, 0.5)
 	diff := 0
 	for txn := uint64(1); txn <= 256; txn++ {
 		if a.Context(txn).Trace != c.Context(txn).Trace {
@@ -45,20 +49,32 @@ func TestSamplerDeterminism(t *testing.T) {
 		t.Error("seed change did not change any trace id")
 	}
 
-	// Rate edges: 1 samples everything, 0 nothing; nil mints zero.
-	all := NewSampler(7, 1)
-	none := NewSampler(7, 0)
-	for txn := uint64(1); txn <= 64; txn++ {
-		if !all.Context(txn).Sampled() {
-			t.Fatalf("rate 1 skipped txn %d", txn)
+	// Rate edges: 1 samples everything, and so does any rate outside
+	// (0,1] — 0 is the unset default; a tiny rate samples next to
+	// nothing; nil mints zero.
+	for _, rate := range []float64{1, 0, -1, 2} {
+		all := NewSpanBuffer(1, 7, rate)
+		if seed, r := all.Sampling(); seed != 7 || r != 1 {
+			t.Fatalf("rate %g: Sampling = (%d, %g), want (7, 1)", rate, seed, r)
 		}
-		if none.Context(txn).Sampled() {
-			t.Fatalf("rate 0 sampled txn %d", txn)
+		for txn := uint64(1); txn <= 64; txn++ {
+			if !all.Context(txn).Sampled() {
+				t.Fatalf("rate %g skipped txn %d", rate, txn)
+			}
 		}
 	}
-	var nilS *Sampler
-	if tc := nilS.Context(9); tc.Valid() || tc.Sampled() {
-		t.Errorf("nil sampler minted %+v", tc)
+	none := NewSpanBuffer(1, 7, 1e-12)
+	for txn := uint64(1); txn <= 64; txn++ {
+		if none.Context(txn).Sampled() {
+			t.Fatalf("rate 1e-12 sampled txn %d", txn)
+		}
+	}
+	var nilB *SpanBuffer
+	if tc := nilB.Context(9); tc.Valid() || tc.Sampled() {
+		t.Errorf("nil buffer minted %+v", tc)
+	}
+	if seed, r := nilB.Sampling(); seed != 0 || r != 0 {
+		t.Errorf("nil buffer Sampling = (%d, %g), want zeros", seed, r)
 	}
 }
 
@@ -67,7 +83,7 @@ func TestSamplerDeterminism(t *testing.T) {
 // oldest-first with kind names filled in, span ids keep counting across
 // the wrap, and site spans record without sampling.
 func TestSpanBufferWraparound(t *testing.T) {
-	b := NewSpanBuffer(4, 2)
+	b := NewSpanBuffer(4, 0, 1)
 	tc := TraceContext{Trace: 1, Span: 1, Flags: TraceSampled}
 	for i := uint64(1); i <= 6; i++ {
 		b.Record(tc, SpanRequest, i, 0, 0, 0, 0)
@@ -111,7 +127,8 @@ func TestSpanBufferWraparound(t *testing.T) {
 // with its spans copied out, so subsequent ring wraparound cannot lose
 // it, and the slowest traces win eviction once the store is full.
 func TestExemplarRetention(t *testing.T) {
-	b := NewSpanBuffer(8, 2)
+	b := NewSpanBuffer(8, 0, 1)
+	b.exCap = 2
 	mk := func(trace uint64) TraceContext {
 		return TraceContext{Trace: trace, Span: trace, Flags: TraceSampled}
 	}
@@ -162,7 +179,7 @@ func TestExemplarRetention(t *testing.T) {
 // TestSpanBufferVirtualClock checks SetClock: both stamps come from
 // the injected source, which is what makes distsim spans deterministic.
 func TestSpanBufferVirtualClock(t *testing.T) {
-	b := NewSpanBuffer(4, 1)
+	b := NewSpanBuffer(4, 0, 1)
 	now := int64(0)
 	b.SetClock(func() int64 { return now })
 	tc := TraceContext{Trace: 5, Span: 5, Flags: TraceSampled}
@@ -182,7 +199,7 @@ func TestSpanBufferVirtualClock(t *testing.T) {
 // TestWriteChromeTrace checks the export is valid JSON in the
 // trace_event shape with the trace identity in args.
 func TestWriteChromeTrace(t *testing.T) {
-	b := NewSpanBuffer(8, 1)
+	b := NewSpanBuffer(8, 0, 1)
 	tc := TraceContext{Trace: 0xabc, Span: 7, Flags: TraceSampled}
 	b.Record(tc, SpanHold, 3, 1, 42, 0, 2000)
 	b.Record(tc, SpanDecide, 3, -1, 0, 4, 0)
@@ -221,14 +238,13 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderDump checks the black box end to end: the attached
-// span ring (trace and site spans alike) dumped to a buffer and to disk,
+// TestFlightRecorderDump checks the black box end to end: the
+// process's span ring (trace and site spans alike) dumped to a buffer and to disk,
 // DumpOnce once-per-reason semantics, and nil safety.
 func TestFlightRecorderDump(t *testing.T) {
 	dir := t.TempDir()
-	f := NewFlightRecorder("site-a", dir)
-	spans := NewSpanBuffer(8, 1)
-	f.AttachSpans(spans)
+	spans := NewSpanBuffer(8, 0, 1)
+	f := NewFlightRecorder("site-a", dir, spans)
 
 	tc := TraceContext{Trace: 11, Span: 11, Flags: TraceSampled}
 	spans.Record(tc, SpanHold, 7, 2, 0, 0, 0)
@@ -268,14 +284,13 @@ func TestFlightRecorderDump(t *testing.T) {
 	}
 
 	var nf *FlightRecorder
-	nf.AttachSpans(spans)
 	if nf.Dumps() != 0 || nf.LastDump() != "" {
 		t.Error("nil recorder retained state")
 	}
 	if p, err := nf.Dump("x"); p != "" || err != nil {
 		t.Error("nil recorder dumped")
 	}
-	if NewSpanBuffer(0, 0) != nil {
+	if NewSpanBuffer(0, 1, 1) != nil {
 		t.Error("size 0 must disable")
 	}
 }

@@ -1,14 +1,17 @@
 // Package telemetry is the repo's low-overhead instrumentation layer:
 // nil-safe atomic counters and gauges, lock-free sharded histograms
-// with power-of-two buckets, and the process's one event ring — the
-// causal span buffer every commit-conversation step is recorded into
-// (span.go), which the flight recorder dumps (flight.go). It imports
-// nothing from the rest of the repo so every layer — core, depgraph,
-// dist, wire — can depend on it without cycles.
+// with power-of-two buckets, and the process's span plane — one
+// SpanBuffer that mints each transaction's trace context from its
+// seeded sampler and is the one event ring every commit-conversation
+// step is recorded into (span.go), which the flight recorder dumps
+// (flight.go). A process builds its span plane once and hands that one
+// value to every layer that records or serves spans. The package
+// imports nothing from the rest of the repo so every layer — core,
+// depgraph, dist, wire — can depend on it without cycles.
 //
 // The overhead contract, pinned by alloc_test.go: Counter.Inc,
-// Gauge.Set, Histogram.Observe and SpanBuffer.Record/RecordSite are
-// allocation-free, and every method is nil-safe (a nil receiver is a
+// Gauge.Set, Histogram.Observe and SpanBuffer.Context/Record/RecordSite
+// are allocation-free, and every method is nil-safe (a nil receiver is a
 // no-op), so instrumented hot paths cost one branch when telemetry is
 // off.
 package telemetry

@@ -150,7 +150,7 @@ func TestNilSafety(t *testing.T) {
 // once full the oldest are overwritten, Snapshot returns oldest-first
 // with kind names filled in, and span ids keep counting across the wrap.
 func TestTracerWraparound(t *testing.T) {
-	tr := NewSpanBuffer(4, 1)
+	tr := NewSpanBuffer(4, 0, 1)
 	for i := 0; i < 10; i++ {
 		tr.RecordSite(SpanHold, uint64(i), int32(i), int64(i))
 	}
@@ -172,7 +172,7 @@ func TestTracerWraparound(t *testing.T) {
 		}
 	}
 	// Before wrapping, a short ring returns exactly what was recorded.
-	tr2 := NewSpanBuffer(8, 1)
+	tr2 := NewSpanBuffer(8, 0, 1)
 	tr2.RecordSite(SpanCrash, 0, 2, 0)
 	tr2.RecordSite(SpanRestart, 0, 2, 5)
 	evs = tr2.Snapshot()

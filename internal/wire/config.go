@@ -50,9 +50,6 @@ type ClusterFile struct {
 	// flight recorder dumps; 0 disables the span plane — and with it
 	// the black box — cluster-wide.
 	Spans int `json:"spans,omitempty"`
-	// SpanExemplars bounds each process's pinned tail-latency exemplar
-	// store; 0 picks a small default.
-	SpanExemplars int `json:"span_exemplars,omitempty"`
 	// SampleRate is the traced fraction of transactions in [0,1]; 0
 	// means sample everything when the span plane is on.
 	SampleRate float64 `json:"sample_rate,omitempty"`
@@ -111,9 +108,6 @@ func (f *ClusterFile) Validate() error {
 	}
 	if f.Spans < 0 {
 		return fmt.Errorf("spans %d: want a ring size, or 0 for off", f.Spans)
-	}
-	if f.SpanExemplars < 0 {
-		return fmt.Errorf("span_exemplars %d: want a store size, or 0 for the default", f.SpanExemplars)
 	}
 	if len(f.Daemons) == 0 {
 		return fmt.Errorf("no daemons")

@@ -45,15 +45,16 @@ func TestLoadClusterFilePolicy(t *testing.T) {
 }
 
 // TestLoadClusterFileUnknownKeys: a key the file format does not have —
-// the retired event-ring sizes "trace" and "flight" among them — fails
+// the retired event-ring sizes "trace" and "flight" and the retired
+// exemplar-store size "span_exemplars" among them — fails
 // the load with an error naming it instead of being dropped silently,
 // and so does content after the description, where a second object's
 // keys would go unread; the span plane's keys load.
 func TestLoadClusterFileUnknownKeys(t *testing.T) {
-	if _, err := loadCluster(t, `"spans": 4096, "span_exemplars": 8, "flight_dir": "/tmp",`); err != nil {
+	if _, err := loadCluster(t, `"spans": 4096, "sample_rate": 0.5, "sample_seed": 42, "flight_dir": "/tmp",`); err != nil {
 		t.Errorf("span-plane keys: %v", err)
 	}
-	for _, key := range []string{"trace", "flight", "spnas"} {
+	for _, key := range []string{"trace", "flight", "span_exemplars", "spnas"} {
 		_, err := loadCluster(t, `"`+key+`": 2048,`)
 		if err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
 			t.Errorf("key %q: err = %v, want an unknown-field error naming it", key, err)
@@ -79,7 +80,7 @@ func TestLoadClusterFileUnknownKeys(t *testing.T) {
 // load with an error naming its key, instead of being reinterpreted
 // (a negative rate as "sample everything", a rate above 1 clamped).
 func TestLoadClusterFileRanges(t *testing.T) {
-	for _, ok := range []string{`"sample_rate": 0,`, `"sample_rate": 0.25,`, `"sample_rate": 1,`, `"spans": 0, "span_exemplars": 0,`} {
+	for _, ok := range []string{`"sample_rate": 0,`, `"sample_rate": 0.25,`, `"sample_rate": 1,`, `"spans": 0,`} {
 		if _, err := loadCluster(t, ok); err != nil {
 			t.Errorf("%s: %v", ok, err)
 		}
@@ -88,7 +89,6 @@ func TestLoadClusterFileRanges(t *testing.T) {
 		{`"sample_rate": -0.5,`, "sample_rate"},
 		{`"sample_rate": 1.5,`, "sample_rate"},
 		{`"spans": -1,`, "spans"},
-		{`"span_exemplars": -8,`, "span_exemplars"},
 	} {
 		_, err := loadCluster(t, bad.extra)
 		if err == nil || !strings.Contains(err.Error(), bad.key+" ") {

@@ -63,15 +63,10 @@ type CoordinatorConfig struct {
 	// Policy bounds the hold convoy (see dist.HoldPolicy): nil is the
 	// cluster default, dist.Unbounded{} the paper's unbounded hold.
 	Policy dist.HoldPolicy
-	// Spans/SpanExemplars/SampleSeed/SampleRate configure the cluster's
-	// causal span plane, the process's one event ring (see dist.Config);
-	// Spans 0 disables it.
-	Spans         int
-	SpanExemplars int
-	SampleSeed    int64
-	SampleRate    float64
-	// Flight, when non-nil, is the process's flight recorder, shared
-	// with the cluster so its dumps carry the cluster's span ring.
+	// Spans/Flight are the process's span plane and the flight recorder
+	// that dumps it, handed to the cluster as they are (see
+	// dist.Config); nil disables them.
+	Spans  *telemetry.SpanBuffer
 	Flight *telemetry.FlightRecorder
 }
 
@@ -167,15 +162,12 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 
 	c, err := dist.NewWithConfig(dist.Config{
-		Sites:         nsites,
-		Log:           flog,
-		Backends:      backends,
-		Policy:        cfg.Policy,
-		Spans:         cfg.Spans,
-		SpanExemplars: cfg.SpanExemplars,
-		SampleSeed:    cfg.SampleSeed,
-		SampleRate:    cfg.SampleRate,
-		Flight:        cfg.Flight,
+		Sites:    nsites,
+		Log:      flog,
+		Backends: backends,
+		Policy:   cfg.Policy,
+		Spans:    cfg.Spans,
+		Flight:   cfg.Flight,
 	})
 	if err != nil {
 		return fail(err)

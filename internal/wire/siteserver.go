@@ -36,8 +36,8 @@ type SiteServerConfig struct {
 	// their frame emit spans here, which is the daemon's half of the
 	// cluster-wide trace sccctl stitches.
 	Spans *telemetry.SpanBuffer
-	// Flight, when set, is the daemon's flight recorder, dumped if a
-	// site worker panics; the caller attaches Spans to it.
+	// Flight, when set, is the daemon's flight recorder over Spans,
+	// dumped if a site worker panics.
 	Flight *telemetry.FlightRecorder
 }
 

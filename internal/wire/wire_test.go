@@ -58,7 +58,7 @@ func startTracedWireCluster(t *testing.T, daemons, perDaemon int, wl string, spa
 		}
 		srv, err := ServeSites(SiteServerConfig{
 			Addr: "127.0.0.1:0", Sites: sites, Workload: wl,
-			Spans: telemetry.NewSpanBuffer(spans, 0),
+			Spans: telemetry.NewSpanBuffer(spans, 0, 1),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -72,7 +72,7 @@ func startTracedWireCluster(t *testing.T, daemons, perDaemon int, wl string, spa
 		Daemons:    specs,
 		Workload:   wl,
 		DialWait:   2 * time.Second,
-		Spans:      spans,
+		Spans:      telemetry.NewSpanBuffer(spans, 0, 1),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -134,11 +134,12 @@ type FaultStore interface {
 // cross-site dependencies mirrored at a commit coordinator. Sites are
 // crash-stop (internal/fault): each can be crashed and restarted, and
 // the coordinator runs a presumed-abort decision log. See DESIGN.md,
-// "Failure model". The full distributed API (routers, observers,
-// per-site inspection) lives in internal/dist; this constructor covers
-// the common case through the same Store interface DB implements.
+// "Failure model". The full distributed API (routers, hold policies,
+// the span plane, per-site inspection) lives in internal/dist; this
+// constructor covers the common case through the same Store interface
+// DB implements.
 func NewCluster(n int, opts Options) (FaultStore, error) {
-	c, err := dist.New(n, opts, nil, nil)
+	c, err := dist.New(n, opts, nil)
 	if err != nil {
 		return nil, err
 	}

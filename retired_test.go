@@ -87,6 +87,10 @@ var retiredNames = []struct {
 		[]string{".", "internal/...", "cmd/..."}, "", 0,
 		`	go run ./cmd/sccbench -experiment fig4`,
 		"sccsim -experiment runs the figures; wall-clock numbers come from bench/ and go test -bench"},
+	{51, "one-span-plane", `SpanExemplars|span_exemplars|NewSampler|telemetry\.Sampler\b|EffectiveSampleRate|AttachSpans|SampleConfig\(|CoreStats|\bObserver\b`,
+		[]string{".", "internal/...", "cmd/...", "examples/..."}, "", 0,
+		`	c.sampler = telemetry.NewSampler(cfg.SampleSeed, rate)`,
+		"the span plane is one SpanBuffer a process builds once and passes as it is; the scheduler counts into core.Stats"},
 }
 
 // TestRetiredNamesStayRetired fails when a retired name is back in

@@ -59,7 +59,6 @@ cat > "$CFG" <<EOF
   "workload": "pushes:32",
   "debug":    "127.0.0.1:$P_DBG_CO",
   "spans":    32768,
-  "span_exemplars": 8,
   "sample_rate": 1,
   "sample_seed": 42,
   "flight_dir": "$FLIGHT_DIR",
