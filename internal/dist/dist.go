@@ -717,7 +717,7 @@ func (c *Cluster) atSite(t *Txn, act Action, acts []Action, bug *error) ([]Actio
 
 	switch {
 	case err != nil:
-		if in.Failed && !t.siteFailure(err) {
+		if in.Failed && !siteFailure(err) {
 			*bug = fmt.Errorf("dist: %v of T%d at site %d: %w", act.Kind, t.id, act.Site, err)
 		}
 	case act.Kind == ActRelease || act.Kind == ActCommitDirect && t.logged:
@@ -807,13 +807,11 @@ func (c *Cluster) Crash(id SiteID) error {
 // the site's durable committed snapshots, prepared (in-doubt)
 // transactions are resolved against the decision log — logged commits
 // are redone into the committed state, the rest presumed aborted — and
-// the site starts accepting transactions again (re-registration). The
-// recovered site then re-exports its dependency edges into the
-// coordinator's mirror; a freshly recovered site holds no live
-// transactions, so today this re-export is empty, but the walk keeps
-// re-registration correct if recovery ever reinstates holds. A refused
-// recovery leaves the site down and records a restart-failed site
-// span, so a reconcile that keeps failing shows in the span ring.
+// the site starts accepting transactions again (re-registration),
+// holding no live transaction, so the mirror has nothing of it to
+// rebuild. A refused recovery leaves the site down and records a
+// restart-failed site span, so a reconcile that keeps failing shows in
+// the span ring.
 func (c *Cluster) Restart(id SiteID) (fault.RecoveryReport, error) {
 	s := c.sites[id]
 	s.mu.Lock()
@@ -822,11 +820,6 @@ func (c *Cluster) Restart(id SiteID) (fault.RecoveryReport, error) {
 		s.mu.Unlock()
 		c.spans.RecordSite(telemetry.SpanRestartFailed, 0, int32(id), 0)
 		return rep, err
-	}
-	// Rebuild the mirror's view of this site from the recovered
-	// participant's own exports.
-	for txid := range s.txns {
-		c.Observe(id, txid, s.edges(txid))
 	}
 	s.mu.Unlock()
 	c.spans.RecordSite(telemetry.SpanRestart, 0, int32(id), int64(len(rep.Redone)))

@@ -121,23 +121,11 @@ func (t *Txn) abortedErr(at SiteID, reason core.AbortReason) error {
 }
 
 // siteFailure classifies an error from a participant call as a
-// crash-stop failure: the site is down, or it restarted and lost the
-// transaction's volatile state (fresh incarnations answer
-// ErrUnknownTxn).
+// crash-stop failure: the site is down, or it restarted and no longer
+// knows the transaction (ErrUnknownTxn: a fresh incarnation lost it, or
+// a remote daemon's restart reconcile resolved and forgot it).
 func siteFailure(err error) bool {
 	return errors.Is(err, fault.ErrSiteDown) || errors.Is(err, core.ErrUnknownTxn)
-}
-
-// siteFailure is the per-transaction classification: a doomed
-// transaction additionally treats any participant error as the
-// crash's fault. The crash reconcile may already have presumed-abort
-// revoked it at a participant whose state survived (a remote daemon
-// outlives a connection blip), and that participant answers
-// ErrTxnTerminated where a fresh in-process incarnation would answer
-// ErrUnknownTxn — both must map to the same retryable site-failed
-// abort.
-func (t *Txn) siteFailure(err error) bool {
-	return siteFailure(err) || t.doomed.Load()
 }
 
 // do runs the request; a nil ctx means no cancellation.
@@ -162,7 +150,7 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 		}
 		s.mu.Unlock()
 		if err != nil {
-			if t.siteFailure(err) {
+			if siteFailure(err) {
 				return t.abort(noSite, sid, core.ReasonSiteFailed)
 			}
 			return adt.Ret{}, err
@@ -175,7 +163,7 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 	dec, err := s.p.RequestInto(eff, t.id, obj, op)
 	if err != nil {
 		s.mu.Unlock()
-		if t.siteFailure(err) {
+		if siteFailure(err) {
 			return t.abort(noSite, sid, core.ReasonSiteFailed)
 		}
 		return adt.Ret{}, err

@@ -49,9 +49,13 @@ type RemoteSite struct {
 	// starts, so reads need no lock.
 	traceOf func(core.TxnID) telemetry.TraceContext
 
-	mu    sync.Mutex
-	down  bool
-	cache map[core.TxnID][]depgraph.Edge
+	mu   sync.Mutex
+	down bool
+	// adopting marks Restart's reconcile: the site is still down, but
+	// the reconcile's participant verbs pass guard. Reads wait for it
+	// to end, so none sees a half-reconciled site.
+	adopting bool
+	cache    map[core.TxnID][]depgraph.Edge
 	// owed holds the transactions begun here whose begin has not reached
 	// the daemon: it rides their first request. Until then the daemon
 	// holds nothing of them, so every other verb answers locally.
@@ -110,9 +114,9 @@ func (rs *RemoteSite) req(extra int) []byte {
 
 // guard fails fast while the site is in the crashed state — between
 // the cluster observing the connection loss and Restart completing
-// reconciliation, no call may reach the daemon (it could be back up
-// with unreconciled orphans). It also reports whether id's begin is
-// still owed (id 0 names no transaction); take settles the debt, for
+// reconciliation, no call but the reconcile's own verbs may reach the
+// daemon (it could be back up with unreconciled orphans). It also
+// reports whether id's begin is still owed; take settles the debt, for
 // the request about to carry the begin.
 func (rs *RemoteSite) guard(id core.TxnID, take bool) (owed bool, err error) {
 	rs.mu.Lock()
@@ -121,12 +125,21 @@ func (rs *RemoteSite) guard(id core.TxnID, take bool) (owed bool, err error) {
 	if take {
 		delete(rs.owed, id)
 	}
-	return owed, rs.downErr()
+	return owed, rs.downErr(false)
 }
 
-// downErr is guard's verdict; rs.mu is held.
-func (rs *RemoteSite) downErr() error {
-	if rs.down {
+// readErr is guard for the calls that read (or register) rather than
+// run a participant verb: they are refused until Restart's reconcile
+// ended.
+func (rs *RemoteSite) readErr() error {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.downErr(true)
+}
+
+// downErr is guard's and readErr's verdict; rs.mu is held.
+func (rs *RemoteSite) downErr(read bool) error {
+	if rs.down && (read || !rs.adopting) {
 		return fmt.Errorf("wire: site %d crashed: %w", rs.sid, fault.ErrSiteDown)
 	}
 	return nil
@@ -152,7 +165,7 @@ func (rs *RemoteSite) applyReport(sets []edgeSet) {
 func (rs *RemoteSite) Begin(id core.TxnID) error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if err := rs.downErr(); err != nil {
+	if err := rs.downErr(false); err != nil {
 		return err
 	}
 	rs.owed[id] = struct{}{}
@@ -282,7 +295,7 @@ func (rs *RemoteSite) Forget(id core.TxnID) {
 // its own workload spec (see workload.ParseSpec), because adt.Type
 // carries behaviour that cannot be serialised.
 func (rs *RemoteSite) Register(id core.ObjectID, typ adt.Type, class compat.Classifier) error {
-	if _, err := rs.guard(0, false); err != nil {
+	if err := rs.readErr(); err != nil {
 		return err
 	}
 	_, _ = typ, class
@@ -300,7 +313,7 @@ func (rs *RemoteSite) SetFactory(f func(core.ObjectID) (adt.Type, compat.Classif
 
 // StatsSnapshot fetches the remote scheduler's counters.
 func (rs *RemoteSite) StatsSnapshot() core.Stats {
-	if _, err := rs.guard(0, false); err != nil {
+	if err := rs.readErr(); err != nil {
 		return core.Stats{}
 	}
 	r, err := rs.peer.call(kStats, telemetry.TraceContext{}, rs.req(0))
@@ -326,7 +339,7 @@ func (rs *RemoteSite) CommittedState(id core.ObjectID) (adt.State, error) {
 }
 
 func (rs *RemoteSite) stateCall(id core.ObjectID, committed bool) (adt.State, error) {
-	if _, err := rs.guard(0, false); err != nil {
+	if err := rs.readErr(); err != nil {
 		return nil, err
 	}
 	b := appendBool(appendU64(rs.req(9), uint64(id)), committed)
@@ -345,9 +358,10 @@ func (rs *RemoteSite) stateCall(id core.ObjectID, committed bool) (adt.State, er
 // reads as "site-down", matching fault.Crashable. An owed transaction
 // is "active", as it would be after a local Begin.
 func (rs *RemoteSite) TxnState(id core.TxnID) string {
-	if owed, err := rs.guard(id, false); err != nil {
+	if rs.readErr() != nil {
 		return "site-down"
-	} else if owed {
+	}
+	if owed, _ := rs.guard(id, false); owed {
 		return "active"
 	}
 	r, err := rs.peer.call(kTxnState, telemetry.TraceContext{}, appendU64(rs.req(8), uint64(id)))
@@ -370,7 +384,7 @@ func (rs *RemoteSite) TxnState(id core.TxnID) string {
 func (rs *RemoteSite) Crash() error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	rs.down = true
+	rs.down, rs.adopting = true, false
 	rs.cache = make(map[core.TxnID][]depgraph.Edge)
 	clear(rs.owed)
 	return nil
@@ -383,36 +397,36 @@ func (rs *RemoteSite) Down() bool {
 	return rs.down
 }
 
-// adoptVerb is the wire verb carrying out each restart-adoption action.
-var adoptVerb = [...]uint8{
-	dist.AdoptAbort:   kAbort,
-	dist.AdoptRedo:    kCommit,
-	dist.AdoptRevoke:  kRevoke,
-	dist.AdoptRelease: kRelease,
-}
-
 // Restart reconciles a re-reachable daemon with the coordinator's
 // decision log and brings the site back into rotation. The daemon
-// reports its live transactions; orphaned actives are aborted, and
-// each in-doubt hold is resolved by the log — logged decision means
-// the global commit happened, so the hold is released (reported in
-// Redone, which the cluster acks); no logged decision means presumed
-// abort, so the hold is revoked. A logged decision implies the
-// transaction's global out-degree was zero when it was logged, but the
-// daemon outlived the loss: its out-edges there may still point at
+// reports its live transactions, and each is resolved as the
+// simulator's reconcile does, by dist.AdoptVerdict's verb through
+// dist.Action.At: orphaned actives are aborted, and in-doubt holds are
+// released when their decision was logged (reported in Redone, which
+// the cluster acks) and revoked (presumed abort) when it was not. At
+// forgets each at the daemon, and so does Restart each transaction the
+// daemon reports as terminated (the loss swallowed its forget), so the
+// daemon keeps nothing the reconcile settled. A logged decision implies
+// the transaction's global out-degree was zero when it was logged, but
+// the daemon outlived the loss: its out-edges there may still point at
 // transactions the coordinator retired while the site was unreachable
-// (an orphan whose abort the loss swallowed, an unlogged hold, a
-// logged hold whose release was lost). The daemon releases only a
-// transaction whose out-edges drained, so a release or redo waits
-// until the verbs before it emptied its edges in the response reports.
+// (an orphan whose abort the loss swallowed, an unlogged hold, a logged
+// hold whose release was lost). The daemon releases only a transaction
+// whose out-edges drained, so a release or redo waits until the verbs
+// before it emptied its edges in the response reports.
+//
+// From the adopt snapshot on the site is adopting: the verbs pass
+// guard, reads are still refused, and a failure crashes the site
+// again. No other verb reaches it meanwhile: dist holds the site mutex
+// across every participant call and across Crash and Restart, and the
+// daemon refuses older connections once this one adopted.
 //
 // The same routine serves both reconnect-after-blip (daemon kept its
 // state; the coordinator doomed what it had to while the site was
 // unreachable) and coordinator startup adoption (the daemon outlived a
 // coordinator crash), because resolution is purely log-driven per
 // transaction.
-func (rs *RemoteSite) Restart() (fault.RecoveryReport, error) {
-	var rep fault.RecoveryReport
+func (rs *RemoteSite) Restart() (rep fault.RecoveryReport, err error) {
 	if !rs.peer.Up() {
 		return rep, fmt.Errorf("wire: site %d still unreachable: %w", rs.sid, fault.ErrSiteDown)
 	}
@@ -423,7 +437,7 @@ func (rs *RemoteSite) Restart() (fault.RecoveryReport, error) {
 	type entry struct {
 		txn  core.TxnID
 		held bool
-		act  dist.AdoptAction
+		act  dist.Action
 	}
 	n := r.count(9)
 	entries := make([]entry, 0, n)
@@ -435,39 +449,37 @@ func (rs *RemoteSite) Restart() (fault.RecoveryReport, error) {
 		return rep, r.err
 	}
 	rs.applyReport(sets)
+	rs.mu.Lock()
+	rs.adopting = true
+	rs.mu.Unlock()
+	defer func() {
+		if err != nil {
+			_ = rs.Crash()
+		}
+	}()
 	for i, e := range entries {
-		entries[i].act = dist.AdoptVerdict(e.held, rs.decided != nil && rs.decided(e.txn))
+		entries[i].act = dist.Action{Kind: dist.AdoptVerdict(e.held, rs.decided != nil && rs.decided(e.txn)), Reason: core.ReasonSiteFailed}
+	}
+	// Both lists ascend, and the listing is a subset of the report.
+	for i, j := 0, 0; i < len(sets); i++ {
+		if j < len(entries) && entries[j].txn == sets[i].txn {
+			j++
+			continue
+		}
+		rs.Forget(sets[i].txn)
 	}
 	var eff core.Effects
 	for len(entries) > 0 {
 		waiting := entries[:0]
 		for _, e := range entries {
-			if (e.act == dist.AdoptRedo || e.act == dist.AdoptRelease) && len(rs.OutEdgesAppend(e.txn, nil)) > 0 {
+			if k := e.act.Kind; (k == dist.AdoptRedo || k == dist.AdoptRelease) && len(rs.OutEdgesAppend(e.txn, nil)) > 0 {
 				waiting = append(waiting, e)
 				continue
 			}
-			b := appendU64(rs.req(9), uint64(e.txn))
-			if e.act == dist.AdoptRevoke {
-				b = appendU8(b, uint8(core.ReasonSiteFailed))
+			if _, err := e.act.At(rs, &eff, e.txn); err != nil {
+				return rep, err
 			}
-			// Nothing else reaches the site between the adopt snapshot
-			// and this verb. dist holds the site mutex across every
-			// participant call and across Crash and Restart, so a call
-			// that passed guard before the loss failed before the crash,
-			// the redial waited for the crash, and the new connection's
-			// calls wait for this restart; the daemon refuses older
-			// connections once this one adopted.
-			rr, err := rs.peer.call(adoptVerb[e.act], telemetry.TraceContext{}, b)
-			if err != nil {
-				return rep, rs.mapErr(err)
-			}
-			if e.act == dist.AdoptRedo {
-				_ = rr.u8() // commit status
-			}
-			eff.Reset()
-			rr.effects(&eff)
-			rs.applyReport(rr.edgeSets())
-			switch e.act {
+			switch e.act.Kind {
 			case dist.AdoptRedo, dist.AdoptRelease:
 				rep.Redone = append(rep.Redone, e.txn)
 			case dist.AdoptAbort:
@@ -482,7 +494,7 @@ func (rs *RemoteSite) Restart() (fault.RecoveryReport, error) {
 		entries = waiting
 	}
 	rs.mu.Lock()
-	rs.down = false
+	rs.down, rs.adopting = false, false
 	rs.mu.Unlock()
 	return rep, nil
 }

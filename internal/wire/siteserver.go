@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -197,41 +196,13 @@ func (ss *servedSite) report(b []byte) []byte {
 	return b
 }
 
-// settled reports whether a failed terminal verb is a duplicate whose
-// outcome already landed. The daemon's state survives a connection
-// blip or a coordinator-side crash, so a restart reconcile and the
-// live conversation can both deliver a transaction's outcome, on the
-// one owning connection: a release wave can reach the site after the
-// reconcile released the logged hold, and the owner's abort (then
-// revoke) of a transaction the crash doomed can reach it after the
-// reconcile aborted that transaction as an orphan. The second delivery
-// finds the transaction terminated rather than unknown; answering OK
-// keeps the verbs idempotent.
-func (s *SiteServer) settled(ss *servedSite, kind uint8, id core.TxnID) bool {
-	switch kind {
-	case kRelease:
-		return ss.backend.TxnState(id) == "committed"
-	case kAbort, kRevoke:
-		return ss.backend.TxnState(id) == "aborted"
-	}
-	return false
-}
-
 // begin registers a transaction at the site, in the same FIFO turn as
-// the first request that carried it. A restarted coordinator mints ids
-// from 1 again, and this daemon outlived it: an id whose previous
-// holder already terminated here (committed, or aborted by the restart
-// adoption, with the Forget lost in the crash) is free to reuse. A live
-// holder is a genuine duplicate: core.ErrDuplicateTxn.
+// the first request that carried it. An id the site still holds is a
+// duplicate, core.ErrDuplicateTxn: a restart reconcile forgets every
+// transaction it settles, so an id a restarted coordinator mints again
+// finds its previous holder gone unless that holder is live.
 func (s *SiteServer) begin(ss *servedSite, id core.TxnID) error {
-	err := ss.backend.Begin(id)
-	if errors.Is(err, core.ErrDuplicateTxn) {
-		if st := ss.backend.TxnState(id); st == "committed" || st == "aborted" {
-			ss.backend.Forget(id)
-			err = ss.backend.Begin(id)
-		}
-	}
-	if err != nil {
+	if err := ss.backend.Begin(id); err != nil {
 		return err
 	}
 	ss.txns[id] = struct{}{}
@@ -350,11 +321,8 @@ func (s *SiteServer) serve(ss *servedSite, kind uint8, body []byte) (uint8, []by
 		case kRevoke:
 			err = ss.backend.RevokeInto(&ss.eff, id, reason)
 		}
-		if err != nil && !s.settled(ss, kind, id) {
-			return errReply(err)
-		}
 		if err != nil {
-			ss.eff.Reset() // duplicate delivery: nothing new happened
+			return errReply(err)
 		}
 		b := appendEffects(nil, &ss.eff)
 		return kOK, ss.report(b)
@@ -379,19 +347,6 @@ func (s *SiteServer) serve(ss *servedSite, kind uint8, body []byte) (uint8, []by
 		if err := ss.backend.Register(obj, typ, class); err != nil {
 			return errReply(err)
 		}
-		return kOK, nil
-
-	case kFactory:
-		spec := r.str()
-		if r.err != nil {
-			return errReply(r.err)
-		}
-		gen, err := workload.ParseSpec(spec)
-		if err != nil {
-			return errReply(err)
-		}
-		ss.factory = gen.Factory()
-		ss.backend.SetFactory(ss.factory)
 		return kOK, nil
 
 	case kStats:

@@ -136,7 +136,6 @@ const (
 	kWithdraw   uint8 = 0x17
 	kForget     uint8 = 0x18
 	kRegister   uint8 = 0x19
-	kFactory    uint8 = 0x1a
 	kStats      uint8 = 0x1b
 	kStateLen   uint8 = 0x1c
 	kTxnState   uint8 = 0x1d
@@ -172,7 +171,7 @@ var kindNames = [...]string{
 	kRequest: "request", kCommit: "commit",
 	kCommitHold: "commit-hold", kRelease: "release", kAbort: "abort",
 	kRevoke: "revoke", kWithdraw: "withdraw", kForget: "forget",
-	kRegister: "register", kFactory: "factory", kStats: "stats",
+	kRegister: "register", kStats: "stats",
 	kStateLen: "state-len", kTxnState: "txn-state", kAdopt: "adopt",
 	kPing: "ping", kShutdown: "shutdown",
 

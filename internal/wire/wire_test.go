@@ -326,10 +326,48 @@ func TestWireWithdrawIsNoAbort(t *testing.T) {
 
 // TestWireLoadSurvivesConnectionDrops: Store.Run's retry loop rides
 // through repeated real TCP connection losses — the load completes and
-// conserves once the daemons are back. Each of the four drops waits
-// until its daemon's connection is up and both its sites reconciled,
-// so every drop closes a live connection.
-func TestWireLoadSurvivesConnectionDrops(t *testing.T) {
+// conserves once the daemons are back.
+func TestWireLoadSurvivesConnectionDrops(t *testing.T) { dropLoad(t) }
+
+// TestDaemonForgetsWhatTheReconcileEnds: once the drop load quiesced,
+// no daemon tracks any transaction — the conversations forgot theirs,
+// and each reconcile forgot what it resolved and what the connection
+// loss kept from being forgotten. A bare connection that never adopts
+// asks every site about every id minted so far.
+func TestDaemonForgetsWhatTheReconcileEnds(t *testing.T) {
+	w := dropLoad(t)
+	for sid := range w.c.NumSites() {
+		waitSiteDown(t, w.c, dist.SiteID(sid), false)
+		// A round trip on the coordinator's connection: the forgets it
+		// sent before are out of the site's FIFO when this answers.
+		_ = w.c.Site(dist.SiteID(sid)).StatsSnapshot()
+	}
+	next := w.c.Begin().ID()
+	for d, srv := range w.servers {
+		peer := NewPeer(PeerConfig{Addr: srv.Addr()})
+		if err := peer.Connect(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close()
+		for sid := uint16(2 * d); sid < uint16(2*d+2); sid++ {
+			probe := NewRemoteSite(peer, sid, nil)
+			for id := core.TxnID(1); id < next; id++ {
+				if st := probe.TxnState(id); st != "unknown" {
+					t.Errorf("site %d still tracks T%d (%s)", sid, id, st)
+				}
+			}
+		}
+	}
+}
+
+// dropLoad runs a pushes load on two daemons of two sites each while
+// four connection drops crash and restart their sites, and checks that
+// every transaction commits and each object's committed depth counts
+// its committed pushes. Each drop waits until its daemon's connection
+// is up and both its sites reconciled, so every drop closes a live
+// connection.
+func dropLoad(t *testing.T) *wireCluster {
+	t.Helper()
 	const db = 12
 	w := startWireCluster(t, 2, 2, "pushes:12")
 	var mu sync.Mutex
@@ -391,6 +429,7 @@ func TestWireLoadSurvivesConnectionDrops(t *testing.T) {
 			t.Fatalf("object %d: committed depth %d, want %d pushes", obj, got, want)
 		}
 	}
+	return w
 }
 
 // TestLateDaemonIsAdopted: a daemon that is not up when the
@@ -513,11 +552,19 @@ func TestRemoteSiteOwedBegin(t *testing.T) {
 // connection loss holding a logged hold T3 whose out-edge points at an
 // orphan T5, as when the loss swallowed T5's abort. The reconcile lists
 // T3 first, yet must abort T5 before it releases T3, because the daemon
-// releases only a transaction whose dependencies drained.
+// releases only a transaction whose dependencies drained. Both end
+// forgotten at the daemon, and only T3's push landed. Until the
+// reconcile ends the site stays down to readers, which would otherwise
+// see T3's logged commit missing.
 func TestRestartReleasesAfterItsDependencies(t *testing.T) {
 	rss, _ := remoteSites(t, 1)
 	rs := rss[0]
-	rs.decided = func(id core.TxnID) bool { return id == 3 }
+	var during []error // reads made while the reconcile consults the log
+	rs.decided = func(id core.TxnID) bool {
+		_, err := rs.CommittedState(1)
+		during = append(during, err)
+		return id == 3
+	}
 	if err := rs.Register(1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -543,10 +590,25 @@ func TestRestartReleasesAfterItsDependencies(t *testing.T) {
 	if !slices.Equal(rep.Redone, []core.TxnID{3}) || !slices.Equal(rep.Aborted, []core.TxnID{5}) {
 		t.Fatalf("reconcile redid %v and aborted %v, want [3] and [5]", rep.Redone, rep.Aborted)
 	}
-	for id, want := range map[core.TxnID]string{3: "committed", 5: "aborted"} {
-		if st := rs.TxnState(id); st != want {
-			t.Fatalf("T%d is %q at the daemon, want %q", id, st, want)
+	if len(during) == 0 {
+		t.Fatal("the reconcile never consulted the log")
+	}
+	for _, err := range during {
+		if !errors.Is(err, fault.ErrSiteDown) {
+			t.Fatalf("read during the reconcile = %v, want ErrSiteDown", err)
 		}
+	}
+	for _, id := range []core.TxnID{3, 5} {
+		if st := rs.TxnState(id); st != "unknown" {
+			t.Fatalf("T%d is %q at the daemon, want unknown (forgotten)", id, st)
+		}
+	}
+	st, err := rs.CommittedState(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.(*RemoteState).Len(); n != 1 {
+		t.Fatalf("committed depth %d, want 1 (T3's push, not T5's)", n)
 	}
 }
 
