@@ -123,13 +123,3 @@ func KTableTable() *Table {
 	t.Rec = rec
 	return t
 }
-
-// PaperTables returns all four paper tables keyed by type name.
-func PaperTables() map[string]*Table {
-	return map[string]*Table{
-		"page":  PageTable(),
-		"stack": StackTable(),
-		"set":   SetTable(),
-		"table": KTableTable(),
-	}
-}

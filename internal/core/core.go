@@ -239,7 +239,6 @@ func (s *Stats) Add(o Stats) {
 var (
 	ErrUnknownTxn    = errors.New("core: unknown transaction")
 	ErrUnknownObject = errors.New("core: unknown object")
-	ErrTxnNotActive  = errors.New("core: transaction is not active")
 	ErrTxnBlocked    = errors.New("core: transaction has a blocked request outstanding")
 	ErrDuplicateTxn  = errors.New("core: transaction id already in use")
 	ErrDuplicateObj  = errors.New("core: object id already registered")

@@ -134,41 +134,80 @@ type DecideReq struct {
 	done chan struct{} // the Cluster pipeline's completion signal
 }
 
-// AdoptAction is what a restarting coordinator does with one
-// transaction a site reports as surviving its predecessor: the site
-// verb (Action.At) that resolves it there.
-type AdoptAction = ActKind
-
-const (
-	// AdoptAbort: an orphan whose client will retry.
-	AdoptAbort = ActAbort
-	// AdoptRedo: a direct commit the predecessor logged but never
-	// delivered; commit it now.
-	AdoptRedo = ActCommitDirect
-	// AdoptRevoke: an in-doubt hold with no logged decision — presumed
-	// abort.
-	AdoptRevoke = ActRevoke
-	// AdoptRelease: an in-doubt hold whose commit is logged; land it.
-	AdoptRelease = ActRelease
-)
-
-// adoptTable is the restart-adoption rule, keyed {held, logged}. A
-// logged decision implies the transaction's global out-degree was zero
-// when it was logged. A site that outlived the verbs retiring its
-// dependencies (a wire daemon across a connection loss) may still hold
-// those edges, so wire's RemoteSite.Restart orders its verbs by them.
-var adoptTable = map[[2]bool]AdoptAction{
-	{false, true}:  AdoptRedo,    // active (or blocked) + logged
-	{false, false}: AdoptAbort,   // active (or blocked) + unlogged
-	{true, true}:   AdoptRelease, // held + logged
-	{true, false}:  AdoptRevoke,  // held + unlogged
+// adoptTable is the restart-adoption rule, keyed {held, logged}: the
+// site verb (Action.At) that resolves a transaction a site reports as
+// surviving its predecessor coordinator. A logged decision implies the
+// transaction's global out-degree was zero when it was logged. A site
+// that outlived the verbs retiring its dependencies (a wire daemon
+// across a connection loss: an orphan whose abort the loss swallowed,
+// an unlogged hold, a logged hold whose release was lost) may still
+// hold those edges, so Reconcile orders its verbs by them.
+var adoptTable = map[[2]bool]ActKind{
+	{false, true}:  ActCommitDirect, // active (or blocked) + logged: the predecessor never delivered it; redo
+	{false, false}: ActAbort,        // active (or blocked) + unlogged: an orphan whose client will retry
+	{true, true}:   ActRelease,      // held + logged: an in-doubt hold whose commit is logged; land it
+	{true, false}:  ActRevoke,       // held + unlogged: an in-doubt hold, presumed abort
 }
 
 // AdoptVerdict resolves one surviving transaction: held is its state at
 // the reporting site, logged whether the decision log holds its commit
 // (ask through ClaimRedo, so the redo wins against a live withdrawal).
-func AdoptVerdict(held, logged bool) AdoptAction {
+func AdoptVerdict(held, logged bool) ActKind {
 	return adoptTable[[2]bool{held, logged}]
+}
+
+// Survivor is a transaction a restarting participant reports live, and
+// whether it is held (pseudo-committed) there.
+type Survivor struct {
+	Txn  core.TxnID
+	Held bool
+}
+
+// Reconcile resolves the survivors p reports at its restart, each by
+// AdoptVerdict's verb through Action.At, then calls each (if non-nil)
+// with the verb and its effects. logged (nil: nothing is) is asked once
+// per survivor, before any verb runs. Verbs run in listing order,
+// except that a redo or release waits for a later pass until its
+// out-edges at p drained (see adoptTable); a pass that resolves
+// nothing fails.
+func Reconcile(p core.Participant, survivors []Survivor, logged func(core.TxnID) bool, each func(core.TxnID, ActKind, *core.Effects)) (rep fault.RecoveryReport, err error) {
+	verb := make(map[core.TxnID]ActKind, len(survivors))
+	for _, s := range survivors {
+		verb[s.Txn] = AdoptVerdict(s.Held, logged != nil && logged(s.Txn))
+	}
+	var edges []depgraph.Edge
+	var eff core.Effects
+	for todo := survivors; len(todo) > 0; {
+		var waiting []Survivor
+		for _, s := range todo {
+			k := verb[s.Txn]
+			if k == ActCommitDirect || k == ActRelease { // a redo or release
+				if edges = p.OutEdgesAppend(s.Txn, edges); len(edges) > 0 {
+					waiting = append(waiting, s)
+					continue
+				}
+			}
+			if _, err = (Action{Kind: k, Reason: core.ReasonSiteFailed}).At(p, &eff, s.Txn); err != nil {
+				return rep, fmt.Errorf("dist: reconcile: %v of T%d: %w", k, s.Txn, err)
+			}
+			switch k {
+			case ActCommitDirect, ActRelease:
+				rep.Redone = append(rep.Redone, s.Txn)
+			case ActAbort:
+				rep.Aborted = append(rep.Aborted, s.Txn)
+			case ActRevoke:
+				rep.PresumedAborted = append(rep.PresumedAborted, s.Txn)
+			}
+			if each != nil {
+				each(s.Txn, k, &eff)
+			}
+		}
+		if len(waiting) == len(todo) {
+			return rep, fmt.Errorf("dist: reconcile: no verb drains T%d's out-edges", waiting[0].Txn)
+		}
+		todo = waiting
+	}
+	return rep, nil
 }
 
 // Coordinator is the §6 commit conversation without its IO: it mirrors

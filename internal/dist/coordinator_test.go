@@ -359,12 +359,12 @@ func TestCoordinatorAdopt(t *testing.T) {
 	// The adoption table itself.
 	for _, tc := range []struct {
 		held, logged bool
-		want         AdoptAction
+		want         ActKind
 	}{
-		{false, true, AdoptRedo},
-		{false, false, AdoptAbort},
-		{true, true, AdoptRelease},
-		{true, false, AdoptRevoke},
+		{false, true, ActCommitDirect},
+		{false, false, ActAbort},
+		{true, true, ActRelease},
+		{true, false, ActRevoke},
 	} {
 		if got := AdoptVerdict(tc.held, tc.logged); got != tc.want {
 			t.Errorf("AdoptVerdict(held=%v, logged=%v) = %d, want %d", tc.held, tc.logged, got, tc.want)

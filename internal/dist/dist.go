@@ -671,10 +671,10 @@ func (c *Cluster) exec(t *Txn, in Input, drain *[]core.TxnID) (fin Action, bug e
 // the participant's mutex, delivers the grants it unblocked to parked
 // calls, and — the synchronous call being message and reply in one —
 // consumes the reply inside it, where a hold's export can be read
-// straight out of the site's reusable edge buffer. A refused release is
-// skipped (the restart that redoes the logged commit acks and traces
-// it); a refused hold or direct commit is a failed reply — a crash, or
-// else a bug, stored for the caller.
+// straight out of the site's reusable edge buffer. A release refused
+// down or gone is skipped (the restart that redoes the logged commit
+// acks and traces it), a violation panics; a refused hold or direct
+// commit is a failed reply, a violation there stored for the caller.
 // It reports how long the critical section took (for a sampled t; the
 // acks and parked-queue refresh after it are not counted) and whether
 // the participant accepted the verb.
@@ -699,12 +699,15 @@ func (c *Cluster) atSite(t *Txn, act Action, acts []Action, bug *error) ([]Actio
 		if act.Kind == ActHold {
 			in.Edges = s.edges(t.id)
 		}
-	case act.Kind == ActRelease && !siteFailure(err):
-		// Neither a crash (ErrSiteDown) nor one already recovered from
-		// (ErrUnknownTxn): the coordinator's dependency accounting is
-		// wrong — surface loudly.
+	case Classify(err) != VerbViolation:
+		// Down or gone: a failed reply, or a release the restart redoes.
+	case act.Kind == ActRelease:
+		// The coordinator's dependency accounting is wrong — surface
+		// loudly.
 		s.mu.Unlock()
 		panic(fmt.Sprintf("dist: release of T%d at site %d: %v", t.id, act.Site, err))
+	case in.Failed:
+		*bug = fmt.Errorf("dist: %v of T%d at site %d: %w", act.Kind, t.id, act.Site, err)
 	}
 	if in.Kind != InNone {
 		acts = c.Step(&t.Conv, in, acts)
@@ -715,12 +718,7 @@ func (c *Cluster) atSite(t *Txn, act Action, acts []Action, bug *error) ([]Actio
 		took = time.Since(start)
 	}
 
-	switch {
-	case err != nil:
-		if in.Failed && !siteFailure(err) {
-			*bug = fmt.Errorf("dist: %v of T%d at site %d: %w", act.Kind, t.id, act.Site, err)
-		}
-	case act.Kind == ActRelease || act.Kind == ActCommitDirect && t.logged:
+	if err == nil && (act.Kind == ActRelease || act.Kind == ActCommitDirect && t.logged) {
 		c.ackRelease(t.id, act.Site)
 	}
 	if act.Kind != ActHold {

@@ -160,12 +160,36 @@ func (a Action) RecordSpan(b *telemetry.SpanBuffer, tc telemetry.TraceContext, c
 	}
 }
 
+// VerbOutcome is what a participant's answer to a site verb means
+// (Classify); every driver switches on it.
+type VerbOutcome uint8
+
+const (
+	VerbOK        VerbOutcome = iota // the verb took effect
+	VerbDown                         // fault.ErrSiteDown: the site crashed; its restart recovers
+	VerbGone                         // core.ErrUnknownTxn: it restarted or reconciled without the transaction
+	VerbViolation                    // any other refusal: the site and the coordinator's accounting disagree
+)
+
+// Classify is the one reading of a participant's error.
+func Classify(err error) VerbOutcome {
+	switch {
+	case err == nil:
+		return VerbOK
+	case errors.Is(err, fault.ErrSiteDown):
+		return VerbDown
+	case errors.Is(err, core.ErrUnknownTxn):
+		return VerbGone
+	}
+	return VerbViolation
+}
+
 // At carries a site action out at its participant: the call — its
 // effects left in eff — and, for every verb but the hold, Forget (the
 // conversation is done with the site whatever the answer). It returns
 // the reply to feed back to Step (the zero Input for revoke and abort,
-// which have none) and the participant's refusal, if any: a refused
-// release is skipped (a down or restarted site redoes the logged commit
+// which have none) and the participant's refusal, if any: a release
+// refused down or gone is skipped (the site redoes the logged commit
 // in recovery), a refused undo has nothing left to undo.
 func (a Action) At(p core.Participant, eff *core.Effects, id core.TxnID) (Input, error) {
 	reply := Input{Site: a.Site}
@@ -187,10 +211,10 @@ func (a Action) At(p core.Participant, eff *core.Effects, id core.TxnID) (Input,
 		reply.Kind = InReleaseAck
 		err = p.ReleaseInto(eff, id)
 	case ActAbort:
-		if err = p.AbortInto(eff, id); err == nil || errors.Is(err, fault.ErrSiteDown) {
+		if err = p.AbortInto(eff, id); err == nil || Classify(err) == VerbDown {
 			break
 		}
-		fallthrough
+		fallthrough // gone, or refused because held: revoke
 	case ActRevoke:
 		err = p.RevokeInto(eff, id, a.Reason)
 	}

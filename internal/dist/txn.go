@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/adt"
 	"repro/internal/core"
 	"repro/internal/delivery"
-	"repro/internal/fault"
 	"repro/internal/telemetry"
 )
 
@@ -120,14 +118,6 @@ func (t *Txn) abortedErr(at SiteID, reason core.AbortReason) error {
 	return fmt.Errorf("cross-site: %w", err)
 }
 
-// siteFailure classifies an error from a participant call as a
-// crash-stop failure: the site is down, or it restarted and no longer
-// knows the transaction (ErrUnknownTxn: a fresh incarnation lost it, or
-// a remote daemon's restart reconcile resolved and forgot it).
-func siteFailure(err error) bool {
-	return errors.Is(err, fault.ErrSiteDown) || errors.Is(err, core.ErrUnknownTxn)
-}
-
 // do runs the request; a nil ctx means no cancellation.
 func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, error) {
 	if t.state.Load() != txActive {
@@ -150,7 +140,7 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 		}
 		s.mu.Unlock()
 		if err != nil {
-			if siteFailure(err) {
+			if Classify(err) != VerbViolation { // down or gone: a crash-stop failure
 				return t.abort(noSite, sid, core.ReasonSiteFailed)
 			}
 			return adt.Ret{}, err
@@ -163,7 +153,7 @@ func (t *Txn) do(ctx context.Context, obj core.ObjectID, op adt.Op) (adt.Ret, er
 	dec, err := s.p.RequestInto(eff, t.id, obj, op)
 	if err != nil {
 		s.mu.Unlock()
-		if siteFailure(err) {
+		if Classify(err) != VerbViolation {
 			return t.abort(noSite, sid, core.ReasonSiteFailed)
 		}
 		return adt.Ret{}, err

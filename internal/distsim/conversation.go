@@ -2,13 +2,11 @@ package distsim
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/telemetry"
 )
 
@@ -93,27 +91,27 @@ func (e *Engine) perform(p *sproc, act dist.Action) bool {
 	if act.Kind.AtSite() {
 		s := e.sites[sid]
 		reply, err = act.At(s.cr, &eff, id)
-		down, gone := errors.Is(err, fault.ErrSiteDown), errors.Is(err, core.ErrUnknownTxn)
+		class := dist.Classify(err)
 		switch {
 		case reply.Kind == dist.InNone:
 			// Revoke, abort: a site that refuses — down, or restarted
 			// without the transaction — has nothing left to undo.
-			if err == nil {
+			if class == dist.VerbOK {
 				delete(s.prepTime, id)
 			}
-		case err != nil && !down && !gone:
+		case class == dist.VerbViolation:
 			panic(fmt.Sprintf("distsim: %v T%d at site %d: %v", act.Kind, id, sid, err))
 		case reply.Failed:
 			// The transaction's volatile state died with the site (gone: it
 			// crashed and recovered while the message flew).
 			e.run(p, reply)
 			return false
-		case down:
+		case class == dist.VerbDown:
 			// The decision is logged: recovery redoes the release from the
 			// prepared record.
 			e.tracef("release T%d site=%d skipped (down, redo at restart)", id, sid)
 			wait = 0
-		case gone:
+		case class == dist.VerbGone:
 			e.tracef("release T%d site=%d already redone", id, sid)
 		case act.Kind == dist.ActHold:
 			s.prepTime[id] = e.tl.Now()
@@ -476,16 +474,8 @@ func (e *Engine) coordRestart() {
 	}
 }
 
-// adoptVerb names each restart-adoption action in the trace.
-var adoptVerb = [...]string{
-	dist.AdoptAbort:   "adopt-abort",
-	dist.AdoptRedo:    "adopt-commit",
-	dist.AdoptRevoke:  "adopt-revoke",
-	dist.AdoptRelease: "adopt-release",
-}
-
 // reconcile resolves one transaction a live site may still carry from
-// before the coordinator crash, by the shipped adoption table: its
+// before the coordinator crash, by dist's one restart reconcile: its
 // local state and the decision log pick abort, redo, revoke or release.
 func (e *Engine) reconcile(id core.TxnID, s *simSite) {
 	held := false
@@ -496,14 +486,14 @@ func (e *Engine) reconcile(id core.TxnID, s *simSite) {
 	default:
 		return // resolved here before (or during) the outage
 	}
-	act := dist.Action{Kind: dist.AdoptVerdict(held, e.co.ClaimRedo(id)), Reason: core.ReasonSiteFailed}
-	var eff core.Effects
-	if _, err := act.At(s.cr, &eff, id); err != nil {
-		panic(fmt.Sprintf("distsim: %s T%d at site %d: %v", adoptVerb[act.Kind], id, s.idx, err))
+	_, err := dist.Reconcile(s.cr, []dist.Survivor{{Txn: id, Held: held}}, e.co.ClaimRedo, func(id core.TxnID, verb dist.ActKind, eff *core.Effects) {
+		e.closeInDoubt(s, id)
+		e.tracef("adopt-%s T%d site=%d", verb, id, s.idx)
+		e.processEffects(s, eff)
+	})
+	if err != nil {
+		panic(fmt.Sprintf("distsim: reconcile at site %d: %v", s.idx, err))
 	}
-	e.closeInDoubt(s, id)
-	e.tracef("%s T%d site=%d", adoptVerb[act.Kind], id, s.idx)
-	e.processEffects(s, &eff)
 }
 
 // maybeCompleteAdopted finishes an adopted conversation whose every

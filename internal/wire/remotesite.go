@@ -399,21 +399,15 @@ func (rs *RemoteSite) Down() bool {
 
 // Restart reconciles a re-reachable daemon with the coordinator's
 // decision log and brings the site back into rotation. The daemon
-// reports its live transactions, and each is resolved as the
-// simulator's reconcile does, by dist.AdoptVerdict's verb through
-// dist.Action.At: orphaned actives are aborted, and in-doubt holds are
-// released when their decision was logged (reported in Redone, which
-// the cluster acks) and revoked (presumed abort) when it was not. At
-// forgets each at the daemon, and so does Restart each transaction the
-// daemon reports as terminated (the loss swallowed its forget), so the
-// daemon keeps nothing the reconcile settled. A logged decision implies
-// the transaction's global out-degree was zero when it was logged, but
-// the daemon outlived the loss: its out-edges there may still point at
-// transactions the coordinator retired while the site was unreachable
-// (an orphan whose abort the loss swallowed, an unlogged hold, a logged
-// hold whose release was lost). The daemon releases only a transaction
-// whose out-edges drained, so a release or redo waits until the verbs
-// before it emptied its edges in the response reports.
+// reports its live transactions, and dist.Reconcile resolves them, as
+// it does in the simulator: orphaned actives are aborted, and in-doubt
+// holds are released when their decision was logged (reported in
+// Redone, which the cluster acks) and revoked (presumed abort) when it
+// was not, a release or redo only once its out-edges drained in the
+// response reports. Action.At forgets each at the daemon, and so does
+// Restart each transaction the daemon reports as terminated (the loss
+// swallowed its forget), so the daemon keeps nothing the reconcile
+// settled.
 //
 // From the adopt snapshot on the site is adopting: the verbs pass
 // guard, reads are still refused, and a failure crashes the site
@@ -434,15 +428,10 @@ func (rs *RemoteSite) Restart() (rep fault.RecoveryReport, err error) {
 	if err != nil {
 		return rep, rs.mapErr(err)
 	}
-	type entry struct {
-		txn  core.TxnID
-		held bool
-		act  dist.Action
-	}
 	n := r.count(9)
-	entries := make([]entry, 0, n)
+	survivors := make([]dist.Survivor, 0, n)
 	for ; n > 0; n-- {
-		entries = append(entries, entry{txn: core.TxnID(r.u64()), held: r.u8() == adoptHeld})
+		survivors = append(survivors, dist.Survivor{Txn: core.TxnID(r.u64()), Held: r.u8() == adoptHeld})
 	}
 	sets := r.edgeSets()
 	if r.err != nil {
@@ -457,41 +446,16 @@ func (rs *RemoteSite) Restart() (rep fault.RecoveryReport, err error) {
 			_ = rs.Crash()
 		}
 	}()
-	for i, e := range entries {
-		entries[i].act = dist.Action{Kind: dist.AdoptVerdict(e.held, rs.decided != nil && rs.decided(e.txn)), Reason: core.ReasonSiteFailed}
-	}
 	// Both lists ascend, and the listing is a subset of the report.
 	for i, j := 0, 0; i < len(sets); i++ {
-		if j < len(entries) && entries[j].txn == sets[i].txn {
+		if j < len(survivors) && survivors[j].Txn == sets[i].txn {
 			j++
 			continue
 		}
 		rs.Forget(sets[i].txn)
 	}
-	var eff core.Effects
-	for len(entries) > 0 {
-		waiting := entries[:0]
-		for _, e := range entries {
-			if k := e.act.Kind; (k == dist.AdoptRedo || k == dist.AdoptRelease) && len(rs.OutEdgesAppend(e.txn, nil)) > 0 {
-				waiting = append(waiting, e)
-				continue
-			}
-			if _, err := e.act.At(rs, &eff, e.txn); err != nil {
-				return rep, err
-			}
-			switch e.act.Kind {
-			case dist.AdoptRedo, dist.AdoptRelease:
-				rep.Redone = append(rep.Redone, e.txn)
-			case dist.AdoptAbort:
-				rep.Aborted = append(rep.Aborted, e.txn)
-			case dist.AdoptRevoke:
-				rep.PresumedAborted = append(rep.PresumedAborted, e.txn)
-			}
-		}
-		if len(waiting) == len(entries) {
-			return rep, fmt.Errorf("wire: site %d: adopted T%d still has out-edges", rs.sid, waiting[0].txn)
-		}
-		entries = waiting
+	if rep, err = dist.Reconcile(rs, survivors, rs.decided, nil); err != nil {
+		return rep, fmt.Errorf("wire: site %d: %w", rs.sid, err)
 	}
 	rs.mu.Lock()
 	rs.down, rs.adopting = false, false

@@ -91,12 +91,20 @@ var retiredNames = []struct {
 		[]string{".", "internal/...", "cmd/...", "examples/..."}, "", 0,
 		`	c.sampler = telemetry.NewSampler(cfg.SampleSeed, rate)`,
 		"the span plane is one SpanBuffer a process builds once and passes as it is; the scheduler counts into core.Stats"},
-	// distsim's own adoptVerb names its trace lines; it is outside the
-	// scope.
 	{55, "one-adoption-executor", `adoptVerb|kFactory|func \(s \*SiteServer\) settled|func \(t \*Txn\) siteFailure`,
-		[]string{"internal/wire", "internal/dist"}, "", 0,
+		[]string{"internal/wire", "internal/dist", "internal/distsim"}, "", 0,
 		`			rr, err := rs.peer.call(adoptVerb[e.act], telemetry.TraceContext{}, b)`,
 		"the wire reconcile runs dist.Action.At, which forgets what it ends, so the daemon tolerates no duplicate of a settled verb"},
+	// wire.go's encodeErr is the codec, not a classification, so the
+	// classifier row stays out of internal/wire.
+	{59, "one-verb-outcome", `func siteFailure|errors\.Is\(err, (fault\.ErrSiteDown|core\.ErrUnknownTxn)\)`,
+		[]string{"internal/dist", "internal/distsim"}, "internal/dist/script.go", 0,
+		`		down, gone := errors.Is(err, fault.ErrSiteDown), errors.Is(err, core.ErrUnknownTxn)`,
+		"a participant's error is read once, by dist.Classify; switch on its VerbOutcome"},
+	{59, "one-reconcile", `still has out-edges|AdoptVerdict\(`,
+		[]string{"internal/wire", "internal/distsim"}, "", 0,
+		`			return rep, fmt.Errorf("wire: site %d: adopted T%d still has out-edges", rs.sid, waiting[0].txn)`,
+		"the restart reconcile (verdict, drain order, report) is dist.Reconcile; the wire and the simulator call it"},
 }
 
 // TestRetiredNamesStayRetired fails when a retired name is back in
